@@ -54,16 +54,11 @@ type coreCell struct {
 // scaling section (present when -bench-scaling ran) carries the
 // worker-parallelism curve and its bit-identity digests.
 type coreReport struct {
-	Bench    string       `json:"bench"`
-	Manifest obs.Manifest `json:"manifest"`
-	Budget   string       `json:"budgetPerCell"`
-	Results  []coreCell   `json:"results"`
-	// Trial (present when -bench-core ran) holds per-trial throughput cells:
-	// the same workload replayed through pooled coroutine sessions and
-	// through the op-coded lane engine, with the lane cells' speedup over
-	// session mode.
-	Trial   *trialReport   `json:"trial,omitempty"`
-	Scaling *scalingReport `json:"scaling,omitempty"`
+	Bench    string         `json:"bench"`
+	Manifest obs.Manifest   `json:"manifest"`
+	Budget   string         `json:"budgetPerCell"`
+	Results  []coreCell     `json:"results"`
+	Scaling  *scalingReport `json:"scaling,omitempty"`
 }
 
 // runCoreCell executes exactly `steps` scheduled operations of the step-loop
@@ -185,11 +180,6 @@ func runBench(opts benchOpts) error {
 				report.Results = append(report.Results, cell)
 			}
 		}
-		trial, err := runBenchTrials(opts.Ns, opts.Budget)
-		if err != nil {
-			return err
-		}
-		report.Trial = trial
 	}
 	if opts.Scaling {
 		scaling, err := runBenchScaling(opts.ScalingWorkers, opts.ScalingTrials, opts.Seed, opts.Registers)

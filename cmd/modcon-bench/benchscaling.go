@@ -58,8 +58,8 @@ type scalingReport struct {
 	N             int    `json:"n"`
 	TrialsPerCell int    `json:"trialsPerCell"`
 	Seed          uint64 `json:"seed"`
-	// Registers is the register model every cell ran under; non-atomic
-	// models skip the lane engine but keep the same bit-identity contract.
+	// Registers is the register model every cell ran under; every model
+	// keeps the same bit-identity contract.
 	Registers string `json:"registers"`
 	// IdenticalAggregates is true iff every cell produced the same digest —
 	// the bit-identity guarantee, pre-checked so consumers need not compare.
@@ -83,9 +83,8 @@ func scalingWorkerCounts() []int {
 // adversary, with the mixed-input pattern the experiments use, on the regs
 // register model. Build runs once per pooled session — at most `workers`
 // times per cell — and its cost is amortized over every trial that session
-// runs. Non-atomic models are not lane-eligible, so those cells route
-// through the pooled per-trial path; the aggregates stay bit-identical at
-// any worker count either way.
+// runs. The aggregates stay bit-identical at any worker count under every
+// register model.
 func scalingSweep(regs register.Semantics) harness.ProtocolSweep {
 	return harness.ProtocolSweep{
 		Build: func() (*core.Protocol, harness.ObjectConfig) {

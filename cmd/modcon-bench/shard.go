@@ -73,9 +73,8 @@ func shardSpan(index, of, trials int) (lo, hi int) {
 }
 
 // runShardSlice runs the consensus sweep over global trials [lo, hi) and
-// returns the shard artifact. The sweep routes through the lane engine (the
-// workload is lane-eligible), but Offset guarantees the same aggregates on
-// any path.
+// returns the shard artifact. Offset keeps every trial's global index and
+// seed, so the shard computes exactly the trials the unsharded sweep would.
 func runShardSlice(index, of, trials int, seed uint64, workers int, regs register.Semantics) (*shardReport, error) {
 	lo, hi := shardSpan(index, of, trials)
 	var steps, work obs.Hist

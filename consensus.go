@@ -278,7 +278,7 @@ type Outcome struct {
 	TotalWork int
 	Work      []int
 	// Violation is the safety violation Solve detected (also returned as
-	// its error); nil for safe runs. The field exists so TrialsRobust can
+	// its error); nil for safe runs. The field exists so Trials can
 	// classify a trial as violated rather than retrying it as an unknown
 	// failure.
 	Violation error
@@ -410,11 +410,9 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 // Sweep runs trials independent executions of this consensus spec on the
 // parallel trial engine and folds the outcomes, in trial order, through
 // merge. Each trial's seed derives from WithSeed's root via TrialSeed, so
-// aggregates are bit-identical at any worker count — and at any lane width:
-// lane-eligible sweeps (Sim backend, no trace/meter/faults) route whole
-// batches of trials through one reusable engine, the throughput path
-// WithBatching tunes, while ineligible ones replay per-trial pooled
-// sessions.
+// aggregates are bit-identical at any worker count. Every worker builds the
+// protocol once into a pooled session and replays it per trial with that
+// trial's seed, on the same dispatcher as TrialsStrict.
 //
 // newSched builds the adversary; it is called once per pooled session (not
 // per trial) because schedulers are stateful, which is why Sweep takes a
@@ -470,8 +468,7 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 			return proto, harness.ObjectConfig{
 				N: c.n, File: file, Inputs: base, Backend: be, Scheduler: sched,
 				Traced: rc.traced, CheapCollect: rc.cheapCollect, Registers: rc.registers,
-				CrashAfter: rc.crashAfter, Faults: rc.faults,
-				MaxSteps: rc.maxSteps, Context: rc.ctx, Meter: rc.meter,
+				Faults: rc.faults, MaxSteps: rc.maxSteps, Context: rc.ctx, Meter: rc.meter,
 			}
 		},
 		Inputs: inputs,

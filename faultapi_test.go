@@ -59,10 +59,10 @@ func TestSolveWithCrashFaults(t *testing.T) {
 	}
 }
 
-// TestTrialsRobustWatchdog: the public acceptance path — a stall-everyone
-// plan livelocks each trial; the watchdog kills them as timeouts and the
-// sweep completes, on both backends.
-func TestTrialsRobustWatchdog(t *testing.T) {
+// TestTrialsWatchdog: the public acceptance path — a stall-everyone plan
+// livelocks each trial; the watchdog kills them as timeouts and the sweep
+// completes, on both backends.
+func TestTrialsWatchdog(t *testing.T) {
 	cons, err := NewBinary(4, WithFallback(true))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestTrialsRobustWatchdog(t *testing.T) {
 			func() Scheduler { return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			report, err := TrialsRobust(2,
+			report, err := Trials(2,
 				func(ctx context.Context, tr Trial) (*Outcome, error) {
 					return cons.Solve(inputs, tc.s(), tr.Seed, tc.rc(ctx))
 				},
@@ -103,17 +103,23 @@ func TestTrialsRobustWatchdog(t *testing.T) {
 	}
 }
 
-// TestTrialsRobustClassifiesCrashedShort: crashing everyone gives a
-// completed run with no deciders.
-func TestTrialsRobustClassifiesCrashedShort(t *testing.T) {
+// TestTrialsClassifiesCrashedShort: crashing everyone, through the
+// WithFaults option, gives a completed run with no deciders.
+func TestTrialsClassifiesCrashedShort(t *testing.T) {
 	cons, err := NewBinary(4, WithFallback(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := TrialsRobust(3,
-		func(ctx context.Context, tr Trial) (*Outcome, error) {
-			return cons.Solve([]Value{0, 1, 1, 0}, NewUniformRandom(), tr.Seed,
-				RunConfig{Faults: Faults(CrashFault(AllProcs, 2))})
+	report, err := Trials(3,
+		func(ctx context.Context, tr Trial) (*ProtocolRun, error) {
+			file, proto, err := cons.Build()
+			if err != nil {
+				return nil, err
+			}
+			return RunProtocol(proto,
+				WithRegisters(file), WithN(4), WithInputs(0, 1, 1, 0),
+				WithScheduler(NewUniformRandom()), WithSeed(tr.Seed), WithContext(ctx),
+				WithFaults(CrashFault(AllProcs, 2)))
 		},
 		nil, WithSeed(3))
 	if err != nil {

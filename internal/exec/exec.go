@@ -170,14 +170,6 @@ type Capabilities struct {
 	// execute (always at least register.Atomic). A Config.Registers outside
 	// the set is a configuration error the caller reports before running.
 	Semantics register.SemanticsSet
-	// Batched reports whether NewSession's sessions also implement
-	// BatchSession natively, i.e. running a lane of K trials through
-	// RunBatch amortizes real work (dispatch, staging, per-trial setup)
-	// instead of just looping Run. The harness routes eligible sweep cells
-	// through lanes only on backends that report it; everyone else falls
-	// back to per-trial Run (or the RunSeeds loop, which is semantically a
-	// batch but buys nothing).
-	Batched bool
 }
 
 // Session is one reusable execution context: the per-trial analogue of the
@@ -206,22 +198,20 @@ type Session interface {
 	Close() error
 }
 
-// BatchSession is a Session that can run a whole lane of trials in one
-// call, amortizing per-trial dispatch across the batch. Sessions of backends
-// whose Capabilities report Batched implement it natively (sim); any Session
-// can be driven batch-wise through RunSeeds, which loops Run with the same
-// begin/emit protocol.
+// BatchSession is a Session that runs a list of seeds in one call. No
+// backend implements it and the harness never calls it: sweeps replay one
+// Session.Run per trial. It is kept, together with RunSeeds, only because
+// the benchmark module in bench/ forwards it through its timing decorator
+// and compiles against both.
 //
 // Contract, on top of Session's:
 //
 //   - RunBatch runs one trial per seed, in order, exactly as consecutive
 //     Run(ctx, seeds[k]) calls would — bit-identical results on
-//     deterministic backends, which is what lets the harness route a sweep
-//     through lanes without changing its aggregates.
+//     deterministic backends.
 //   - begin, if non-nil, is invoked before trial k starts; it is the
-//     caller's hook for staging per-trial state (the harness sets trial
-//     inputs there). A begin error is trial k's error: it arrives through
-//     emit and the batch moves on.
+//     caller's hook for staging per-trial state. A begin error is trial k's
+//     error: it arrives through emit and the batch moves on.
 //   - emit receives each trial's session-owned result, invalidated when the
 //     next trial starts (deep-copy to retain); returning false stops the
 //     batch early with no error.
@@ -233,8 +223,8 @@ type BatchSession interface {
 }
 
 // RunSeeds drives any Session through the BatchSession begin/emit protocol
-// by looping Run — the uniform fallback for sessions without a native
-// RunBatch, and the reference semantics native implementations must match.
+// by looping Run; it is the reference semantics of RunBatch. Like
+// BatchSession, it is kept only for the benchmark module in bench/.
 func RunSeeds(s Session, ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *Result, err error) bool) error {
 	for k, seed := range seeds {
 		if begin != nil {
@@ -307,13 +297,6 @@ func (s *oneShotSession) Run(ctx context.Context, seed uint64) (*Result, error) 
 	cfg.Seed = seed
 	cfg.Context = ctx
 	return s.backend.Run(cfg, s.programs...)
-}
-
-// RunBatch implements BatchSession by looping Run: no amortization, just
-// the uniform seam (see RunSeeds). Backends served by one-shot sessions
-// report Batched: false, so the harness never routes lanes here.
-func (s *oneShotSession) RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *Result, err error) bool) error {
-	return RunSeeds(s, ctx, seeds, begin, emit)
 }
 
 // Close implements Session.

@@ -12,19 +12,20 @@
 // classification (ok | violated | timeout | panicked | crashed-short |
 // failed) folded into partial aggregates instead of aborting the sweep.
 //
-// The determinism story of RunTrials carries over: trial seeds come from
-// the same TrialSeed derivation, and reports are folded in trial-index
-// order through the same reorder-buffer pattern, so per-outcome counts are
-// reproducible at any worker count (wall-clock-dependent classifications —
-// timeouts on a loaded machine — are the one unavoidable exception, and
-// exactly what the deadline exists to bound).
+// RunTrialsRobust runs on the same dispatcher as RunTrials (trials.go), so
+// its determinism story carries over: trial seeds come from the same
+// TrialSeed derivation, and reports are folded in trial-index order through
+// the same reorder buffer, so per-outcome counts are reproducible at any
+// worker count (wall-clock-dependent classifications — timeouts on a loaded
+// machine — are the one unavoidable exception, and exactly what the
+// deadline exists to bound). Only this policy wraps a trial in the
+// watchdog/panic/retry attempt below; strict trials run bare.
 package harness
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/modular-consensus/modcon/internal/exec"
@@ -79,8 +80,9 @@ type Resilience struct {
 	// Backoff is the first retry's delay, doubling per attempt. 0 means
 	// 10ms.
 	Backoff time.Duration
-	// FailFast stops the sweep at the first safety violation (remaining
-	// in-flight trials are cancelled; the report keeps what finished).
+	// FailFast stops the sweep at the first safety violation by trial index
+	// (in-flight trials are cancelled; the report covers every trial up to
+	// and including the violation).
 	FailFast bool
 }
 
@@ -302,128 +304,31 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func
 // its partial aggregates. merge, which may be nil, receives every
 // classified trial in trial-index order together with its report; for
 // non-ok outcomes the result may be partial or the zero value — consult
-// rep.Outcome before trusting it.
+// rep.Outcome before trusting it. A sweep cut short (FailFast, or
+// cancellation) has classified a gap-free prefix of its trials.
 //
 // The returned error is nil unless the sweep's own context was cancelled
 // externally; violations and timeouts are reported, not returned.
 func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, r T, rep TrialReport)) (*SweepReport, error) {
 	report := &SweepReport{Counts: make(map[TrialOutcome]int)}
-	if s.Trials <= 0 {
-		return report, nil
-	}
-	if err := s.admissionErr(); err != nil {
-		return report, err
-	}
-	parent := s.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	sweepStart := time.Now()
-	workers := s.workers()
-	type robustOutcome struct {
-		trial   Trial
-		result  T
-		report  TrialReport
-		dropped bool
-	}
-	results := make(chan robustOutcome, workers)
-	var (
-		next int
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-	)
-	claim := func() (Trial, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= s.Trials {
-			return Trial{}, false
+	err := dispatch(s, func(ctx context.Context, t Trial) outcome[T] {
+		r, rep, dropped := runRobustTrial(ctx, rz, t, run)
+		return outcome[T]{trial: t, result: r, report: rep, dropped: dropped}
+	}, func(oc outcome[T], prog *Progress) bool {
+		report.Trials++
+		report.Counts[oc.report.Outcome]++
+		report.Reports = append(report.Reports, oc.report)
+		if merge != nil {
+			merge(oc.trial, oc.result, oc.report)
 		}
-		t := s.trial(next)
-		next++
-		return t, true
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				t, ok := claim()
-				if !ok {
-					return
-				}
-				if !s.admit(ctx, t, sweepStart) {
-					// Cancelled while waiting for admission: report the trial
-					// as dropped so the fold's index sequence stays gap-free.
-					var zero T
-					results <- robustOutcome{trial: t, result: zero, dropped: true}
-					continue
-				}
-				r, rep, dropped := runRobustTrial(ctx, rz, t, run)
-				// Every claimed trial reports in — even dropped ones — so
-				// the fold below sees a gap-free index sequence. The
-				// collector drains until the channel closes, so this send
-				// cannot deadlock.
-				results <- robustOutcome{trial: t, result: r, report: rep, dropped: dropped}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Fold classified trials in trial-index order (reorder buffer, as in
-	// RunTrials) so counts, reports, and merge calls are deterministic at
-	// any worker count.
-	var (
-		start    = time.Now()
-		pending  = make(map[int]robustOutcome, workers)
-		nextFold = s.Offset // trial indices are global (shard offset applied)
-		prog     = Progress{Total: s.Trials}
-	)
-	for oc := range results {
-		pending[oc.trial.Index] = oc
-		for {
-			oc, ok := pending[nextFold]
-			if !ok {
-				break
-			}
-			delete(pending, nextFold)
-			nextFold++
-			if oc.dropped {
-				report.StoppedEarly = true
-				continue
-			}
-			report.Trials++
-			report.Counts[oc.report.Outcome]++
-			report.Reports = append(report.Reports, oc.report)
-			if merge != nil {
-				merge(oc.trial, oc.result, oc.report)
-			}
-			prog.Done++
-			if oc.report.Outcome == OutcomeOK {
-				s.meterCost(&prog, any(oc.result))
-			}
-			prog.Violations = report.Counts[OutcomeViolated]
-			s.observe(&prog, start, false)
-			if rz.FailFast && oc.report.Outcome == OutcomeViolated {
-				report.StoppedEarly = true
-				cancel()
-			}
+		if oc.report.Outcome == OutcomeOK {
+			s.meterCost(prog, any(oc.result))
 		}
-	}
-	s.observe(&prog, start, true)
-	if nextFold < s.Offset+s.Trials {
+		prog.Violations = report.Counts[OutcomeViolated]
+		return !rz.FailFast || oc.report.Outcome != OutcomeViolated
+	})
+	if report.Trials < s.Trials {
 		report.StoppedEarly = true
 	}
-	if err := parent.Err(); err != nil {
-		return report, err
-	}
-	return report, nil
+	return report, err
 }

@@ -34,8 +34,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
-	"github.com/modular-consensus/modcon/internal/fault"
-	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -183,27 +181,10 @@ func (si *sessionInputs) set(t Trial) error {
 	return nil
 }
 
-// laneEligible reports whether a cell can route trials through batch (lane)
-// execution: the sweep asked for lanes, the backend runs batches natively,
-// and nothing per-trial-stateful is in play. Traced cells need a per-trial
-// trace snapshot, metered cells feed a live observer, fault plans arm
-// per-trial injector state, and non-atomic register semantics are not yet
-// proven bit-stable on the op-coded lane engine — all of which the
-// per-trial pooled path handles; lanes keep the unencumbered fast path. cfg
-// must already carry the sweep's meter (the constructors assign
-// cfg.Meter = s.Meter before calling this).
-func laneEligible(s Sweep, cfg ObjectConfig, caps exec.Capabilities) bool {
-	return s.laneWidth() > 1 && caps.Batched && !cfg.Traced && cfg.Meter == nil &&
-		cfg.Registers == register.Atomic &&
-		fault.Merge(cfg.Faults, fault.FromCrashMap(cfg.CrashAfter)).Empty()
-}
-
 // objectSession is one pooled cell of an object sweep: a built object, its
 // backend session, and the buffers its program closures write into.
 type objectSession struct {
 	sess      exec.Session
-	batch     exec.BatchSession // non-nil iff the cell is lane-eligible
-	seeds     []uint64          // reused seed buffer for batch runs
 	in        sessionInputs
 	decisions []value.Decision
 	log       *trace.Log // session-owned; reset by the engine each trial
@@ -239,9 +220,6 @@ func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	if laneEligible(s, cfg, be.Capabilities()) {
-		os.batch, _ = os.sess.(exec.BatchSession)
-	}
 	return os, nil
 }
 
@@ -267,40 +245,6 @@ func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, err
 	return run, err
 }
 
-// runBatch executes one lane of trials through the cell's batch session. The
-// begin hook stages trial k's inputs and clears the decision buffer — the
-// exact per-trial preamble of runTrial — and the emit hook detaches each
-// result before handing it on, so the batch path produces the same deep
-// per-trial snapshots as the pooled path, in the same order.
-func (os *objectSession) runBatch(ctx context.Context, trials []Trial, emit func(k int, run *ObjectRun, err error) bool) error {
-	os.seeds = os.seeds[:0]
-	for _, t := range trials {
-		os.seeds = append(os.seeds, t.Seed)
-	}
-	return os.batch.RunBatch(ctx, os.seeds, func(k int) error {
-		if err := os.in.set(trials[k]); err != nil {
-			return err
-		}
-		for i := range os.decisions {
-			os.decisions[i] = value.Decision{V: value.None}
-		}
-		return nil
-	}, func(k int, res *exec.Result, err error) bool {
-		if res == nil && err != nil {
-			return emit(k, nil, err) // begin failed; no execution to snapshot
-		}
-		run := &ObjectRun{
-			Result:    cloneResult(res),
-			Decisions: append([]value.Decision(nil), os.decisions...),
-			Trace:     os.log.Clone(),
-		}
-		if run.Result != nil {
-			run.Result.Trace = run.Trace
-		}
-		return emit(k, run, err)
-	})
-}
-
 func (os *objectSession) close() { _ = os.sess.Close() }
 
 // protocolSession is one pooled cell of a protocol sweep. Decisions are
@@ -310,8 +254,6 @@ func (os *objectSession) close() { _ = os.sess.Close() }
 // while this session already runs trial k+1.
 type protocolSession struct {
 	sess       exec.Session
-	batch      exec.BatchSession // non-nil iff the cell is lane-eligible
-	seeds      []uint64          // reused seed buffer for batch runs
 	in         sessionInputs
 	decided    []bool
 	decidedIdx []int32
@@ -353,9 +295,6 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	if laneEligible(s, cfg, be.Capabilities()) {
-		ps.batch, _ = ps.sess.(exec.BatchSession)
-	}
 	return ps, nil
 }
 
@@ -386,44 +325,6 @@ func (ps *protocolSession) runTrial(ctx context.Context, t Trial) (*ProtocolRun,
 	return run, err
 }
 
-// runBatch is the protocol counterpart of objectSession.runBatch: the begin
-// hook replays runTrial's per-trial preamble (inputs, decision clears, and a
-// fresh monitor built after the inputs land, since it validates against
-// them), and emit detaches each run before the session moves on.
-func (ps *protocolSession) runBatch(ctx context.Context, trials []Trial, emit func(k int, run *ProtocolRun, err error) bool) error {
-	ps.seeds = ps.seeds[:0]
-	for _, t := range trials {
-		ps.seeds = append(ps.seeds, t.Seed)
-	}
-	return ps.batch.RunBatch(ctx, ps.seeds, func(k int) error {
-		if err := ps.in.set(trials[k]); err != nil {
-			return err
-		}
-		for i := range ps.decided {
-			ps.decided[i] = false
-			ps.decidedIdx[i] = -1
-		}
-		ps.mon = check.NewMonitor(ps.in.live)
-		return nil
-	}, func(k int, res *exec.Result, err error) bool {
-		if res == nil && err != nil {
-			return emit(k, nil, err) // begin failed; no execution to snapshot
-		}
-		run := &ProtocolRun{
-			Result:     cloneResult(res),
-			Decided:    append([]bool(nil), ps.decided...),
-			DecidedIdx: append([]int32(nil), ps.decidedIdx...),
-			Violation:  ps.mon.Err(),
-			Trace:      ps.log.Clone(),
-			stageOf:    ps.stageOf,
-		}
-		if run.Result != nil {
-			run.Result.Trace = run.Trace
-		}
-		return emit(k, run, err)
-	})
-}
-
 func (ps *protocolSession) close() { _ = ps.sess.Close() }
 
 // pooledTrial wraps a session pool around one trial: check a session out,
@@ -444,33 +345,4 @@ func pooledTrial[S any, R any](pool *sessionPool[S], ctx context.Context, t Tria
 		pool.put(sess)
 	}
 	return run, err
-}
-
-// pooledBatch is pooledTrial's lane counterpart: check a session out, run one
-// batch of trials through it, and return it on a clean unpoisoned return. A
-// poison report — whether surfaced per-trial through emit or as the batch's
-// own error — closes the session instead; a panic inside runBatch skips the
-// put, abandoning the session exactly as pooledTrial would.
-func pooledBatch[S any, R any](pool *sessionPool[S], ctx context.Context, trials []Trial,
-	runBatch func(S, context.Context, []Trial, func(int, R, error) bool) error,
-	closeSess func(S), emit func(k int, r R, err error) bool) error {
-	sess, err := pool.get()
-	if err != nil {
-		return err
-	}
-	poisoned := false
-	err = runBatch(sess, ctx, trials, func(k int, r R, err error) bool {
-		if errors.Is(err, exec.ErrSessionPoisoned) {
-			poisoned = true
-		}
-		return emit(k, r, err)
-	})
-	if poisoned || err != nil {
-		// A batch-level error means the session itself can no longer run
-		// trials (closed or poisoned engine): discard it.
-		closeSess(sess)
-	} else {
-		pool.put(sess)
-	}
-	return err
 }

@@ -28,13 +28,13 @@ func Backend() exec.Backend { return backend{} }
 func (backend) Name() string { return "sim" }
 
 // Capabilities implements exec.Backend: the simulator has full adversary
-// control, deterministic replay, trace recording, a genuinely resettable
-// engine behind NewSession (0 allocs/trial after warmup), and native batch
-// execution (session.RunBatch drives the reused engine across a lane of
-// seeds); its clock is simulated steps, not wall time.
+// control, deterministic replay, trace recording, every register model, and
+// a genuinely resettable engine behind NewSession (0 allocs/trial after
+// warmup), which pooled sweeps replay once per trial; its clock is
+// simulated steps, not wall time.
 func (backend) Capabilities() exec.Capabilities {
 	return exec.Capabilities{
-		Adversary: true, Tracing: true, Deterministic: true, Reusable: true, Batched: true,
+		Adversary: true, Tracing: true, Deterministic: true, Reusable: true,
 		Semantics: register.SetOf(register.Atomic, register.Regular, register.Interposed),
 	}
 }
@@ -101,109 +101,8 @@ func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 	return s.eng.Run(ctx)
 }
 
-// RunBatch implements exec.BatchSession on the reused engine: one
-// Reset+Run pair per seed, in order, so a lane of K trials is bit-identical
-// to K consecutive Run calls by construction. Per-trial errors (step limit,
-// cancellation) arrive through emit; a Reset failure (closed or poisoned
-// engine) ends the batch, since no later trial could run either.
-func (s *session) RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *exec.Result, err error) bool) error {
-	for k, seed := range seeds {
-		if begin != nil {
-			if err := begin(k); err != nil {
-				if !emit(k, nil, err) {
-					return nil
-				}
-				continue
-			}
-		}
-		if err := s.eng.Reset(seed, s.inj); err != nil {
-			return err
-		}
-		res, err := s.eng.Run(ctx)
-		if !emit(k, res, err) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Close implements exec.Session.
 func (s *session) Close() error { return s.eng.Close() }
-
-// laneSession adapts a LaneEngine plus a once-compiled fault injector to the
-// exec.Session/exec.BatchSession seams — the op-coded counterpart of
-// session, for callers that hand-write LanePrograms (the trial benchmarks,
-// the lane cells in modcon-bench).
-type laneSession struct {
-	eng *LaneEngine
-	inj *fault.Injector
-}
-
-// NewLaneSession builds a batch-capable session on the op-coded LaneEngine:
-// the same validation and one-time fault compilation as NewSession, with
-// LaneProc state machines in place of program coroutines. cfg.Trace must be
-// nil (lanes are traceless; traced cells use NewSession).
-func NewLaneSession(cfg exec.Config, programs ...LaneProgram) (exec.BatchSession, error) {
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: nil scheduler (the sim backend requires an explicit adversary)")
-	}
-	if !cfg.Faults.Empty() {
-		if err := cfg.Faults.Validate(cfg.N); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
-	inj, err := fault.Compile(cfg.Faults, cfg.N, 0)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := NewLaneEngine(Config{
-		N:            cfg.N,
-		File:         cfg.File,
-		Scheduler:    cfg.Scheduler,
-		Trace:        cfg.Trace,
-		CheapCollect: cfg.CheapCollect,
-		Registers:    cfg.Registers,
-		MaxSteps:     cfg.MaxSteps,
-		Meter:        cfg.Meter,
-	}, programs...)
-	if err != nil {
-		return nil, err
-	}
-	return &laneSession{eng: eng, inj: inj}, nil
-}
-
-// Run implements exec.Session on the lane engine.
-func (s *laneSession) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
-	if err := s.eng.Reset(seed, s.inj); err != nil {
-		return nil, err
-	}
-	return s.eng.Run(ctx)
-}
-
-// RunBatch implements exec.BatchSession on the lane engine.
-func (s *laneSession) RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *exec.Result, err error) bool) error {
-	for k, seed := range seeds {
-		if begin != nil {
-			if err := begin(k); err != nil {
-				if !emit(k, nil, err) {
-					return nil
-				}
-				continue
-			}
-		}
-		if err := s.eng.Reset(seed, s.inj); err != nil {
-			return err
-		}
-		res, err := s.eng.Run(ctx)
-		if !emit(k, res, err) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Close implements exec.Session.
-func (s *laneSession) Close() error { return s.eng.Close() }
 
 // Run implements exec.Backend by bridging exec.Program (written against
 // core.Env) onto the simulator's concrete *Env programs.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/register"
@@ -239,31 +238,6 @@ func TestInterposedBluntsAdversaryView(t *testing.T) {
 	for pid := range atomicRes.Outputs {
 		if atomicRes.Outputs[pid] != interRes.Outputs[pid] {
 			t.Errorf("pid %d output %s (atomic) vs %s (interposed) under an identical schedule", pid, atomicRes.Outputs[pid], interRes.Outputs[pid])
-		}
-	}
-}
-
-// haltedProc is the do-nothing LaneProc (construction-error tests never
-// step it).
-type haltedProc struct{}
-
-func (haltedProc) Reset()             {}
-func (haltedProc) Step(*LaneEnv) bool { return false }
-
-// TestLaneEngineRejectsNonAtomic: the op-coded lane engine only implements
-// the atomic model; weaker/stronger cells must fall back to Engine.
-func TestLaneEngineRejectsNonAtomic(t *testing.T) {
-	for _, model := range []register.Semantics{register.Regular, register.Interposed} {
-		file := register.NewFile()
-		file.Alloc1("x")
-		_, err := NewLaneEngine(Config{
-			N: 2, File: file, Scheduler: sched.NewRoundRobin(), Registers: model,
-		}, func(pid, n int) LaneProc { return haltedProc{} })
-		if err == nil {
-			t.Fatalf("NewLaneEngine accepted %v registers", model)
-		}
-		if !strings.Contains(err.Error(), "atomic") {
-			t.Errorf("lane rejection %q does not name the atomic-only constraint", err)
 		}
 	}
 }

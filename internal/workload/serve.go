@@ -9,9 +9,9 @@ package workload
 // arithmetic over deterministic inputs, so a saturation report is
 // bit-identical at any worker or shard count — the same contract the trial
 // engine keeps for aggregates, extended to time. The model is first-order
-// by design (consensus instances are independently served jobs; real
-// cross-instance memory contention is what the lane engine benchmarks
-// measure), and EXPERIMENTS.md documents the caveat next to the curves.
+// by design (consensus instances are independently served jobs, and no
+// benchmark here measures real cross-instance memory contention), and
+// EXPERIMENTS.md documents the caveat next to the curves.
 
 import (
 	"fmt"

@@ -104,7 +104,6 @@ type runConfig struct {
 	ctx          context.Context
 	workers      int
 	maxSteps     int
-	crashAfter   map[int]int
 	cheapCollect bool
 	progress     func(SweepProgress)
 	sink         ProgressSink
@@ -116,7 +115,6 @@ type runConfig struct {
 	deadline     time.Duration
 	retries      int
 	failFast     bool
-	laneWidth    int
 	workloadSpec *WorkloadSpec
 	traceRecord  *WorkloadTrace
 	traceReplay  *WorkloadTrace
@@ -240,18 +238,8 @@ func WithMaxSteps(steps int) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.maxSteps = steps })
 }
 
-// WithCrashAfter crashes each listed pid after its given operation count.
-//
-// Deprecated: it is exactly WithFaults with one CrashFault(pid, after) per
-// map entry — the typed fault plane subsumes it. It keeps working as an
-// alias and merges with WithFaults (the smaller threshold wins per
-// process), but new code should state crash faults through WithFaults.
-func WithCrashAfter(crashes map[int]int) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.crashAfter = crashes })
-}
-
-// WithFaults injects the given faults into the execution (or, for Trials
-// and TrialsRobust, into every trial): crashes, stalls, per-op delay
+// WithFaults injects the given faults into the execution (or, for a
+// Consensus.Sweep, into every trial): crashes, stalls, per-op delay
 // jitter, lost probabilistic-write coins — on either backend. Repeated use
 // accumulates; see also WithFaultPlan for a pre-built or parsed plan.
 func WithFaults(faults ...Fault) RunOption {
@@ -264,15 +252,16 @@ func WithFaultPlan(p *FaultPlan) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.faults = fault.Merge(c.faults, p) })
 }
 
-// WithTrialDeadline arms TrialsRobust's per-trial watchdog: a trial still
-// running after d — livelocked by stall faults, stuck, or just unlucky —
-// is cancelled (cause ErrTrialDeadline) and classified TrialTimeout while
-// the rest of the sweep continues. Run, RunProtocol, and Trials ignore it.
+// WithTrialDeadline arms Trials' per-trial watchdog: a trial still running
+// after d — livelocked by stall faults, stuck, or just unlucky — is
+// cancelled (cause ErrTrialDeadline) and classified TrialTimeout while the
+// rest of the sweep continues. Run, RunProtocol, and TrialsStrict ignore
+// it.
 func WithTrialDeadline(d time.Duration) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.deadline = d })
 }
 
-// WithRetries lets TrialsRobust re-attempt a trial that failed with an
+// WithRetries lets Trials re-attempt a trial that failed with an
 // infrastructure error up to n times (exponential backoff). Model-level
 // outcomes — violations, timeouts, panics, step-limit exhaustion — are
 // never retried.
@@ -280,8 +269,8 @@ func WithRetries(n int) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.retries = n })
 }
 
-// WithFailFast makes TrialsRobust stop the sweep at the first safety
-// violation, keeping the partial report.
+// WithFailFast makes Trials stop the sweep at the first safety violation,
+// keeping the partial report.
 func WithFailFast(on bool) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.failFast = on })
 }
@@ -298,7 +287,7 @@ func WithProgress(fn func(SweepProgress)) RunOption {
 }
 
 // WithProgressSink streams throttled progress snapshots (trials done,
-// trials/sec, ETA, violation count) from a Trials or TrialsRobust sweep to
+// trials/sec, ETA, violation count) from a Trials or TrialsStrict sweep to
 // sink, at most one per interval plus always the final snapshot; a
 // non-positive interval emits every observation. See TextProgress and
 // JSONProgress. Run and RunProtocol ignore it.
@@ -310,30 +299,16 @@ func WithProgressSink(sink ProgressSink, interval time.Duration) RunOption {
 }
 
 // WithHistograms accumulates per-trial step and work distributions from a
-// Trials or TrialsRobust sweep into the given histograms (either may be
+// Trials or TrialsStrict sweep into the given histograms (either may be
 // nil). Trials whose results carry step/work measures (ObjectRun,
 // ProtocolRun) feed both; the aggregates are bit-identical at any worker
-// count and across Trials vs TrialsRobust for the same seed. Run and
+// count and across Trials vs TrialsStrict for the same seed. Run and
 // RunProtocol ignore it.
 func WithHistograms(steps, work *Hist) RunOption {
 	return runOptionFunc(func(c *runConfig) {
 		c.stepsHist = steps
 		c.workHist = work
 	})
-}
-
-// WithBatching controls lane (batched) execution for Trials sweeps whose
-// configuration is lane-eligible: the Sim backend with no trace, meter, or
-// fault plan in play. Eligible sweeps run whole lanes of trials per engine
-// checkout instead of one trial each, which removes most per-trial dispatch
-// cost; results and aggregates are bit-identical either way, so the option
-// only moves wall-clock. width > 1 sets the trials-per-lane, 0 (the
-// default) picks the harness default width, and a negative width disables
-// batching. Ineligible sweeps, TrialsRobust (whose per-trial deadline and
-// retry containment need one checkout per trial), Run, and RunProtocol
-// ignore it.
-func WithBatching(width int) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.laneWidth = width })
 }
 
 // WithMeter attaches a live step counter to executions: Run and RunProtocol
@@ -386,7 +361,6 @@ func (c *runConfig) objectConfig() (harness.ObjectConfig, error) {
 		Traced:       c.traced,
 		CheapCollect: c.cheapCollect,
 		Registers:    c.registers,
-		CrashAfter:   c.crashAfter,
 		Faults:       c.faults,
 		MaxSteps:     c.maxSteps,
 		Context:      c.ctx,
@@ -394,8 +368,8 @@ func (c *runConfig) objectConfig() (harness.ObjectConfig, error) {
 	}, nil
 }
 
-// sweep builds the trial-engine configuration shared by Trials and
-// TrialsRobust.
+// sweep builds the trial-engine configuration shared by Trials,
+// TrialsStrict, and Consensus.Sweep.
 func (c *runConfig) sweep(trials int) harness.Sweep {
 	var reporter *obs.Reporter
 	if c.sink != nil {
@@ -405,7 +379,6 @@ func (c *runConfig) sweep(trials int) harness.Sweep {
 		Trials:    trials,
 		Workers:   c.workers,
 		Seed:      c.seed,
-		LaneWidth: c.laneWidth,
 		Context:   c.ctx,
 		Progress:  c.progress,
 		Reporter:  reporter,
@@ -504,14 +477,6 @@ func Trials[T any](trials int, run func(ctx context.Context, t Trial) (T, error)
 		return report, err
 	}
 	return report, nil
-}
-
-// TrialsRobust is the former name of the classified sweep engine.
-//
-// Deprecated: Trials itself now runs every sweep on the resilient engine
-// with this exact signature; call Trials.
-func TrialsRobust[T any](trials int, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, result T, rep TrialReport), opts ...RunOption) (*SweepReport, error) {
-	return Trials(trials, run, merge, opts...)
 }
 
 // TrialsStrict preserves the pre-unification Trials shape: no per-trial

@@ -1,9 +1,8 @@
 package modcon
 
-// Public-API tests for Consensus.Sweep and the WithBatching lane knob: the
-// sweep's per-trial outcomes must be bit-identical whether trials route
-// through lanes or pooled sessions, at any width and worker count, and the
-// option-validation errors must be actionable.
+// Public-API tests for Consensus.Sweep: the sweep's per-trial outcomes must
+// be bit-identical at any worker count, and the option-validation errors
+// must be actionable.
 
 import (
 	"errors"
@@ -28,18 +27,17 @@ func sweepDigest(t *testing.T, c *Consensus, trials int, opts ...RunOption) ([]i
 	return works, values
 }
 
-func TestConsensusSweepBatchingDeterminism(t *testing.T) {
+func TestConsensusSweepWorkerDeterminism(t *testing.T) {
 	c, err := NewBinary(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const trials = 30
-	baseWorks, baseValues := sweepDigest(t, c, trials, WithBatching(-1), WithWorkers(1))
-	for _, tc := range []struct{ width, workers int }{{0, 1}, {8, 3}, {64, 2}} {
-		works, values := sweepDigest(t, c, trials, WithBatching(tc.width), WithWorkers(tc.workers))
+	baseWorks, baseValues := sweepDigest(t, c, trials, WithWorkers(1))
+	for _, workers := range []int{2, 3} {
+		works, values := sweepDigest(t, c, trials, WithWorkers(workers))
 		if !reflect.DeepEqual(works, baseWorks) || !reflect.DeepEqual(values, baseValues) {
-			t.Errorf("WithBatching(%d)+WithWorkers(%d) diverged from the unbatched single-worker sweep",
-				tc.width, tc.workers)
+			t.Errorf("WithWorkers(%d) diverged from the single-worker sweep", workers)
 		}
 	}
 }
