@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/register"
@@ -61,6 +65,54 @@ func TestProgramsBroadcastAndMismatch(t *testing.T) {
 	}
 	if got, err := Programs(2, []Program{p, p}); err != nil || len(got) != 2 {
 		t.Fatalf("exact: len=%d err=%v", len(got), err)
+	}
+}
+
+// seedSession is a Session that records the seeds it ran and reports each
+// seed as the trial's total work.
+type seedSession struct{ ran []uint64 }
+
+func (s *seedSession) Run(ctx context.Context, seed uint64) (*Result, error) {
+	s.ran = append(s.ran, seed)
+	r := NewResult(1)
+	r.TotalWork = int(seed)
+	return r, nil
+}
+
+func (s *seedSession) Close() error { return nil }
+
+// TestRunSeedsBeginErrorAndEarlyStop pins the rest of RunSeeds' begin/emit
+// protocol: a begin error is that trial's error, delivered through emit
+// without running its seed, and emit returning false stops the loop with no
+// error.
+func TestRunSeedsBeginErrorAndEarlyStop(t *testing.T) {
+	sess := &seedSession{}
+	staged := errors.New("staging failed")
+	var emitted []string
+	err := RunSeeds(sess, nil, []uint64{10, 20, 30, 40}, func(k int) error {
+		if k == 1 {
+			return staged
+		}
+		return nil
+	}, func(k int, res *Result, err error) bool {
+		switch {
+		case errors.Is(err, staged) && res == nil:
+			emitted = append(emitted, fmt.Sprintf("%d:staged", k))
+		case err == nil && res != nil:
+			emitted = append(emitted, fmt.Sprintf("%d:work=%d", k, res.TotalWork))
+		default:
+			t.Errorf("trial %d: unexpected emit (res %v, err %v)", k, res, err)
+		}
+		return k < 2
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"0:work=10", "1:staged", "2:work=30"}; !reflect.DeepEqual(emitted, want) {
+		t.Errorf("emitted %v, want %v", emitted, want)
+	}
+	if want := []uint64{10, 30}; !reflect.DeepEqual(sess.ran, want) {
+		t.Errorf("session ran seeds %v, want %v", sess.ran, want)
 	}
 }
 

@@ -8,6 +8,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -156,6 +157,42 @@ func TestAdmissionPacing(t *testing.T) {
 		func(ctx context.Context, tr Trial) (int, error) { return 0, nil }, nil)
 	if err == nil {
 		t.Fatal("cancelled paced sweep returned nil")
+	}
+}
+
+// TestAdmissionCancelDropsWaitingTrials: a trial still waiting for its
+// arrival when the sweep is cancelled is dropped, so under either policy the
+// sweep folds the trials admitted before it and stops there.
+func TestAdmissionCancelDropsWaitingTrials(t *testing.T) {
+	arrivals := []int64{0, int64(time.Hour), int64(time.Hour)}
+	for _, robust := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		s := Sweep{Trials: 3, Workers: 2, Context: ctx, Arrivals: arrivals, Pace: 1}
+		// Trial 0 is due at once; it cancels the sweep while trial 1 waits an
+		// hour for admission.
+		run := func(tctx context.Context, tr Trial) (int, error) {
+			cancel()
+			return tr.Index, nil
+		}
+		var merged []int
+		var err error
+		if robust {
+			var report *SweepReport
+			report, err = RunTrialsRobust(s, Resilience{}, run,
+				func(tr Trial, r int, rep TrialReport) { merged = append(merged, r) })
+			if report.Trials != 1 || !report.StoppedEarly {
+				t.Errorf("robust: classified %d trials (stoppedEarly=%v), want 1 and stopped early", report.Trials, report.StoppedEarly)
+			}
+		} else {
+			err = RunTrials(s, run, func(tr Trial, r int) { merged = append(merged, r) })
+		}
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("robust=%v: err = %v, want context.Canceled", robust, err)
+		}
+		if want := []int{0}; !reflect.DeepEqual(merged, want) {
+			t.Errorf("robust=%v: merged %v, want %v", robust, merged, want)
+		}
 	}
 }
 

@@ -7,10 +7,14 @@ package harness
 // functions of (spec, seed) no matter which session executes them.
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -48,6 +52,153 @@ func poolConsensusSpec(t *testing.T, n int, hook func(tr Trial)) ProtocolSweep {
 			}
 			return inputs
 		},
+	}
+}
+
+// cellObjectSpec is a single impatient-conciliator cell with mixed
+// per-trial inputs; mut seasons its configuration.
+func cellObjectSpec(n int, mut func(cfg *ObjectConfig)) ObjectSweep {
+	return ObjectSweep{
+		Build: func() (core.Object, ObjectConfig) {
+			file := register.NewFile()
+			cfg := ObjectConfig{N: n, File: file, Inputs: []value.Value{0}, Scheduler: sched.NewUniformRandom()}
+			if mut != nil {
+				mut(&cfg)
+			}
+			return conciliator.NewImpatient(file, n, 1), cfg
+		},
+		Inputs: func(tr Trial) []value.Value {
+			inputs := make([]value.Value, n)
+			for p := range inputs {
+				inputs[p] = value.Value((p + tr.Index) % 2)
+			}
+			return inputs
+		},
+	}
+}
+
+// cellProtocolSpec is poolConsensusSpec with its configuration seasoned by
+// mut.
+func cellProtocolSpec(t *testing.T, n int, mut func(cfg *ObjectConfig)) ProtocolSweep {
+	spec := poolConsensusSpec(t, n, nil)
+	build := spec.Build
+	spec.Build = func() (*core.Protocol, ObjectConfig) {
+		proto, cfg := build()
+		if mut != nil {
+			mut(&cfg)
+		}
+		return proto, cfg
+	}
+	return spec
+}
+
+// sameResult reports whether two executions agree on everything but the
+// trace pointer (callers compare traces by their events).
+func sameResult(got, want *exec.Result) bool {
+	g, w := *got, *want
+	g.Trace, w.Trace = nil, nil
+	return reflect.DeepEqual(g, w)
+}
+
+// TestSweepMatchesFreshRuns pins pooling as invisible for every knob that
+// reaches a pooled session: under tracing, metering, either fault form, each
+// register model, and a shard offset, every trial of a multi-worker object
+// or protocol sweep equals a fresh RunObject/RunProtocol of the same cell at
+// the trial's seed and inputs — the result, decisions, and trace events.
+func TestSweepMatchesFreshRuns(t *testing.T) {
+	const n, trials = 4, 10
+	cells := []struct {
+		name    string
+		offset  int
+		metered bool
+		mut     func(cfg *ObjectConfig)
+	}{
+		{name: "plain"},
+		{name: "offset", offset: 7},
+		{name: "traced", mut: func(cfg *ObjectConfig) { cfg.Traced = true }},
+		{name: "metered", metered: true},
+		{name: "crash-map", mut: func(cfg *ObjectConfig) { cfg.CrashAfter = map[int]int{0: 5} }},
+		{name: "fault-plan", mut: func(cfg *ObjectConfig) { cfg.Faults = fault.New(fault.Crash(0, 30), fault.LoseCoin(1, 1, 2)) }},
+		{name: "regular-registers", mut: func(cfg *ObjectConfig) { cfg.Registers = register.Regular }},
+		{name: "interposed-registers", mut: func(cfg *ObjectConfig) { cfg.Registers = register.Interposed }},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			sweep := func() (Sweep, *obs.Meter) {
+				s := Sweep{Trials: trials, Offset: c.offset, Workers: 3, Seed: 5}
+				if c.metered {
+					s.Meter = new(obs.Meter)
+				}
+				return s, s.Meter
+			}
+			// steps sums the folded trials' total work; an attached meter
+			// must have counted exactly that many operations.
+			checkMeter := func(m *obs.Meter, steps int64) {
+				if m != nil && m.Steps() != steps {
+					t.Errorf("meter counted %d steps, folded trials total %d", m.Steps(), steps)
+				}
+			}
+
+			ospec := cellObjectSpec(n, c.mut)
+			s, m := sweep()
+			var steps int64
+			folded := 0
+			err := SweepObject(s, ospec, func(tr Trial, run *ObjectRun) {
+				folded++
+				steps += int64(run.Result.TotalWork)
+				obj, cfg := ospec.Build()
+				cfg.Seed, cfg.Inputs = tr.Seed, ospec.Inputs(tr)
+				want, err := RunObject(obj, cfg)
+				if err != nil {
+					t.Errorf("trial %d: fresh object run: %v", tr.Index, err)
+					return
+				}
+				if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decisions, want.Decisions) ||
+					!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
+					t.Errorf("trial %d: pooled object trial diverged from a fresh run", tr.Index)
+				}
+				if (run.Trace.Len() > 0) != cfg.Traced {
+					t.Errorf("trial %d: object trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if folded != trials {
+				t.Fatalf("object sweep folded %d trials, want %d", folded, trials)
+			}
+			checkMeter(m, steps)
+
+			pspec := cellProtocolSpec(t, n, c.mut)
+			s, m = sweep()
+			steps, folded = 0, 0
+			err = SweepProtocol(s, pspec, func(tr Trial, run *ProtocolRun) {
+				folded++
+				steps += int64(run.Result.TotalWork)
+				proto, cfg := pspec.Build()
+				cfg.Seed, cfg.Inputs = tr.Seed, pspec.Inputs(tr)
+				want, err := RunProtocol(proto, cfg)
+				if err != nil {
+					t.Errorf("trial %d: fresh protocol run: %v", tr.Index, err)
+					return
+				}
+				if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decided, want.Decided) ||
+					!reflect.DeepEqual(run.DecidedIdx, want.DecidedIdx) || run.Violation != nil || want.Violation != nil ||
+					!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
+					t.Errorf("trial %d: pooled protocol trial diverged from a fresh run", tr.Index)
+				}
+				if (run.Trace.Len() > 0) != cfg.Traced {
+					t.Errorf("trial %d: protocol trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if folded != trials {
+				t.Fatalf("protocol sweep folded %d trials, want %d", folded, trials)
+			}
+			checkMeter(m, steps)
+		})
 	}
 }
 
