@@ -331,6 +331,46 @@ func (o *Outcome) MaxWork() int {
 	return m
 }
 
+// checkInputs rejects input values outside the spec's domain [0, m) before
+// they reach the objects, whose quorum schemes panic on them.
+func (c *Consensus) checkInputs(inputs []Value) error {
+	for _, v := range inputs {
+		if v.IsNone() || v < 0 || int64(v) >= int64(c.m) {
+			return fmt.Errorf("modcon: input %s outside [0, %d)", v, c.m)
+		}
+	}
+	return nil
+}
+
+// newOutcome assembles the public Outcome of one protocol run; Solve and
+// Sweep share it. The outcome aliases the run's slices.
+func newOutcome(run *harness.ProtocolRun) *Outcome {
+	n := len(run.Decided)
+	out := &Outcome{
+		Outputs:   run.Result.Outputs,
+		Decided:   run.Decided,
+		Stage:     make([]int, n),
+		FellBack:  make([]bool, n),
+		TotalWork: run.Result.TotalWork,
+		Work:      run.Result.Work,
+		Violation: run.Violation,
+		Trace:     run.Trace,
+		Value:     None,
+	}
+	for pid := range out.Stage {
+		out.Stage[pid], out.FellBack[pid] = run.DecidedStage(pid)
+	}
+	// Value is the first genuine decision (run.DecidedOutputs()[0]), found
+	// without building the slice.
+	for pid, d := range run.Decided {
+		if d && run.Result.Halted[pid] {
+			out.Value = run.Result.Outputs[pid]
+			break
+		}
+	}
+	return out
+}
+
 // Solve runs one execution with the given per-process inputs (len n, or a
 // single value for all) under the adversary s — or, with
 // RunConfig.Backend set to Live, under real goroutine concurrency (pass a
@@ -354,10 +394,8 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range inputs {
-		if v.IsNone() || v < 0 || int64(v) >= int64(c.m) {
-			return nil, fmt.Errorf("modcon: input %s outside [0, %d)", v, c.m)
-		}
+	if err := c.checkInputs(inputs); err != nil {
+		return nil, err
 	}
 	file, proto, err := c.Build()
 	if err != nil {
@@ -372,25 +410,7 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	if err != nil {
 		return nil, err
 	}
-
-	out := &Outcome{
-		Outputs:   pr.Result.Outputs,
-		Decided:   pr.Decided,
-		Stage:     make([]int, c.n),
-		FellBack:  make([]bool, c.n),
-		TotalWork: pr.Result.TotalWork,
-		Work:      pr.Result.Work,
-		Violation: pr.Violation,
-		Trace:     pr.Trace,
-		Value:     None,
-	}
-	for pid := range out.Stage {
-		out.Stage[pid], out.FellBack[pid] = proto.DecidedStage(pid)
-	}
-	decided := pr.DecidedOutputs()
-	if len(decided) > 0 {
-		out.Value = decided[0]
-	}
+	out := newOutcome(pr)
 	full := inputs
 	if len(full) == 1 {
 		full = make([]Value, c.n)
@@ -398,7 +418,7 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 			full[i] = inputs[0]
 		}
 	}
-	if err := check.Consensus(full, decided); err != nil {
+	if err := check.Consensus(full, pr.DecidedOutputs()); err != nil {
 		if out.Violation == nil {
 			out.Violation = err
 		}
@@ -412,7 +432,8 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 // merge. Each trial's seed derives from WithSeed's root via TrialSeed, so
 // aggregates are bit-identical at any worker count. Every worker builds the
 // protocol once into a pooled session and replays it per trial with that
-// trial's seed, on the same dispatcher as TrialsStrict.
+// trial's seed, on the strict trial dispatcher: the first failing trial by
+// index — an error or a panic — stops the sweep and is returned.
 //
 // newSched builds the adversary; it is called once per pooled session (not
 // per trial) because schedulers are stateful, which is why Sweep takes a
@@ -434,6 +455,9 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	}
 	if inputs == nil && len(rc.inputs) == 0 {
 		return fmt.Errorf("modcon: WithInputs or a per-trial inputs func is required: %w", ErrBadOption)
+	}
+	if err := c.checkInputs(rc.inputs); err != nil {
+		return fmt.Errorf("%v: %w", err, ErrBadOption)
 	}
 	var probe Scheduler
 	if newSched != nil {
@@ -476,28 +500,11 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	var violation error
 	violationAt := trials
 	err = harness.SweepProtocol(rc.sweep(trials), spec, func(t Trial, run *harness.ProtocolRun) {
-		out := &Outcome{
-			Outputs:   run.Result.Outputs,
-			Decided:   run.Decided,
-			Stage:     make([]int, c.n),
-			FellBack:  make([]bool, c.n),
-			TotalWork: run.Result.TotalWork,
-			Work:      run.Result.Work,
-			Violation: run.Violation,
-			Trace:     run.Trace,
-			Value:     None,
-		}
-		for pid := range out.Stage {
-			out.Stage[pid], out.FellBack[pid] = run.DecidedStage(pid)
-		}
-		if decided := run.DecidedOutputs(); len(decided) > 0 {
-			out.Value = decided[0]
-		}
 		if run.Violation != nil && t.Index < violationAt {
 			violation, violationAt = run.Violation, t.Index
 		}
 		if merge != nil {
-			merge(t, out)
+			merge(t, newOutcome(run))
 		}
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -51,13 +50,12 @@ const DefaultStages = 512
 // Protocol is an assembled consensus protocol: a Composition plus
 // per-process instrumentation recording where each process decided.
 type Protocol struct {
-	chain         *Composition
-	n             int
-	fastPath      bool
-	hasFallback   bool
-	perStage      int // chain objects per stage (1 or 2)
-	decidedAt     []int32
-	exhaustedToll atomic.Int64
+	chain       *Composition
+	n           int
+	fastPath    bool
+	hasFallback bool
+	perStage    int // chain objects per stage (1 or 2)
+	decidedAt   []int32
 }
 
 // NewProtocol validates opts and builds the protocol.
@@ -120,31 +118,15 @@ func NewProtocol(opts Options) (*Protocol, error) {
 // ≤ (1-δ)^Stages otherwise; callers must treat it as non-termination, never
 // as a decision.
 //
-// Run records where the process decided in protocol-owned state readable
-// through DecidedIndex/DecidedStage, which is convenient for one-shot runs
-// but racy for pooled sweeps, where a merge goroutine may still be reading
-// trial k's indices while a worker runs trial k+1. Such callers use
-// RunIndexed and keep per-trial indices themselves.
+// Every call records where the calling process decided (-1 when ok is
+// false), readable through DecidedIndex/DecidedStage until that process's
+// next Run. A process that never returns from Run (crashed, cancelled)
+// keeps its previous record, so callers that replay one protocol across
+// trials snapshot DecidedIndex right after Run returns.
 func (p *Protocol) Run(e Env, input value.Value) (out value.Value, ok bool) {
-	out, idx, ok := p.RunIndexed(e, input)
-	if ok {
-		p.decidedAt[e.PID()] = int32(idx)
-	}
-	return out, ok
-}
-
-// RunIndexed executes the protocol for the calling process and additionally
-// returns the chain index at which it decided (-1 when ok is false). Unlike
-// Run it leaves the protocol's own decided-at instrumentation untouched, so
-// concurrent readers of a previous trial's indices are safe; translate idx
-// with StageOfIndex.
-func (p *Protocol) RunIndexed(e Env, input value.Value) (out value.Value, idx int, ok bool) {
-	d, i := p.chain.InvokeIndexed(e, input)
-	if !d.Decided {
-		p.exhaustedToll.Add(1)
-		return d.V, -1, false
-	}
-	return d.V, i, true
+	d, idx := p.chain.InvokeIndexed(e, input)
+	p.decidedAt[e.PID()] = int32(idx)
+	return d.V, d.Decided
 }
 
 // Object exposes the underlying composition (itself a deciding object), so
@@ -165,7 +147,7 @@ func (p *Protocol) DecidedStage(pid int) (stage int, fallback bool) {
 }
 
 // StageOfIndex translates a deciding chain index (as returned by
-// RunIndexed) into the paper's stage numbering: 0 for the fast path, i ≥ 1
+// DecidedIndex) into the paper's stage numbering: 0 for the fast path, i ≥ 1
 // for stage (Cᵢ; Rᵢ), -1 for an undecided index (< 0). fallback
 // distinguishes a decision by the fallback object. The translation depends
 // only on the protocol's shape, so it is safe to call concurrently with
@@ -185,6 +167,3 @@ func (p *Protocol) StageOfIndex(idx int) (stage int, fallback bool) {
 	}
 	return idx/p.perStage + 1, false
 }
-
-// Exhausted reports how many Run calls ran off the end of the chain.
-func (p *Protocol) Exhausted() int64 { return p.exhaustedToll.Load() }

@@ -288,11 +288,35 @@ func TestProtocolExhaustion(t *testing.T) {
 	if out != 4 {
 		t.Fatalf("carried value %s", out)
 	}
-	if p.Exhausted() != 1 {
-		t.Fatalf("Exhausted = %d", p.Exhausted())
-	}
 	if stage, _ := p.DecidedStage(0); stage != -1 {
 		t.Fatalf("DecidedStage = %d for undecided", stage)
+	}
+}
+
+// TestProtocolRunRecordsEveryCall: Run overwrites the calling process's
+// decided-at record on every call, so a call that exhausts the chain clears
+// the index an earlier deciding call left behind.
+func TestProtocolRunRecordsEveryCall(t *testing.T) {
+	p, err := NewProtocol(Options{
+		N: 1, File: register.NewFile(),
+		NewRatifier: func(_ *register.File, i int) Object {
+			return Func{Name: labelFor("R", i), F: func(_ Env, v value.Value) value.Decision {
+				if v == 0 {
+					return value.Decide(v)
+				}
+				return value.Continue(v)
+			}}
+		},
+		Stages: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Run(newFakeEnv(), 0); !ok || p.DecidedIndex(0) != 0 {
+		t.Fatalf("deciding run: ok=%v DecidedIndex=%d, want true, 0", ok, p.DecidedIndex(0))
+	}
+	if _, ok := p.Run(newFakeEnv(), 1); ok || p.DecidedIndex(0) != -1 {
+		t.Fatalf("exhausted run: ok=%v DecidedIndex=%d, want false, -1", ok, p.DecidedIndex(0))
 	}
 }
 

@@ -5,11 +5,12 @@
 // The paper's whole point is modularity — deciding objects are written once
 // against the abstract shared-memory Env (internal/core) and make sense in
 // any execution model that honors it. This package is the runtime-side
-// mirror of that contract: a Backend configures an execution (process
-// count, register file, seed, crash plan, cost model, cancellation,
-// optional adversary and tracing) and returns a shared Result (per-process
-// outputs and fates, the paper's total/individual work measures, step
-// count, optional trace).
+// mirror of that contract: a Backend builds a Session for one execution
+// cell (process count, register file, crash plan, cost model, optional
+// adversary and tracing), and each Session.Run(ctx, seed) returns a shared
+// Result (per-process outputs and fates, the paper's total/individual work
+// measures, step count, optional trace). Sessions are the only way to
+// execute, so a single run and a pooled sweep trial run the same code.
 //
 // Two backends implement the contract today:
 //
@@ -45,14 +46,14 @@ import (
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
-// ErrStepLimit is returned by Backend.Run when the execution exceeds
+// ErrStepLimit is returned by Session.Run when the execution exceeds
 // Config.MaxSteps before every live process halts. Randomized wait-free
 // protocols terminate with probability 1 but not surely, so a limit keeps
 // adversarial experiments finite; hitting it is reported, never hidden.
 var ErrStepLimit = errors.New("exec: step limit exceeded")
 
 // ErrCancelled is returned (wrapped, together with the context's cause) by
-// Backend.Run when Config.Context is cancelled before every process halts.
+// Session.Run when its context is cancelled before every process halts.
 var ErrCancelled = errors.New("exec: execution cancelled")
 
 // ErrSessionPoisoned is returned by Session.Run when a previous trial on the
@@ -81,7 +82,8 @@ type Config struct {
 	Scheduler sched.Scheduler
 	// Seed determines every random choice the backend controls. On a
 	// deterministic backend that is the whole execution; on live it covers
-	// the per-process coin streams but not the interleaving.
+	// the per-process coin streams but not the interleaving. NewSession
+	// ignores it: each Session.Run takes its own seed.
 	Seed uint64
 	// Trace, if non-nil, records the execution. Only backends whose
 	// Capabilities report Tracing accept it.
@@ -114,7 +116,8 @@ type Config struct {
 	MaxSteps int
 	// Context, if non-nil, cancels the execution at the next operation
 	// boundary. Cancellation is reported as an error wrapping both
-	// ErrCancelled and the context's cause.
+	// ErrCancelled and the context's cause. NewSession ignores it: each
+	// Session.Run takes its own context.
 	Context context.Context
 	// Meter, if non-nil, receives a live count of executed operations while
 	// the run is in flight, for progress reporting. Backends must honor the
@@ -152,37 +155,29 @@ type Capabilities struct {
 	Adversary bool
 	// Tracing reports whether the backend can record Config.Trace.
 	Tracing bool
-	// Deterministic reports whether an execution is a pure function of
-	// (programs, scheduler, seed) — replayable bit for bit.
-	Deterministic bool
-	// WallClock reports whether elapsed time on this backend is a
-	// meaningful performance measurement (real hardware concurrency) as
-	// opposed to simulated model cost.
-	WallClock bool
-	// Reusable reports whether NewSession returns a genuinely resettable
-	// engine that amortizes construction across trials (0 allocs/trial on
-	// sim after warmup). Backends without one still implement NewSession —
-	// via the NewOneShotSession fallback, which rebuilds per Run — so
-	// callers can always program against the Session seam; Reusable only
-	// tells them whether pooling actually buys throughput.
-	Reusable bool
 	// Semantics is the set of register consistency models the backend can
 	// execute (always at least register.Atomic). A Config.Registers outside
 	// the set is a configuration error the caller reports before running.
 	Semantics register.SemanticsSet
 }
 
-// Session is one reusable execution context: the per-trial analogue of the
-// per-step zero-allocation contract. A session is created once per (config,
-// programs) cell and then Run once per trial with that trial's seed.
+// Session is one execution context, and the only way to execute: a session
+// is created once per (config, programs) cell and then Run once per trial
+// with that trial's seed. A single execution is a session Run once and
+// closed; a sweep replays one session per worker. On sim the session is a
+// resettable engine (0 allocs/trial after warmup); on live it rebuilds its
+// atomic memory and goroutines per Run.
 //
 // Contract:
 //
-//   - Run replays the execution Backend.Run(cfg with Seed: seed, Context:
-//     ctx) would produce, bit for bit on deterministic backends.
+//   - Run(ctx, seed) executes the cell's programs under its config with
+//     that seed and context. The result is a pure function of (cell, seed)
+//     on sim: which session runs a trial, and how many trials it ran
+//     before, cannot affect it.
 //   - The returned Result and everything it references (slices, trace) are
-//     owned by the session and are invalidated by the next Run; callers
-//     that retain anything across trials must deep-copy first.
+//     owned by the session and are invalidated by the next Run, but not by
+//     Close; callers that retain anything across trials must deep-copy
+//     first.
 //   - ctx is per-Run (the robust trial engine arms a fresh watchdog context
 //     per attempt); configs whose fault plans contain stalls must pass a
 //     non-nil ctx to every Run.
@@ -251,58 +246,13 @@ type Backend interface {
 	Name() string
 	// Capabilities declares the backend's feature set.
 	Capabilities() Capabilities
-	// Run executes programs[pid] for each pid under cfg. If len(programs)
-	// is 1 the single program is used for every process. Run returns the
-	// (possibly partial) result together with any execution error, and
-	// panics if a process program panics (with the original panic value).
-	Run(cfg Config, programs ...Program) (*Result, error)
-	// NewSession prepares a reusable execution context for many trials of
-	// the same (cfg, programs) cell; cfg.Seed and cfg.Context are ignored
-	// in favor of the per-Run arguments. Backends whose Capabilities lack
-	// Reusable return a one-shot session that rebuilds per Run (see
-	// NewOneShotSession), so the seam is uniform.
+	// NewSession prepares the execution context of one (cfg, programs)
+	// cell; cfg.Seed and cfg.Context are ignored in favor of the per-Run
+	// arguments. programs[pid] runs as process pid; a single program is
+	// used for every process. A session's Run returns the (possibly
+	// partial) result together with any execution error, and panics if a
+	// process program panics (with the original panic value).
 	NewSession(cfg Config, programs ...Program) (Session, error)
-}
-
-// oneShotSession adapts Backend.Run to the Session interface for backends
-// without a resettable engine: every Run pays full construction, exactly as
-// a direct Backend.Run call would.
-type oneShotSession struct {
-	backend  Backend
-	cfg      Config
-	programs []Program
-	closed   bool
-}
-
-// NewOneShotSession returns a Session that delegates each Run to
-// b.Run(cfg with that run's seed and context). It is the fallback
-// implementation of Backend.NewSession for backends that rebuild per trial
-// (live); it is correct there because such backends mirror cfg.File into
-// their own memory per Run and never mutate shared state across runs.
-func NewOneShotSession(b Backend, cfg Config, programs ...Program) (Session, error) {
-	if len(programs) == 0 {
-		return nil, errors.New("exec: NewOneShotSession with no programs")
-	}
-	ps := make([]Program, len(programs))
-	copy(ps, programs)
-	return &oneShotSession{backend: b, cfg: cfg, programs: ps}, nil
-}
-
-// Run implements Session.
-func (s *oneShotSession) Run(ctx context.Context, seed uint64) (*Result, error) {
-	if s.closed {
-		return nil, fmt.Errorf("exec: Run on closed session (backend %s)", s.backend.Name())
-	}
-	cfg := s.cfg
-	cfg.Seed = seed
-	cfg.Context = ctx
-	return s.backend.Run(cfg, s.programs...)
-}
-
-// Close implements Session.
-func (s *oneShotSession) Close() error {
-	s.closed = true
-	return nil
 }
 
 // Result summarizes an execution in backend-neutral terms.

@@ -19,7 +19,8 @@
 // worker count (wall-clock-dependent classifications — timeouts on a loaded
 // machine — are the one unavoidable exception, and exactly what the
 // deadline exists to bound). Only this policy wraps a trial in the
-// watchdog/panic/retry attempt below; strict trials run bare.
+// watchdog/panic/retry attempt below; strict trials run inline on the
+// worker, a panic failing the trial like any other error.
 package harness
 
 import (

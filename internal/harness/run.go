@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
@@ -110,19 +109,18 @@ func (cfg *ObjectConfig) backend() (exec.Backend, error) {
 	return be, nil
 }
 
-// execConfig lowers an ObjectConfig to the backend-neutral exec.Config.
+// execConfig lowers an ObjectConfig to the backend-neutral exec.Config of a
+// session; the seed and context are passed to each Session.Run instead.
 func (cfg *ObjectConfig) execConfig(log *trace.Log) exec.Config {
 	return exec.Config{
 		N:            cfg.N,
 		File:         cfg.File,
 		Scheduler:    cfg.Scheduler,
-		Seed:         cfg.Seed,
 		Trace:        log,
 		CheapCollect: cfg.CheapCollect,
 		Registers:    cfg.Registers,
 		Faults:       fault.Merge(cfg.Faults, fault.FromCrashMap(cfg.CrashAfter)),
 		MaxSteps:     cfg.MaxSteps,
-		Context:      cfg.Context,
 		Meter:        cfg.Meter,
 	}
 }
@@ -151,35 +149,16 @@ func (cfg *ObjectConfig) inputs() ([]value.Value, error) {
 }
 
 // RunObject executes obj once: every process invokes it with its input.
-// Per-process slots of run.Decisions are written only by their own process,
-// so the recording is race-free even on concurrent backends.
+// It runs one trial of a fresh session — the program SweepObject replays —
+// with cfg.Seed and cfg.Context, and closes it; the run keeps the closed
+// session's buffers, so nothing is copied.
 func RunObject(obj core.Object, cfg ObjectConfig) (*ObjectRun, error) {
-	be, err := cfg.backend()
+	os, err := newObjectSession(obj, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	inputs, err := cfg.inputs()
-	if err != nil {
-		return nil, err
-	}
-	run := &ObjectRun{Decisions: make([]value.Decision, cfg.N)}
-	for i := range run.Decisions {
-		run.Decisions[i] = value.Decision{V: value.None}
-	}
-	if cfg.Traced {
-		run.Trace = trace.New()
-	}
-	prog := func(e core.Env) value.Value {
-		v := inputs[e.PID()]
-		e.MarkInvoke(obj.Label(), v)
-		d := obj.Invoke(e, v)
-		e.MarkReturn(obj.Label(), d)
-		run.Decisions[e.PID()] = d
-		return d.V
-	}
-	res, err := be.Run(cfg.execConfig(run.Trace), prog)
-	run.Result = res
-	return run, err
+	defer os.close()
+	return os.runTrial(cfg.Context, Trial{Seed: cfg.Seed})
 }
 
 // SweepCost implements Metered: total work and max individual work.
@@ -264,44 +243,18 @@ func (r *ProtocolRun) DecidedOutputs() []value.Value {
 	return out
 }
 
-// RunProtocol executes a consensus protocol built by core.NewProtocol.
+// RunProtocol executes a consensus protocol built by core.NewProtocol, as
+// one trial of a fresh session like RunObject. Afterwards the protocol's own
+// DecidedStage agrees with run.DecidedStage: Protocol.Run records every
+// returning process's deciding index, and a crashed process keeps the
+// protocol's previous record (-1 on a fresh protocol).
 func RunProtocol(p *core.Protocol, cfg ObjectConfig) (*ProtocolRun, error) {
-	be, err := cfg.backend()
+	ps, err := newProtocolSession(p, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	inputs, err := cfg.inputs()
-	if err != nil {
-		return nil, err
-	}
-	run := &ProtocolRun{
-		Decided:    make([]bool, cfg.N),
-		DecidedIdx: make([]int32, cfg.N),
-		stageOf:    p.StageOfIndex,
-	}
-	for i := range run.DecidedIdx {
-		run.DecidedIdx[i] = -1
-	}
-	if cfg.Traced {
-		run.Trace = trace.New()
-	}
-	// The online monitor checks each decision the moment it lands (from
-	// concurrently running goroutines on the live backend), so a violation
-	// is caught even if the execution never finishes cleanly.
-	mon := check.NewMonitor(inputs)
-	prog := func(e core.Env) value.Value {
-		out, ok := p.Run(e, inputs[e.PID()])
-		run.Decided[e.PID()] = ok
-		if ok {
-			run.DecidedIdx[e.PID()] = int32(p.DecidedIndex(e.PID()))
-			mon.Observe(e.PID(), out)
-		}
-		return out
-	}
-	res, err := be.Run(cfg.execConfig(run.Trace), prog)
-	run.Result = res
-	run.Violation = mon.Err()
-	return run, err
+	defer ps.close()
+	return ps.runTrial(cfg.Context, Trial{Seed: cfg.Seed})
 }
 
 // SweepCost implements Metered: total work and max individual work.

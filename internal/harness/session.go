@@ -1,13 +1,15 @@
-// Pooled execution sessions.
+// Execution sessions: the one path every object and protocol execution in
+// this package takes.
 //
 // A sweep runs many trials of one cell — one (object, n, adversary, fault
-// plan) configuration — varying only the seed and possibly the inputs. Before
-// the exec.Session seam, every trial paid the full construction cost again:
-// a fresh object, register file, scheduler, compiled fault injector, and (on
-// sim) n coroutines with all their buffers. The session types here construct
-// that cell once per pooled session and replay it per trial through
-// exec.Session.Run(ctx, seed), which on reusable backends (sim) rewinds the
-// engine in place — zero allocations per trial below the harness.
+// plan) configuration — varying only the seed and possibly the inputs. The
+// session types here construct that cell once — the object, its program
+// closure, and an exec.Session over it — and replay it per trial through
+// exec.Session.Run(ctx, seed), which on sim rewinds the engine in place:
+// zero allocations per trial below the harness. RunObject and RunProtocol
+// are one trial of a fresh session; the sweeps pool sessions per worker.
+// A trial's run aliases its session's buffers, so only the pooled path,
+// whose session moves on to another trial, deep-copies it.
 //
 // The pool hands each worker a session for the duration of one trial.
 // Sessions return to the pool only on normal return: a trial that panics
@@ -70,23 +72,34 @@ type ProtocolSweep struct {
 // is already ending.
 var errPoolClosed = errors.New("harness: session pool closed")
 
+// cell is one pooled session of a sweep: *objectSession or *protocolSession.
+type cell[R any] interface {
+	// runTrial executes one trial. The run it returns aliases the session's
+	// buffers until the session's next trial.
+	runTrial(ctx context.Context, t Trial) (R, error)
+	close()
+}
+
+// detacher is a trial run that can take ownership of the session buffers it
+// aliases: *ObjectRun or *ProtocolRun.
+type detacher interface{ detach() }
+
 // sessionPool hands out sessions to workers, one per in-flight trial. make
 // is called when the free list is empty, so a sweep creates at most
 // workers-many sessions (plus replacements for discarded ones).
-type sessionPool[S any] struct {
-	make  func() (S, error)
-	close func(S)
+type sessionPool[R detacher, S cell[R]] struct {
+	make func() (S, error)
 
 	mu     sync.Mutex
 	free   []S
 	closed bool
 }
 
-func newSessionPool[S any](mk func() (S, error), cl func(S)) *sessionPool[S] {
-	return &sessionPool[S]{make: mk, close: cl}
+func newSessionPool[R detacher, S cell[R]](mk func() (S, error)) *sessionPool[R, S] {
+	return &sessionPool[R, S]{make: mk}
 }
 
-func (p *sessionPool[S]) get() (S, error) {
+func (p *sessionPool[R, S]) get() (S, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
@@ -106,11 +119,11 @@ func (p *sessionPool[S]) get() (S, error) {
 // put returns a session to the free list. After closeAll (a late put from an
 // attempt that outlived the sweep) the session is closed instead — the pool
 // never resurrects.
-func (p *sessionPool[S]) put(s S) {
+func (p *sessionPool[R, S]) put(s S) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.close(s)
+		s.close()
 		return
 	}
 	p.free = append(p.free, s)
@@ -121,21 +134,45 @@ func (p *sessionPool[S]) put(s S) {
 // still checked out by abandoned attempts are not touched — their goroutines
 // may be live inside Run — and are closed (or leaked, if the attempt never
 // returns) via the late-put path.
-func (p *sessionPool[S]) closeAll() {
+func (p *sessionPool[R, S]) closeAll() {
 	p.mu.Lock()
 	free := p.free
 	p.free = nil
 	p.closed = true
 	p.mu.Unlock()
 	for _, s := range free {
-		p.close(s)
+		s.close()
 	}
 }
 
-// cloneResult deep-copies a session-owned Result so the merge goroutine (and
-// anything the caller's merge retains) stays valid while the session's
-// buffers are overwritten by its next trial.
-func cloneResult(r *exec.Result) *exec.Result {
+// trial runs one trial on a pooled session: check a session out, run,
+// detach the run from the session's buffers, and return the session only on
+// a clean, unpoisoned return. A panic inside runTrial skips the put — the
+// session is never reused — and a session that reports itself poisoned is
+// closed immediately.
+func (p *sessionPool[R, S]) trial(ctx context.Context, t Trial) (R, error) {
+	sess, err := p.get()
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	run, err := sess.runTrial(ctx, t)
+	// Detach before the put: back in the pool, the session may start its
+	// next trial over the buffers run aliases.
+	run.detach()
+	if errors.Is(err, exec.ErrSessionPoisoned) {
+		sess.close()
+	} else {
+		p.put(sess)
+	}
+	return run, err
+}
+
+// cloneResult deep-copies a session-owned Result, attaching the caller's
+// trace snapshot tr, so the merge goroutine (and anything the caller's merge
+// retains) stays valid while the session's buffers are overwritten by its
+// next trial.
+func cloneResult(r *exec.Result, tr *trace.Log) *exec.Result {
 	if r == nil {
 		return nil
 	}
@@ -147,7 +184,7 @@ func cloneResult(r *exec.Result) *exec.Result {
 		cp.Stalled = append([]bool(nil), r.Stalled...)
 	}
 	cp.Work = append([]int(nil), r.Work...)
-	cp.Trace = nil // the caller attaches its own trace snapshot
+	cp.Trace = tr
 	return &cp
 }
 
@@ -181,8 +218,9 @@ func (si *sessionInputs) set(t Trial) error {
 	return nil
 }
 
-// objectSession is one pooled cell of an object sweep: a built object, its
-// backend session, and the buffers its program closures write into.
+// objectSession is one object cell: a built object, its backend session,
+// and the buffers its program closure writes into. RunObject runs one trial
+// of a fresh session; SweepObject pools them.
 type objectSession struct {
 	sess      exec.Session
 	in        sessionInputs
@@ -190,9 +228,11 @@ type objectSession struct {
 	log       *trace.Log // session-owned; reset by the engine each trial
 }
 
-func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
-	obj, cfg := spec.Build()
-	cfg.Meter = s.Meter
+// newObjectSession builds obj's program closure — the one every execution
+// of an object runs — and a backend session over it. hook, if non-nil,
+// overrides cfg.Inputs per trial; cfg.Seed and cfg.Context are per-trial
+// and ignored here.
+func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []value.Value) (*objectSession, error) {
 	be, err := cfg.backend()
 	if err != nil {
 		return nil, err
@@ -202,12 +242,14 @@ func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
 		return nil, err
 	}
 	os := &objectSession{
-		in:        sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
+		in:        sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
 		decisions: make([]value.Decision, cfg.N),
 	}
 	if cfg.Traced {
 		os.log = trace.New()
 	}
+	// Per-process slots of decisions are written only by their own process,
+	// so the recording is race-free even on concurrent backends.
 	prog := func(e core.Env) value.Value {
 		v := os.in.live[e.PID()]
 		e.MarkInvoke(obj.Label(), v)
@@ -223,9 +265,8 @@ func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
 	return os, nil
 }
 
-// runTrial executes one trial and returns a fully detached ObjectRun: the
-// Result, Decisions, and Trace are deep snapshots, safe to retain while the
-// session moves on to its next trial.
+// runTrial executes one trial. The run's Result, Decisions, and Trace are
+// the session's own buffers, valid until its next trial.
 func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, error) {
 	if err := os.in.set(t); err != nil {
 		return nil, err
@@ -234,24 +275,26 @@ func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, err
 		os.decisions[i] = value.Decision{V: value.None}
 	}
 	res, err := os.sess.Run(ctx, t.Seed)
-	run := &ObjectRun{
-		Result:    cloneResult(res),
-		Decisions: append([]value.Decision(nil), os.decisions...),
-		Trace:     os.log.Clone(),
-	}
-	if run.Result != nil {
-		run.Result.Trace = run.Trace
-	}
-	return run, err
+	return &ObjectRun{Result: res, Decisions: os.decisions, Trace: os.log}, err
 }
 
 func (os *objectSession) close() { _ = os.sess.Close() }
 
-// protocolSession is one pooled cell of a protocol sweep. Decisions are
-// recorded through core.Protocol.RunIndexed, which leaves the protocol's own
-// decided-at instrumentation untouched — the session keeps per-trial indices
-// in its own buffers, so the merge goroutine can read trial k's snapshot
-// while this session already runs trial k+1.
+// detach replaces every session-owned part of r with a deep snapshot, safe
+// to retain while the session moves on to its next trial. Nil-safe.
+func (r *ObjectRun) detach() {
+	if r == nil {
+		return
+	}
+	r.Trace = r.Trace.Clone()
+	r.Result = cloneResult(r.Result, r.Trace)
+	r.Decisions = append([]value.Decision(nil), r.Decisions...)
+}
+
+// protocolSession is one protocol cell, mirroring objectSession. The program
+// snapshots each process's deciding index from the protocol's own
+// instrumentation into the session's buffers, so a pooled run detaches it
+// with the rest while the protocol instance moves on to the next trial.
 type protocolSession struct {
 	sess       exec.Session
 	in         sessionInputs
@@ -262,9 +305,9 @@ type protocolSession struct {
 	log        *trace.Log
 }
 
-func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
-	proto, cfg := spec.Build()
-	cfg.Meter = s.Meter
+// newProtocolSession builds proto's program closure and a backend session
+// over it, like newObjectSession.
+func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial) []value.Value) (*protocolSession, error) {
 	be, err := cfg.backend()
 	if err != nil {
 		return nil, err
@@ -274,7 +317,7 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 		return nil, err
 	}
 	ps := &protocolSession{
-		in:         sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
+		in:         sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
 		decided:    make([]bool, cfg.N),
 		decidedIdx: make([]int32, cfg.N),
 		stageOf:    proto.StageOfIndex,
@@ -282,12 +325,16 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 	if cfg.Traced {
 		ps.log = trace.New()
 	}
+	// The online monitor checks each decision the moment it lands (from
+	// concurrently running goroutines on the live backend), so a violation
+	// is caught even if the execution never finishes cleanly.
 	prog := func(e core.Env) value.Value {
-		out, idx, ok := proto.RunIndexed(e, ps.in.live[e.PID()])
-		ps.decided[e.PID()] = ok
-		ps.decidedIdx[e.PID()] = int32(idx)
+		pid := e.PID()
+		out, ok := proto.Run(e, ps.in.live[pid])
+		ps.decided[pid] = ok
+		ps.decidedIdx[pid] = int32(proto.DecidedIndex(pid))
 		if ok {
-			ps.mon.Observe(e.PID(), out)
+			ps.mon.Observe(pid, out)
 		}
 		return out
 	}
@@ -298,6 +345,8 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 	return ps, nil
 }
 
+// runTrial executes one trial; like objectSession.runTrial, the run aliases
+// the session's buffers until its next trial.
 func (ps *protocolSession) runTrial(ctx context.Context, t Trial) (*ProtocolRun, error) {
 	if err := ps.in.set(t); err != nil {
 		return nil, err
@@ -306,43 +355,31 @@ func (ps *protocolSession) runTrial(ctx context.Context, t Trial) (*ProtocolRun,
 		ps.decided[i] = false
 		ps.decidedIdx[i] = -1
 	}
-	// The monitor checks each decision online as it lands; it must be fresh
-	// per trial (it accumulates the first observed decision) and built after
-	// the trial's inputs are in place (it checks validity against them).
+	// The monitor accumulates the first observed decision, so it must be
+	// fresh per trial, and built after the trial's inputs are in place (it
+	// checks validity against them).
 	ps.mon = check.NewMonitor(ps.in.live)
 	res, err := ps.sess.Run(ctx, t.Seed)
-	run := &ProtocolRun{
-		Result:     cloneResult(res),
-		Decided:    append([]bool(nil), ps.decided...),
-		DecidedIdx: append([]int32(nil), ps.decidedIdx...),
+	return &ProtocolRun{
+		Result:     res,
+		Decided:    ps.decided,
+		DecidedIdx: ps.decidedIdx,
 		Violation:  ps.mon.Err(),
-		Trace:      ps.log.Clone(),
+		Trace:      ps.log,
 		stageOf:    ps.stageOf,
-	}
-	if run.Result != nil {
-		run.Result.Trace = run.Trace
-	}
-	return run, err
+	}, err
 }
 
 func (ps *protocolSession) close() { _ = ps.sess.Close() }
 
-// pooledTrial wraps a session pool around one trial: check a session out,
-// run, and return it only on a clean, unpoisoned return. A panic inside
-// runTrial skips the put — the session is never reused — and a session that
-// reports itself poisoned is closed immediately.
-func pooledTrial[S any, R any](pool *sessionPool[S], ctx context.Context, t Trial,
-	runTrial func(S, context.Context, Trial) (R, error), closeSess func(S)) (R, error) {
-	sess, err := pool.get()
-	if err != nil {
-		var zero R
-		return zero, err
+// detach replaces every session-owned part of r with a deep snapshot, like
+// ObjectRun.detach. Nil-safe.
+func (r *ProtocolRun) detach() {
+	if r == nil {
+		return
 	}
-	run, err := runTrial(sess, ctx, t)
-	if errors.Is(err, exec.ErrSessionPoisoned) {
-		closeSess(sess)
-	} else {
-		pool.put(sess)
-	}
-	return run, err
+	r.Trace = r.Trace.Clone()
+	r.Result = cloneResult(r.Result, r.Trace)
+	r.Decided = append([]bool(nil), r.Decided...)
+	r.DecidedIdx = append([]int32(nil), r.DecidedIdx...)
 }

@@ -104,7 +104,9 @@ func sameResult(got, want *exec.Result) bool {
 // reaches a pooled session: under tracing, metering, either fault form, each
 // register model, and a shard offset, every trial of a multi-worker object
 // or protocol sweep equals a fresh RunObject/RunProtocol of the same cell at
-// the trial's seed and inputs — the result, decisions, and trace events.
+// the trial's seed and inputs — the result, decisions, and trace events —
+// and after the fresh RunProtocol the protocol's own DecidedStage agrees
+// with the run's.
 func TestSweepMatchesFreshRuns(t *testing.T) {
 	const n, trials = 4, 10
 	cells := []struct {
@@ -186,6 +188,15 @@ func TestSweepMatchesFreshRuns(t *testing.T) {
 					!reflect.DeepEqual(run.DecidedIdx, want.DecidedIdx) || run.Violation != nil || want.Violation != nil ||
 					!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
 					t.Errorf("trial %d: pooled protocol trial diverged from a fresh run", tr.Index)
+				}
+				// RunProtocol leaves the protocol's own instrumentation
+				// agreeing with the run's per-trial snapshot.
+				for pid := 0; pid < n; pid++ {
+					ps, pf := proto.DecidedStage(pid)
+					if rs, rf := run.DecidedStage(pid); ps != rs || pf != rf {
+						t.Errorf("trial %d pid %d: protocol DecidedStage (%d, %v), run DecidedStage (%d, %v)",
+							tr.Index, pid, ps, pf, rs, rf)
+					}
 				}
 				if (run.Trace.Len() > 0) != cfg.Traced {
 					t.Errorf("trial %d: protocol trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)

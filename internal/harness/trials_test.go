@@ -180,6 +180,22 @@ func TestSweepReportsFirstErrorByTrialIndex(t *testing.T) {
 	}
 }
 
+// TestStrictSweepContainsTrialPanics: a strict trial that panics on its
+// worker fails the sweep as that trial's error, earliest by index like any
+// other failure, instead of crashing the process.
+func TestStrictSweepContainsTrialPanics(t *testing.T) {
+	err := RunTrials(Sweep{Trials: 50, Workers: 4, Seed: 1},
+		func(ctx context.Context, tr Trial) (int, error) {
+			if tr.Index == 7 || tr.Index == 20 {
+				panic(fmt.Sprintf("bad trial %d", tr.Index))
+			}
+			return tr.Index, nil
+		}, nil)
+	if err == nil || !strings.Contains(err.Error(), "trial 7: panic: bad trial 7") {
+		t.Fatalf("err = %v, want trial 7's panic", err)
+	}
+}
+
 // TestSweepFirstErrorWaitsForEarlierTrials: a failure that arrives first
 // must not hide an earlier-indexed one still running — the sweep reports
 // the earliest failing trial whatever the timing.

@@ -304,12 +304,10 @@ func Backend() exec.Backend { return backend{} }
 func (backend) Name() string { return "live" }
 
 // Capabilities implements exec.Backend: no adversary control (the hardware
-// scheduler decides the interleaving), no tracing (there is no global step
-// sequence to order events by), no deterministic replay for n > 1 — but
-// wall-clock timings are real.
+// scheduler decides the interleaving) and no tracing (there is no global
+// step sequence to order events by).
 func (backend) Capabilities() exec.Capabilities {
 	return exec.Capabilities{
-		WallClock: true,
 		// Regular registers are realizable over real sync/atomic memory
 		// (two-sample reads, see Env.Read); interposed semantics is not —
 		// its whole content is blunting an explicit adversary's view of
@@ -318,18 +316,37 @@ func (backend) Capabilities() exec.Capabilities {
 	}
 }
 
-// NewSession implements exec.Backend via the one-shot fallback: the live
-// backend mirrors cfg.File into fresh atomic memory on every Run and keeps
-// no cross-run state, so there is nothing to reuse — each session Run pays
-// full construction, and Capabilities deliberately omits Reusable.
-func (b backend) NewSession(cfg exec.Config, programs ...exec.Program) (exec.Session, error) {
-	return exec.NewOneShotSession(b, cfg, programs...)
+// session runs every trial as one Run: the live backend mirrors cfg.File
+// into fresh atomic memory per execution and keeps no cross-run state, so
+// there is nothing to reuse.
+type session struct {
+	cfg      exec.Config
+	programs []exec.Program
 }
 
-// Run implements exec.Backend: it executes one free-running goroutine per
-// process over atomic memory mirroring cfg.File and blocks until every
+// NewSession implements exec.Backend. Configuration errors surface from the
+// first Run.
+func (backend) NewSession(cfg exec.Config, programs ...exec.Program) (exec.Session, error) {
+	return &session{cfg: cfg, programs: programs}, nil
+}
+
+// Run implements exec.Session.
+func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
+	cfg := s.cfg
+	cfg.Seed, cfg.Context = seed, ctx
+	return Run(cfg, s.programs...)
+}
+
+// Close implements exec.Session.
+func (*session) Close() error { return nil }
+
+// Run executes programs under cfg with one free-running goroutine per
+// process over atomic memory mirroring cfg.File, and blocks until every
 // process halts, crashes, is cancelled, or exhausts the operation budget.
-func (backend) Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
+// If len(programs) is 1 the single program is used for every process. A
+// program panic is re-raised on the caller's goroutine with its original
+// value.
+func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -472,10 +489,4 @@ func (backend) Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, err
 		return res, fmt.Errorf("%w after %d operations: %w", exec.ErrCancelled, res.TotalWork, context.Cause(cfg.Context))
 	}
 	return res, nil
-}
-
-// Run executes programs under cfg on the live backend; it is shorthand for
-// Backend().Run(cfg, programs...).
-func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
-	return backend{}.Run(cfg, programs...)
 }

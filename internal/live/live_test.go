@@ -74,11 +74,8 @@ func TestBackendCapabilities(t *testing.T) {
 		t.Fatalf("Name = %q", be.Name())
 	}
 	caps := be.Capabilities()
-	if caps.Adversary || caps.Tracing || caps.Deterministic {
+	if caps.Adversary || caps.Tracing {
 		t.Fatalf("live claims sim-only capabilities: %+v", caps)
-	}
-	if !caps.WallClock {
-		t.Fatal("live does not claim wall-clock realism")
 	}
 }
 
@@ -129,6 +126,52 @@ func TestCoinDeterminismPerSeedPerPid(t *testing.T) {
 	}
 	if a[0] == a[1] && a[1] == a[2] {
 		t.Fatal("all pids share one coin stream")
+	}
+}
+
+// TestSessionRunIsRun: a live session runs each trial as Run under the
+// session's config with the trial's seed and context — the same coins per
+// seed, any number of times, and a cancelled context cancels the trial.
+func TestSessionRunIsRun(t *testing.T) {
+	file := register.NewFile()
+	cfg := exec.Config{N: 3, File: file}
+	prog := func(e core.Env) value.Value { return value.Value(e.CoinIntn(1 << 20)) }
+	sess, err := Backend().NewSession(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, seed := range []uint64{5, 9, 5} {
+		got, err := sess.Run(nil, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seed = seed
+		want, err := Run(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pid := range want.Outputs {
+			if got.Outputs[pid] != want.Outputs[pid] {
+				t.Fatalf("seed %d pid %d: session coin %s, Run coin %s", seed, pid, got.Outputs[pid], want.Outputs[pid])
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := file.Alloc1("spin")
+	spin := func(e core.Env) value.Value {
+		for {
+			e.Read(r)
+		}
+	}
+	spinSess, err := Backend().NewSession(exec.Config{N: 2, File: file}, spin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spinSess.Close()
+	if _, err := spinSess.Run(ctx, 1); !errors.Is(err, exec.ErrCancelled) {
+		t.Fatalf("cancelled trial: err = %v, want ErrCancelled", err)
 	}
 }
 

@@ -36,13 +36,23 @@ func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
 		c.armed = true
 		c.baseline = append(c.baseline[:0], v.Memory...)
 	}
-	// Armed: look for the first cell that changed since arming.
-	for i, m := range v.Memory {
-		base := value.None
-		if i < len(c.baseline) {
-			base = c.baseline[i]
+	// Armed: look for the first cell that changed since arming; a cell past
+	// the baseline has changed once it holds a value. This scan is most of
+	// an attack's cost per step, so it is two tight loops over hoisted
+	// slices: one loop that reloads the baseline per cell runs up to a
+	// quarter slower when its code straddles one more 64-byte boundary,
+	// which edits to unrelated packages can cause.
+	mem, base := v.Memory, c.baseline
+	if len(base) > len(mem) {
+		base = base[:len(mem)]
+	}
+	for i, b := range base {
+		if m := mem[i]; m != b && !m.IsNone() {
+			return phaseEndgame, m
 		}
-		if m != base && !m.IsNone() {
+	}
+	for _, m := range mem[len(base):] {
+		if !m.IsNone() {
 			return phaseEndgame, m
 		}
 	}

@@ -16,9 +16,10 @@ import (
 var _ core.Env = (*Env)(nil)
 
 // backend adapts the simulator to the backend-neutral exec contract. The
-// adapter's only per-run cost is one closure per program; the step loop is
-// untouched, so the seam adds no per-step allocations or indirection (the
-// zero-alloc and speedup pins in engine_bench_test.go hold on this path).
+// adapter's only cost is one closure per program, paid once per session;
+// the step loop is untouched, so the seam adds no per-step allocations or
+// indirection (the zero-alloc pins in engine_bench_test.go hold on this
+// path).
 type backend struct{}
 
 // Backend returns the simulator as an exec.Backend.
@@ -28,13 +29,10 @@ func Backend() exec.Backend { return backend{} }
 func (backend) Name() string { return "sim" }
 
 // Capabilities implements exec.Backend: the simulator has full adversary
-// control, deterministic replay, trace recording, every register model, and
-// a genuinely resettable engine behind NewSession (0 allocs/trial after
-// warmup), which pooled sweeps replay once per trial; its clock is
-// simulated steps, not wall time.
+// control, trace recording, and every register model.
 func (backend) Capabilities() exec.Capabilities {
 	return exec.Capabilities{
-		Adversary: true, Tracing: true, Deterministic: true, Reusable: true,
+		Adversary: true, Tracing: true,
 		Semantics: register.SetOf(register.Atomic, register.Regular, register.Interposed),
 	}
 }
@@ -46,13 +44,12 @@ type session struct {
 	inj *fault.Injector
 }
 
-// NewSession implements exec.Backend with the native reusable Engine: one
+// NewSession implements exec.Backend with the reusable Engine: one
 // construction (registers snapshot, coroutines, buffers, program closures,
-// fault compilation) serves every subsequent Run. The simulator mutates
-// cfg.File during execution, so the session restores the file's initial
-// image on every Run — a one-shot fallback would corrupt trial k+1 with
-// trial k's leftover registers, which is why sim uses the Engine here
-// rather than exec.NewOneShotSession.
+// fault compilation) serves every subsequent Run, and a single execution is
+// one Run of a fresh session. The simulator mutates cfg.File during
+// execution, so the session restores the file's initial image on every Run
+// — otherwise trial k+1 would start from trial k's leftover registers.
 func (backend) NewSession(cfg exec.Config, programs ...exec.Program) (exec.Session, error) {
 	if cfg.Scheduler == nil {
 		return nil, errors.New("sim: nil scheduler (the sim backend requires an explicit adversary)")
@@ -103,36 +100,3 @@ func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 
 // Close implements exec.Session.
 func (s *session) Close() error { return s.eng.Close() }
-
-// Run implements exec.Backend by bridging exec.Program (written against
-// core.Env) onto the simulator's concrete *Env programs.
-func (backend) Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: nil scheduler (the sim backend requires an explicit adversary)")
-	}
-	inj, err := fault.Compile(cfg.Faults, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	progs := make([]Program, len(programs))
-	for i, p := range programs {
-		p := p
-		progs[i] = func(e *Env) value.Value { return p(e) }
-	}
-	return Run(Config{
-		N:            cfg.N,
-		File:         cfg.File,
-		Scheduler:    cfg.Scheduler,
-		Seed:         cfg.Seed,
-		Trace:        cfg.Trace,
-		CheapCollect: cfg.CheapCollect,
-		Registers:    cfg.Registers,
-		Faults:       inj,
-		MaxSteps:     cfg.MaxSteps,
-		Context:      cfg.Context,
-		Meter:        cfg.Meter,
-	}, progs...)
-}

@@ -48,6 +48,21 @@ func sessionWorkload(n int) (exec.Config, exec.Program) {
 	return cfg, prog
 }
 
+// freshRun is the one-shot reference a reused session must match: the
+// package-level Run on a fresh engine, with the fault plan compiled at the
+// run's seed rather than rewound to it.
+func freshRun(cfg exec.Config, prog exec.Program) (*exec.Result, error) {
+	inj, err := fault.Compile(cfg.Faults, cfg.N, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return Run(Config{
+		N: cfg.N, File: cfg.File, Scheduler: cfg.Scheduler, Seed: cfg.Seed,
+		CheapCollect: cfg.CheapCollect, Registers: cfg.Registers, Faults: inj,
+		MaxSteps: cfg.MaxSteps,
+	}, func(e *Env) value.Value { return prog(e) })
+}
+
 // TestSessionReuseMatchesFreshRuns pins the reuse contract: one session run
 // across many seeds produces exactly the results of a fresh one-shot run
 // per seed, in any seed order.
@@ -70,7 +85,7 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 		}
 		freshCfg, freshProg := sessionWorkload(n)
 		freshCfg.Seed = seed
-		want, err := Backend().Run(freshCfg, freshProg)
+		want, err := freshRun(freshCfg, freshProg)
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}
@@ -201,7 +216,7 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 									freshCfg, freshProg := build(pl.plan, m)
 									freshCfg.Seed = seed
 									var errF error
-									if want, errF = Backend().Run(freshCfg, freshProg); errF != nil {
+									if want, errF = freshRun(freshCfg, freshProg); errF != nil {
 										t.Fatalf("%s/%v seed %d: fresh run: %v", pl.name, m, seed, errF)
 									}
 									fresh[seed] = want

@@ -139,13 +139,17 @@ func Simulate(n int, file *Registers, s Scheduler, seed uint64, proc Proc, run .
 	if rc.Traced {
 		tr = trace.New()
 	}
-	res, err := be.Run(exec.Config{
-		N: n, File: file, Scheduler: s, Seed: seed,
+	sess, err := be.NewSession(exec.Config{
+		N: n, File: file, Scheduler: s,
 		Trace: tr, CheapCollect: rc.CheapCollect, Registers: rc.Registers,
 		Faults:   fault.Merge(rc.Faults, fault.FromCrashMap(rc.CrashAfter)),
 		MaxSteps: rc.MaxSteps,
-		Context:  rc.Context,
 	}, exec.Program(proc))
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	res, err := sess.Run(rc.Context, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -255,7 +255,7 @@ func WithFaultPlan(p *FaultPlan) RunOption {
 // WithTrialDeadline arms Trials' per-trial watchdog: a trial still running
 // after d — livelocked by stall faults, stuck, or just unlucky — is
 // cancelled (cause ErrTrialDeadline) and classified TrialTimeout while the
-// rest of the sweep continues. Run, RunProtocol, and TrialsStrict ignore
+// rest of the sweep continues. Run, RunProtocol, and Consensus.Sweep ignore
 // it.
 func WithTrialDeadline(d time.Duration) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.deadline = d })
@@ -287,8 +287,8 @@ func WithProgress(fn func(SweepProgress)) RunOption {
 }
 
 // WithProgressSink streams throttled progress snapshots (trials done,
-// trials/sec, ETA, violation count) from a Trials or TrialsStrict sweep to
-// sink, at most one per interval plus always the final snapshot; a
+// trials/sec, ETA, violation count) from a Trials or Consensus.Sweep sweep
+// to sink, at most one per interval plus always the final snapshot; a
 // non-positive interval emits every observation. See TextProgress and
 // JSONProgress. Run and RunProtocol ignore it.
 func WithProgressSink(sink ProgressSink, interval time.Duration) RunOption {
@@ -299,11 +299,10 @@ func WithProgressSink(sink ProgressSink, interval time.Duration) RunOption {
 }
 
 // WithHistograms accumulates per-trial step and work distributions from a
-// Trials or TrialsStrict sweep into the given histograms (either may be
+// Trials or Consensus.Sweep sweep into the given histograms (either may be
 // nil). Trials whose results carry step/work measures (ObjectRun,
-// ProtocolRun) feed both; the aggregates are bit-identical at any worker
-// count and across Trials vs TrialsStrict for the same seed. Run and
-// RunProtocol ignore it.
+// ProtocolRun, Outcome) feed both; the aggregates are bit-identical at any
+// worker count for the same seed. Run and RunProtocol ignore it.
 func WithHistograms(steps, work *Hist) RunOption {
 	return runOptionFunc(func(c *runConfig) {
 		c.stepsHist = steps
@@ -368,8 +367,8 @@ func (c *runConfig) objectConfig() (harness.ObjectConfig, error) {
 	}, nil
 }
 
-// sweep builds the trial-engine configuration shared by Trials,
-// TrialsStrict, and Consensus.Sweep.
+// sweep builds the trial-engine configuration shared by Trials and
+// Consensus.Sweep.
 func (c *runConfig) sweep(trials int) harness.Sweep {
 	var reporter *obs.Reporter
 	if c.sink != nil {
@@ -477,19 +476,4 @@ func Trials[T any](trials int, run func(ctx context.Context, t Trial) (T, error)
 		return report, err
 	}
 	return report, nil
-}
-
-// TrialsStrict preserves the pre-unification Trials shape: no per-trial
-// classification, and the first trial error (by index) cancels the sweep
-// and is returned.
-//
-// Deprecated: call Trials, which classifies failing trials instead of
-// aborting the sweep and returns the aggregate SweepReport; pass
-// WithFailFast(true) if a violation should still stop the sweep early.
-func TrialsStrict[T any](trials int, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, result T), opts ...RunOption) error {
-	c := buildRunConfig(opts)
-	if c.workloadOptionsSet() {
-		return fmt.Errorf("TrialsStrict does not support workload options; call Trials: %w", ErrOptionUnsupported)
-	}
-	return harness.RunTrials(c.sweep(trials), run, merge)
 }

@@ -187,19 +187,6 @@ func TestTrialsClassifiesError(t *testing.T) {
 	}
 }
 
-func TestTrialsStrictPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	err := TrialsStrict(10, func(ctx context.Context, tr Trial) (int, error) {
-		if tr.Index == 4 {
-			return 0, boom
-		}
-		return 1, nil
-	}, nil, WithSeed(1))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestSolveWithContextCancellation(t *testing.T) {
 	// A ratifier-only spec under lockstep never decides; without the huge
 	// stage count it exhausts, so give it enough stages that only the

@@ -6,8 +6,12 @@ package modcon
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"github.com/modular-consensus/modcon/internal/harness"
 )
 
 func sweepDigest(t *testing.T, c *Consensus, trials int, opts ...RunOption) ([]int, []Value) {
@@ -87,5 +91,85 @@ func TestConsensusSweepOptionValidation(t *testing.T) {
 	err = c.Sweep(2, mk, nil, nop)
 	if !errors.Is(err, ErrBadOption) {
 		t.Errorf("no inputs: got %v, want ErrBadOption", err)
+	}
+}
+
+// TestConsensusSweepTrialMatchesSolve pins the one execution path: trial i
+// of a Sweep with root seed r is the execution Solve runs at
+// harness.TrialSeed(r, i), outcome for outcome — with and without faults
+// and under regular registers.
+func TestConsensusSweepTrialMatchesSolve(t *testing.T) {
+	const n, trials, root = 8, 12, 77
+	c, err := NewBinary(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Faults(CrashFault(0, 5), LoseCoinFault(AllProcs, 1, 4))
+	cells := []struct {
+		name string
+		rc   RunConfig
+		opts []RunOption
+	}{
+		{name: "plain"},
+		{name: "faults", rc: RunConfig{Faults: plan}, opts: []RunOption{WithFaultPlan(plan)}},
+		// Sweep builds its own register files; only the model applies.
+		{name: "regular", rc: RunConfig{Registers: Regular}, opts: []RunOption{WithRegisters(nil, Regular)}},
+	}
+	for _, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			got := make([]*Outcome, trials)
+			opts := append([]RunOption{WithSeed(root), WithWorkers(3)}, cell.opts...)
+			err := c.Sweep(trials, func() Scheduler { return NewUniformRandom() },
+				func(tr Trial) []Value { return mixedInputs(n, 2, tr.Index) },
+				func(tr Trial, o *Outcome) { got[tr.Index] = o }, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range got {
+				want, err := c.Solve(mixedInputs(n, 2, i), NewUniformRandom(), harness.TrialSeed(root, i), cell.rc)
+				if err != nil {
+					t.Fatalf("trial %d: Solve: %v", i, err)
+				}
+				if !reflect.DeepEqual(o, want) {
+					t.Errorf("trial %d: Sweep outcome %+v, Solve outcome %+v", i, o, want)
+				}
+			}
+		})
+	}
+}
+
+// TestConsensusSweepRejectsOutOfDomainInputs: an out-of-domain WithInputs
+// fails Sweep up front with Solve's error, and an out-of-domain per-trial
+// input — which panics inside the ratifiers, on a dispatcher worker —
+// fails the sweep as that trial's error instead of crashing the process.
+func TestConsensusSweepRejectsOutOfDomainInputs(t *testing.T) {
+	c, err := NewBinary(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() Scheduler { return NewRoundRobin() }
+	_, solveErr := c.Solve([]Value{2}, NewRoundRobin(), 1)
+	if solveErr == nil {
+		t.Fatal("Solve accepted input 2 for m=2")
+	}
+	err = c.Sweep(2, mk, nil, nil, WithInputs(2))
+	if !errors.Is(err, ErrBadOption) || !strings.Contains(err.Error(), solveErr.Error()) {
+		t.Errorf("WithInputs(2): got %v, want ErrBadOption carrying %q", err, solveErr)
+	}
+
+	const victim = 3
+	folded := 0
+	err = c.Sweep(8, mk, func(tr Trial) []Value {
+		if tr.Index == victim {
+			return []Value{2}
+		}
+		return []Value{1}
+	}, func(Trial, *Outcome) { folded++ }, WithWorkers(2))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("trial %d: panic:", victim)) ||
+		!strings.Contains(err.Error(), "out of range") {
+		t.Errorf("per-trial input 2: got %v, want trial %d's contained panic", err, victim)
+	}
+	if folded != victim {
+		t.Errorf("folded %d trials before the failure, want %d", folded, victim)
 	}
 }

@@ -78,8 +78,9 @@ func ParseWorkload(text string) (*WorkloadSpec, error) {
 // free up. Admission changes only when trials start — results and
 // aggregates stay bit-identical to the closed-loop sweep at any worker
 // count. Closed (cohort) specs admit trials normally; their pacing lives
-// entirely in the virtual service model. A nil spec is a no-op. Run,
-// RunProtocol, and the deprecated TrialsStrict reject workload options.
+// entirely in the virtual service model. A nil spec is a no-op. Only Trials
+// honors workload options; Run, RunProtocol, and Consensus.Sweep ignore
+// them.
 func WithWorkload(spec *WorkloadSpec) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.workloadSpec = spec })
 }
@@ -121,18 +122,12 @@ type workloadPlan struct {
 	replay   *workload.Trace
 }
 
-// workloadOptionsSet reports whether any workload-plane option is present
-// (used by entry points that do not support them).
-func (c *runConfig) workloadOptionsSet() bool {
-	return c.workloadSpec != nil || c.traceRecord != nil || c.traceReplay != nil
-}
-
 // workloadPlan resolves the workload options against the sweep's shape,
 // validating conflicts up front. It returns nil when no workload option is
 // in play. On replay it adopts the trace's seed into the runConfig so the
 // sweep derives identical per-trial seeds.
 func (c *runConfig) workloadPlan(trials int) (*workloadPlan, error) {
-	if !c.workloadOptionsSet() {
+	if c.workloadSpec == nil && c.traceRecord == nil && c.traceReplay == nil {
 		return nil, nil
 	}
 	p := &workloadPlan{record: c.traceRecord, replay: c.traceReplay}

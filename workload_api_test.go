@@ -159,9 +159,6 @@ func TestWorkloadOptionValidation(t *testing.T) {
 	if _, err := Trials(4, run, nil, WithTraceReplay(&partial)); !errors.Is(err, ErrBadOption) {
 		t.Errorf("replay of shard slice: got %v, want ErrBadOption", err)
 	}
-	if err := TrialsStrict(4, run, nil, WithWorkload(spec)); !errors.Is(err, ErrOptionUnsupported) {
-		t.Errorf("TrialsStrict with workload: got %v, want ErrOptionUnsupported", err)
-	}
 	if _, err := ParseWorkload("poisson:rate=-2"); !errors.Is(err, ErrBadOption) {
 		t.Errorf("ParseWorkload on invalid spec: got %v, want ErrBadOption", err)
 	}
