@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/conciliator"
@@ -113,11 +114,58 @@ func WithCoinThreshold(votes int) Option {
 }
 
 // Consensus is a reusable specification of a consensus protocol for n
-// processes and m values. Every Solve call builds a fresh instance (the
-// underlying objects are one-shot) and runs one simulated execution.
+// processes and m values. Solve runs one execution on a built protocol
+// instance and keeps the instance for later calls. A run leaves its state in
+// the instance's register file, so before each run Solve puts the file back
+// to its contents right after Build.
+//
+// A Consensus is safe for concurrent use. Each concurrent Solve takes its
+// own instance, so the spec retains at most as many built instances as it
+// has had concurrent Solve calls (one instance is about half a megabyte at
+// n=8 with the default 512 stages); they are freed with the spec.
 type Consensus struct {
 	n, m int
 	cfg  config
+
+	mu   sync.Mutex
+	free []*instance // built instances no Solve is running on
+}
+
+// instance is one built protocol Solve runs on and then returns to the
+// spec's free list: the register file, the protocol over it, and image, the
+// file's contents right after Build. Solve restores image before each run
+// because the engines take the file's current contents as initial memory.
+type instance struct {
+	file  *register.File
+	proto *core.Protocol
+	image []value.Value
+}
+
+// take checks out a free instance, restored to its post-Build contents, or
+// builds one when none is free.
+func (c *Consensus) take() (*instance, error) {
+	c.mu.Lock()
+	var in *instance
+	if n := len(c.free); n > 0 {
+		in = c.free[n-1]
+		c.free = c.free[:n-1]
+	}
+	c.mu.Unlock()
+	if in != nil {
+		return in, in.file.Restore(in.image)
+	}
+	file, proto, err := c.Build()
+	if err != nil {
+		return nil, err
+	}
+	return &instance{file: file, proto: proto, image: file.Contents()}, nil
+}
+
+// put returns an instance to the free list.
+func (c *Consensus) put(in *instance) {
+	c.mu.Lock()
+	c.free = append(c.free, in)
+	c.mu.Unlock()
 }
 
 // New returns a consensus spec for n processes over inputs {0, …, m-1}
@@ -162,9 +210,9 @@ func (c *Consensus) N() int { return c.n }
 // M returns the value-domain size.
 func (c *Consensus) M() int { return c.m }
 
-// Build constructs a fresh one-shot protocol instance and the register file
-// it lives in. Most callers want Solve; Build exists for embedding the
-// protocol in larger simulated systems.
+// Build constructs a fresh protocol instance and the register file it lives
+// in, owned by the caller. Most callers want Solve; Build exists for
+// embedding the protocol in larger simulated systems.
 func (c *Consensus) Build() (*Registers, *core.Protocol, error) {
 	file := register.NewFile()
 
@@ -371,6 +419,19 @@ func newOutcome(run *harness.ProtocolRun) *Outcome {
 	return out
 }
 
+// oneRunConfig returns the single optional RunConfig of Solve and
+// SolveSequence: the zero config when none is passed.
+func oneRunConfig(run []RunConfig) (RunConfig, error) {
+	switch len(run) {
+	case 0:
+		return RunConfig{}, nil
+	case 1:
+		return run[0], nil
+	default:
+		return RunConfig{}, errors.New("modcon: pass at most one RunConfig")
+	}
+}
+
 // Solve runs one execution with the given per-process inputs (len n, or a
 // single value for all) under the adversary s — or, with
 // RunConfig.Backend set to Live, under real goroutine concurrency (pass a
@@ -378,14 +439,16 @@ func newOutcome(run *harness.ProtocolRun) *Outcome {
 // error for malformed configurations or step-limit exhaustion, and it
 // *verifies agreement and validity* before returning: a safety violation —
 // which would indicate a bug, not bad luck — is reported as an error.
+//
+// Solve runs on an instance from the spec's free list, building one only
+// when none is free, and returns the instance once the run ends, with or
+// without an error. The outcome does not depend on which instance ran it: it
+// equals a Solve on a freshly constructed spec at the same inputs,
+// scheduler state and seed. A run that panics abandons its instance.
 func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunConfig) (*Outcome, error) {
-	var rc RunConfig
-	switch len(run) {
-	case 0:
-	case 1:
-		rc = run[0]
-	default:
-		return nil, errors.New("modcon: pass at most one RunConfig")
+	rc, err := oneRunConfig(run)
+	if err != nil {
+		return nil, err
 	}
 	if err := rc.Backend.validateOptions(s, rc.Power, rc.Traced, rc.Registers); err != nil {
 		return nil, err
@@ -397,16 +460,17 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	if err := c.checkInputs(inputs); err != nil {
 		return nil, err
 	}
-	file, proto, err := c.Build()
+	in, err := c.take()
 	if err != nil {
 		return nil, err
 	}
-	pr, err := harness.RunProtocol(proto, harness.ObjectConfig{
-		N: c.n, File: file, Inputs: inputs, Backend: be, Scheduler: s, Seed: seed,
+	pr, err := harness.RunProtocol(in.proto, harness.ObjectConfig{
+		N: c.n, File: in.file, Inputs: inputs, Backend: be, Scheduler: s, Seed: seed,
 		Traced: rc.Traced, CheapCollect: rc.CheapCollect, Registers: rc.Registers,
 		CrashAfter: rc.CrashAfter, Faults: rc.Faults,
 		MaxSteps: rc.MaxSteps, Context: rc.Context,
 	})
+	c.put(in)
 	if err != nil {
 		return nil, err
 	}

@@ -38,9 +38,11 @@ type Scheme interface {
 	M() int
 	// PoolSize returns the number of binary registers the scheme needs.
 	PoolSize() int
-	// WriteQuorum returns the pool indices of W_v, ascending.
+	// WriteQuorum returns the pool indices of W_v, ascending. The result
+	// may be shared between calls: callers must not modify it.
 	WriteQuorum(v value.Value) []int
-	// ReadQuorum returns the pool indices of R_v, ascending.
+	// ReadQuorum returns the pool indices of R_v, ascending. The result
+	// may be shared between calls: callers must not modify it.
 	ReadQuorum(v value.Value) []int
 	// Name identifies the scheme in reports.
 	Name() string
@@ -98,11 +100,19 @@ func (Binary) M() int { return 2 }
 // PoolSize implements Scheme.
 func (Binary) PoolSize() int { return 2 }
 
+// binarySingletons[i] is {i}: W_i and R_{1-i}, returned by every call so
+// that a ratifier's invocation allocates nothing.
+var binarySingletons = [2][]int{{0}, {1}}
+
 // WriteQuorum implements Scheme.
-func (b Binary) WriteQuorum(v value.Value) []int { return []int{checkValue(v, 2, b.Name())} }
+func (b Binary) WriteQuorum(v value.Value) []int {
+	return binarySingletons[checkValue(v, 2, b.Name())]
+}
 
 // ReadQuorum implements Scheme.
-func (b Binary) ReadQuorum(v value.Value) []int { return []int{1 - checkValue(v, 2, b.Name())} }
+func (b Binary) ReadQuorum(v value.Value) []int {
+	return binarySingletons[1-checkValue(v, 2, b.Name())]
+}
 
 // Name implements Scheme.
 func (Binary) Name() string { return "binary" }

@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -195,16 +196,29 @@ func TestBollobasTightness(t *testing.T) {
 	}
 }
 
+var quorumSink []int
+
 func TestBinaryScheme(t *testing.T) {
-	b := Binary{}
+	var b Scheme = Binary{}
 	if b.M() != 2 || b.PoolSize() != 2 {
 		t.Fatal("binary scheme shape wrong")
 	}
-	if w := b.WriteQuorum(0); len(w) != 1 || w[0] != 0 {
-		t.Fatalf("W_0 = %v", w)
+	for v, want := range [2][2][]int{{{0}, {1}}, {{1}, {0}}} {
+		w, r := b.WriteQuorum(value.Value(v)), b.ReadQuorum(value.Value(v))
+		if !reflect.DeepEqual(w, want[0]) || !reflect.DeepEqual(r, want[1]) {
+			t.Fatalf("v=%d: W=%v R=%v, want W=%v R=%v", v, w, r, want[0], want[1])
+		}
 	}
-	if r := b.ReadQuorum(0); len(r) != 1 || r[0] != 1 {
-		t.Fatalf("R_0 = %v", r)
+	// Ratifiers call both quorums on every invocation. The results go to a
+	// package variable so the compiler cannot keep them on the stack.
+	allocs := testing.AllocsPerRun(100, func() {
+		for v := value.Value(0); v < 2; v++ {
+			quorumSink = b.WriteQuorum(v)
+			quorumSink = b.ReadQuorum(v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Binary quorums: %v allocs per run, want 0", allocs)
 	}
 	if err := Verify(b); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package modcon
 
 import (
+	"fmt"
+
 	"github.com/modular-consensus/modcon/internal/multi"
 )
 
@@ -28,10 +30,37 @@ type SequenceOutcome struct {
 // The per-slot protocol follows this spec's n and m with the paper-default
 // assembly plus the CIL fallback (slots always decide); the spec's other
 // options currently do not apply to sequences.
+//
+// At most one RunConfig may be passed, as for Solve, and it is validated the
+// same way. A sequence runs untraced on the Sim backend with atomic
+// registers and standard collects, so a config asking for Live, Traced,
+// CheapCollect or another register model is rejected with an error wrapping
+// ErrOptionUnsupported. MaxSteps, CrashAfter, Faults and Context apply to the
+// whole execution, and Power is checked against s as in Solve.
 func (c *Consensus) SolveSequence(proposals [][]Value, s Scheduler, seed uint64, run ...RunConfig) (*SequenceOutcome, error) {
-	var rc RunConfig
-	if len(run) == 1 {
-		rc = run[0]
+	rc, err := oneRunConfig(run)
+	if err != nil {
+		return nil, err
+	}
+	if err := rc.Backend.validateOptions(s, rc.Power, rc.Traced, rc.Registers); err != nil {
+		return nil, err
+	}
+	if _, err := rc.Backend.impl(); err != nil {
+		return nil, err
+	}
+	var unsupported string
+	switch {
+	case rc.Backend != Sim:
+		unsupported = "the " + rc.Backend.String() + " backend"
+	case rc.Traced:
+		unsupported = "tracing"
+	case rc.CheapCollect:
+		unsupported = "cheap collects"
+	case rc.Registers != Atomic:
+		unsupported = rc.Registers.String() + " registers"
+	}
+	if unsupported != "" {
+		return nil, fmt.Errorf("SolveSequence does not support %s (sequences run untraced on the sim backend with atomic registers): %w", unsupported, ErrOptionUnsupported)
 	}
 	expanded := make([][]Value, len(proposals))
 	for slot, props := range proposals {
