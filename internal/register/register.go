@@ -172,21 +172,21 @@ func (f *File) SetSemantics(s Semantics) { f.semantics = s }
 // (Atomic unless overridden).
 func (f *File) Semantics() Semantics { return f.semantics }
 
-// Contents returns a copy of the whole memory. Used where a fresh, caller-
-// owned image is wanted (tests, archival); the simulator's hot path uses
-// AppendContents with a reused buffer instead.
+// Contents returns a copy of the whole memory: a fresh, caller-owned image
+// (tests, archival, the image an engine restores between trials). Cells is
+// the copy-free view of the same memory.
 func (f *File) Contents() []value.Value {
 	out := make([]value.Value, len(f.cells))
 	copy(out, f.cells)
 	return out
 }
 
-// AppendContents appends the whole memory to dst and returns the extended
-// slice. The allocation-free form of Contents, used to rebuild adversary
-// views for location-oblivious and adaptive adversaries every step.
-func (f *File) AppendContents(dst []value.Value) []value.Value {
-	return append(dst, f.cells...)
-}
+// Cells returns the live register cells, indexed by Reg, without copying:
+// every later Store shows through it. It is read-only by contract — write
+// only through Store and Init — and goes stale when Alloc grows the file,
+// so callers fetch it again rather than keep it. The simulator serves it to
+// location-oblivious and adaptive adversaries as their view of memory.
+func (f *File) Cells() []value.Value { return f.cells }
 
 // Reset restores every register to ⊥. Inits must be re-applied by the owner;
 // engines that reuse a file across executions snapshot the post-Init image

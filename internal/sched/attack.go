@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/value"
 	"github.com/modular-consensus/modcon/internal/xrand"
@@ -9,13 +12,32 @@ import (
 // concTracker detects first-mover conciliator phases from what a
 // location-oblivious adversary may observe. A conciliator round is
 // recognizable by pending *probabilistic* writes; when the first one
-// appears, the tracker snapshots memory, and the first register that
-// subsequently changes is the conciliator's register — whatever its
-// address, which this adversary class cannot see.
+// appears, the tracker arms, and the first register that subsequently
+// changes is the conciliator's register — whatever its address, which this
+// adversary class cannot see.
+//
+// Its baseline is sparse: the registers View.Changed has reported since
+// arming, ascending, each with the value it held at arming. Every other cell
+// still holds its arming value, so the first listed register that differs is
+// the first changed cell a full copy of memory would show, found without
+// copying or scanning the file.
 type concTracker struct {
-	armed    bool
-	baseline []value.Value
+	armed bool
+	// armLen is len(View.Memory) at arming.
+	armLen  int
+	changed []armedCell
 }
+
+// armedCell is one register changed since arming, with its value at arming.
+type armedCell struct {
+	reg register.Reg
+	old value.Value
+}
+
+// trackedCells presizes the sparse baseline. An attacked binary consensus
+// execution changes at most 7 distinct registers between arming and its end
+// (300 seeds each at n = 8, 32 and 128); more only costs an append.
+const trackedCells = 16
 
 // observe returns the conciliator phase: phaseNeutral when no probabilistic
 // writes are pending and nothing has landed, phasePool while attempts are
@@ -29,29 +51,28 @@ func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
 			break
 		}
 	}
+	mem := v.Memory
 	if !c.armed {
 		if !anyProb {
 			return phaseNeutral, value.None
 		}
+		// Memory already shows the change v.Changed reports, so the
+		// baseline starts empty.
 		c.armed = true
-		c.baseline = append(c.baseline[:0], v.Memory...)
+		c.armLen = len(mem)
+		c.changed = c.changed[:0]
+	} else if ch := v.Changed; ch.Valid && int(ch.Reg) < c.armLen {
+		c.note(ch)
 	}
-	// Armed: look for the first cell that changed since arming; a cell past
-	// the baseline has changed once it holds a value. This scan is most of
-	// an attack's cost per step, so it is two tight loops over hoisted
-	// slices: one loop that reloads the baseline per cell runs up to a
-	// quarter slower when its code straddles one more 64-byte boundary,
-	// which edits to unrelated packages can cause.
-	mem, base := v.Memory, c.baseline
-	if len(base) > len(mem) {
-		base = base[:len(mem)]
-	}
-	for i, b := range base {
-		if m := mem[i]; m != b && !m.IsNone() {
+	for _, e := range c.changed {
+		if m := mem[e.reg]; m != e.old && !m.IsNone() {
 			return phaseEndgame, m
 		}
 	}
-	for _, m := range mem[len(base):] {
+	// A cell past the file's length at arming has changed once it holds a
+	// value: a stage built mid-run Inits its registers with no write to
+	// report.
+	for _, m := range mem[c.armLen:] {
 		if !m.IsNone() {
 			return phaseEndgame, m
 		}
@@ -65,11 +86,26 @@ func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
 	return phasePool, value.None
 }
 
+// note adds ch's register to the baseline, with its old value, unless an
+// earlier change already put it there with its value at arming.
+func (c *concTracker) note(ch Change) {
+	i, found := slices.BinarySearchFunc(c.changed, ch.Reg, func(e armedCell, r register.Reg) int {
+		return cmp.Compare(e.reg, r)
+	})
+	if found {
+		return
+	}
+	if c.changed == nil {
+		c.changed = make([]armedCell, 0, trackedCells)
+	}
+	c.changed = slices.Insert(c.changed, i, armedCell{reg: ch.Reg, old: ch.Old})
+}
+
 // reset clears the tracker for a fresh execution, keeping the baseline
 // buffer's capacity.
 func (c *concTracker) reset() {
 	c.armed = false
-	c.baseline = c.baseline[:0]
+	c.changed = c.changed[:0]
 }
 
 const (

@@ -253,12 +253,14 @@ func TestParametricRulesFirstMoverShape(t *testing.T) {
 	}
 	// Memory written: witness reader first.
 	v.Memory[0] = 5
+	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	if pid := p.Next(v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
 	// No reader left: fire a conflicting write (value != 5), never the
 	// 5-valued attempt.
+	v.Changed = Change{}
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
 	if pid := p.Next(v); pid == 0 || v.Pending[pid].Val == 5 {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)

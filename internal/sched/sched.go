@@ -123,15 +123,32 @@ type Op struct {
 	InFlight bool
 }
 
+// Change is the one register the previous step changed, with the value it
+// held before the step. A diff of two consecutive Memory snapshots shows
+// exactly this, so it tells a memory-seeing adversary nothing Memory does
+// not; it only spares the adversary the copy and the scan. The zero Change
+// means that no register changed.
+type Change struct {
+	// Valid is false when the previous step changed no register: a read, a
+	// collect, a failed probabilistic write, a write of the value already
+	// there, or no previous step at all.
+	Valid bool
+	// Reg is the changed register; Memory[Reg] holds its new value.
+	Reg register.Reg
+	// Old is the value Reg held before the step.
+	Old value.Value
+}
+
 // View is what the adversary sees when choosing the next step.
 //
-// Buffer-reuse contract (copy-on-escape): the View pointer and its Runnable,
-// Pending, and Memory slices are owned by the runtime and reused on every
-// step — the step path is allocation-free by design. A Scheduler may read
+// Buffer-reuse contract (copy-on-escape): the View pointer and its Runnable
+// and Pending slices are owned by the runtime and reused on every step, and
+// Memory is the live register file itself, which the next step changes —
+// the step path neither allocates nor copies memory. A Scheduler may read
 // them freely during Next, but must not mutate them and must not retain any
-// of them past Next's return; a strategy that wants history (e.g. a memory
-// baseline to detect the first landed write) must copy what it needs into
-// its own state, as concTracker does with append(dst[:0], v.Memory...).
+// of them past Next's return; a strategy that wants history (e.g. what a
+// register held when an attack armed) must copy what it needs into its own
+// state, as concTracker does with the Old value of each Changed register.
 type View struct {
 	// Power is the information class this view was built for.
 	Power Power
@@ -151,8 +168,13 @@ type View struct {
 	// Pending is indexed by pid; entries are power-restricted.
 	Pending []Op
 	// Memory is the register file contents (LocationOblivious, Adaptive);
-	// nil otherwise.
+	// nil otherwise. It is the live file, not a copy: the next step changes
+	// it, and a protocol that allocates registers mid-run grows it.
 	Memory []value.Value
+	// Changed is the register the previous step changed (LocationOblivious,
+	// Adaptive). It stays zero for the weaker powers, because Old is memory
+	// content.
+	Changed Change
 }
 
 // PendingOf returns the (restricted) pending op of pid.

@@ -232,12 +232,14 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	}
 	// Memory written: must first lock a witness reader on the current value.
 	v.Memory[0] = 5
+	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
 	// Witness locked on value 5: must now fire a pending probwrite whose
 	// value differs from 5 (pid 2, value 7), never the 5-valued one.
+	v.Changed = Change{}
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
 	if pid := s.Next(v); pid == 0 || v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)
@@ -245,6 +247,7 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	// Memory flipped to a conflicting value: readers first to bank the
 	// disagreement.
 	v.Memory[0] = 7
+	v.Changed = Change{Valid: true, Reg: 0, Old: 5}
 	v.Pending[1] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	if pid := s.Next(v); pid != 1 {
 		t.Fatalf("post-flip chose %d, want reader 1", pid)
@@ -256,11 +259,19 @@ func TestEndgameWithoutReaders(t *testing.T) {
 	s := NewFirstMoverAttack()
 	n := 2
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
-		Pending: make([]Op, n), Memory: []value.Value{3}}
+		Pending: make([]Op, n), Memory: []value.Value{value.None}}
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 4, ProbNum: 1, ProbDen: 2}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 2}
-	if pid := s.Next(v); v.Pending[pid].Kind != OpProbWrite {
-		t.Fatalf("chose %d, want a probwrite", pid)
+	// The pool is full: the attack arms and releases pid 0's attempt.
+	if pid := s.Next(v); pid != 0 {
+		t.Fatalf("pool release chose %d, want 0", pid)
+	}
+	// It lands. The pool phase would now release pid 1 (fewer attempts);
+	// the endgame counts its own attempts, so it fires pid 0 again.
+	v.Memory[0] = 4
+	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
+	if pid := s.Next(v); pid != 0 {
+		t.Fatalf("endgame chose %d, want the probwrite of pid 0", pid)
 	}
 }
 
@@ -280,21 +291,38 @@ func TestEagerWriteAttackOpeningIsRoundRobin(t *testing.T) {
 }
 
 func TestEagerWriteAttackEndgame(t *testing.T) {
-	// Once memory is written, the shared endgame takes over: lock a witness
-	// reader, then fire conflicting writes.
+	// Once a write lands after arming, the shared endgame takes over from
+	// round-robin: lock a witness reader, then fire conflicting writes.
 	s := NewEagerWriteAttack()
-	n := 2
-	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
-		Pending: make([]Op, n), Memory: []value.Value{9}}
-	v.Pending[0] = Op{Valid: true, Kind: OpRead}
-	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Val: 3}
+	s.Seed(xrand.New(1))
+	n := 3
+	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1, 2},
+		Pending: make([]Op, n), Memory: []value.Value{value.None}}
+	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 9, ProbNum: 1, ProbDen: 2}
+	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 9, ProbNum: 1, ProbDen: 2}
+	v.Pending[2] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 3, ProbNum: 1, ProbDen: 2}
+	// Pending probabilistic writes arm the attack; round-robin fires pid 0.
+	if pid := s.Next(v); pid != 0 {
+		t.Fatalf("opening pick %d, want 0", pid)
+	}
+	// Its write of 9 lands and pid 0 goes on to read. Round-robin would
+	// pick pid 1 next; the endgame locks pid 0 as the witness.
+	v.Memory[0] = 9
+	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
+	v.Pending[0] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("witness pick %d, want reader 0", pid)
 	}
+	// The witness returned 9. Only pid 2's write of 3 can flip the
+	// register; pid 1 would rewrite 9, so it is never picked while memory
+	// holds 9, whichever attempts miss.
+	v.Changed = Change{}
 	v.Pending[0] = Op{}
-	v.Runnable = []int{1}
-	if pid := s.Next(v); pid != 1 {
-		t.Fatalf("conflict pick %d, want writer 1", pid)
+	v.Runnable = []int{1, 2}
+	for i := 0; i < 3; i++ {
+		if pid := s.Next(v); pid != 2 {
+			t.Fatalf("conflict pick %d at attempt %d, want writer 2", pid, i)
+		}
 	}
 }
 
@@ -393,6 +421,7 @@ func TestViewHelpers(t *testing.T) {
 		t.Fatal("AnyMemoryWritten true with all-⊥ memory")
 	}
 	v.Memory[1] = 3
+	v.Changed = Change{Valid: true, Reg: 1, Old: value.None}
 	if !v.AnyMemoryWritten() {
 		t.Fatal("AnyMemoryWritten false with written cell")
 	}

@@ -324,10 +324,31 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 	}
 	switch rt.power {
 	case sched.LocationOblivious, sched.Adaptive:
+		prev := view.Memory
 		view.Memory = rt.cfg.File.Contents()
+		view.Changed = diffMemory(prev, view.Memory)
 	default:
 		view.Memory = nil
 	}
+}
+
+// diffMemory derives View.Changed the way an adversary holding two
+// consecutive snapshots would: the one cell both hold that differs, with
+// its value in prev. Cells past prev's end appeared by allocation, not by a
+// write, so they are not a change; more than one differing cell means a step
+// changed two registers, which the model forbids.
+func diffMemory(prev, cur []value.Value) sched.Change {
+	var ch sched.Change
+	for i, old := range prev {
+		if cur[i] == old {
+			continue
+		}
+		if ch.Valid {
+			panic(fmt.Sprintf("sim: one step changed registers %d and %d", ch.Reg, i))
+		}
+		ch = sched.Change{Valid: true, Reg: register.Reg(i), Old: old}
+	}
+	return ch
 }
 
 func (rt *chanEngine) teardown() {

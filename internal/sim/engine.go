@@ -118,9 +118,7 @@ type Engine struct {
 	// for the duration of one Next call (see the contract on sched.View).
 	view     sched.View
 	runnable []int
-	// memBuf backs View.Memory (location-oblivious/adaptive powers),
-	// collectBuf backs cheap-collect responses; both reused every step.
-	memBuf     []value.Value
+	// collectBuf backs cheap-collect responses, reused every step.
 	collectBuf []value.Value
 
 	armed    bool
@@ -373,6 +371,7 @@ func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
 	}
 	eng.view.Step = 0
 	eng.view.Memory = nil
+	eng.view.Changed = sched.Change{}
 	eng.runnable = eng.runnable[:0]
 	eng.armed = true
 	return nil
@@ -456,6 +455,7 @@ func (eng *Engine) Close() error {
 
 // loop drives the armed trial to completion or to the step limit.
 func (rt *Engine) loop() error {
+	seesMemory := rt.power == sched.LocationOblivious || rt.power == sched.Adaptive
 	for {
 		if len(rt.runnable) == 0 {
 			if rt.stalledN == 0 {
@@ -483,16 +483,20 @@ func (rt *Engine) loop() error {
 		}
 		rt.view.Step = rt.steps
 		rt.view.Runnable = rt.runnable
-		switch rt.power {
-		case sched.LocationOblivious, sched.Adaptive:
-			rt.memBuf = rt.cfg.File.AppendContents(rt.memBuf[:0])
-			rt.view.Memory = rt.memBuf
+		if seesMemory {
+			// Fetched every step: a protocol that allocates registers
+			// mid-run (core.Unbounded) moves the cells.
+			rt.view.Memory = rt.cfg.File.Cells()
 		}
 		pid := rt.cfg.Scheduler.Next(&rt.view)
 		if pid < 0 || pid >= rt.cfg.N || !rt.procs[pid].hasOp || rt.procs[pid].crashed {
 			panic(fmt.Sprintf("sim: scheduler %q chose non-runnable pid %d", rt.cfg.Scheduler.Name(), pid))
 		}
-		rt.execute(pid)
+		if seesMemory {
+			rt.view.Changed = rt.executeSeen(pid)
+		} else {
+			rt.execute(pid)
+		}
 		// Patch the view entry of the one process that moved.
 		p := &rt.procs[pid]
 		if p.hasOp && !p.crashed && !p.halted {
@@ -514,6 +518,24 @@ func (rt *Engine) dropRunnable(pid int) {
 			return
 		}
 	}
+}
+
+// executeSeen is execute for the adversaries that see memory: it also
+// returns the register pid's operation changed, with its old value, for the
+// next view's Changed. Only a write or a successful probabilistic write can
+// change a register, and only to a value it does not already hold.
+func (rt *Engine) executeSeen(pid int) sched.Change {
+	req := rt.procs[pid].pending
+	if req.kind != sched.OpWrite && req.kind != sched.OpProbWrite {
+		rt.execute(pid)
+		return sched.Change{}
+	}
+	old := rt.cfg.File.Load(req.reg)
+	rt.execute(pid)
+	if rt.cfg.File.Load(req.reg) == old {
+		return sched.Change{}
+	}
+	return sched.Change{Valid: true, Reg: req.reg, Old: old}
 }
 
 // execute applies pid's pending operation, then resumes pid's coroutine to

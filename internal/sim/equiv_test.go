@@ -85,6 +85,21 @@ func equivBody(e envLike, a register.Array) value.Value {
 	return x
 }
 
+// firstMoverBody is one first-mover conciliator round: probabilistic writes
+// of the process's own value until a read finds the register written. Its
+// only writes are probabilistic, so a landed attempt is the first change an
+// attack sees after arming, and the attack's schedule depends on the view
+// reporting it.
+func firstMoverBody(e envLike, a register.Array) value.Value {
+	r := a.At(0)
+	x := e.Read(r)
+	for x.IsNone() {
+		e.ProbWrite(r, value.Value(e.PID()+1), 1, 4)
+		x = e.Read(r)
+	}
+	return x
+}
+
 type equivCase struct {
 	name  string
 	n     int
@@ -92,11 +107,21 @@ type equivCase struct {
 	cheap bool
 	crash map[int]int
 	mk    func() sched.Scheduler
+	// body is the per-process program; nil means equivBody.
+	body func(envLike, register.Array) value.Value
+}
+
+func (c equivCase) run(e envLike, a register.Array) value.Value {
+	if c.body == nil {
+		return equivBody(e, a)
+	}
+	return c.body(e, a)
 }
 
 // equivCases covers every adversary power class (the runtime builds views at
 // the scheduler's MinPower, so each case exercises a distinct view-building
-// path) plus crash injection.
+// path) plus crash injection, and a first-mover round under both attacks,
+// whose schedules turn on the view reporting a landed probabilistic write.
 func equivCases() []equivCase {
 	return []equivCase{
 		{name: "oblivious-uniform", n: 4, regs: 4, cheap: true,
@@ -111,6 +136,10 @@ func equivCases() []equivCase {
 			mk: func() sched.Scheduler { return sched.NewEagerWriteAttack() }},
 		{name: "adaptive-spoiler", n: 4, regs: 4, cheap: true,
 			mk: func() sched.Scheduler { return sched.NewAdaptiveSpoiler() }},
+		{name: "location-oblivious-firstmover-round", n: 4, regs: 1, body: firstMoverBody,
+			mk: func() sched.Scheduler { return sched.NewFirstMoverAttack() }},
+		{name: "location-oblivious-eager-round", n: 4, regs: 1, body: firstMoverBody,
+			mk: func() sched.Scheduler { return sched.NewEagerWriteAttack() }},
 	}
 }
 
@@ -121,26 +150,26 @@ func (c equivCase) config(f *register.File, log *trace.Log, seed uint64) Config 
 	}
 }
 
-// runEquivNew runs the production engine on equivBody.
+// runEquivNew runs the production engine on the case's body.
 func runEquivNew(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) {
 	t.Helper()
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
 	log := trace.New()
-	res, err := Run(c.config(f, log, seed), func(e *Env) value.Value { return equivBody(e, a) })
+	res, err := Run(c.config(f, log, seed), func(e *Env) value.Value { return c.run(e, a) })
 	if err != nil {
 		t.Fatalf("%s: new engine: %v", c.name, err)
 	}
 	return res, log
 }
 
-// runEquivChan runs the preserved channel engine on equivBody.
+// runEquivChan runs the preserved channel engine on the case's body.
 func runEquivChan(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) {
 	t.Helper()
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
 	log := trace.New()
-	res, err := chanRun(c.config(f, log, seed), func(e *chanEnv) value.Value { return equivBody(e, a) })
+	res, err := chanRun(c.config(f, log, seed), func(e *chanEnv) value.Value { return c.run(e, a) })
 	if err != nil {
 		t.Fatalf("%s: chan engine: %v", c.name, err)
 	}

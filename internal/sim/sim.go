@@ -13,11 +13,13 @@
 // there: every shared-memory operation costs 1 (probabilistic writes cost 1
 // whether or not they take effect), local coin flips cost 0.
 //
-// The step path is allocation-free in the steady state: scheduler views,
-// memory images, and collect snapshots are served from buffers owned by the
-// engine and reused every step (see the copy-on-escape contracts on
-// sched.View and Env.Collect), and trace events are not even constructed
-// when tracing is off.
+// The step path is allocation-free in the steady state: scheduler views and
+// collect snapshots are served from buffers owned by the engine and reused
+// every step, and adversaries that see memory read the live register file
+// plus the one register the previous step changed, so a step costs the same
+// whatever the file's size (see the copy-on-escape contracts on sched.View
+// and Env.Collect). Trace events are not even constructed when tracing is
+// off.
 //
 // The same contract extends from steps to whole trials: Engine is a
 // reusable runtime for one (programs, scheduler, config) cell whose

@@ -19,6 +19,8 @@ type spyScheduler struct {
 	t      *testing.T
 	inner  *sched.RoundRobin
 	checks int
+	// changes counts views that report a changed register.
+	changes int
 }
 
 func (s *spyScheduler) Next(v *sched.View) int {
@@ -60,9 +62,16 @@ func (s *spyScheduler) Next(v *sched.View) int {
 		if v.Memory != nil {
 			s.t.Errorf("%v view leaked memory contents", s.power)
 		}
+		// The old value of a changed register is memory content.
+		if v.Changed != (sched.Change{}) {
+			s.t.Errorf("%v view leaked a changed register: %+v", s.power, v.Changed)
+		}
 	case sched.LocationOblivious, sched.Adaptive:
 		if v.Memory == nil {
 			s.t.Errorf("%v view missing memory contents", s.power)
+		}
+		if v.Changed.Valid {
+			s.changes++
 		}
 	}
 	return s.inner.Next(v)
@@ -93,6 +102,9 @@ func TestViewsRespectPowerClasses(t *testing.T) {
 		}
 		if spy.checks == 0 {
 			t.Fatalf("%v: scheduler never consulted", power)
+		}
+		if seesMemory := power == sched.LocationOblivious || power == sched.Adaptive; seesMemory != (spy.changes > 0) {
+			t.Errorf("%v: %d views reported a changed register", power, spy.changes)
 		}
 	}
 }
