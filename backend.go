@@ -8,10 +8,11 @@ import (
 	"github.com/modular-consensus/modcon/internal/sim"
 )
 
-// Backend selects the execution model for Run, RunProtocol, Simulate, and
-// Consensus.Solve. The same objects and protocols — written once against
-// Env — run unchanged on either backend; only how operations are
-// interleaved (and what can be observed about the run) differs.
+// Backend selects the execution model for Run, RunProtocol, Simulate,
+// Consensus.Solve, Consensus.SolveSequence and Consensus.Sweep. The same
+// objects and protocols — written once against Env — run unchanged on
+// either backend; only how operations are interleaved (and what can be
+// observed about the run) differs.
 //
 //	Capability          Sim                    Live
 //	adversary control   yes (WithScheduler)    no (the Go scheduler decides)
@@ -65,41 +66,34 @@ func (b Backend) impl() (exec.Backend, error) {
 	}
 }
 
-// validateOptions checks backend-dependent option combinations up front so
-// misconfigurations fail with an actionable message instead of surfacing
-// from deep inside a backend. Every error wraps a typed sentinel:
-// ErrBadOption for a missing requirement, ErrOptionUnsupported for an
-// option the backend cannot honor.
-func (b Backend) validateOptions(scheduler Scheduler, power Power, traced bool, registers RegisterModel) error {
-	switch registers {
+// validateOptions checks the options against what the resolved backend can
+// do, as its Capabilities declare, so a misconfiguration fails with an
+// actionable message instead of surfacing from deep inside the backend.
+// Every error wraps a typed sentinel: ErrBadOption for a missing or invalid
+// value, ErrOptionUnsupported for an option the backend cannot honor.
+func (c *runConfig) validateOptions(be exec.Backend) error {
+	switch c.Registers {
 	case Atomic, Regular, Interposed:
 	default:
-		return fmt.Errorf("unknown register model %d (use Atomic, Regular, or Interposed): %w", int(registers), ErrBadOption)
+		return fmt.Errorf("unknown register model %d (use Atomic, Regular, or Interposed): %w", int(c.Registers), ErrBadOption)
 	}
-	if power != 0 && (power < Oblivious || power > Adaptive) {
-		return fmt.Errorf("unknown adversary power class %d (use Oblivious, ValueOblivious, LocationOblivious, or Adaptive): %w", int(power), ErrBadOption)
+	if c.Power != 0 && (c.Power < Oblivious || c.Power > Adaptive) {
+		return fmt.Errorf("unknown adversary power class %d (use Oblivious, ValueOblivious, LocationOblivious, or Adaptive): %w", int(c.Power), ErrBadOption)
 	}
-	switch b {
-	case Sim:
-		if scheduler == nil {
-			return fmt.Errorf("a scheduler is required: the %s backend needs an explicit adversary: %w", b, ErrBadOption)
-		}
-		if power != 0 && scheduler.MinPower() > power {
-			return fmt.Errorf("scheduler %q requires at least %s power, but WithPower caps the adversary at %s: %w", scheduler.Name(), scheduler.MinPower(), power, ErrBadOption)
-		}
-	case Live:
-		if power != 0 {
-			return fmt.Errorf("an adversary power cap is sim-only: the %s backend has no adversary whose information class could be capped: %w", b, ErrOptionUnsupported)
-		}
-		if scheduler != nil {
-			return fmt.Errorf("a scheduler is sim-only: the %s backend has no adversary control (the Go scheduler decides the interleaving): %w", b, ErrOptionUnsupported)
-		}
-		if traced {
-			return fmt.Errorf("tracing is sim-only: the %s backend has no global step sequence to record: %w", b, ErrOptionUnsupported)
-		}
-		if registers == Interposed {
-			return fmt.Errorf("interposed registers are sim-only: the interposition blunts an adversary's view of in-flight operations, and the %s backend has no adversary to blunt: %w", b, ErrOptionUnsupported)
-		}
+	caps := be.Capabilities()
+	switch {
+	case caps.Adversary && c.scheduler == nil:
+		return fmt.Errorf("a scheduler is required (WithScheduler, or Sweep's factory): the %s backend needs an explicit adversary; use Live to run without one: %w", be.Name(), ErrBadOption)
+	case caps.Adversary && c.Power != 0 && c.scheduler.MinPower() > c.Power:
+		return fmt.Errorf("scheduler %q requires at least %s power, but WithPower caps the adversary at %s: %w", c.scheduler.Name(), c.scheduler.MinPower(), c.Power, ErrBadOption)
+	case !caps.Adversary && c.Power != 0:
+		return fmt.Errorf("an adversary power cap is sim-only: the %s backend has no adversary whose information class could be capped: %w", be.Name(), ErrOptionUnsupported)
+	case !caps.Adversary && c.scheduler != nil:
+		return fmt.Errorf("a scheduler is sim-only: the %s backend has no adversary control (the Go scheduler decides the interleaving): %w", be.Name(), ErrOptionUnsupported)
+	case !caps.Tracing && c.Traced:
+		return fmt.Errorf("tracing is sim-only: the %s backend has no global step sequence to record: %w", be.Name(), ErrOptionUnsupported)
+	case c.Registers != Atomic && !caps.Semantics.Has(c.Registers):
+		return fmt.Errorf("%s registers are sim-only: the %s backend does not implement them: %w", c.Registers, be.Name(), ErrOptionUnsupported)
 	}
 	return nil
 }

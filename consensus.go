@@ -277,12 +277,15 @@ func (c *Consensus) Build() (*Registers, *core.Protocol, error) {
 	return file, proto, nil
 }
 
-// RunConfig tunes a single Solve execution.
+// RunConfig tunes a single execution of Solve, SolveSequence or Simulate.
+// Its fields are the ones WithBackend, WithTrace, WithCheapCollect,
+// WithRegisters, WithPower, WithFaults, WithMaxSteps and WithContext set for
+// Run, RunProtocol and Sweep, and both forms are validated the same way.
 type RunConfig struct {
 	// Backend selects the execution model (Sim, the default, or Live). On
 	// Live the scheduler argument must be nil and Traced must be false.
 	Backend Backend
-	// Traced records the full execution in Outcome.Trace (Sim only).
+	// Traced records the full execution in the result's Trace (Sim only).
 	Traced bool
 	// CheapCollect enables the O(1)-collect cost model (needed by
 	// SchemeCollect to hit its 4-op bound).
@@ -384,7 +387,7 @@ func (o *Outcome) MaxWork() int {
 func (c *Consensus) checkInputs(inputs []Value) error {
 	for _, v := range inputs {
 		if v.IsNone() || v < 0 || int64(v) >= int64(c.m) {
-			return fmt.Errorf("modcon: input %s outside [0, %d)", v, c.m)
+			return fmt.Errorf("modcon: input %s outside [0, %d): %w", v, c.m, ErrBadOption)
 		}
 	}
 	return nil
@@ -419,17 +422,18 @@ func newOutcome(run *harness.ProtocolRun) *Outcome {
 	return out
 }
 
-// oneRunConfig returns the single optional RunConfig of Solve and
-// SolveSequence: the zero config when none is passed.
-func oneRunConfig(run []RunConfig) (RunConfig, error) {
+// lower is objectConfig for the entry points that take at most one
+// RunConfig (Solve, SolveSequence, Simulate): c holds the entry point's own
+// arguments, and the zero config stands in when none is passed.
+func (c runConfig) lower(run []RunConfig) (harness.ObjectConfig, error) {
 	switch len(run) {
 	case 0:
-		return RunConfig{}, nil
 	case 1:
-		return run[0], nil
+		c.RunConfig = run[0]
 	default:
-		return RunConfig{}, errors.New("modcon: pass at most one RunConfig")
+		return harness.ObjectConfig{}, fmt.Errorf("modcon: pass at most one RunConfig: %w", ErrBadOption)
 	}
+	return c.objectConfig()
 }
 
 // Solve runs one execution with the given per-process inputs (len n, or a
@@ -446,17 +450,6 @@ func oneRunConfig(run []RunConfig) (RunConfig, error) {
 // equals a Solve on a freshly constructed spec at the same inputs,
 // scheduler state and seed. A run that panics abandons its instance.
 func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunConfig) (*Outcome, error) {
-	rc, err := oneRunConfig(run)
-	if err != nil {
-		return nil, err
-	}
-	if err := rc.Backend.validateOptions(s, rc.Power, rc.Traced, rc.Registers); err != nil {
-		return nil, err
-	}
-	be, err := rc.Backend.impl()
-	if err != nil {
-		return nil, err
-	}
 	if err := c.checkInputs(inputs); err != nil {
 		return nil, err
 	}
@@ -464,12 +457,12 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	if err != nil {
 		return nil, err
 	}
-	pr, err := harness.RunProtocol(in.proto, harness.ObjectConfig{
-		N: c.n, File: in.file, Inputs: inputs, Backend: be, Scheduler: s, Seed: seed,
-		Traced: rc.Traced, CheapCollect: rc.CheapCollect, Registers: rc.Registers,
-		CrashAfter: rc.CrashAfter, Faults: rc.Faults,
-		MaxSteps: rc.MaxSteps, Context: rc.Context,
-	})
+	cfg, err := runConfig{n: c.n, file: in.file, inputs: inputs, scheduler: s, seed: seed}.lower(run)
+	if err != nil {
+		c.put(in)
+		return nil, err
+	}
+	pr, err := harness.RunProtocol(in.proto, cfg)
 	c.put(in)
 	if err != nil {
 		return nil, err
@@ -514,34 +507,29 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	if rc.scheduler != nil {
 		return fmt.Errorf("modcon: Sweep takes a scheduler factory, not WithScheduler (each pooled session needs its own stateful adversary): %w", ErrBadOption)
 	}
-	if rc.backend == Sim && newSched == nil {
-		return fmt.Errorf("modcon: a scheduler factory is required (the sim backend needs an explicit adversary): %w", ErrBadOption)
-	}
 	if inputs == nil && len(rc.inputs) == 0 {
 		return fmt.Errorf("modcon: WithInputs or a per-trial inputs func is required: %w", ErrBadOption)
 	}
 	if err := c.checkInputs(rc.inputs); err != nil {
-		return fmt.Errorf("%v: %w", err, ErrBadOption)
-	}
-	var probe Scheduler
-	if newSched != nil {
-		probe = newSched()
-	}
-	if err := rc.backend.validateOptions(probe, rc.power, rc.traced, rc.registers); err != nil {
-		return err
-	}
-	be, err := rc.backend.impl()
-	if err != nil {
 		return err
 	}
 	// Surface construction errors here, once, so the per-session Build
-	// closure below cannot fail.
-	if _, _, err := c.Build(); err != nil {
+	// closure below cannot fail. The pre-flight file and a probe scheduler
+	// stand in for each session's own in the lowering.
+	file, _, err := c.Build()
+	if err != nil {
 		return err
 	}
-	base := rc.inputs
-	if len(base) == 0 {
-		base = []Value{0} // placeholder; the per-trial hook overrides it
+	if newSched != nil {
+		rc.scheduler = newSched()
+	}
+	if len(rc.inputs) == 0 {
+		rc.inputs = []Value{0} // placeholder; the per-trial hook overrides it
+	}
+	rc.n, rc.file, rc.sweeping = c.n, file, true
+	base, err := rc.objectConfig()
+	if err != nil {
+		return err
 	}
 	spec := harness.ProtocolSweep{
 		Build: func() (*core.Protocol, harness.ObjectConfig) {
@@ -549,15 +537,12 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 			if err != nil {
 				panic(err) // unreachable: the pre-flight Build above succeeded
 			}
-			var sched Scheduler
+			cfg := base
+			cfg.File = file
 			if newSched != nil {
-				sched = newSched()
+				cfg.Scheduler = newSched()
 			}
-			return proto, harness.ObjectConfig{
-				N: c.n, File: file, Inputs: base, Backend: be, Scheduler: sched,
-				Traced: rc.traced, CheapCollect: rc.cheapCollect, Registers: rc.registers,
-				Faults: rc.faults, MaxSteps: rc.maxSteps, Context: rc.ctx, Meter: rc.meter,
-			}
+			return proto, cfg
 		},
 		Inputs: inputs,
 	}

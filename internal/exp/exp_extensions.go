@@ -103,8 +103,10 @@ func E17Sequences(cfg Config) *Table {
 						proposals[s] = mixedInputs(n, m, s+tr.Index)
 					}
 					res, err := multi.Run(multi.Config{
-						N: n, M: m, Proposals: proposals,
-						Scheduler: adv.New(), Seed: tr.Seed, Context: ctx,
+						ObjectConfig: harness.ObjectConfig{
+							N: n, Scheduler: adv.New(), Seed: tr.Seed, Context: ctx,
+						},
+						M: m, Proposals: proposals,
 					})
 					if err != nil {
 						return seqResult{}, err

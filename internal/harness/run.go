@@ -64,8 +64,8 @@ type ObjectConfig struct {
 	// CheapCollect enables the cheap-collect cost model.
 	CheapCollect bool
 	// Registers selects the register consistency model (zero value
-	// register.Atomic). Models outside the backend's Capabilities.Semantics
-	// set are rejected up front with a precise error.
+	// register.Atomic). The backend rejects a model outside its
+	// Capabilities.Semantics set.
 	Registers register.Semantics
 	// CrashAfter is legacy sugar for a plan of plain crash faults; it is
 	// merged (min-threshold wins) with Faults before reaching the backend.
@@ -83,30 +83,13 @@ type ObjectConfig struct {
 	Meter *obs.Meter
 }
 
-// backend resolves cfg.Backend (nil = sim) and checks the requested options
-// against its capabilities, so unsupported combinations fail with a precise
-// error here rather than deep inside a backend.
-func (cfg *ObjectConfig) backend() (exec.Backend, error) {
-	be := cfg.Backend
-	if be == nil {
-		be = sim.Backend()
+// backend resolves cfg.Backend; nil means the simulator. Options the backend
+// cannot honor are rejected by the backend itself when the session is built.
+func (cfg *ObjectConfig) backend() exec.Backend {
+	if cfg.Backend == nil {
+		return sim.Backend()
 	}
-	caps := be.Capabilities()
-	if !caps.Adversary && cfg.Scheduler != nil {
-		return nil, fmt.Errorf("harness: backend %q rejects scheduler %q: it has no adversary control (the interleaving is not the caller's to choose)", be.Name(), cfg.Scheduler.Name())
-	}
-	if caps.Adversary && cfg.Scheduler == nil {
-		return nil, fmt.Errorf("harness: backend %q requires a scheduler (an explicit adversary)", be.Name())
-	}
-	if !caps.Tracing && cfg.Traced {
-		return nil, fmt.Errorf("harness: backend %q cannot record traces (no global step sequence)", be.Name())
-	}
-	// Atomic is universal (every backend implements the paper's base model);
-	// anything else must appear in the backend's declared semantics set.
-	if cfg.Registers != register.Atomic && !caps.Semantics.Has(cfg.Registers) {
-		return nil, fmt.Errorf("harness: backend %q does not implement %v register semantics", be.Name(), cfg.Registers)
-	}
-	return be, nil
+	return cfg.Backend
 }
 
 // execConfig lowers an ObjectConfig to the backend-neutral exec.Config of a
@@ -159,6 +142,23 @@ func RunObject(obj core.Object, cfg ObjectConfig) (*ObjectRun, error) {
 	}
 	defer os.close()
 	return os.runTrial(cfg.Context, Trial{Seed: cfg.Seed})
+}
+
+// RunProgram executes prog on every process: one trial of a fresh session,
+// like RunObject and RunProtocol, for callers that write the processes' code
+// themselves. cfg.Inputs is unused. The result's Trace is the recorded
+// execution when cfg.Traced is set.
+func RunProgram(prog exec.Program, cfg ObjectConfig) (*exec.Result, error) {
+	var log *trace.Log
+	if cfg.Traced {
+		log = trace.New()
+	}
+	sess, err := cfg.backend().NewSession(cfg.execConfig(log), prog)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	return sess.Run(cfg.Context, cfg.Seed)
 }
 
 // SweepCost implements Metered: total work and max individual work.

@@ -233,10 +233,6 @@ type objectSession struct {
 // overrides cfg.Inputs per trial; cfg.Seed and cfg.Context are per-trial
 // and ignored here.
 func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []value.Value) (*objectSession, error) {
-	be, err := cfg.backend()
-	if err != nil {
-		return nil, err
-	}
 	base, err := cfg.inputs()
 	if err != nil {
 		return nil, err
@@ -258,7 +254,7 @@ func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []valu
 		os.decisions[e.PID()] = d
 		return d.V
 	}
-	os.sess, err = be.NewSession(cfg.execConfig(os.log), prog)
+	os.sess, err = cfg.backend().NewSession(cfg.execConfig(os.log), prog)
 	if err != nil {
 		return nil, err
 	}
@@ -308,10 +304,6 @@ type protocolSession struct {
 // newProtocolSession builds proto's program closure and a backend session
 // over it, like newObjectSession.
 func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial) []value.Value) (*protocolSession, error) {
-	be, err := cfg.backend()
-	if err != nil {
-		return nil, err
-	}
 	base, err := cfg.inputs()
 	if err != nil {
 		return nil, err
@@ -338,7 +330,7 @@ func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial)
 		}
 		return out
 	}
-	ps.sess, err = be.NewSession(cfg.execConfig(ps.log), prog)
+	ps.sess, err = cfg.backend().NewSession(cfg.execConfig(ps.log), prog)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@
 package multi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -17,37 +16,27 @@ import (
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/fallback"
-	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
-	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
+	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
-// Config describes a multi-slot run.
+// Config describes a multi-slot run. The embedded ObjectConfig is the one
+// execution the whole sequence runs as (backend, adversary, seed, register
+// model, faults, step budget, context); its Inputs are unused, and a nil
+// File means a fresh one. The slot protocols are built in File.
 type Config struct {
-	// N is the process count, M the value-domain size per slot.
-	N, M int
+	harness.ObjectConfig
+	// M is the value-domain size per slot.
+	M int
 	// Proposals is indexed [slot][pid]; its length sets the slot count.
 	Proposals [][]value.Value
 	// NewProtocol builds the per-slot protocol; nil uses the paper default
 	// (fast path + impatient conciliators + quorum ratifiers + CIL
 	// fallback, so slots always decide).
 	NewProtocol func(file *register.File, slot int) (*core.Protocol, error)
-	// Scheduler is the adversary for the whole execution.
-	Scheduler sched.Scheduler
-	// Seed drives all randomness.
-	Seed uint64
-	// MaxSteps bounds the whole execution (0 = simulator default).
-	MaxSteps int
-	// CrashAfter is forwarded to the simulator.
-	CrashAfter map[int]int
-	// Faults is the typed fault plan, compiled for the whole multi-slot
-	// execution (crash thresholds merge with CrashAfter in the simulator).
-	Faults *fault.Plan
-	// Context, if non-nil, cancels the execution between simulated steps.
-	Context context.Context
 }
 
 // Result reports a multi-slot run.
@@ -62,6 +51,8 @@ type Result struct {
 	TotalWork int
 	// Crashed reports per-process crashes.
 	Crashed []bool
+	// Trace is non-nil if tracing was requested.
+	Trace *trace.Log
 }
 
 // Run executes the sequence and verifies agreement and validity per slot
@@ -72,9 +63,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if len(cfg.Proposals) == 0 {
 		return nil, errors.New("multi: no slots")
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("multi: nil scheduler")
 	}
 	for slot, props := range cfg.Proposals {
 		if len(props) != cfg.N {
@@ -87,7 +75,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	file := register.NewFile()
+	if cfg.File == nil {
+		cfg.File = register.NewFile()
+	}
 	slots := len(cfg.Proposals)
 	protos := make([]*core.Protocol, slots)
 	build := cfg.NewProtocol
@@ -97,7 +87,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	for slot := range protos {
-		p, err := build(file, slot)
+		p, err := build(cfg.File, slot)
 		if err != nil {
 			return nil, fmt.Errorf("multi: slot %d: %w", slot, err)
 		}
@@ -116,16 +106,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	inj, err := fault.Compile(cfg.Faults, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("multi: %w", err)
-	}
-
-	simRes, err := sim.Run(sim.Config{
-		N: cfg.N, File: file, Scheduler: cfg.Scheduler, Seed: cfg.Seed,
-		MaxSteps: cfg.MaxSteps, CrashAfter: cfg.CrashAfter, Faults: inj,
-		Context: cfg.Context,
-	}, func(e *sim.Env) value.Value {
+	run, err := harness.RunProgram(func(e core.Env) value.Value {
 		pid := e.PID()
 		var last value.Value = value.None
 		for slot := 0; slot < slots; slot++ {
@@ -139,13 +120,11 @@ func Run(cfg Config) (*Result, error) {
 			last = out
 		}
 		return last
-	})
+	}, cfg.ObjectConfig)
 	if err != nil {
 		return nil, err
 	}
-	res.Work = simRes.Work
-	res.TotalWork = simRes.TotalWork
-	res.Crashed = simRes.Crashed
+	res.Work, res.TotalWork, res.Crashed, res.Trace = run.Work, run.TotalWork, run.Crashed, run.Trace
 
 	for slot := range res.Outputs {
 		var decided []value.Value

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -27,9 +28,9 @@ func TestSequenceAllSlotsDecide(t *testing.T) {
 	} {
 		for seed := uint64(0); seed < 10; seed++ {
 			res, err := Run(Config{
-				N: 4, M: 5,
-				Proposals: proposals(6, 4, 5, int(seed)),
-				Scheduler: mk(), Seed: seed,
+				ObjectConfig: harness.ObjectConfig{N: 4, Scheduler: mk(), Seed: seed},
+				M:            5,
+				Proposals:    proposals(6, 4, 5, int(seed)),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -45,9 +46,9 @@ func TestSequenceAllSlotsDecide(t *testing.T) {
 
 func TestSequencePerSlotAgreement(t *testing.T) {
 	res, err := Run(Config{
-		N: 5, M: 3,
-		Proposals: proposals(8, 5, 3, 1),
-		Scheduler: sched.NewUniformRandom(), Seed: 9,
+		ObjectConfig: harness.ObjectConfig{N: 5, Scheduler: sched.NewUniformRandom(), Seed: 9},
+		M:            3,
+		Proposals:    proposals(8, 5, 3, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +70,14 @@ func TestSequenceWithCrashes(t *testing.T) {
 	// still decide every slot, and decided prefixes of crashed processes
 	// must agree.
 	res, err := Run(Config{
-		N: 4, M: 2,
-		Proposals:  proposals(5, 4, 2, 0),
-		Scheduler:  sched.NewUniformRandom(),
-		Seed:       3,
-		CrashAfter: map[int]int{0: 5, 1: 12},
+		ObjectConfig: harness.ObjectConfig{
+			N:          4,
+			Scheduler:  sched.NewUniformRandom(),
+			Seed:       3,
+			CrashAfter: map[int]int{0: 5, 1: 12},
+		},
+		M:         2,
+		Proposals: proposals(5, 4, 2, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +97,9 @@ func TestSequenceSkewBetweenSlots(t *testing.T) {
 	// before anybody else moves; later processes must adopt its decisions
 	// in every slot.
 	res, err := Run(Config{
-		N: 3, M: 4,
-		Proposals: proposals(6, 3, 4, 2),
-		Scheduler: sched.NewFrontrunner(), Seed: 4,
+		ObjectConfig: harness.ObjectConfig{N: 3, Scheduler: sched.NewFrontrunner(), Seed: 4},
+		M:            4,
+		Proposals:    proposals(6, 3, 4, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +118,11 @@ func TestSequenceValidation(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{Config{N: 0, M: 2, Proposals: proposals(1, 1, 2, 0), Scheduler: sched.NewRoundRobin()}, "N="},
-		{Config{N: 2, M: 2, Proposals: nil, Scheduler: sched.NewRoundRobin()}, "no slots"},
-		{Config{N: 2, M: 2, Proposals: proposals(1, 2, 2, 0), Scheduler: nil}, "nil scheduler"},
-		{Config{N: 3, M: 2, Proposals: proposals(1, 2, 2, 0), Scheduler: sched.NewRoundRobin()}, "proposals"},
-		{Config{N: 2, M: 2, Proposals: [][]value.Value{{0, 5}}, Scheduler: sched.NewRoundRobin()}, "outside"},
+		{Config{ObjectConfig: harness.ObjectConfig{N: 0, Scheduler: sched.NewRoundRobin()}, M: 2, Proposals: proposals(1, 1, 2, 0)}, "N="},
+		{Config{ObjectConfig: harness.ObjectConfig{N: 2, Scheduler: sched.NewRoundRobin()}, M: 2, Proposals: nil}, "no slots"},
+		{Config{ObjectConfig: harness.ObjectConfig{N: 2, Scheduler: nil}, M: 2, Proposals: proposals(1, 2, 2, 0)}, "nil scheduler"},
+		{Config{ObjectConfig: harness.ObjectConfig{N: 3, Scheduler: sched.NewRoundRobin()}, M: 2, Proposals: proposals(1, 2, 2, 0)}, "proposals"},
+		{Config{ObjectConfig: harness.ObjectConfig{N: 2, Scheduler: sched.NewRoundRobin()}, M: 2, Proposals: [][]value.Value{{0, 5}}}, "outside"},
 	}
 	for i, tt := range cases {
 		_, err := Run(tt.cfg)
@@ -131,9 +135,9 @@ func TestSequenceValidation(t *testing.T) {
 func TestSequenceWorkScalesWithSlots(t *testing.T) {
 	run := func(slots int) int {
 		res, err := Run(Config{
-			N: 4, M: 2,
-			Proposals: proposals(slots, 4, 2, 0),
-			Scheduler: sched.NewUniformRandom(), Seed: 5,
+			ObjectConfig: harness.ObjectConfig{N: 4, Scheduler: sched.NewUniformRandom(), Seed: 5},
+			M:            2,
+			Proposals:    proposals(slots, 4, 2, 0),
 		})
 		if err != nil {
 			t.Fatal(err)

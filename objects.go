@@ -1,7 +1,6 @@
 package modcon
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/modular-consensus/modcon/internal/adoptcommit"
@@ -9,12 +8,11 @@ import (
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fallback"
-	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/setagree"
 	"github.com/modular-consensus/modcon/internal/sharedcoin"
 	"github.com/modular-consensus/modcon/internal/tas"
-	"github.com/modular-consensus/modcon/internal/trace"
 )
 
 // This file exposes the paper's individual objects so users can assemble
@@ -120,36 +118,11 @@ type SimResult struct {
 // With RunConfig.Backend set to Live the same proc runs as free-running
 // goroutines over atomic registers; pass a nil scheduler there.
 func Simulate(n int, file *Registers, s Scheduler, seed uint64, proc Proc, run ...RunConfig) (*SimResult, error) {
-	var rc RunConfig
-	switch len(run) {
-	case 0:
-	case 1:
-		rc = run[0]
-	default:
-		return nil, errors.New("modcon: pass at most one RunConfig")
-	}
-	if err := rc.Backend.validateOptions(s, rc.Power, rc.Traced, rc.Registers); err != nil {
-		return nil, err
-	}
-	be, err := rc.Backend.impl()
+	cfg, err := runConfig{n: n, file: file, scheduler: s, seed: seed, program: true}.lower(run)
 	if err != nil {
 		return nil, err
 	}
-	var tr *Trace
-	if rc.Traced {
-		tr = trace.New()
-	}
-	sess, err := be.NewSession(exec.Config{
-		N: n, File: file, Scheduler: s,
-		Trace: tr, CheapCollect: rc.CheapCollect, Registers: rc.Registers,
-		Faults:   fault.Merge(rc.Faults, fault.FromCrashMap(rc.CrashAfter)),
-		MaxSteps: rc.MaxSteps,
-	}, exec.Program(proc))
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	res, err := sess.Run(rc.Context, seed)
+	res, err := harness.RunProgram(exec.Program(proc), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +133,7 @@ func Simulate(n int, file *Registers, s Scheduler, seed uint64, proc Proc, run .
 		Stalled:   res.Stalled,
 		Work:      res.Work,
 		TotalWork: res.TotalWork,
-		Trace:     tr,
+		Trace:     res.Trace,
 	}, nil
 }
 

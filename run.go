@@ -90,28 +90,30 @@ type runOptionFunc func(*runConfig)
 
 func (f runOptionFunc) applyRun(c *runConfig) { f(c) }
 
+// runConfig is what the options, or an entry point's arguments, configure.
+// The execution fields are RunConfig's own: the options that mirror them set
+// them directly, so both vocabularies lower through objectConfig.
 type runConfig struct {
-	n            int
-	file         *Registers
-	registers    RegisterModel
-	inputs       []Value
-	backend      Backend
-	scheduler    Scheduler
-	schedErr     error
-	power        Power
-	seed         uint64
-	traced       bool
-	ctx          context.Context
+	RunConfig
+	n         int
+	file      *Registers
+	inputs    []Value
+	scheduler Scheduler
+	schedErr  error
+	seed      uint64
+	// program marks an execution whose processes run a program of their
+	// own (Simulate, SolveSequence), so it takes no inputs.
+	program bool
+	// sweeping marks Sweep's lowering: its trials run under contexts the
+	// dispatcher supplies, so a stall plan needs no Context.
+	sweeping     bool
 	workers      int
-	maxSteps     int
-	cheapCollect bool
 	progress     func(SweepProgress)
 	sink         ProgressSink
 	sinkInterval time.Duration
 	stepsHist    *Hist
 	workHist     *Hist
 	meter        *Meter
-	faults       *FaultPlan
 	deadline     time.Duration
 	retries      int
 	failFast     bool
@@ -139,7 +141,7 @@ func WithRegisters(file *Registers, model ...RegisterModel) RunOption {
 	return runOptionFunc(func(c *runConfig) {
 		c.file = file
 		if len(model) > 0 {
-			c.registers = model[len(model)-1]
+			c.Registers = model[len(model)-1]
 		}
 	})
 }
@@ -155,7 +157,7 @@ func WithInputs(vs ...Value) RunOption {
 // over atomic registers). Sim-only options (WithScheduler, WithTrace) are
 // rejected with a clear error on backends that cannot honor them.
 func WithBackend(b Backend) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.backend = b })
+	return runOptionFunc(func(c *runConfig) { c.Backend = b })
 }
 
 // WithScheduler sets the adversary (required on the Sim backend; rejected
@@ -192,7 +194,7 @@ func WithSearchedScheduler(config string) RunOption {
 // at exactly its declared MinPower); the Live backend rejects any cap with
 // ErrOptionUnsupported, having no adversary to cap.
 func WithPower(p Power) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.power = p })
+	return runOptionFunc(func(c *runConfig) { c.Power = p })
 }
 
 // NewSearchedScheduler builds a parametric adversary from its canonical
@@ -216,14 +218,14 @@ func WithSeed(seed uint64) RunOption {
 
 // WithTrace requests a full execution trace in the run's Trace field.
 func WithTrace(on bool) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.traced = on })
+	return runOptionFunc(func(c *runConfig) { c.Traced = on })
 }
 
 // WithContext attaches a context: the execution (or, for Trials, the whole
 // sweep and every in-flight execution) is cancelled between simulated steps
 // when the context expires.
 func WithContext(ctx context.Context) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.ctx = ctx })
+	return runOptionFunc(func(c *runConfig) { c.Context = ctx })
 }
 
 // WithWorkers caps the concurrency of a Trials sweep; 0 (the default) uses
@@ -235,7 +237,7 @@ func WithWorkers(workers int) RunOption {
 
 // WithMaxSteps bounds an execution's total work (0 = simulator default).
 func WithMaxSteps(steps int) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.maxSteps = steps })
+	return runOptionFunc(func(c *runConfig) { c.MaxSteps = steps })
 }
 
 // WithFaults injects the given faults into the execution (or, for a
@@ -243,13 +245,13 @@ func WithMaxSteps(steps int) RunOption {
 // jitter, lost probabilistic-write coins — on either backend. Repeated use
 // accumulates; see also WithFaultPlan for a pre-built or parsed plan.
 func WithFaults(faults ...Fault) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.faults = fault.Merge(c.faults, fault.New(faults...)) })
+	return runOptionFunc(func(c *runConfig) { c.Faults = fault.Merge(c.Faults, fault.New(faults...)) })
 }
 
 // WithFaultPlan injects a pre-built fault plan (see Faults, ParseFaults),
 // merging with any faults configured so far. A nil plan is a no-op.
 func WithFaultPlan(p *FaultPlan) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.faults = fault.Merge(c.faults, p) })
+	return runOptionFunc(func(c *runConfig) { c.Faults = fault.Merge(c.Faults, p) })
 }
 
 // WithTrialDeadline arms Trials' per-trial watchdog: a trial still running
@@ -277,7 +279,7 @@ func WithFailFast(on bool) RunOption {
 
 // WithCheapCollect enables the O(1)-collect cost model (§6.2, choice 4).
 func WithCheapCollect(on bool) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.cheapCollect = on })
+	return runOptionFunc(func(c *runConfig) { c.CheapCollect = on })
 }
 
 // WithProgress registers a hook a Trials sweep calls after every merged
@@ -327,28 +329,42 @@ func buildRunConfig(opts []RunOption) runConfig {
 	return c
 }
 
+// objectConfig is the one lowering of an execution's configuration: Run,
+// RunProtocol, Solve, SolveSequence, Simulate and Sweep all validate through
+// it, before anything runs, and execute the harness config it builds. Every
+// error wraps ErrBadOption or ErrOptionUnsupported.
 func (c *runConfig) objectConfig() (harness.ObjectConfig, error) {
 	if c.n <= 0 {
-		return harness.ObjectConfig{}, fmt.Errorf("WithN(%d) must be positive: %w", c.n, ErrBadOption)
+		return harness.ObjectConfig{}, fmt.Errorf("the process count n=%d must be positive (WithN): %w", c.n, ErrBadOption)
 	}
 	if c.file == nil {
-		return harness.ObjectConfig{}, fmt.Errorf("WithRegisters is required (objects run in the file they were built against): %w", ErrBadOption)
+		return harness.ObjectConfig{}, fmt.Errorf("a register file is required (WithRegisters): objects run in the file they were built against: %w", ErrBadOption)
 	}
 	if c.schedErr != nil {
 		return harness.ObjectConfig{}, fmt.Errorf("WithSearchedScheduler: %v: %w", c.schedErr, ErrBadOption)
 	}
-	if c.backend == Sim && c.scheduler == nil {
-		return harness.ObjectConfig{}, fmt.Errorf("WithScheduler is required (the sim backend needs an explicit adversary; use WithBackend(Live) to run without one): %w", ErrBadOption)
-	}
-	if err := c.backend.validateOptions(c.scheduler, c.power, c.traced, c.registers); err != nil {
-		return harness.ObjectConfig{}, err
-	}
-	if len(c.inputs) == 0 {
-		return harness.ObjectConfig{}, fmt.Errorf("WithInputs is required: %w", ErrBadOption)
-	}
-	be, err := c.backend.impl()
+	be, err := c.Backend.impl()
 	if err != nil {
 		return harness.ObjectConfig{}, err
+	}
+	if err := c.validateOptions(be); err != nil {
+		return harness.ObjectConfig{}, err
+	}
+	switch {
+	case c.program:
+	case len(c.inputs) == 0:
+		return harness.ObjectConfig{}, fmt.Errorf("inputs are required (WithInputs): %w", ErrBadOption)
+	case len(c.inputs) != 1 && len(c.inputs) != c.n:
+		return harness.ObjectConfig{}, fmt.Errorf("%d inputs for %d processes (pass one per process, or one for all): %w", len(c.inputs), c.n, ErrBadOption)
+	}
+	if err := c.Faults.Validate(c.n); err != nil {
+		return harness.ObjectConfig{}, fmt.Errorf("%v: %w", err, ErrBadOption)
+	}
+	if err := fault.FromCrashMap(c.CrashAfter).Validate(c.n); err != nil {
+		return harness.ObjectConfig{}, fmt.Errorf("CrashAfter: %v: %w", err, ErrBadOption)
+	}
+	if !c.sweeping && c.Context == nil && c.Faults.HasStall() {
+		return harness.ObjectConfig{}, fmt.Errorf("stall faults require a Context (WithContext): a stalled process never halts, so only cancellation ends the execution: %w", ErrBadOption)
 	}
 	return harness.ObjectConfig{
 		N:            c.n,
@@ -357,12 +373,13 @@ func (c *runConfig) objectConfig() (harness.ObjectConfig, error) {
 		Backend:      be,
 		Scheduler:    c.scheduler,
 		Seed:         c.seed,
-		Traced:       c.traced,
-		CheapCollect: c.cheapCollect,
-		Registers:    c.registers,
-		Faults:       c.faults,
-		MaxSteps:     c.maxSteps,
-		Context:      c.ctx,
+		Traced:       c.Traced,
+		CheapCollect: c.CheapCollect,
+		Registers:    c.Registers,
+		CrashAfter:   c.CrashAfter,
+		Faults:       c.Faults,
+		MaxSteps:     c.MaxSteps,
+		Context:      c.Context,
 		Meter:        c.meter,
 	}, nil
 }
@@ -378,7 +395,7 @@ func (c *runConfig) sweep(trials int) harness.Sweep {
 		Trials:    trials,
 		Workers:   c.workers,
 		Seed:      c.seed,
-		Context:   c.ctx,
+		Context:   c.Context,
 		Progress:  c.progress,
 		Reporter:  reporter,
 		StepsHist: c.stepsHist,

@@ -1,9 +1,8 @@
 package modcon
 
 import (
-	"fmt"
-
 	"github.com/modular-consensus/modcon/internal/multi"
+	"github.com/modular-consensus/modcon/internal/register"
 )
 
 // SequenceOutcome reports a multi-slot consensus run (a replicated log).
@@ -18,6 +17,8 @@ type SequenceOutcome struct {
 	// Work and TotalWork cover the whole execution.
 	Work      []int
 	TotalWork int
+	// Trace is non-nil when RunConfig.Traced was set.
+	Trace *Trace
 }
 
 // SolveSequence runs len(proposals) consensus instances — one per log slot
@@ -31,36 +32,14 @@ type SequenceOutcome struct {
 // assembly plus the CIL fallback (slots always decide); the spec's other
 // options currently do not apply to sequences.
 //
-// At most one RunConfig may be passed, as for Solve, and it is validated the
-// same way. A sequence runs untraced on the Sim backend with atomic
-// registers and standard collects, so a config asking for Live, Traced,
-// CheapCollect or another register model is rejected with an error wrapping
-// ErrOptionUnsupported. MaxSteps, CrashAfter, Faults and Context apply to the
-// whole execution, and Power is checked against s as in Solve.
+// At most one RunConfig may be passed, as for Solve, and it is validated and
+// honored the same way: it applies to the whole execution, so a sequence can
+// run on Live (with a nil scheduler), traced, with cheap collects, or over
+// regular or interposed registers.
 func (c *Consensus) SolveSequence(proposals [][]Value, s Scheduler, seed uint64, run ...RunConfig) (*SequenceOutcome, error) {
-	rc, err := oneRunConfig(run)
+	cfg, err := runConfig{n: c.n, file: register.NewFile(), scheduler: s, seed: seed, program: true}.lower(run)
 	if err != nil {
 		return nil, err
-	}
-	if err := rc.Backend.validateOptions(s, rc.Power, rc.Traced, rc.Registers); err != nil {
-		return nil, err
-	}
-	if _, err := rc.Backend.impl(); err != nil {
-		return nil, err
-	}
-	var unsupported string
-	switch {
-	case rc.Backend != Sim:
-		unsupported = "the " + rc.Backend.String() + " backend"
-	case rc.Traced:
-		unsupported = "tracing"
-	case rc.CheapCollect:
-		unsupported = "cheap collects"
-	case rc.Registers != Atomic:
-		unsupported = rc.Registers.String() + " registers"
-	}
-	if unsupported != "" {
-		return nil, fmt.Errorf("SolveSequence does not support %s (sequences run untraced on the sim backend with atomic registers): %w", unsupported, ErrOptionUnsupported)
 	}
 	expanded := make([][]Value, len(proposals))
 	for slot, props := range proposals {
@@ -74,16 +53,7 @@ func (c *Consensus) SolveSequence(proposals [][]Value, s Scheduler, seed uint64,
 		}
 		expanded[slot] = props
 	}
-	res, err := multi.Run(multi.Config{
-		N: c.n, M: c.m,
-		Proposals:  expanded,
-		Scheduler:  s,
-		Seed:       seed,
-		MaxSteps:   rc.MaxSteps,
-		CrashAfter: rc.CrashAfter,
-		Faults:     rc.Faults,
-		Context:    rc.Context,
-	})
+	res, err := multi.Run(multi.Config{ObjectConfig: cfg, M: c.m, Proposals: expanded})
 	if err != nil {
 		return nil, err
 	}
@@ -93,5 +63,6 @@ func (c *Consensus) SolveSequence(proposals [][]Value, s Scheduler, seed uint64,
 		Crashed:   res.Crashed,
 		Work:      res.Work,
 		TotalWork: res.TotalWork,
+		Trace:     res.Trace,
 	}, nil
 }

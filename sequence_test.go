@@ -89,8 +89,9 @@ func TestSolveSequenceCrashes(t *testing.T) {
 }
 
 // TestSolveSequenceRunConfig: SolveSequence takes at most one RunConfig,
-// validates it like Solve, and rejects what a sequence cannot honour instead
-// of running an atomic, untraced sim execution in its place.
+// validates it like Solve and honours it: a sequence runs on Live, traced,
+// with cheap collects and over every register model, and still rejects what
+// no execution can honour.
 func TestSolveSequenceRunConfig(t *testing.T) {
 	cons, err := NewBinary(3)
 	if err != nil {
@@ -106,24 +107,28 @@ func TestSolveSequenceRunConfig(t *testing.T) {
 	}{
 		{name: "zero", s: NewUniformRandom(), run: []RunConfig{{}}},
 		{name: "power-cap-met", s: NewFirstMoverAttack(), run: []RunConfig{{Power: Adaptive}}},
+		{name: "live", run: []RunConfig{{Backend: Live}}},
+		{name: "traced", s: NewUniformRandom(), run: []RunConfig{{Traced: true}}},
+		{name: "cheap-collect", s: NewUniformRandom(), run: []RunConfig{{CheapCollect: true}}},
+		{name: "regular", s: NewUniformRandom(), run: []RunConfig{{Registers: Regular}}},
+		{name: "interposed", s: NewUniformRandom(), run: []RunConfig{{Registers: Interposed}}},
 		{name: "step-limit", s: NewUniformRandom(), run: []RunConfig{{MaxSteps: 1}}, want: sim.ErrStepLimit},
 		{name: "two-configs", s: NewUniformRandom(), run: []RunConfig{{MaxSteps: 1}, {MaxSteps: 1}}, msg: "at most one RunConfig"},
 		{name: "live-with-scheduler", s: NewUniformRandom(), run: []RunConfig{{Backend: Live}}, want: ErrOptionUnsupported},
-		{name: "live", run: []RunConfig{{Backend: Live}}, want: ErrOptionUnsupported},
 		{name: "unknown-backend", s: NewUniformRandom(), run: []RunConfig{{Backend: Backend(9)}}, want: ErrBadOption},
-		{name: "traced", s: NewUniformRandom(), run: []RunConfig{{Traced: true}}, want: ErrOptionUnsupported},
-		{name: "cheap-collect", s: NewUniformRandom(), run: []RunConfig{{CheapCollect: true}}, want: ErrOptionUnsupported},
-		{name: "regular", s: NewUniformRandom(), run: []RunConfig{{Registers: Regular}}, want: ErrOptionUnsupported},
-		{name: "interposed", s: NewUniformRandom(), run: []RunConfig{{Registers: Interposed}}, want: ErrOptionUnsupported},
 		{name: "unknown-registers", s: NewUniformRandom(), run: []RunConfig{{Registers: RegisterModel(9)}}, want: ErrBadOption},
 		{name: "power-cap-exceeded", s: NewFirstMoverAttack(), run: []RunConfig{{Power: Oblivious}}, want: ErrBadOption},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := cons.SolveSequence(proposals, tc.s, 7, tc.run...)
+			out, err := cons.SolveSequence(proposals, tc.s, 7, tc.run...)
 			switch {
 			case tc.want == nil && tc.msg == "":
 				if err != nil {
 					t.Fatalf("err = %v, want nil", err)
+				}
+				checkSequenceAgreed(t, out)
+				if tc.run[0].Traced && (out.Trace == nil || out.Trace.Len() == 0) {
+					t.Error("traced sequence recorded no trace")
 				}
 			case tc.msg != "":
 				if err == nil || !strings.Contains(err.Error(), tc.msg) {
@@ -133,5 +138,49 @@ func TestSolveSequenceRunConfig(t *testing.T) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// checkSequenceAgreed fails t unless every slot of a crash-free sequence
+// decided and every process output the slot's agreed value.
+func checkSequenceAgreed(t *testing.T, out *SequenceOutcome) {
+	t.Helper()
+	for slot, v := range out.Agreed {
+		if v.IsNone() {
+			t.Fatalf("slot %d undecided", slot)
+		}
+		for pid, o := range out.Outputs[slot] {
+			if o != v {
+				t.Fatalf("slot %d pid %d output %s, agreed %s", slot, pid, o, v)
+			}
+		}
+	}
+}
+
+// TestLiveSolveSequence runs replicated logs as free-running goroutines over
+// atomic and regular registers: every slot decides, and every process
+// outputs the slot's agreed value.
+func TestLiveSolveSequence(t *testing.T) {
+	for _, n := range []int{2, 8} {
+		cons, err := New(n, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []RegisterModel{Atomic, Regular} {
+			for seed := uint64(0); seed < 5; seed++ {
+				proposals := make([][]Value, 4)
+				for s := range proposals {
+					proposals[s] = make([]Value, n)
+					for pid := range proposals[s] {
+						proposals[s][pid] = Value((pid + s + int(seed)) % 4)
+					}
+				}
+				out, err := cons.SolveSequence(proposals, nil, seed, RunConfig{Backend: Live, Registers: model})
+				if err != nil {
+					t.Fatalf("n=%d %s seed %d: %v", n, model, seed, err)
+				}
+				checkSequenceAgreed(t, out)
+			}
+		}
 	}
 }
