@@ -225,10 +225,16 @@ func FromCrashMap(m map[int]int) *Plan {
 
 // Merge returns a plan containing the faults of both arguments (either or
 // both may be nil; nil is returned when both are empty). The arguments are
-// not mutated.
+// not mutated. When one argument is empty the other is returned as it is,
+// so merging the common empty crash map into a plan costs nothing.
 func Merge(a, b *Plan) *Plan {
-	if a.Empty() && b.Empty() {
+	switch {
+	case a.Empty() && b.Empty():
 		return nil
+	case b.Empty():
+		return a
+	case a.Empty():
+		return b
 	}
 	out := &Plan{}
 	if a != nil {

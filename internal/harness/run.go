@@ -102,10 +102,16 @@ func (cfg *ObjectConfig) execConfig(log *trace.Log) exec.Config {
 		Trace:        log,
 		CheapCollect: cfg.CheapCollect,
 		Registers:    cfg.Registers,
-		Faults:       fault.Merge(cfg.Faults, fault.FromCrashMap(cfg.CrashAfter)),
+		Faults:       cfg.faults(),
 		MaxSteps:     cfg.MaxSteps,
 		Meter:        cfg.Meter,
 	}
+}
+
+// faults is the plan a session compiles: Faults with the legacy crash map
+// merged in.
+func (cfg *ObjectConfig) faults() *fault.Plan {
+	return fault.Merge(cfg.Faults, fault.FromCrashMap(cfg.CrashAfter))
 }
 
 // inputs resolves cfg.Inputs to exactly one value per process. A slice of

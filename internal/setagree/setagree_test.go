@@ -4,11 +4,23 @@ import (
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/check"
+	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
+
+// crashes compiles a pid -> crash-after-k map into the injector sim.Config
+// takes (nil for an empty map).
+func crashes(t *testing.T, n int, m map[int]int) *fault.Injector {
+	t.Helper()
+	inj, err := fault.Compile(fault.FromCrashMap(m), n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
 
 func runSetAgree(t *testing.T, n, m, k int, inputs []value.Value, s sched.Scheduler, seed uint64, crash map[int]int) *sim.Result {
 	t.Helper()
@@ -18,7 +30,7 @@ func runSetAgree(t *testing.T, n, m, k int, inputs []value.Value, s sched.Schedu
 		t.Fatal(err)
 	}
 	res, err := sim.Run(sim.Config{
-		N: n, File: file, Scheduler: s, Seed: seed, CrashAfter: crash,
+		N: n, File: file, Scheduler: s, Seed: seed, Faults: crashes(t, n, crash),
 	}, func(e *sim.Env) value.Value { return p.Run(e, inputs[e.PID()]) })
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
+	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -97,6 +98,11 @@ func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 	}
 	return s.eng.Run(ctx)
 }
+
+// SetScheduler installs s as the adversary of the session's later Runs
+// (Engine.SetScheduler): a pooled caller with a fresh scheduler per
+// execution reuses the session instead of opening one per scheduler.
+func (s *session) SetScheduler(sch sched.Scheduler) { s.eng.SetScheduler(sch) }
 
 // Close implements exec.Session.
 func (s *session) Close() error { return s.eng.Close() }

@@ -13,7 +13,9 @@ package sim
 //
 // The code is a verbatim copy of the old sim.go/env.go with types renamed
 // chan*; request/response/Config/Result and the trace semantics are shared
-// with the production engine.
+// with the production engine. One edit: crash thresholds come from the
+// compiled injector in Config.Faults (its only fault kind read here), since
+// Config no longer carries a crash map.
 
 import (
 	"context"
@@ -250,7 +252,7 @@ func (rt *chanEngine) execute(pid int) {
 	rt.result.TotalWork++
 	rt.steps++
 
-	if limit, ok := rt.cfg.CrashAfter[pid]; ok && rt.result.Work[pid] >= limit {
+	if rt.result.Work[pid] >= rt.cfg.Faults.CrashAt(pid) {
 		st.crashed = true
 		rt.result.Crashed[pid] = true
 		rt.cfg.Trace.Append(trace.Event{Step: -1, PID: pid, Kind: trace.Crash})

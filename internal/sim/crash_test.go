@@ -10,11 +10,23 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
+
+// crashes compiles a pid -> crash-after-k map into the injector the engines
+// take (nil for an empty map), the way the harness lowers legacy crash maps.
+func crashes(t testing.TB, n int, m map[int]int) *fault.Injector {
+	t.Helper()
+	inj, err := fault.Compile(fault.FromCrashMap(m), n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
 
 // TestCrashNeverRescheduled asserts, from the trace, that a crashed process
 // emits no event of any kind after its Crash marker, performed exactly its
@@ -26,7 +38,7 @@ func TestCrashNeverRescheduled(t *testing.T) {
 	log := trace.New()
 	res, err := Run(Config{
 		N: 4, File: f, Scheduler: sched.NewUniformRandom(), Seed: 77,
-		Trace: log, CrashAfter: crash, CheapCollect: true,
+		Trace: log, Faults: crashes(t, 4, crash), CheapCollect: true,
 	}, func(e *Env) value.Value { return equivBody(e, a) })
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +93,7 @@ func TestCrashLastOpTakesEffect(t *testing.T) {
 	}
 	res, err := Run(Config{
 		N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}), Seed: 1,
-		CrashAfter: map[int]int{0: 1},
+		Faults: crashes(t, 2, map[int]int{0: 1}),
 	}, writer, reader)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +110,7 @@ func TestAllProcessesCrash(t *testing.T) {
 	a := f.Alloc(3, "arr")
 	res, err := Run(Config{
 		N: 3, File: f, Scheduler: sched.NewRoundRobin(), Seed: 9,
-		CrashAfter: map[int]int{0: 2, 1: 1, 2: 4},
+		Faults: crashes(t, 3, map[int]int{0: 2, 1: 1, 2: 4}),
 	}, func(e *Env) value.Value { return equivBody(e, a) })
 	if err != nil {
 		t.Fatal(err)

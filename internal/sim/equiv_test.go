@@ -143,10 +143,10 @@ func equivCases() []equivCase {
 	}
 }
 
-func (c equivCase) config(f *register.File, log *trace.Log, seed uint64) Config {
+func (c equivCase) config(t *testing.T, f *register.File, log *trace.Log, seed uint64) Config {
 	return Config{
 		N: c.n, File: f, Scheduler: c.mk(), Seed: seed,
-		Trace: log, CheapCollect: c.cheap, CrashAfter: c.crash,
+		Trace: log, CheapCollect: c.cheap, Faults: crashes(t, c.n, c.crash),
 	}
 }
 
@@ -156,7 +156,7 @@ func runEquivNew(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) {
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
 	log := trace.New()
-	res, err := Run(c.config(f, log, seed), func(e *Env) value.Value { return c.run(e, a) })
+	res, err := Run(c.config(t, f, log, seed), func(e *Env) value.Value { return c.run(e, a) })
 	if err != nil {
 		t.Fatalf("%s: new engine: %v", c.name, err)
 	}
@@ -169,7 +169,7 @@ func runEquivChan(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) 
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
 	log := trace.New()
-	res, err := chanRun(c.config(f, log, seed), func(e *chanEnv) value.Value { return c.run(e, a) })
+	res, err := chanRun(c.config(t, f, log, seed), func(e *chanEnv) value.Value { return c.run(e, a) })
 	if err != nil {
 		t.Fatalf("%s: chan engine: %v", c.name, err)
 	}

@@ -216,7 +216,7 @@ func TestCrash(t *testing.T) {
 	}
 	res, err := Run(Config{
 		N: 2, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1,
-		CrashAfter: map[int]int{0: 5, 1: 3},
+		Faults: crashes(t, 2, map[int]int{0: 5, 1: 3}),
 	}, spin, spin)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCrashedProcessOperationTakesEffect(t *testing.T) {
 	}
 	res, err := Run(Config{
 		N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}), Seed: 1,
-		CrashAfter: map[int]int{0: 1},
+		Faults: crashes(t, 2, map[int]int{0: 1}),
 	}, writer, reader)
 	if err != nil {
 		t.Fatal(err)

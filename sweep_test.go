@@ -173,3 +173,33 @@ func TestConsensusSweepRejectsOutOfDomainInputs(t *testing.T) {
 		t.Errorf("folded %d trials before the failure, want %d", folded, victim)
 	}
 }
+
+// TestSweepFromLockedThread: a sweep called from a thread-locked goroutine
+// finishes. Its workers create the pooled sessions' coroutines on their own
+// goroutines, so the sessions must also be closed on a goroutine the
+// harness starts, never on the locked caller's (see runInChild).
+func TestSweepFromLockedThread(t *testing.T) {
+	runInChild(t, func(t *testing.T) {
+		const n = 8
+		c, err := NewBinary(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := func() (works []int) {
+			err := c.Sweep(8, func() Scheduler { return NewFirstMoverAttack() },
+				func(tr Trial) []Value { return mixedInputs(n, 2, tr.Index) },
+				func(_ Trial, o *Outcome) { works = append(works, o.TotalWork) },
+				WithWorkers(1), WithSeed(3))
+			if err != nil {
+				t.Error(err)
+			}
+			return works
+		}
+		want := sweep()
+		var locked []int
+		onLockedThread(func() { locked = sweep() })
+		if !reflect.DeepEqual(locked, want) {
+			t.Errorf("locked caller: total work %v, want %v", locked, want)
+		}
+	})
+}
