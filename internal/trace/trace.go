@@ -179,6 +179,21 @@ func (l *Log) Clone() *Log {
 	return cp
 }
 
+// Take moves the recorded events into a new log and leaves l empty, with no
+// backing array: a session that runs again hands its record to the caller
+// without a copy, and its next execution records into new storage. A nil
+// log takes to nil. Call it only between executions.
+func (l *Log) Take() *Log {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cp := &Log{events: l.events}
+	l.events = nil
+	return cp
+}
+
 // Events returns the recorded events. The slice is owned by the log and
 // must not be mutated; read it only after the execution has completed.
 // A nil log returns nil.

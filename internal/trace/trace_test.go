@@ -36,6 +36,25 @@ func TestAppendAndFilter(t *testing.T) {
 	}
 }
 
+// TestTake checks that a taken log keeps its events while the source, reset
+// and reused as a pooled session's log is, records into other storage.
+func TestTake(t *testing.T) {
+	if (*Log)(nil).Take() != nil {
+		t.Fatal("nil log took to non-nil")
+	}
+	l := New()
+	l.Append(Event{Step: 0, PID: 0, Kind: Write, Reg: 1, Val: 7})
+	got := l.Take()
+	if l.Len() != 0 || got.Len() != 1 {
+		t.Fatalf("after Take: source %d events, taken %d", l.Len(), got.Len())
+	}
+	l.Reset()
+	l.Append(Event{Step: 0, PID: 1, Kind: Write, Reg: 1, Val: 9})
+	if e := got.Events()[0]; e.PID != 0 || e.Val != 7 {
+		t.Fatalf("taken event changed to %v by the source's next record", e)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	kinds := map[Kind]string{
 		Read: "read", Write: "write", ProbWrite: "probwrite",
