@@ -371,6 +371,66 @@ func BenchmarkLiveBinaryConsensus(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveReuse times Solve on both sides of a spec's session reuse:
+// calls that repeat one shape replay the session their instance keeps,
+// while a fresh spec per call, or calls that alternate register models,
+// tracing or fault plans, run on a session closed at the end. n=8 unless
+// the name says otherwise.
+func BenchmarkSolveReuse(b *testing.B) {
+	plan, err := ParseFaults("crash:pid=0,after=5;losecoin:p=0.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	attack := func() Scheduler { return NewFirstMoverAttack() }
+	uniform := func() Scheduler { return NewUniformRandom() }
+	cases := []struct {
+		name     string
+		n        int
+		newSpec  bool // a fresh spec per call
+		newSched func() Scheduler
+		rcs      []RunConfig // cycled call by call
+	}{
+		{"repeat", 8, false, attack, []RunConfig{{}}},
+		{"repeat-traced", 8, false, uniform, []RunConfig{{Traced: true}}},
+		{"repeat-n32-regular-faults", 32, false, uniform, []RunConfig{{Registers: Regular, Faults: plan}}},
+		{"repeat-live", 8, false, func() Scheduler { return nil }, []RunConfig{{Backend: Live}}},
+		{"fresh-spec", 8, true, attack, []RunConfig{{}}},
+		{"fresh-spec-traced", 8, true, uniform, []RunConfig{{Traced: true}}},
+		{"alternate-registers", 8, false, uniform, []RunConfig{{}, {Registers: Regular}}},
+		{"alternate-traced", 8, false, uniform, []RunConfig{{}, {Traced: true}}},
+		{"alternate-faults", 8, false, uniform, []RunConfig{{}, {Faults: plan}}},
+	}
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			inputs := make([]Value, bc.n)
+			for i := range inputs {
+				inputs[i] = Value(i % 2)
+			}
+			spec, err := NewBinary(bc.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Build the spec's instance before timing, unless every call
+			// builds its own.
+			if _, err := spec.Solve(inputs, bc.newSched(), 0, bc.rcs[0]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.newSpec {
+					if spec, err = NewBinary(bc.n); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := spec.Solve(inputs, bc.newSched(), uint64(i), bc.rcs[i%len(bc.rcs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorOverhead isolates the cost of one scheduled operation in
 // the simulation runtime (two channel handshakes).
 func BenchmarkSimulatorOverhead(b *testing.B) {
