@@ -17,6 +17,7 @@ import (
 
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/exp"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/quorum"
@@ -321,7 +322,7 @@ func BenchmarkE14TerminationTail(b *testing.B) {
 					RunConfig{MaxSteps: mult * n})
 				switch {
 				case err == nil:
-				case errors.Is(err, sim.ErrStepLimit):
+				case errors.Is(err, exec.ErrStepLimit):
 					timedOut++
 				default:
 					b.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -79,7 +80,7 @@ func runCoreCell(power sched.Power, n, steps int, regs register.Semantics) error
 		Scheduler: &benchSched{power: power, inner: sched.NewRoundRobin()},
 		Registers: regs,
 	}, prog)
-	if err != nil && !errors.Is(err, sim.ErrStepLimit) {
+	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return err
 	}
 	if res.TotalWork != steps {

@@ -17,11 +17,10 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -31,6 +30,10 @@ import (
 // trial does real work, small enough that trial dispatch (the thing being
 // scaled) stays visible.
 const scalingN = 8
+
+// scalingSpec is the scaling workload's protocol: full binary consensus
+// (impatient conciliators, binary ratifiers, fast path, no fallback).
+var scalingSpec = recipe.Spec{N: scalingN, M: 2, FastPath: true}
 
 // scalingCell is one point on the scaling curve.
 type scalingCell struct {
@@ -89,16 +92,9 @@ func scalingSweep(regs register.Semantics) harness.ProtocolSweep {
 	return harness.ProtocolSweep{
 		Build: func() (*core.Protocol, harness.ObjectConfig) {
 			file := register.NewFile()
-			proto, err := core.NewProtocol(core.Options{
-				N: scalingN, File: file,
-				NewRatifier: func(f *register.File, i int) core.Object { return ratifier.NewBinary(f, i) },
-				NewConciliator: func(f *register.File, i int) core.Object {
-					return conciliator.NewImpatient(f, scalingN, i)
-				},
-				FastPath: true,
-			})
+			proto, err := scalingSpec.Build(file)
 			if err != nil {
-				panic(err) // construction is validated by the pre-flight build in runBenchScaling
+				panic(err) // unreachable: scalingSpec is valid
 			}
 			return proto, harness.ObjectConfig{
 				N: scalingN, File: file,
@@ -184,13 +180,6 @@ func scalingDigest(steps, work *obs.Hist, decided int) (string, error) {
 // two up to NumCPU) and assembles the report. Worker counts above NumCPU
 // are legal — oversubscription still must not move the aggregates.
 func runBenchScaling(workerCounts []int, trials int, seed uint64, regs register.Semantics) (*scalingReport, error) {
-	// Pre-flight: surface a protocol-construction error as an error here so
-	// the Build closure's panic is unreachable.
-	spec := scalingSweep(regs)
-	if _, cfg := spec.Build(); cfg.N != scalingN {
-		return nil, fmt.Errorf("bench-scaling: workload built with n=%d, want %d", cfg.N, scalingN)
-	}
-
 	if len(workerCounts) == 0 {
 		workerCounts = scalingWorkerCounts()
 	}

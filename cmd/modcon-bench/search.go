@@ -24,11 +24,9 @@ import (
 	"os"
 
 	"github.com/modular-consensus/modcon/internal/advsearch"
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
-	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -70,16 +68,9 @@ func searchTarget(regs register.Semantics) advsearch.Target {
 		Registers: regs,
 		Build: func() (*core.Protocol, *register.File) {
 			file := register.NewFile()
-			proto, err := core.NewProtocol(core.Options{
-				N: scalingN, File: file,
-				NewRatifier: func(f *register.File, i int) core.Object { return ratifier.NewBinary(f, i) },
-				NewConciliator: func(f *register.File, i int) core.Object {
-					return conciliator.NewImpatient(f, scalingN, i)
-				},
-				FastPath: true,
-			})
+			proto, err := scalingSpec.Build(file)
 			if err != nil {
-				panic(err)
+				panic(err) // unreachable: scalingSpec is valid
 			}
 			return proto, file
 		},

@@ -2,117 +2,104 @@ package modcon
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 
 	"github.com/modular-consensus/modcon/internal/check"
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/fallback"
 	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
-	"github.com/modular-consensus/modcon/internal/sharedcoin"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // RatifierScheme selects the quorum system of the protocol's ratifiers
-// (§6.2 of the paper).
-type RatifierScheme int
+// (§6.2 of the paper). It is the recipe's Scheme.
+type RatifierScheme = recipe.Scheme
 
 const (
 	// SchemeAuto picks Binary for m = 2 and Pool otherwise.
-	SchemeAuto RatifierScheme = iota
+	SchemeAuto = recipe.SchemeAuto
 	// SchemeBinary is the 3-register binary ratifier (m = 2 only).
-	SchemeBinary
+	SchemeBinary = recipe.SchemeBinary
 	// SchemePool is the Bollobás-optimal scheme: lg m + Θ(log log m)
 	// registers.
-	SchemePool
+	SchemePool = recipe.SchemePool
 	// SchemeBitVector is the simpler 2⌈lg m⌉+1-register scheme.
-	SchemeBitVector
+	SchemeBitVector = recipe.SchemeBitVector
 	// SchemeCollect is the cheap-collect ratifier (4 ops with cheap
 	// collects).
-	SchemeCollect
+	SchemeCollect = recipe.SchemeCollect
 )
 
-// ConciliatorKind selects the protocol's conciliator family (§5).
-type ConciliatorKind int
+// ConciliatorKind selects the protocol's conciliator family (§5). It is the
+// recipe's Conciliator.
+type ConciliatorKind = recipe.Conciliator
 
 const (
 	// ConciliatorImpatient is the paper's ImpatientFirstMoverConciliator:
 	// O(log n) individual work, O(n) expected total work (Theorem 7).
-	ConciliatorImpatient ConciliatorKind = iota
+	ConciliatorImpatient = recipe.ConciliatorImpatient
 	// ConciliatorConstantRate is the Chor–Israeli–Li / Cheung baseline with
 	// fixed 1/n write probability: Θ(n) individual work.
-	ConciliatorConstantRate
+	ConciliatorConstantRate = recipe.ConciliatorConstantRate
 	// ConciliatorSharedCoin builds conciliators from voting weak shared
 	// coins (§5.1; binary only).
-	ConciliatorSharedCoin
+	ConciliatorSharedCoin = recipe.ConciliatorSharedCoin
 	// ConciliatorNone omits conciliators entirely: the ratifier-only
 	// protocol R of §4.2, which requires a noisy or priority scheduler to
 	// terminate.
-	ConciliatorNone
+	ConciliatorNone = recipe.ConciliatorNone
 )
 
 // Option configures a Consensus spec.
 type Option interface {
-	apply(*config)
+	apply(*recipe.Spec)
 }
 
-type optionFunc func(*config)
+type optionFunc func(*recipe.Spec)
 
-func (f optionFunc) apply(c *config) { f(c) }
-
-type config struct {
-	scheme        RatifierScheme
-	conciliator   ConciliatorKind
-	fastPath      bool
-	stages        int
-	fallback      bool
-	detectWrites  bool
-	growth        conciliator.Growth
-	coinThreshold int
-}
+func (f optionFunc) apply(s *recipe.Spec) { f(s) }
 
 // WithScheme selects the ratifier quorum scheme.
 func WithScheme(s RatifierScheme) Option {
-	return optionFunc(func(c *config) { c.scheme = s })
+	return optionFunc(func(spec *recipe.Spec) { spec.Scheme = s })
 }
 
 // WithConciliator selects the conciliator family.
 func WithConciliator(k ConciliatorKind) Option {
-	return optionFunc(func(c *config) { c.conciliator = k })
+	return optionFunc(func(s *recipe.Spec) { s.Conciliator = k })
 }
 
 // WithFastPath toggles the R₋₁; R₀ prefix (§4.1.1); default on.
 func WithFastPath(on bool) Option {
-	return optionFunc(func(c *config) { c.fastPath = on })
+	return optionFunc(func(s *recipe.Spec) { s.FastPath = on })
 }
 
-// WithStages truncates the chain after k (Cᵢ; Rᵢ) stages (§4.1.2).
+// WithStages truncates the chain after k (Cᵢ; Rᵢ) stages (§4.1.2); k must
+// be non-negative.
 func WithStages(k int) Option {
-	return optionFunc(func(c *config) { c.stages = k })
+	return optionFunc(func(s *recipe.Spec) { s.Stages = k })
 }
 
 // WithFallback appends the bounded-space CIL consensus K after the last
 // stage, making the protocol a consensus object for any Stages value.
 func WithFallback(on bool) Option {
-	return optionFunc(func(c *config) { c.fallback = on })
+	return optionFunc(func(s *recipe.Spec) { s.Fallback = on })
 }
 
 // WithWriteDetection lets conciliators return immediately after a
 // probabilistic write they observe to succeed (footnote 2 ablation).
 func WithWriteDetection(on bool) Option {
-	return optionFunc(func(c *config) { c.detectWrites = on })
+	return optionFunc(func(s *recipe.Spec) { s.DetectWrites = on })
 }
 
 // WithCoinThreshold overrides the voting shared coin's total-vote threshold
 // (default n²); only meaningful with ConciliatorSharedCoin.
 func WithCoinThreshold(votes int) Option {
-	return optionFunc(func(c *config) { c.coinThreshold = votes })
+	return optionFunc(func(s *recipe.Spec) { s.CoinThreshold = votes })
 }
 
 // Consensus is a reusable specification of a consensus protocol for n
@@ -128,8 +115,7 @@ func WithCoinThreshold(votes int) Option {
 // one ran on, which on the Sim backend holds n parked coroutines. They are
 // released when the spec is garbage collected.
 type Consensus struct {
-	n, m int
-	cfg  config
+	spec recipe.Spec
 
 	mu        sync.Mutex
 	free      []*harness.ProtocolInstance // instances no Solve is running on
@@ -183,33 +169,18 @@ func (c *Consensus) release() {
 
 // New returns a consensus spec for n processes over inputs {0, …, m-1}
 // assembled per the paper's recipe: fast-path ratifier pair, then
-// alternating impatient conciliators and quorum ratifiers.
+// alternating impatient conciliators and quorum ratifiers. It rejects the
+// options no protocol can be built from, so a spec it returns always
+// builds.
 func New(n, m int, opts ...Option) (*Consensus, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("modcon: n=%d must be positive", n)
-	}
-	if m < 2 {
-		return nil, fmt.Errorf("modcon: m=%d must be at least 2", m)
-	}
-	cfg := config{
-		scheme:      SchemeAuto,
-		conciliator: ConciliatorImpatient,
-		fastPath:    true,
-		growth:      conciliator.GrowthDoubling,
-	}
+	spec := recipe.Spec{N: n, M: m, FastPath: true}
 	for _, o := range opts {
-		o.apply(&cfg)
+		o.apply(&spec)
 	}
-	if cfg.scheme == SchemeBinary && m != 2 {
-		return nil, fmt.Errorf("modcon: binary scheme supports m=2, got m=%d", m)
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("modcon: %w", err)
 	}
-	if cfg.conciliator == ConciliatorSharedCoin && m != 2 {
-		return nil, fmt.Errorf("modcon: shared-coin conciliators support m=2, got m=%d", m)
-	}
-	if cfg.conciliator == ConciliatorNone && !cfg.fallback && cfg.stages == 0 {
-		return nil, errors.New("modcon: ratifier-only protocol needs explicit Stages or Fallback")
-	}
-	return &Consensus{n: n, m: m, cfg: cfg}, nil
+	return &Consensus{spec: spec}, nil
 }
 
 // NewBinary is shorthand for New(n, 2, opts...).
@@ -218,74 +189,19 @@ func NewBinary(n int, opts ...Option) (*Consensus, error) {
 }
 
 // N returns the process count.
-func (c *Consensus) N() int { return c.n }
+func (c *Consensus) N() int { return c.spec.N }
 
 // M returns the value-domain size.
-func (c *Consensus) M() int { return c.m }
+func (c *Consensus) M() int { return c.spec.M }
 
 // Build constructs a fresh protocol instance and the register file it lives
 // in, owned by the caller. Most callers want Solve; Build exists for
 // embedding the protocol in larger simulated systems.
 func (c *Consensus) Build() (*Registers, *core.Protocol, error) {
 	file := register.NewFile()
-
-	newRatifier := func(f *register.File, index int) core.Object {
-		switch c.cfg.scheme {
-		case SchemeBinary:
-			return ratifier.NewBinary(f, index)
-		case SchemePool:
-			return ratifier.NewPool(f, c.m, index)
-		case SchemeBitVector:
-			return ratifier.NewBitVector(f, c.m, index)
-		case SchemeCollect:
-			return ratifier.NewCollect(f, c.n, index)
-		default: // SchemeAuto
-			if c.m == 2 {
-				return ratifier.NewBinary(f, index)
-			}
-			return ratifier.NewPool(f, c.m, index)
-		}
-	}
-
-	var newConciliator core.Builder
-	switch c.cfg.conciliator {
-	case ConciliatorNone:
-		newConciliator = nil
-	case ConciliatorSharedCoin:
-		newConciliator = func(f *register.File, index int) core.Object {
-			coin := sharedcoin.NewVoting(f, c.n, index)
-			if c.cfg.coinThreshold > 0 {
-				coin.Threshold = c.cfg.coinThreshold
-			}
-			return conciliator.NewFromCoin(f, coin, index)
-		}
-	default:
-		growth := conciliator.GrowthDoubling
-		if c.cfg.conciliator == ConciliatorConstantRate {
-			growth = conciliator.GrowthConstant
-		}
-		newConciliator = func(f *register.File, index int) core.Object {
-			imp := conciliator.NewImpatient(f, c.n, index)
-			imp.Growth = growth
-			imp.DetectSuccess = c.cfg.detectWrites
-			return imp
-		}
-	}
-
-	opts := core.Options{
-		N:              c.n,
-		File:           file,
-		NewRatifier:    newRatifier,
-		NewConciliator: newConciliator,
-		Stages:         c.cfg.stages,
-		FastPath:       c.cfg.fastPath,
-	}
-	if c.cfg.fallback {
-		opts.Fallback = fallback.New(file, c.n, 0)
-	}
-	proto, err := core.NewProtocol(opts)
+	proto, err := c.spec.Build(file)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("modcon: %w", err)
 	}
 	return file, proto, nil
 }
@@ -399,8 +315,8 @@ func (o *Outcome) MaxWork() int {
 // they reach the objects, whose quorum schemes panic on them.
 func (c *Consensus) checkInputs(inputs []Value) error {
 	for _, v := range inputs {
-		if v.IsNone() || v < 0 || int64(v) >= int64(c.m) {
-			return fmt.Errorf("modcon: input %s outside [0, %d): %w", v, c.m, ErrBadOption)
+		if v.IsNone() || v < 0 || int64(v) >= int64(c.spec.M) {
+			return fmt.Errorf("modcon: input %s outside [0, %d): %w", v, c.spec.M, ErrBadOption)
 		}
 	}
 	return nil
@@ -490,7 +406,7 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := runConfig{n: c.n, file: in.File(), inputs: inputs, scheduler: s, seed: seed}.lower(run)
+	cfg, err := runConfig{n: c.spec.N, file: in.File(), inputs: inputs, scheduler: s, seed: seed}.lower(run)
 	if err != nil {
 		c.put(in)
 		return nil, err
@@ -544,20 +460,15 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	if err := c.checkInputs(rc.inputs); err != nil {
 		return err
 	}
-	// Surface construction errors here, once, so the per-session Build
-	// closure below cannot fail. The pre-flight file and a probe scheduler
-	// stand in for each session's own in the lowering.
-	file, _, err := c.Build()
-	if err != nil {
-		return err
-	}
+	// An empty file and a probe scheduler stand in for each session's own
+	// in the lowering, as a placeholder input does for the per-trial hook's.
 	if newSched != nil {
 		rc.scheduler = newSched()
 	}
 	if len(rc.inputs) == 0 {
-		rc.inputs = []Value{0} // placeholder; the per-trial hook overrides it
+		rc.inputs = []Value{0}
 	}
-	rc.n, rc.file, rc.sweeping = c.n, file, true
+	rc.n, rc.file, rc.sweeping = c.spec.N, register.NewFile(), true
 	base, err := rc.objectConfig()
 	if err != nil {
 		return err
@@ -566,7 +477,7 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 		Build: func() (*core.Protocol, harness.ObjectConfig) {
 			file, proto, err := c.Build()
 			if err != nil {
-				panic(err) // unreachable: the pre-flight Build above succeeded
+				panic(err) // unreachable: New accepted the spec
 			}
 			cfg := base
 			cfg.File = file

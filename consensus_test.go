@@ -352,6 +352,7 @@ func TestNewValidation(t *testing.T) {
 		{2, 3, []Option{WithScheme(SchemeBinary)}},
 		{2, 3, []Option{WithConciliator(ConciliatorSharedCoin)}},
 		{2, 2, []Option{WithConciliator(ConciliatorNone), WithFastPath(true)}},
+		{2, 2, []Option{WithStages(-1)}},
 	}
 	for i, tt := range cases {
 		if _, err := New(tt.n, tt.m, tt.opts...); err == nil {

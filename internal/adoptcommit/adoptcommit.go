@@ -55,10 +55,7 @@ type Object struct {
 // New allocates an adopt-commit object for values 0..m-1. index labels the
 // instance in traces.
 func New(file *register.File, m, index int) *Object {
-	if m == 2 {
-		return &Object{r: ratifier.NewBinary(file, index)}
-	}
-	return &Object{r: ratifier.NewPool(file, m, index)}
+	return &Object{r: ratifier.NewAuto(file, m, index)}
 }
 
 // Propose runs the calling process's single operation.

@@ -8,10 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -27,17 +26,7 @@ func testTarget(n int) Target {
 		MaxSteps: 1 << 16,
 		Build: func() (*core.Protocol, *register.File) {
 			file := register.NewFile()
-			proto, err := core.NewProtocol(core.Options{
-				N:    n,
-				File: file,
-				NewRatifier: func(f *register.File, i int) core.Object {
-					return ratifier.NewBinary(f, i)
-				},
-				NewConciliator: func(f *register.File, i int) core.Object {
-					return conciliator.NewImpatient(f, n, i)
-				},
-				FastPath: true,
-			})
+			proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
 			if err != nil {
 				panic(err)
 			}

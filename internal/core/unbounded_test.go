@@ -6,6 +6,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -26,7 +27,7 @@ func newUnbounded(t *testing.T, n int) (*register.File, *core.Unbounded) {
 	return file, u
 }
 
-func runUnbounded(t *testing.T, n int, s sched.Scheduler, seed uint64) (*sim.Result, *core.Unbounded) {
+func runUnbounded(t *testing.T, n int, s sched.Scheduler, seed uint64) (*exec.Result, *core.Unbounded) {
 	t.Helper()
 	file, u := newUnbounded(t, n)
 	inputs := make([]value.Value, n)

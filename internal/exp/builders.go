@@ -3,32 +3,24 @@ package exp
 import (
 	"fmt"
 
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/fallback"
 	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
-// protoSpec describes a consensus protocol assembly for the experiments.
+// protoSpec is a protocol recipe for the experiments, with the register
+// model its sweeps run under.
 type protoSpec struct {
-	n, m         int
-	growth       conciliator.Growth
-	noConc       bool // ratifier-only protocol R
-	bitVector    bool // bit-vector ratifiers instead of pool/binary
-	fastPath     bool
-	stages       int
-	fallbackK    bool
-	detectWrites bool
-	registers    register.Semantics
+	recipe.Spec
+	registers register.Semantics
 }
 
 // defaultSpec is the paper's recommended assembly.
 func defaultSpec(n, m int) protoSpec {
-	return protoSpec{n: n, m: m, growth: conciliator.GrowthDoubling, fastPath: true}
+	return protoSpec{Spec: recipe.Spec{N: n, M: m, FastPath: true}}
 }
 
 // spec is defaultSpec carrying the config's register model, so every
@@ -42,39 +34,9 @@ func (c Config) spec(n, m int) protoSpec {
 // build constructs a fresh one-shot protocol instance.
 func (s protoSpec) build() (*register.File, *core.Protocol) {
 	file := register.NewFile()
-	newRatifier := func(f *register.File, i int) core.Object {
-		switch {
-		case s.bitVector:
-			return ratifier.NewBitVector(f, s.m, i)
-		case s.m == 2:
-			return ratifier.NewBinary(f, i)
-		default:
-			return ratifier.NewPool(f, s.m, i)
-		}
-	}
-	var newConc core.Builder
-	if !s.noConc {
-		newConc = func(f *register.File, i int) core.Object {
-			c := conciliator.NewImpatient(f, s.n, i)
-			c.Growth = s.growth
-			c.DetectSuccess = s.detectWrites
-			return c
-		}
-	}
-	opts := core.Options{
-		N:              s.n,
-		File:           file,
-		NewRatifier:    newRatifier,
-		NewConciliator: newConc,
-		Stages:         s.stages,
-		FastPath:       s.fastPath,
-	}
-	if s.fallbackK {
-		opts.Fallback = fallback.New(file, s.n, 0)
-	}
-	proto, err := core.NewProtocol(opts)
+	proto, err := s.Build(file)
 	if err != nil {
-		panic(fmt.Sprintf("harness: bad protocol spec: %v", err))
+		panic(fmt.Sprintf("exp: bad protocol spec: %v", err))
 	}
 	return file, proto
 }
@@ -121,7 +83,7 @@ func mustSweep(err error) {
 // replayed per trial; only the inputs vary with the trial index. fold runs
 // in trial order on a single goroutine; per-process deciding stages come
 // from run.DecidedStage. Any trial error (including step-limit exhaustion)
-// aborts the experiment; sweeps that must tolerate sim.ErrStepLimit call
+// aborts the experiment; sweeps that must tolerate exec.ErrStepLimit call
 // harness.RunTrials directly.
 func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler, maxSteps int,
 	fold func(t harness.Trial, run *harness.ProtocolRun)) {
@@ -130,13 +92,13 @@ func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler, 
 			Build: func() (*core.Protocol, harness.ObjectConfig) {
 				file, proto := spec.build()
 				return proto, harness.ObjectConfig{
-					N: spec.n, File: file, Inputs: mixedInputs(spec.n, spec.m, 0),
+					N: spec.N, File: file, Inputs: mixedInputs(spec.N, spec.M, 0),
 					Scheduler: mk(), MaxSteps: maxSteps,
 					Registers: spec.registers,
 				}
 			},
 			Inputs: func(t harness.Trial) []value.Value {
-				return mixedInputs(spec.n, spec.m, t.Index)
+				return mixedInputs(spec.N, spec.M, t.Index)
 			},
 		}, fold))
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/stats"
@@ -62,7 +63,7 @@ func E15Ablations(cfg Config) *Table {
 	for _, fp := range []bool{true, false} {
 		var ind, tot stats.Acc
 		spec := cfg.spec(n, 2)
-		spec.fastPath = fp
+		spec.FastPath = fp
 		mustSweep(harness.SweepProtocol(cfg.sweep(trials/2),
 			harness.ProtocolSweep{
 				Build: func() (*core.Protocol, harness.ObjectConfig) {
@@ -132,7 +133,9 @@ func E15Ablations(cfg Config) *Table {
 		}
 		var ind, tot stats.Acc
 		spec := cfg.spec(n, m)
-		spec.bitVector = bv
+		if bv {
+			spec.Scheme = recipe.SchemeBitVector
+		}
 		consensusSweep(cfg.sweep(trials/2), spec,
 			func() sched.Scheduler { return sched.NewUniformRandom() }, 0,
 			func(_ harness.Trial, run *harness.ProtocolRun) {

@@ -8,10 +8,10 @@ import (
 
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/stats"
 )
 
@@ -161,9 +161,9 @@ func E13BoundedConstruction(cfg Config) *Table {
 		// deciding stage exceeds k, so the deep-run tail Pr[maxStage > k]
 		// predicts the fallback rate directly.
 		deepSpec := cfg.spec(n, 2)
-		deepSpec.fastPath = false
-		deepSpec.stages = 12
-		deepSpec.fallbackK = true
+		deepSpec.FastPath = false
+		deepSpec.Stages = 12
+		deepSpec.Fallback = true
 		var deepMax []int
 		consensusSweep(cfg.sweep(trials), deepSpec, adv.New, 0,
 			func(_ harness.Trial, run *harness.ProtocolRun) {
@@ -190,9 +190,9 @@ func E13BoundedConstruction(cfg Config) *Table {
 		}
 		for _, k := range []int{1, 2, 4, 8} {
 			spec := cfg.spec(n, 2)
-			spec.fastPath = false
-			spec.stages = k
-			spec.fallbackK = true
+			spec.FastPath = false
+			spec.Stages = k
+			spec.Fallback = true
 			var fell stats.Tally
 			sumStage, decided := 0.0, 0
 			// The truncated runs must be independent of the deep calibration
@@ -242,7 +242,7 @@ func E14TerminationTail(cfg Config) *Table {
 	for _, mult := range []int{8, 12, 16, 20, 24, 32, 48} {
 		var failed stats.Tally
 		// Step-limit exhaustion is the event being measured, not a trial
-		// failure, so the trial function absorbs sim.ErrStepLimit instead of
+		// failure, so the trial function absorbs exec.ErrStepLimit instead of
 		// letting it abort the sweep.
 		mustSweep(harness.RunTrials(cfg.sweep(trials),
 			func(ctx context.Context, tr harness.Trial) (bool, error) {
@@ -257,7 +257,7 @@ func E14TerminationTail(cfg Config) *Table {
 				switch {
 				case err == nil:
 					return false, nil
-				case errors.Is(err, sim.ErrStepLimit):
+				case errors.Is(err, exec.ErrStepLimit):
 					return true, nil
 				default:
 					return false, err

@@ -100,7 +100,7 @@ func E20FaultIntensity(cfg Config) *Table {
 				harness.ProtocolSweep{
 					Build: func() (*core.Protocol, harness.ObjectConfig) {
 						spec := cfg.spec(e20N, e20M)
-						spec.fallbackK = true
+						spec.Fallback = true
 						file, proto := spec.build()
 						return proto, be.cfg(harness.ObjectConfig{
 							N: e20N, File: file, Inputs: mixedInputs(e20N, e20M, 0),

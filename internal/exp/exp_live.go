@@ -132,7 +132,7 @@ func E18CrossBackend(cfg Config) *Table {
 			var tot stats.Acc
 			for i := 0; i < trials; i++ {
 				spec := cfg.spec(n, m)
-				spec.fallbackK = true
+				spec.Fallback = true
 				file, proto := spec.build()
 				inputs := mixedInputs(n, m, i)
 				run, err := harness.RunProtocol(proto, harness.ObjectConfig{
@@ -184,7 +184,7 @@ func E19LiveWallClock(cfg Config) *Table {
 		var elapsed time.Duration
 		for i := 0; i < trials; i++ {
 			spec := cfg.spec(n, 2)
-			spec.fallbackK = true
+			spec.Fallback = true
 			file, proto := spec.build()
 			inputs := mixedInputs(n, 2, i)
 			start := time.Now()

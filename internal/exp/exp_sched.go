@@ -8,11 +8,12 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/harness"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/sharedcoin"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/stats"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -134,9 +135,9 @@ func E11NoisyRatifierOnly(cfg Config) *Table {
 		mustSweep(harness.RunTrials(cfg.sweep(trials),
 			func(ctx context.Context, tr harness.Trial) (noisyResult, error) {
 				spec := cfg.spec(n, m)
-				spec.noConc = true
-				spec.fastPath = false
-				spec.stages = 4096
+				spec.Conciliator = recipe.ConciliatorNone
+				spec.FastPath = false
+				spec.Stages = 4096
 				file, proto := spec.build()
 				run, err := harness.RunProtocol(proto, harness.ObjectConfig{
 					N: n, File: file, Inputs: mixedInputs(n, m, tr.Index),
@@ -145,7 +146,7 @@ func E11NoisyRatifierOnly(cfg Config) *Table {
 					Registers: spec.registers,
 				})
 				if err != nil {
-					if errors.Is(err, sim.ErrStepLimit) {
+					if errors.Is(err, exec.ErrStepLimit) {
 						return noisyResult{limited: true}, nil
 					}
 					return noisyResult{}, err
@@ -205,9 +206,9 @@ func E12PriorityRatifierOnly(cfg Config) *Table {
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		done, maxInd, topWork := 0, 0, 0
 		spec := cfg.spec(n, 2)
-		spec.noConc = true
-		spec.fastPath = false
-		spec.stages = 64
+		spec.Conciliator = recipe.ConciliatorNone
+		spec.FastPath = false
+		spec.Stages = 64
 		consensusSweep(cfg.sweep(trials), spec,
 			func() sched.Scheduler { return sched.NewPriority(nil) }, 0,
 			func(_ harness.Trial, run *harness.ProtocolRun) {

@@ -14,7 +14,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/stats"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -102,7 +101,7 @@ func e21Consensus(cfg Config, s harness.Sweep, model register.Semantics, be exec
 			}
 			run, err := harness.RunProtocol(proto, oc)
 			if err != nil {
-				if errors.Is(err, sim.ErrStepLimit) {
+				if errors.Is(err, exec.ErrStepLimit) {
 					return e21Out{limited: true}, nil
 				}
 				return e21Out{}, err

@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/modular-consensus/modcon/internal/conciliator"
-	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/obs"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -22,14 +20,7 @@ func histProtocolRun(t *testing.T, ctx context.Context, tr Trial, meter *obs.Met
 	t.Helper()
 	const n = 8
 	file := register.NewFile()
-	proto, err := core.NewProtocol(core.Options{
-		N: n, File: file,
-		NewRatifier: func(f *register.File, i int) core.Object { return ratifier.NewBinary(f, i) },
-		NewConciliator: func(f *register.File, i int) core.Object {
-			return conciliator.NewImpatient(f, n, i)
-		},
-		FastPath: true,
-	})
+	proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
 	if err != nil {
 		t.Fatal(err)
 	}

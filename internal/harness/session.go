@@ -22,11 +22,12 @@
 // The pool hands each worker a session for the duration of one trial.
 // Sessions return to the pool only on normal return: a trial that panics
 // never executes the put, so a session whose engine may be mid-unwind
-// (poisoned) is abandoned rather than recycled, and a session that reports
-// exec.ErrSessionPoisoned is closed on the spot. The robust trial engine's
-// abandoned attempts (deadline overruns that never came back) keep their
-// session checked out forever — leaking one session is the price of never
-// reusing state a runaway goroutine might still be touching.
+// (poisoned) is closed as the panic leaves the trial rather than recycled,
+// and a session that reports exec.ErrSessionPoisoned is closed on the spot.
+// The robust trial engine's abandoned attempts (deadline overruns that never
+// came back) keep their session checked out forever — leaking one session
+// is the price of never reusing state a runaway goroutine might still be
+// touching.
 //
 // Determinism: a trial's outcome is a pure function of (cell, seed, inputs).
 // Engine.Reset restores registers, scheduler state, and RNG streams from the
@@ -177,16 +178,26 @@ func onHarnessGoroutine(f func()) {
 
 // trial runs one trial on a pooled session: check a session out, run,
 // detach the run from the session's buffers, and return the session only on
-// a clean, unpoisoned return. A panic inside runTrial skips the put — the
-// session is never reused — and a session that reports itself poisoned is
-// closed immediately.
+// a clean, unpoisoned return. A session whose runTrial does not return (a
+// panic, or Goexit) is closed on the way out, which stops its parked
+// processes, and the panic goes on to the dispatcher's recover; a session
+// that reports itself poisoned is closed too. Either way it is never
+// reused. trial runs on a harness worker or attempt goroutine, so the close
+// keeps the thread-lock rule of the file comment.
 func (p *sessionPool[R, S]) trial(ctx context.Context, t Trial) (R, error) {
 	sess, err := p.get()
 	if err != nil {
 		var zero R
 		return zero, err
 	}
+	returned := false
+	defer func() {
+		if !returned {
+			sess.close()
+		}
+	}()
 	run, err := sess.runTrial(ctx, t)
+	returned = true
 	// Detach before the put: back in the pool, the session may start its
 	// next trial over the buffers run aliases.
 	run.detach()

@@ -8,17 +8,20 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/obs"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
+	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
 // poolConsensusSpec is the consensusAggregate workload with an optional
@@ -29,14 +32,7 @@ func poolConsensusSpec(t *testing.T, n int, hook func(tr Trial)) ProtocolSweep {
 	return ProtocolSweep{
 		Build: func() (*core.Protocol, ObjectConfig) {
 			file := register.NewFile()
-			proto, err := core.NewProtocol(core.Options{
-				N: n, File: file,
-				NewRatifier: func(f *register.File, i int) core.Object { return ratifier.NewBinary(f, i) },
-				NewConciliator: func(f *register.File, i int) core.Object {
-					return conciliator.NewImpatient(f, n, i)
-				},
-				FastPath: true,
-			})
+			proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,5 +273,66 @@ func TestPoolDiscardsSessionAfterPanic(t *testing.T) {
 	if poisoned.decided != baseline.decided-1 && poisoned.decided != baseline.decided {
 		t.Errorf("decision tally %d inconsistent with baseline %d minus the panicked trial",
 			poisoned.decided, baseline.decided)
+	}
+}
+
+// panicAtStep is an adversary that panics at its step-th choice of every
+// execution, while the other processes are parked mid-protocol.
+type panicAtStep struct {
+	sched.Scheduler
+	step, taken int
+}
+
+func (p *panicAtStep) Seed(src *xrand.Source) {
+	p.taken = 0
+	p.Scheduler.Seed(src)
+}
+
+func (p *panicAtStep) Next(v *sched.View) int {
+	if p.taken++; p.taken == p.step {
+		panic("session_test: injected scheduler panic")
+	}
+	return p.Scheduler.Next(v)
+}
+
+// TestPoolClosesPanickedSessions: a session whose trial panics mid-execution
+// holds parked processes, which are goroutines. The pool closes it as the
+// panic leaves the trial, so strict and robust sweeps whose every trial
+// panics leave the goroutine count where it was.
+func TestPoolClosesPanickedSessions(t *testing.T) {
+	const n, trials = 8, 16
+	spec := cellProtocolSpec(t, n, func(cfg *ObjectConfig) {
+		cfg.Scheduler = &panicAtStep{Scheduler: cfg.Scheduler, step: 40}
+	})
+	// Robust attempt goroutines exit just after the sweep returns, so counts
+	// are read after a pause; the baseline waits for earlier tests' to settle.
+	settle := func() int {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		return runtime.NumGoroutine()
+	}
+	base := runtime.NumGoroutine()
+	for prev := -1; base != prev; {
+		prev, base = base, settle()
+	}
+	for round := 0; round < 10; round++ {
+		s := Sweep{Trials: trials, Workers: 4, Seed: uint64(round)}
+		if err := SweepProtocol(s, spec, nil); err == nil {
+			t.Fatal("strict sweep: want the injected panic as its error")
+		}
+		report, err := SweepProtocolRobust(s, Resilience{}, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := report.Count(OutcomePanicked); got != trials {
+			t.Fatalf("robust sweep counted %d panicked trials, want %d: %s", got, trials, report)
+		}
+	}
+	got := settle()
+	for deadline := time.Now().Add(5 * time.Second); got > base && time.Now().Before(deadline); {
+		got = settle()
+	}
+	if got > base {
+		t.Errorf("%d goroutines after 10 rounds of panicking sweeps, want at most the %d before", got, base)
 	}
 }

@@ -436,9 +436,9 @@ func SweepProtocol(s Sweep, spec ProtocolSweep, merge func(t Trial, run *Protoco
 
 // SweepProtocolRobust is SweepProtocol on the resilient trial engine
 // (RunTrialsRobust): trials are classified instead of failing the sweep, and
-// panic containment composes with pooling — a panicked or timed-out attempt
-// abandons its session rather than returning it to the pool, so poisoned
-// engine state is never reused.
+// panic containment composes with pooling — a panicked attempt closes its
+// session and a timed-out one abandons it, rather than returning it to the
+// pool, so poisoned engine state is never reused.
 func SweepProtocolRobust(s Sweep, rz Resilience, spec ProtocolSweep, merge func(t Trial, run *ProtocolRun, rep TrialReport)) (*SweepReport, error) {
 	pool := spec.pool(s)
 	defer pool.closeAll()

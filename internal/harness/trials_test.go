@@ -12,10 +12,10 @@ import (
 	"time"
 
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/stats"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -487,7 +487,7 @@ func TestRunObjectCancelled(t *testing.T) {
 		N: 2, File: file, Inputs: []value.Value{0, 1},
 		Scheduler: sched.NewLaggard(), Seed: 1, Context: ctx,
 	})
-	if !errors.Is(err, sim.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
+	if !errors.Is(err, exec.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping DeadlineExceeded", err)
 	}
 }

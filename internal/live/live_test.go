@@ -7,12 +7,10 @@ import (
 	"unsafe"
 
 	"github.com/modular-consensus/modcon/internal/check"
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
-	"github.com/modular-consensus/modcon/internal/fallback"
 	"github.com/modular-consensus/modcon/internal/fault"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -275,19 +273,7 @@ func TestStepBudget(t *testing.T) {
 // buildConsensus assembles the paper's binary protocol against a file.
 func buildConsensus(n int) (*register.File, *core.Protocol, error) {
 	file := register.NewFile()
-	proto, err := core.NewProtocol(core.Options{
-		N:    n,
-		File: file,
-		NewRatifier: func(f *register.File, i int) core.Object {
-			return ratifier.NewBinary(f, i)
-		},
-		NewConciliator: func(f *register.File, i int) core.Object {
-			return conciliator.NewImpatient(f, n, i)
-		},
-		FastPath: true,
-		Fallback: fallback.New(file, n, 0),
-		Stages:   64,
-	})
+	proto, err := recipe.Spec{N: n, M: 2, FastPath: true, Stages: 64, Fallback: true}.Build(file)
 	return file, proto, err
 }
 

@@ -13,11 +13,9 @@ import (
 	"fmt"
 
 	"github.com/modular-consensus/modcon/internal/check"
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/fallback"
 	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -33,10 +31,6 @@ type Config struct {
 	M int
 	// Proposals is indexed [slot][pid]; its length sets the slot count.
 	Proposals [][]value.Value
-	// NewProtocol builds the per-slot protocol; nil uses the paper default
-	// (fast path + impatient conciliators + quorum ratifiers + CIL
-	// fallback, so slots always decide).
-	NewProtocol func(file *register.File, slot int) (*core.Protocol, error)
 }
 
 // Result reports a multi-slot run.
@@ -80,14 +74,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	slots := len(cfg.Proposals)
 	protos := make([]*core.Protocol, slots)
-	build := cfg.NewProtocol
-	if build == nil {
-		build = func(f *register.File, slot int) (*core.Protocol, error) {
-			return defaultProtocol(f, cfg.N, cfg.M, slot)
-		}
-	}
 	for slot := range protos {
-		p, err := build(cfg.File, slot)
+		// The paper's recommended assembly plus the CIL fallback, so slots
+		// always decide. Object indices carry the slot number (slot*1000 +
+		// stage) so labels stay unique across slots.
+		p, err := recipe.Spec{N: cfg.N, M: cfg.M, FastPath: true, Stages: 64, Fallback: true, Base: slot * 1000}.Build(cfg.File)
 		if err != nil {
 			return nil, fmt.Errorf("multi: slot %d: %w", slot, err)
 		}
@@ -112,9 +103,7 @@ func Run(cfg Config) (*Result, error) {
 		for slot := 0; slot < slots; slot++ {
 			out, ok := protos[slot].Run(e, cfg.Proposals[slot][pid])
 			if !ok {
-				// Unreachable with the default fallback protocol; a custom
-				// protocol that exhausts its chain stops participating.
-				return last
+				panic("multi: slot consensus exhausted its chain despite fallback")
 			}
 			res.Outputs[slot][pid] = out
 			last = out
@@ -141,27 +130,4 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// defaultProtocol is the paper's recommended assembly plus the CIL
-// fallback. Object indices carry the slot number (slot*1000 + stage) so
-// labels stay unique across slots.
-func defaultProtocol(file *register.File, n, m, slot int) (*core.Protocol, error) {
-	base := slot * 1000
-	return core.NewProtocol(core.Options{
-		N:    n,
-		File: file,
-		NewRatifier: func(f *register.File, i int) core.Object {
-			if m == 2 {
-				return ratifier.NewBinary(f, base+i)
-			}
-			return ratifier.NewPool(f, m, base+i)
-		},
-		NewConciliator: func(f *register.File, i int) core.Object {
-			return conciliator.NewImpatient(f, n, base+i)
-		},
-		FastPath: true,
-		Stages:   64,
-		Fallback: fallback.New(file, n, base),
-	})
 }

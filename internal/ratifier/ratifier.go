@@ -65,6 +65,15 @@ func NewPool(file *register.File, m, index int) *Quorum {
 	return New(file, quorum.NewPool(m), index)
 }
 
+// NewAuto allocates the m-valued ratifier the paper recommends: the binary
+// scheme for m = 2 and the Bollobás-optimal pool scheme otherwise.
+func NewAuto(file *register.File, m, index int) *Quorum {
+	if m == 2 {
+		return NewBinary(file, index)
+	}
+	return NewPool(file, m, index)
+}
+
 // NewBitVector allocates the bit-vector m-valued ratifier (§6.2 choice 3).
 func NewBitVector(file *register.File, m, index int) *Quorum {
 	return New(file, quorum.NewBitVector(m), index)

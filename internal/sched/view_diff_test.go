@@ -13,6 +13,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/sim"
@@ -94,10 +95,7 @@ func binaryRatifier(f *register.File, i int) core.Object { return ratifier.NewBi
 // trial per seed, so Engine.Reset's clearing of the view is covered too.
 func runChain(n int, cfg sim.Config, plan *fault.Plan, seeds int) error {
 	file := register.NewFile()
-	proto, err := core.NewProtocol(core.Options{
-		N: n, File: file, FastPath: true, NewRatifier: binaryRatifier,
-		NewConciliator: func(f *register.File, i int) core.Object { return conciliator.NewImpatient(f, n, i) },
-	})
+	proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
 	if err != nil {
 		return err
 	}

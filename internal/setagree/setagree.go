@@ -16,10 +16,8 @@ package setagree
 import (
 	"fmt"
 
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/fallback"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -46,26 +44,10 @@ func New(file *register.File, n, m, k int) (*Protocol, error) {
 	}
 	p := &Protocol{n: n, m: m, k: k}
 	for g := 0; g < k; g++ {
-		size := groupSize(n, k, g)
-		base := (g + 1) * 1000
-		proto, err := core.NewProtocol(core.Options{
-			N:    size,
-			File: file,
-			NewRatifier: func(f *register.File, i int) core.Object {
-				if m == 2 {
-					return ratifier.NewBinary(f, base+i)
-				}
-				return ratifier.NewPool(f, m, base+i)
-			},
-			NewConciliator: func(f *register.File, i int) core.Object {
-				// The conciliator's write probabilities are tuned to the
-				// number of *participants*, which is the group size.
-				return conciliator.NewImpatient(f, size, base+i)
-			},
-			FastPath: true,
-			Stages:   64,
-			Fallback: fallback.New(file, size, base),
-		})
+		// The conciliator's write probabilities are tuned to the number of
+		// *participants*, which is the group size.
+		spec := recipe.Spec{N: groupSize(n, k, g), M: m, FastPath: true, Stages: 64, Fallback: true, Base: (g + 1) * 1000}
+		proto, err := spec.Build(file)
 		if err != nil {
 			return nil, fmt.Errorf("setagree: group %d: %w", g, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/check"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -22,7 +23,7 @@ func crashes(t *testing.T, n int, m map[int]int) *fault.Injector {
 	return inj
 }
 
-func runSetAgree(t *testing.T, n, m, k int, inputs []value.Value, s sched.Scheduler, seed uint64, crash map[int]int) *sim.Result {
+func runSetAgree(t *testing.T, n, m, k int, inputs []value.Value, s sched.Scheduler, seed uint64, crash map[int]int) *exec.Result {
 	t.Helper()
 	file := register.NewFile()
 	p, err := New(file, n, m, k)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/sim"
@@ -12,7 +13,7 @@ import (
 )
 
 // flipAll executes coin for n processes and returns outputs plus the result.
-func flipAll(t *testing.T, file *register.File, coin Coin, n int, s sched.Scheduler, seed uint64) (*sim.Result, []value.Value) {
+func flipAll(t *testing.T, file *register.File, coin Coin, n int, s sched.Scheduler, seed uint64) (*exec.Result, []value.Value) {
 	t.Helper()
 	outs := make([]value.Value, n)
 	res, err := sim.Run(sim.Config{N: n, File: file, Scheduler: s, Seed: seed},

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
@@ -52,7 +53,7 @@ type chanProcState struct {
 type chanProgram func(e *chanEnv) value.Value
 
 // chanRun is the old Run: one goroutine per process, channel handoff.
-func chanRun(cfg Config, programs ...chanProgram) (*Result, error) {
+func chanRun(cfg Config, programs ...chanProgram) (*exec.Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("sim: N=%d must be positive", cfg.N)
 	}
@@ -91,7 +92,7 @@ func chanRun(cfg Config, programs ...chanProgram) (*Result, error) {
 		states:   make([]*chanProcState, cfg.N),
 		probSrc:  make([]*xrand.Source, cfg.N),
 		killCh:   make(chan struct{}),
-		result: &Result{
+		result: &exec.Result{
 			Outputs: make([]value.Value, cfg.N),
 			Halted:  make([]bool, cfg.N),
 			Crashed: make([]bool, cfg.N),
@@ -165,7 +166,7 @@ type chanEngine struct {
 	probSrc  []*xrand.Source
 	killCh   chan struct{}
 	wg       sync.WaitGroup
-	result   *Result
+	result   *exec.Result
 	steps    int
 	failure  *chanProcFailure
 
@@ -185,12 +186,12 @@ func (rt *chanEngine) loop() error {
 			return nil
 		}
 		if rt.steps >= rt.maxSteps {
-			return fmt.Errorf("%w (limit %d, scheduler %q)", ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
+			return fmt.Errorf("%w (limit %d, scheduler %q)", exec.ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
 		}
 		if rt.ctxDone != nil {
 			select {
 			case <-rt.ctxDone:
-				return fmt.Errorf("%w after %d steps: %w", ErrCancelled, rt.steps, context.Cause(rt.cfg.Context))
+				return fmt.Errorf("%w after %d steps: %w", exec.ErrCancelled, rt.steps, context.Cause(rt.cfg.Context))
 			default:
 			}
 		}

@@ -97,7 +97,7 @@ type Engine struct {
 	needCtx  bool
 	stalledN int
 
-	result     *Result
+	result     *exec.Result
 	stalledBuf []bool
 	steps      int
 
@@ -377,7 +377,7 @@ func (eng *Engine) SetScheduler(s sched.Scheduler) { eng.cfg.Scheduler = s }
 // first. ctx, if non-nil, cancels the execution between scheduled
 // operations; trials whose injector contains stall faults require one.
 // Each Reset arms exactly one Run.
-func (eng *Engine) Run(ctx context.Context) (*Result, error) {
+func (eng *Engine) Run(ctx context.Context) (*exec.Result, error) {
 	if eng.closed {
 		return nil, errors.New("sim: Run on closed engine")
 	}
@@ -464,15 +464,15 @@ func (rt *Engine) loop() error {
 				return fmt.Errorf("sim: %d process(es) stalled with no context to interrupt the execution", rt.stalledN)
 			}
 			<-rt.ctxDone
-			return fmt.Errorf("%w after %d steps (%d process(es) stalled): %w", ErrCancelled, rt.steps, rt.stalledN, context.Cause(rt.ctx))
+			return fmt.Errorf("%w after %d steps (%d process(es) stalled): %w", exec.ErrCancelled, rt.steps, rt.stalledN, context.Cause(rt.ctx))
 		}
 		if rt.steps >= rt.maxSteps {
-			return fmt.Errorf("%w (limit %d, scheduler %q)", ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
+			return fmt.Errorf("%w (limit %d, scheduler %q)", exec.ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
 		}
 		if rt.ctxDone != nil {
 			select {
 			case <-rt.ctxDone:
-				return fmt.Errorf("%w after %d steps: %w", ErrCancelled, rt.steps, context.Cause(rt.ctx))
+				return fmt.Errorf("%w after %d steps: %w", exec.ErrCancelled, rt.steps, context.Cause(rt.ctx))
 			default:
 			}
 		}

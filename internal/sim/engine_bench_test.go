@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -83,7 +84,7 @@ func runStepLoopPadded(power sched.Power, n, pad, steps int) (int, error) {
 	f.Alloc(pad, "pad")
 	res, err := Run(benchConfig(power, n, steps, f),
 		func(e *Env) value.Value { return benchBody(e, a) })
-	if err != nil && !errors.Is(err, ErrStepLimit) {
+	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return 0, err
 	}
 	return res.TotalWork, nil
@@ -95,7 +96,7 @@ func runStepLoopChan(power sched.Power, n, steps int) (int, error) {
 	a := f.Alloc(n, "bench")
 	res, err := chanRun(benchConfig(power, n, steps, f),
 		func(e *chanEnv) value.Value { return benchBody(e, a) })
-	if err != nil && !errors.Is(err, ErrStepLimit) {
+	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return 0, err
 	}
 	return res.TotalWork, nil

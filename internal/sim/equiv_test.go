@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
@@ -151,7 +152,7 @@ func (c equivCase) config(t *testing.T, f *register.File, log *trace.Log, seed u
 }
 
 // runEquivNew runs the production engine on the case's body.
-func runEquivNew(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) {
+func runEquivNew(t *testing.T, c equivCase, seed uint64) (*exec.Result, *trace.Log) {
 	t.Helper()
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
@@ -164,7 +165,7 @@ func runEquivNew(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) {
 }
 
 // runEquivChan runs the preserved channel engine on the case's body.
-func runEquivChan(t *testing.T, c equivCase, seed uint64) (*Result, *trace.Log) {
+func runEquivChan(t *testing.T, c equivCase, seed uint64) (*exec.Result, *trace.Log) {
 	t.Helper()
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
@@ -193,7 +194,7 @@ func diffTraces(t *testing.T, name string, want, got []trace.Event) {
 	}
 }
 
-func diffResults(t *testing.T, name string, want, got *Result) {
+func diffResults(t *testing.T, name string, want, got *exec.Result) {
 	t.Helper()
 	wj, _ := json.Marshal(want)
 	gj, _ := json.Marshal(got)
@@ -251,7 +252,7 @@ func TestTraceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantRes Result
+			var wantRes exec.Result
 			if err := json.Unmarshal(rj, &wantRes); err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -13,13 +14,13 @@ import (
 
 // runStepLoopMeter is runStepLoop with an explicit meter setting, driving the
 // same benchBody workload.
-func runStepLoopMeter(power sched.Power, n, steps int, m *obs.Meter) (*Result, error) {
+func runStepLoopMeter(power sched.Power, n, steps int, m *obs.Meter) (*exec.Result, error) {
 	f := register.NewFile()
 	a := f.Alloc(n, "bench")
 	cfg := benchConfig(power, n, steps, f)
 	cfg.Meter = m
 	res, err := Run(cfg, func(e *Env) value.Value { return benchBody(e, a) })
-	if err != nil && !errors.Is(err, ErrStepLimit) {
+	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return nil, err
 	}
 	return res, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -127,7 +128,7 @@ func TestRegularStaleRead(t *testing.T) {
 // (schedule, seed) — two runs of the same regular-register configuration
 // are bit-identical.
 func TestRegularIsDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func() *exec.Result {
 		file := register.NewFile()
 		r := file.Alloc1("C0.r")
 		res, err := Run(Config{
@@ -198,7 +199,7 @@ func (s *spySched) MinPower() sched.Power {
 // themselves stay atomic — the spy's passive schedule produces identical
 // outputs under both models.
 func TestInterposedBluntsAdversaryView(t *testing.T) {
-	run := func(model register.Semantics) (*Result, *spySched) {
+	run := func(model register.Semantics) (*exec.Result, *spySched) {
 		file := register.NewFile()
 		r := file.Alloc1("C0.r")
 		spy := &spySched{}

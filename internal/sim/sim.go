@@ -47,19 +47,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
-// ErrStepLimit is returned by Run when the execution exceeds Config.MaxSteps
-// before every live process halts. Randomized wait-free protocols terminate
-// with probability 1 but not surely, so a limit is required to keep
-// adversarial experiments finite; hitting it is reported, never hidden.
-// It is the backend-neutral exec.ErrStepLimit, so errors.Is works whichever
-// package the caller matched against.
-var ErrStepLimit = exec.ErrStepLimit
-
-// ErrCancelled is returned (wrapped, together with the context's cause) by
-// Run when Config.Context is cancelled before every live process halts.
-// It is the backend-neutral exec.ErrCancelled.
-var ErrCancelled = exec.ErrCancelled
-
 // DefaultMaxSteps bounds executions when Config.MaxSteps is zero.
 const DefaultMaxSteps = 10_000_000
 
@@ -117,9 +104,9 @@ type Config struct {
 	// Context, if non-nil, cancels the execution between scheduled
 	// operations: a hung adversary schedule stops at the next step instead
 	// of running to MaxSteps. Cancellation is reported as an error wrapping
-	// both ErrCancelled and the context's cause, so callers can test either.
-	// (NewEngine ignores it: a reusable engine takes each trial's context
-	// through Engine.Run.)
+	// both exec.ErrCancelled and the context's cause, so callers can test
+	// either. (NewEngine ignores it: a reusable engine takes each trial's
+	// context through Engine.Run.)
 	Context context.Context
 	// Meter, if non-nil, receives a live count of executed operations for
 	// progress reporting. nil costs one predictable branch per step and zero
@@ -127,11 +114,6 @@ type Config struct {
 	// affects results.
 	Meter *obs.Meter
 }
-
-// Result summarizes an execution. It is the backend-neutral exec.Result:
-// the simulator fills every field, including Steps (== TotalWork here, one
-// operation per scheduled step) and Trace when tracing was requested.
-type Result = exec.Result
 
 type request struct {
 	kind sched.OpKind
@@ -193,16 +175,22 @@ var errKilled = errors.New("sim: process killed")
 // recovers it at the trial boundary and parks for the next trial.
 var errTrialAbort = errors.New("sim: trial aborted by engine reset")
 
-// Run executes programs[pid] for each pid under cfg and returns the result.
-// If len(programs) == 1 the single program is used for every process.
-// Run panics if a process program panics (with the original panic value).
+// Run executes programs[pid] for each pid under cfg and returns the result,
+// in which the simulator fills every field: Steps equals TotalWork (one
+// operation per scheduled step), and Trace is set when tracing was
+// requested. If len(programs) == 1 the single program is used for every
+// process. Run panics if a process program panics (with the original panic
+// value). An execution that exceeds MaxSteps before every live process
+// halts fails with exec.ErrStepLimit: randomized wait-free protocols
+// terminate with probability 1 but not surely, so a limit keeps adversarial
+// experiments finite, and hitting it is reported, never hidden.
 //
 // Run is the one-shot form of the reusable Engine — construct, run one
 // trial with cfg.Seed/cfg.Faults/cfg.Context, tear down — and is
 // bit-identical to it by construction. Sweeps that run many trials of one
 // cell should hold an Engine (or an exec.Session) instead and amortize the
 // construction.
-func Run(cfg Config, programs ...Program) (*Result, error) {
+func Run(cfg Config, programs ...Program) (*exec.Result, error) {
 	eng, err := NewEngine(cfg, programs...)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
@@ -276,8 +277,8 @@ func TestStepLimit(t *testing.T) {
 				e.Read(r)
 			}
 		})
-	if !errors.Is(err, ErrStepLimit) {
-		t.Fatalf("err = %v, want ErrStepLimit", err)
+	if !errors.Is(err, exec.ErrStepLimit) {
+		t.Fatalf("err = %v, want exec.ErrStepLimit", err)
 	}
 	if res.TotalWork != 10 {
 		t.Fatalf("TotalWork = %d, want 10", res.TotalWork)
@@ -295,7 +296,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 					e.Read(r) // runs forever; must be reaped at step limit
 				}
 			})
-		if !errors.Is(err, ErrStepLimit) {
+		if !errors.Is(err, exec.ErrStepLimit) {
 			t.Fatal(err)
 		}
 	}

@@ -17,10 +17,8 @@ package tas
 import (
 	"fmt"
 
-	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/fallback"
-	"github.com/modular-consensus/modcon/internal/ratifier"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -81,20 +79,7 @@ func New(file *register.File, n int) (*TAS, error) {
 // newPairConsensus builds a 2-process binary consensus for one tournament
 // node, with labels carrying the node coordinates.
 func newPairConsensus(file *register.File, level, index int) (*core.Protocol, error) {
-	base := (level*4096 + index) * 16
-	return core.NewProtocol(core.Options{
-		N:    2,
-		File: file,
-		NewRatifier: func(f *register.File, i int) core.Object {
-			return ratifier.NewBinary(f, base+i)
-		},
-		NewConciliator: func(f *register.File, i int) core.Object {
-			return conciliator.NewImpatient(f, 2, base+i)
-		},
-		FastPath: true,
-		Stages:   32,
-		Fallback: fallback.New(file, 2, base),
-	})
+	return recipe.Spec{N: 2, M: 2, FastPath: true, Stages: 32, Fallback: true, Base: (level*4096 + index) * 16}.Build(file)
 }
 
 // Invoke runs the calling process's test-and-set. Exactly one completing

@@ -48,10 +48,7 @@ func NewRatifier(file *Registers, m, index int) (Object, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("modcon: ratifier needs m ≥ 2, got %d", m)
 	}
-	if m == 2 {
-		return ratifier.NewBinary(file, index), nil
-	}
-	return ratifier.NewPool(file, m, index), nil
+	return ratifier.NewAuto(file, m, index), nil
 }
 
 // AdoptCommitStatus is the outcome flag of an adopt-commit object.

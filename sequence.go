@@ -37,14 +37,14 @@ type SequenceOutcome struct {
 // run on Live (with a nil scheduler), traced, with cheap collects, or over
 // regular or interposed registers.
 func (c *Consensus) SolveSequence(proposals [][]Value, s Scheduler, seed uint64, run ...RunConfig) (*SequenceOutcome, error) {
-	cfg, err := runConfig{n: c.n, file: register.NewFile(), scheduler: s, seed: seed, program: true}.lower(run)
+	cfg, err := runConfig{n: c.spec.N, file: register.NewFile(), scheduler: s, seed: seed, program: true}.lower(run)
 	if err != nil {
 		return nil, err
 	}
 	expanded := make([][]Value, len(proposals))
 	for slot, props := range proposals {
-		if len(props) == 1 && c.n > 1 {
-			row := make([]Value, c.n)
+		if len(props) == 1 && c.spec.N > 1 {
+			row := make([]Value, c.spec.N)
 			for i := range row {
 				row[i] = props[0]
 			}
@@ -53,7 +53,7 @@ func (c *Consensus) SolveSequence(proposals [][]Value, s Scheduler, seed uint64,
 		}
 		expanded[slot] = props
 	}
-	res, err := multi.Run(multi.Config{ObjectConfig: cfg, M: c.m, Proposals: expanded})
+	res, err := multi.Run(multi.Config{ObjectConfig: cfg, M: c.spec.M, Proposals: expanded})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/modular-consensus/modcon/internal/sim"
+	"github.com/modular-consensus/modcon/internal/exec"
 )
 
 func TestSolveSequence(t *testing.T) {
@@ -112,7 +112,7 @@ func TestSolveSequenceRunConfig(t *testing.T) {
 		{name: "cheap-collect", s: NewUniformRandom(), run: []RunConfig{{CheapCollect: true}}},
 		{name: "regular", s: NewUniformRandom(), run: []RunConfig{{Registers: Regular}}},
 		{name: "interposed", s: NewUniformRandom(), run: []RunConfig{{Registers: Interposed}}},
-		{name: "step-limit", s: NewUniformRandom(), run: []RunConfig{{MaxSteps: 1}}, want: sim.ErrStepLimit},
+		{name: "step-limit", s: NewUniformRandom(), run: []RunConfig{{MaxSteps: 1}}, want: exec.ErrStepLimit},
 		{name: "two-configs", s: NewUniformRandom(), run: []RunConfig{{MaxSteps: 1}, {MaxSteps: 1}}, msg: "at most one RunConfig"},
 		{name: "live-with-scheduler", s: NewUniformRandom(), run: []RunConfig{{Backend: Live}}, want: ErrOptionUnsupported},
 		{name: "unknown-backend", s: NewUniformRandom(), run: []RunConfig{{Backend: Backend(9)}}, want: ErrBadOption},
