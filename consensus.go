@@ -460,13 +460,13 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	if err := c.checkInputs(rc.inputs); err != nil {
 		return err
 	}
-	// An empty file and a probe scheduler stand in for each session's own
-	// in the lowering, as a placeholder input does for the per-trial hook's.
+	// A probe scheduler and an empty file stand in for each session's own
+	// in the lowering.
 	if newSched != nil {
 		rc.scheduler = newSched()
 	}
 	if len(rc.inputs) == 0 {
-		rc.inputs = []Value{0}
+		rc.inputs = []Value{0} // placeholder; the per-trial hook overrides it
 	}
 	rc.n, rc.file, rc.sweeping = c.spec.N, register.NewFile(), true
 	base, err := rc.objectConfig()

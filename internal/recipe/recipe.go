@@ -25,39 +25,25 @@ import (
 // Scheme selects the quorum system of the protocol's ratifiers (§6.2).
 type Scheme int
 
+// The ratifier schemes; the root package's RatifierScheme documents each.
 const (
-	// SchemeAuto picks Binary for m = 2 and Pool otherwise
-	// (ratifier.NewAuto).
-	SchemeAuto Scheme = iota
-	// SchemeBinary is the 3-register binary ratifier (m = 2 only).
-	SchemeBinary
-	// SchemePool is the Bollobás-optimal scheme: lg m + Θ(log log m)
-	// registers.
-	SchemePool
-	// SchemeBitVector is the simpler 2⌈lg m⌉+1-register scheme.
-	SchemeBitVector
-	// SchemeCollect is the cheap-collect ratifier (4 ops with cheap
-	// collects).
-	SchemeCollect
+	SchemeAuto      Scheme = iota // Binary for m = 2, Pool otherwise (ratifier.NewAuto)
+	SchemeBinary                  // the 3-register binary ratifier, m = 2 only
+	SchemePool                    // Bollobás-optimal: lg m + Θ(log log m) registers
+	SchemeBitVector               // 2⌈lg m⌉+1 registers
+	SchemeCollect                 // cheap-collect: 4 ops with cheap collects
 )
 
 // Conciliator selects the protocol's conciliator family (§5).
 type Conciliator int
 
+// The conciliator families; the root package's ConciliatorKind documents
+// each.
 const (
-	// ConciliatorImpatient is the paper's ImpatientFirstMoverConciliator:
-	// O(log n) individual work, O(n) expected total work (Theorem 7).
-	ConciliatorImpatient Conciliator = iota
-	// ConciliatorConstantRate is the Chor–Israeli–Li / Cheung baseline with
-	// fixed 1/n write probability: Θ(n) individual work.
-	ConciliatorConstantRate
-	// ConciliatorSharedCoin builds conciliators from voting weak shared
-	// coins (§5.1; binary only).
-	ConciliatorSharedCoin
-	// ConciliatorNone omits conciliators entirely: the ratifier-only
-	// protocol R of §4.2, which requires a noisy or priority scheduler to
-	// terminate.
-	ConciliatorNone
+	ConciliatorImpatient    Conciliator = iota // Theorem 7: O(log n) individual work
+	ConciliatorConstantRate                    // fixed 1/n write probability: Θ(n) individual work
+	ConciliatorSharedCoin                      // voting weak shared coins (§5.1), m = 2 only
+	ConciliatorNone                            // the ratifier-only protocol R of §4.2
 )
 
 // Spec is one assembly of the protocol for N processes over inputs
@@ -166,15 +152,12 @@ func (s Spec) conciliator() core.Builder {
 			}
 			return conciliator.NewFromCoin(f, coin, i)
 		}
-	case ConciliatorConstantRate:
-		return func(f *register.File, i int) core.Object {
-			c := conciliator.NewConstantRate(f, s.N, s.Base+i)
-			c.DetectSuccess = s.DetectWrites
-			return c
-		}
 	default:
 		return func(f *register.File, i int) core.Object {
 			c := conciliator.NewImpatient(f, s.N, s.Base+i)
+			if s.Conciliator == ConciliatorConstantRate {
+				c.Growth = conciliator.GrowthConstant
+			}
 			c.DetectSuccess = s.DetectWrites
 			return c
 		}

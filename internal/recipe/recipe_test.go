@@ -11,14 +11,18 @@ import (
 
 	"github.com/modular-consensus/modcon"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/harness"
+	"github.com/modular-consensus/modcon/internal/multi"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
+	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/setagree"
 	"github.com/modular-consensus/modcon/internal/tas"
+	"github.com/modular-consensus/modcon/internal/value"
 )
 
-// layoutGolden is the sha256 of writeLayout over layoutRows. It was recorded
-// before this package existed, by building the same rows through the
+// layoutGolden is the sha256 of writeLayout over rootRows and siteRows. It was
+// recorded before this package existed, by building the same rows through the
 // hand-written assemblies it replaced: the root Consensus, the experiments'
 // protocol spec, multi's slot protocol, setagree's groups, tas's tournament
 // nodes and modcon-bench's scaling target.
@@ -100,6 +104,16 @@ func specRow(name string, specs ...recipe.Spec) layoutRow {
 	}}
 }
 
+// multiSpecs are the slot protocols multi.Run builds for three slots: slot s
+// at index base s*1000.
+func multiSpecs(n, m int) []recipe.Spec {
+	specs := make([]recipe.Spec, 3)
+	for slot := range specs {
+		specs[slot] = recipe.Spec{N: n, M: m, FastPath: true, Stages: 64, Fallback: true, Base: slot * 1000}
+	}
+	return specs
+}
+
 // setagreeSpecs are the group protocols setagree.New builds: group g of the
 // pid-mod-k partition at index base (g+1)*1000.
 func setagreeSpecs(n, m, k int) []recipe.Spec {
@@ -145,14 +159,8 @@ func siteRows() []layoutRow {
 			}
 		}
 	}
-	for _, n := range []int{1, 3} {
-		for _, m := range []int{2, 5} {
-			var slots []recipe.Spec
-			for slot := 0; slot < 3; slot++ {
-				slots = append(slots, recipe.Spec{N: n, M: m, FastPath: true, Stages: 64, Fallback: true, Base: slot * 1000})
-			}
-			rows = append(rows, specRow(fmt.Sprintf("multi n=%d m=%d", n, m), slots...))
-		}
+	for _, g := range multiGrid {
+		rows = append(rows, specRow(fmt.Sprintf("multi n=%d m=%d", g.n, g.m), multiSpecs(g.n, g.m)...))
 	}
 	for _, g := range setagreeGrid {
 		rows = append(rows, specRow(fmt.Sprintf("setagree n=%d m=%d k=%d", g.n, g.m, g.k), setagreeSpecs(g.n, g.m, g.k)...))
@@ -164,6 +172,7 @@ func siteRows() []layoutRow {
 }
 
 var (
+	multiGrid    = []struct{ n, m int }{{1, 2}, {1, 5}, {3, 2}, {3, 5}}
 	setagreeGrid = []struct{ n, m, k int }{{1, 2, 1}, {5, 2, 2}, {6, 3, 3}, {4, 16, 1}}
 	tasGrid      = []int{1, 2, 3, 5, 8}
 )
@@ -190,8 +199,10 @@ func TestRecipeLayoutGolden(t *testing.T) {
 	}
 }
 
-// TestSiteSpecs checks that setagree.New and tas.New allocate exactly the
-// registers of the specs the golden grid builds for them.
+// TestSiteSpecs checks that multi.Run, setagree.New and tas.New allocate
+// exactly the registers of the specs the golden grid builds for them. The
+// sequence crashes every process before its first operation, so its file
+// keeps the contents the build left.
 func TestSiteSpecs(t *testing.T) {
 	registers := func(file *register.File) []byte {
 		var b bytes.Buffer
@@ -212,6 +223,24 @@ func TestSiteSpecs(t *testing.T) {
 			t.Errorf("%s: the site's registers differ from its specs'", name)
 		}
 	}
+	for _, g := range multiGrid {
+		check(fmt.Sprintf("multi n=%d m=%d", g.n, g.m), func(f *register.File) error {
+			crash := make(map[int]int, g.n)
+			for pid := range g.n {
+				crash[pid] = 0
+			}
+			proposals := make([][]value.Value, 3)
+			for slot := range proposals {
+				proposals[slot] = make([]value.Value, g.n)
+			}
+			_, err := multi.Run(multi.Config{
+				ObjectConfig: harness.ObjectConfig{N: g.n, File: f, Scheduler: sched.NewRoundRobin(), CrashAfter: crash},
+				M:            g.m,
+				Proposals:    proposals,
+			})
+			return err
+		}, multiSpecs(g.n, g.m))
+	}
 	for _, g := range setagreeGrid {
 		check(fmt.Sprintf("setagree n=%d m=%d k=%d", g.n, g.m, g.k), func(f *register.File) error {
 			_, err := setagree.New(f, g.n, g.m, g.k)
@@ -223,29 +252,5 @@ func TestSiteSpecs(t *testing.T) {
 			_, err := tas.New(f, n)
 			return err
 		}, tasSpecs(n))
-	}
-}
-
-// TestValidateMatchesBuild checks that Build fails exactly when Validate
-// does, over the root grid's fields and negative stage counts.
-func TestValidateMatchesBuild(t *testing.T) {
-	for _, s := range []recipe.Spec{
-		{N: 0, M: 2, FastPath: true},
-		{N: 2, M: 1, FastPath: true},
-		{N: 2, M: 3, Scheme: recipe.SchemeBinary},
-		{N: 2, M: 3, Conciliator: recipe.ConciliatorSharedCoin},
-		{N: 2, M: 2, Conciliator: recipe.ConciliatorNone, FastPath: true},
-		{N: 2, M: 2, Stages: -1, FastPath: true},
-		{N: 2, M: 2, Stages: -1, Fallback: true},
-		{N: 2, M: 2, Conciliator: recipe.ConciliatorNone, Stages: -1, FastPath: true},
-		{N: 2, M: 2},
-		{N: 2, M: 2, Conciliator: recipe.ConciliatorNone, Fallback: true},
-		{N: 3, M: 16, Scheme: recipe.SchemeCollect, Stages: 2, Base: 7000},
-	} {
-		verr := s.Validate()
-		_, berr := s.Build(register.NewFile())
-		if (verr == nil) != (berr == nil) {
-			t.Errorf("%+v: Validate %v, Build %v", s, verr, berr)
-		}
 	}
 }
