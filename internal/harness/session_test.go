@@ -210,7 +210,7 @@ func TestSweepMatchesFreshRuns(t *testing.T) {
 }
 
 // TestPoolDiscardsSessionAfterPanic is the poisoning contract end to end:
-// a panic during a pooled trial abandons that session (it is never returned
+// a panic during a pooled trial closes that session (it is never returned
 // to the pool), the panicked trial is classified — panics are deterministic
 // bugs and deliberately not retried — and every other trial of the sweep
 // runs on clean sessions with results bit-identical to a panic-free run.
@@ -247,8 +247,8 @@ func TestPoolDiscardsSessionAfterPanic(t *testing.T) {
 	}
 
 	// Panic mid-sweep, on one trial. The trial has already checked a session
-	// out of the pool when the hook runs, so the panic leaves that session
-	// checked out forever; every subsequent trial must get another (or a
+	// out of the pool when the hook runs, so the panic closes that session
+	// instead of returning it; every subsequent trial must get another (or a
 	// fresh) session and be unaffected.
 	poisoned, report := sweep(func(tr Trial) {
 		if tr.Index == victim {
