@@ -4,9 +4,9 @@
 // K. A Spec names the choices; Build allocates the protocol's registers and
 // chains its objects with core.NewProtocol.
 //
-// Every protocol the repository runs is built here: the root Consensus, the
-// experiments, multi-slot sequences, set agreement and test-and-set, whose
-// Specs differ only in their fields. Equal Specs built into equal files give
+// The root Consensus, the experiments, multi-slot sequences, set agreement,
+// test-and-set and modcon-bench all build their protocols here, with Specs
+// that differ only in their fields. Equal Specs built into equal files give
 // byte-identical register layouts.
 package recipe
 
