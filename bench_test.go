@@ -24,7 +24,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -433,23 +432,23 @@ func BenchmarkSolveReuse(b *testing.B) {
 }
 
 // BenchmarkSimulatorOverhead isolates the cost of one scheduled operation in
-// the simulation runtime (two channel handshakes).
+// the simulation runtime: one scheduler call and two coroutine switches, into
+// the process and back to the engine.
 func BenchmarkSimulatorOverhead(b *testing.B) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := sim.Run(sim.Config{
-		N: 1, File: file, Scheduler: sched.NewRoundRobin(), Seed: 1,
-		MaxSteps: b.N + 2,
-	}, func(e *sim.Env) value.Value {
+	_, err := harness.RunProgram(func(e core.Env) value.Value {
 		for i := 0; i < b.N; i++ {
 			e.Read(r)
 		}
 		return 0
+	}, harness.ObjectConfig{
+		N: 1, File: file, Scheduler: sched.NewRoundRobin(), Seed: 1,
+		MaxSteps: b.N + 2,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = res
 }
 
 // BenchmarkExperimentHarness smoke-runs the cheapest full experiment to keep

@@ -17,11 +17,12 @@ import (
 	"strings"
 	"time"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
@@ -67,7 +68,7 @@ type coreReport struct {
 func runCoreCell(power sched.Power, n, steps int, regs register.Semantics) error {
 	f := register.NewFile()
 	a := f.Alloc(n, "bench")
-	prog := func(e *sim.Env) value.Value {
+	prog := func(e core.Env) value.Value {
 		r := a.At(e.PID() % a.Len)
 		for i := 0; ; i++ {
 			e.Write(r, value.Value(i))
@@ -75,11 +76,11 @@ func runCoreCell(power sched.Power, n, steps int, regs register.Semantics) error
 			e.ProbWrite(r, value.Value(i), 1, 2)
 		}
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := harness.RunProgram(prog, harness.ObjectConfig{
 		N: n, File: f, Seed: 1, MaxSteps: steps,
 		Scheduler: &benchSched{power: power, inner: sched.NewRoundRobin()},
 		Registers: regs,
-	}, prog)
+	})
 	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return err
 	}
@@ -146,7 +147,7 @@ type benchOpts struct {
 // running both yields the full baseline artifact.
 func runBench(opts benchOpts) error {
 	manifest := obs.NewManifest("modcon-bench")
-	manifest.Seed = opts.Seed // step-loop cells always run sim.Config{Seed: 1}
+	manifest.Seed = opts.Seed // step-loop cells always run at seed 1
 	manifest.Backend = "sim"
 	manifest.Registers = opts.Registers.String()
 	manifest.Config = map[string]string{

@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/modelcheck"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -21,12 +21,11 @@ func propose(t *testing.T, m, n int, inputs []value.Value, s sched.Scheduler, se
 	file := register.NewFile()
 	obj := New(file, m, 1)
 	outs := make([]outcome, n)
-	_, err := sim.Run(sim.Config{N: n, File: file, Scheduler: s, Seed: seed},
-		func(e *sim.Env) value.Value {
-			st, v := obj.Propose(e, inputs[e.PID()])
-			outs[e.PID()] = outcome{st, v}
-			return v
-		})
+	_, err := harness.RunProgram(func(e core.Env) value.Value {
+		st, v := obj.Propose(e, inputs[e.PID()])
+		outs[e.PID()] = outcome{st, v}
+		return v
+	}, harness.ObjectConfig{N: n, File: file, Scheduler: s, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

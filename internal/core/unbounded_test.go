@@ -7,10 +7,10 @@ import (
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -34,8 +34,8 @@ func runUnbounded(t *testing.T, n int, s sched.Scheduler, seed uint64) (*exec.Re
 	for i := range inputs {
 		inputs[i] = value.Value(i % 2)
 	}
-	res, err := sim.Run(sim.Config{N: n, File: file, Scheduler: s, Seed: seed},
-		func(e *sim.Env) value.Value { return u.Run(e, inputs[e.PID()]) })
+	res, err := harness.RunProgram(func(e core.Env) value.Value { return u.Run(e, inputs[e.PID()]) },
+		harness.ObjectConfig{N: n, File: file, Scheduler: s, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestUnboundedUnderAttack(t *testing.T) {
 func TestUnboundedLazyMaterialization(t *testing.T) {
 	// Unanimous inputs decide on the fast path: only R₋₁ and R₀ exist.
 	file, u := newUnbounded(t, 4)
-	_, err := sim.Run(sim.Config{N: 4, File: file, Scheduler: sched.NewRoundRobin(), Seed: 1},
-		func(e *sim.Env) value.Value { return u.Run(e, 1) })
+	_, err := harness.RunProgram(func(e core.Env) value.Value { return u.Run(e, 1) },
+		harness.ObjectConfig{N: 4, File: file, Scheduler: sched.NewRoundRobin(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

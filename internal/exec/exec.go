@@ -392,7 +392,7 @@ func ProcProb(root *xrand.Source, pid int) *xrand.Source {
 
 // ProcCoinsInto reseeds dst in place with process pid's local-coin stream —
 // the allocation-free form of ProcCoins used by reusable engines on every
-// Reset. The two must agree bit for bit (both go through Source.SplitInto).
+// trial. The two must agree bit for bit (both go through Source.SplitInto).
 func ProcCoinsInto(dst *xrand.Source, root *xrand.Source, pid int) {
 	root.SplitInto(dst, uint64(procCoinStream+pid))
 }

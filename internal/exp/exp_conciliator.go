@@ -163,6 +163,7 @@ func E8BaselineComparison(cfg Config) *Table {
 		run, err := harness.RunObject(obj, harness.ObjectConfig{
 			N: 1, File: file, Inputs: mixedInputs(1, 2, 0),
 			Scheduler: sched.NewRoundRobin(), Seed: seed, Context: ctx,
+			Meter: cfg.Meter,
 		})
 		if err != nil {
 			return 0, err

@@ -252,7 +252,7 @@ func E14TerminationTail(cfg Config) *Table {
 					N: n, File: file, Inputs: mixedInputs(n, 2, tr.Index),
 					Scheduler: sched.NewFirstMoverAttack(), Seed: tr.Seed,
 					MaxSteps: mult * n, Context: ctx,
-					Registers: spec.registers,
+					Registers: spec.registers, Meter: cfg.Meter,
 				})
 				switch {
 				case err == nil:

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/multi"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/setagree"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/stats"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -43,10 +43,11 @@ func E16SetAgreement(cfg Config) *Table {
 						return setResult{}, err
 					}
 					inputs := mixedInputs(n, m, tr.Index)
-					res, err := sim.Run(sim.Config{
-						N: n, File: file, Scheduler: adv.New(), Seed: tr.Seed,
-						Context: ctx,
-					}, func(e *sim.Env) value.Value { return p.Run(e, inputs[e.PID()]) })
+					res, err := harness.RunProgram(func(e core.Env) value.Value { return p.Run(e, inputs[e.PID()]) },
+						harness.ObjectConfig{
+							N: n, File: file, Scheduler: adv.New(), Seed: tr.Seed,
+							Context: ctx, Meter: cfg.Meter,
+						})
 					if err != nil {
 						return setResult{}, err
 					}
@@ -105,6 +106,7 @@ func E17Sequences(cfg Config) *Table {
 					res, err := multi.Run(multi.Config{
 						ObjectConfig: harness.ObjectConfig{
 							N: n, Scheduler: adv.New(), Seed: tr.Seed, Context: ctx,
+							Meter: cfg.Meter,
 						},
 						M: m, Proposals: proposals,
 					})

@@ -143,7 +143,7 @@ func E11NoisyRatifierOnly(cfg Config) *Table {
 					N: n, File: file, Inputs: mixedInputs(n, m, tr.Index),
 					Scheduler: sched.NewNoisy(sigma), Seed: tr.Seed,
 					MaxSteps: 4_000_000, Context: ctx,
-					Registers: spec.registers,
+					Registers: spec.registers, Meter: cfg.Meter,
 				})
 				if err != nil {
 					if errors.Is(err, exec.ErrStepLimit) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/modular-consensus/modcon/internal/obs"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -33,9 +35,22 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// finalSteps records the step count of every sweep's final progress
+// snapshot.
+type finalSteps []int64
+
+func (f *finalSteps) Emit(p obs.Snapshot) {
+	if p.Final {
+		*f = append(*f, p.Steps)
+	}
+}
+
 // TestEveryExperimentRunsTiny executes each experiment at a minimal trial
 // count and validates the table structure. Correctness of the *values* is
-// asserted by the per-module tests; this guards the harness plumbing.
+// asserted by the per-module tests; this guards the harness plumbing,
+// including the meter: Config.Meter reaches every execution, so each
+// sweep's final snapshot, which reports the meter, counts more steps than
+// the sweep before it.
 func TestEveryExperimentRunsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all experiments")
@@ -43,7 +58,15 @@ func TestEveryExperimentRunsTiny(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			table := e.Run(Config{Trials: 2, Seed: 7})
+			var finals finalSteps
+			table := e.Run(Config{Trials: 2, Seed: 7, Meter: &obs.Meter{}, Reporter: obs.NewReporter(&finals, 0)})
+			prev := int64(0)
+			for i, steps := range finals {
+				if steps <= prev {
+					t.Errorf("sweep %d ended with the meter at %d steps (%d after the sweep before): its executions never ticked the meter", i, steps, prev)
+				}
+				prev = steps
+			}
 			if table.ID != e.ID {
 				t.Fatalf("table id %q", table.ID)
 			}

@@ -191,3 +191,60 @@ func TestLoseCoinDrawFrequency(t *testing.T) {
 		t.Fatalf("p=1/2 lost %d/%d draws", lost, draws)
 	}
 }
+
+// TestReseedMatchesCompile pins the contract a sim session rests on: the
+// session compiles its plan once, at seed 0, and reseeds the injector for
+// every trial. After Reseed(s) the injector must report the thresholds and
+// draw the LoseCoin and OpDelay sequences of Compile(p, n, s), for every
+// seed, in any order, after any number of earlier draws.
+func TestReseedMatchesCompile(t *testing.T) {
+	const n = 4
+	plans := []struct {
+		name string
+		plan *Plan
+	}{
+		{"single-pids", New(
+			Crash(0, 5), CrashOnRound(1, 3), Stall(2, 7),
+			Delay(3, 50*time.Microsecond), LoseCoin(1, 1, 3), LoseCoin(3, 2, 5),
+		)},
+		{"all-procs", New(
+			Crash(AllProcs, 9), CrashOnRound(AllProcs, 2), Stall(AllProcs, 11),
+			Delay(AllProcs, 20*time.Microsecond), LoseCoin(AllProcs, 1, 2),
+		)},
+	}
+	// Repeats and a return to 0 catch a Reseed that keeps any state from
+	// the trial before.
+	seeds := []uint64{0, 7, 1, 7, 1 << 40, 0}
+	for _, pc := range plans {
+		reused, err := Compile(pc.plan, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range seeds {
+			reused.Reseed(seed)
+			fresh, err := Compile(pc.plan, n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused.HasStall() != fresh.HasStall() || reused.HasCrashStep() != fresh.HasCrashStep() {
+				t.Fatalf("%s seed %d: flags differ from a compile at the seed", pc.name, seed)
+			}
+			for pid := 0; pid < n; pid++ {
+				if reused.CrashAt(pid) != fresh.CrashAt(pid) || reused.StallAt(pid) != fresh.StallAt(pid) ||
+					reused.CrashStep(pid) != fresh.CrashStep(pid) {
+					t.Fatalf("%s seed %d pid %d: thresholds differ from a compile at the seed", pc.name, seed, pid)
+				}
+			}
+			// Interleave the pids' draws the way an execution does.
+			for i := 0; i < 16*n; i++ {
+				pid := i % n
+				if got, want := reused.LoseCoin(pid), fresh.LoseCoin(pid); got != want {
+					t.Fatalf("%s seed %d pid %d draw %d: LoseCoin %v, compile at the seed %v", pc.name, seed, pid, i/n, got, want)
+				}
+				if got, want := reused.OpDelay(pid), fresh.OpDelay(pid); got != want {
+					t.Fatalf("%s seed %d pid %d draw %d: OpDelay %v, compile at the seed %v", pc.name, seed, pid, i/n, got, want)
+				}
+			}
+		}
+	}
+}

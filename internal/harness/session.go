@@ -30,9 +30,9 @@
 // touching.
 //
 // Determinism: a trial's outcome is a pure function of (cell, seed, inputs).
-// Engine.Reset restores registers, scheduler state, and RNG streams from the
-// seed alone, so which pooled session runs a trial — and how many trials it
-// ran before — cannot affect the result. Sweep aggregates therefore stay
+// A sim session's Run restores registers, scheduler state, and RNG streams
+// from the seed alone before the trial, so which pooled session runs a trial
+// — and how many trials it ran before — cannot affect the result. Sweep aggregates therefore stay
 // bit-identical at any worker count, pooled or not.
 package harness
 

@@ -16,10 +16,10 @@ import (
 func TestCrashAtOpZero(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := Run(exec.Config{
-		N: 2, File: file, Seed: 1,
+	res, err := run(nil, exec.Config{
+		N: 2, File: file,
 		Faults: fault.New(fault.Crash(0, 0)),
-	}, func(e core.Env) value.Value {
+	}, 1, func(e core.Env) value.Value {
 		e.Write(r, 7)
 		return 1
 	})
@@ -43,10 +43,10 @@ func TestCrashAtOpZero(t *testing.T) {
 func TestCrashAllProcesses(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := Run(exec.Config{
-		N: 4, File: file, Seed: 1,
+	res, err := run(nil, exec.Config{
+		N: 4, File: file,
 		Faults: fault.New(fault.Crash(fault.AllProcs, 2)),
-	}, func(e core.Env) value.Value {
+	}, 1, func(e core.Env) value.Value {
 		for i := 0; i < 100; i++ {
 			e.Write(r, value.Value(i))
 		}
@@ -71,10 +71,10 @@ func TestCrashAllProcesses(t *testing.T) {
 func TestCrashSingleProcess(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := Run(exec.Config{
-		N: 1, File: file, Seed: 1,
+	res, err := run(nil, exec.Config{
+		N: 1, File: file,
 		Faults: fault.New(fault.Crash(0, 3)),
-	}, func(e core.Env) value.Value {
+	}, 1, func(e core.Env) value.Value {
 		for i := 0; i < 10; i++ {
 			e.Write(r, value.Value(i))
 		}
@@ -102,10 +102,10 @@ func TestCrashDuringFinalDecideWrite(t *testing.T) {
 	const announced = 7
 	// pid 0 performs exactly 3 ops; the 3rd is its decide write, where the
 	// crash lands. pid 1 spins until the announcement is visible.
-	res, err := Run(exec.Config{
-		N: 2, File: file, Seed: 1,
+	res, err := run(nil, exec.Config{
+		N: 2, File: file,
 		Faults: fault.New(fault.Crash(0, 3)),
-	}, func(e core.Env) value.Value {
+	}, 1, func(e core.Env) value.Value {
 		if e.PID() == 0 {
 			e.Read(decide)
 			e.Read(decide)
@@ -144,10 +144,10 @@ func TestLiveConsensusUnderCrashFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := []value.Value{0, 1, 1, 0}
-		res, err := Run(exec.Config{
-			N: n, File: file, Seed: seed,
+		res, err := run(nil, exec.Config{
+			N: n, File: file,
 			Faults: fault.New(fault.Crash(0, 4)),
-		}, func(e core.Env) value.Value {
+		}, seed, func(e core.Env) value.Value {
 			out, _ := proto.Run(e, inputs[e.PID()])
 			return out
 		})

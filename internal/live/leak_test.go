@@ -48,7 +48,7 @@ func TestNoGoroutineLeakOnCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err := Run(exec.Config{N: 4, File: file, Seed: 1, Context: ctx}, func(e core.Env) value.Value {
+	_, err := run(ctx, exec.Config{N: 4, File: file}, 1, func(e core.Env) value.Value {
 		for i := 0; ; i++ {
 			e.Write(r, value.Value(i))
 		}
@@ -64,10 +64,10 @@ func TestNoGoroutineLeakOnCancellation(t *testing.T) {
 	r2 := file2.Alloc1("y")
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
-	res, err := Run(exec.Config{
-		N: 4, File: file2, Seed: 1, Context: ctx2,
+	res, err := run(ctx2, exec.Config{
+		N: 4, File: file2,
 		Faults: fault.New(fault.Stall(fault.AllProcs, 2)),
-	}, func(e core.Env) value.Value {
+	}, 1, func(e core.Env) value.Value {
 		for i := 0; ; i++ {
 			e.Write(r2, value.Value(i))
 		}
@@ -101,7 +101,7 @@ func TestNoGoroutineLeakOnPanic(t *testing.T) {
 				t.Fatalf("recovered %v, want the original panic value", p)
 			}
 		}()
-		Run(exec.Config{N: 4, File: file, Seed: 1}, func(e core.Env) value.Value {
+		run(nil, exec.Config{N: 4, File: file}, 1, func(e core.Env) value.Value {
 			for i := 0; i < 5; i++ {
 				e.Write(r, value.Value(i))
 			}

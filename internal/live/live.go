@@ -1,8 +1,9 @@
 // Package live runs the same deciding objects on real hardware concurrency:
 // registers are backed by sync/atomic, processes are free-running
-// goroutines, and the "adversary" is the Go scheduler. It implements the
-// backend-neutral exec.Backend contract as a first-class peer of the
-// simulator (internal/sim): per-process operation accounting into the
+// goroutines, and the "adversary" is the Go scheduler. Its one export,
+// Backend, implements the backend-neutral exec.Backend contract as a
+// first-class peer of the simulator (internal/sim), and every execution is
+// a Run of one of its sessions: per-process operation accounting into the
 // shared exec.Result, fault injection (crashes, stalls, delay jitter, lost
 // coins — internal/fault), context cancellation, and an
 // optional total-operation budget all behave as on sim — only the
@@ -31,6 +32,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -47,10 +49,10 @@ import (
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
-// Memory is an atomic-register file mirroring a register.File layout,
+// memory is an atomic-register file mirroring a register.File layout,
 // including initial values (protocols initialize announcement registers to
 // 0 at construction time).
-type Memory struct {
+type memory struct {
 	cells []paddedCell
 }
 
@@ -68,10 +70,10 @@ type paddedCell struct {
 	_ [(cacheLine - unsafe.Sizeof(value.AtomicValue{})%cacheLine) % cacheLine]byte
 }
 
-// NewMemory builds atomic memory with the same size and initial contents as
+// newMemory builds atomic memory with the same size and initial contents as
 // file.
-func NewMemory(file *register.File) *Memory {
-	m := &Memory{cells: make([]paddedCell, file.Len())}
+func newMemory(file *register.File) *memory {
+	m := &memory{cells: make([]paddedCell, file.Len())}
 	for i := range m.cells {
 		m.cells[i].v.Store(file.Load(register.Reg(i)))
 	}
@@ -79,16 +81,16 @@ func NewMemory(file *register.File) *Memory {
 }
 
 // Load atomically reads register r.
-func (m *Memory) Load(r register.Reg) value.Value { return m.cells[r].v.Load() }
+func (m *memory) Load(r register.Reg) value.Value { return m.cells[r].v.Load() }
 
 // Store atomically writes register r.
-func (m *Memory) Store(r register.Reg, v value.Value) { m.cells[r].v.Store(v) }
+func (m *memory) Store(r register.Reg, v value.Value) { m.cells[r].v.Store(v) }
 
 // procStop is the sentinel panic that unwinds a process goroutine when the
 // runtime stops it mid-program: a planned crash or stall (fault plan),
 // context cancellation, or the shared operation budget running out. The
 // goroutine wrapper swallows it and records the fate; any other panic
-// propagates out of Run with its original value. A stalled goroutine blocks
+// propagates out of run with its original value. A stalled goroutine blocks
 // on the context first and unwinds only once cancellation fires — that is
 // the injection point for livelock, and why stall faults require a Context.
 type procStop struct {
@@ -98,9 +100,9 @@ type procStop struct {
 	limited   bool
 }
 
-// Env implements core.Env over atomic memory for one goroutine-process.
-type Env struct {
-	mem   *Memory
+// env implements core.Env over atomic memory for one goroutine-process.
+type env struct {
+	mem   *memory
 	pid   int
 	n     int
 	cheap bool
@@ -144,13 +146,13 @@ type Env struct {
 	collectBuf []value.Value
 }
 
-var _ core.Env = (*Env)(nil)
+var _ core.Env = (*env)(nil)
 
 // account charges one operation and applies the runtime's stop conditions.
 // It runs after the operation took effect, mirroring sim: a crashed
 // process's final operation lands in memory, but the process never observes
 // the result and performs no further operations.
-func (e *Env) account() {
+func (e *env) account() {
 	e.ops++
 	if e.meter != nil {
 		e.meter.AddSteps(1)
@@ -190,7 +192,7 @@ func (e *Env) account() {
 // holds its state and performs no further operations until the context is
 // cancelled, then unwinds as stalled. This is the livelock the harness
 // watchdog exists to catch.
-func (e *Env) stallForever() {
+func (e *env) stallForever() {
 	if e.ctxDone != nil {
 		<-e.ctxDone
 	}
@@ -198,10 +200,10 @@ func (e *Env) stallForever() {
 }
 
 // PID implements core.Env.
-func (e *Env) PID() int { return e.pid }
+func (e *env) PID() int { return e.pid }
 
 // N implements core.Env.
-func (e *Env) N() int { return e.n }
+func (e *env) N() int { return e.n }
 
 // readYield widens the overlap window of a regular-register read between
 // its two samples. It is a variable so the regular-semantics tests can
@@ -216,7 +218,7 @@ var readYield = runtime.Gosched
 // when a concurrent write makes them differ the process's semantics coin
 // decides which one the read returns — old or new, exactly the freedom a
 // regular register grants. Either way the read costs one operation.
-func (e *Env) Read(r register.Reg) value.Value {
+func (e *env) Read(r register.Reg) value.Value {
 	v := e.mem.Load(r)
 	if e.regular {
 		readYield()
@@ -229,7 +231,7 @@ func (e *Env) Read(r register.Reg) value.Value {
 }
 
 // Write implements core.Env.
-func (e *Env) Write(r register.Reg, v value.Value) {
+func (e *env) Write(r register.Reg, v value.Value) {
 	e.mem.Store(r, v)
 	e.account()
 }
@@ -237,7 +239,7 @@ func (e *Env) Write(r register.Reg, v value.Value) {
 // ProbWrite implements core.Env: the coin is local, the store atomic. (The
 // hardware scheduler cannot condition on the coin any more than the model's
 // location-oblivious adversary can.)
-func (e *Env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
+func (e *env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
 	ok := e.prob.Bernoulli(num, den)
 	if e.inj.LoseCoin(e.pid) {
 		// Lost in flight: the process's own coin stream is consumed exactly
@@ -257,8 +259,8 @@ func (e *Env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
 // cheap model and one per register otherwise. As on sim, the non-cheap
 // sweep is not atomic — each read is its own operation boundary, so crashes
 // and cancellation can land mid-sweep. Copy-on-escape: the returned slice
-// is reused by this Env's next Collect.
-func (e *Env) Collect(arr register.Array) []value.Value {
+// is reused by this env's next Collect.
+func (e *env) Collect(arr register.Array) []value.Value {
 	e.collectBuf = e.collectBuf[:0]
 	if e.cheap {
 		for i := 0; i < arr.Len; i++ {
@@ -274,25 +276,22 @@ func (e *Env) Collect(arr register.Array) []value.Value {
 }
 
 // CheapCollect implements core.Env.
-func (e *Env) CheapCollect() bool { return e.cheap }
+func (e *env) CheapCollect() bool { return e.cheap }
 
 // CoinUint64 implements core.Env.
-func (e *Env) CoinUint64() uint64 { return e.coins.Uint64() }
+func (e *env) CoinUint64() uint64 { return e.coins.Uint64() }
 
 // CoinBool implements core.Env.
-func (e *Env) CoinBool() bool { return e.coins.Bool() }
+func (e *env) CoinBool() bool { return e.coins.Bool() }
 
 // CoinIntn implements core.Env.
-func (e *Env) CoinIntn(n int) int { return e.coins.Intn(n) }
+func (e *env) CoinIntn(n int) int { return e.coins.Intn(n) }
 
 // MarkInvoke implements core.Env (no tracing on the live backend).
-func (e *Env) MarkInvoke(string, value.Value) {}
+func (e *env) MarkInvoke(string, value.Value) {}
 
 // MarkReturn implements core.Env (no tracing on the live backend).
-func (e *Env) MarkReturn(string, value.Decision) {}
-
-// Ops returns the operations this process has performed.
-func (e *Env) Ops() int { return e.ops }
+func (e *env) MarkReturn(string, value.Decision) {}
 
 // backend implements exec.Backend over atomic memory and goroutines.
 type backend struct{}
@@ -309,14 +308,14 @@ func (backend) Name() string { return "live" }
 func (backend) Capabilities() exec.Capabilities {
 	return exec.Capabilities{
 		// Regular registers are realizable over real sync/atomic memory
-		// (two-sample reads, see Env.Read); interposed semantics is not —
+		// (two-sample reads, see env.Read); interposed semantics is not —
 		// its whole content is blunting an explicit adversary's view of
 		// in-flight operations, and this backend has no adversary to blunt.
 		Semantics: register.SetOf(register.Atomic, register.Regular),
 	}
 }
 
-// session runs every trial as one Run: the live backend mirrors cfg.File
+// session runs every trial as one run: the live backend mirrors cfg.File
 // into fresh atomic memory per execution and keeps no cross-run state, so
 // there is nothing to reuse.
 type session struct {
@@ -332,23 +331,24 @@ func (backend) NewSession(cfg exec.Config, programs ...exec.Program) (exec.Sessi
 
 // Run implements exec.Session.
 func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
-	cfg := s.cfg
-	cfg.Seed, cfg.Context = seed, ctx
-	return Run(cfg, s.programs...)
+	return run(ctx, s.cfg, seed, s.programs...)
 }
 
 // Close implements exec.Session.
 func (*session) Close() error { return nil }
 
-// Run executes programs under cfg with one free-running goroutine per
-// process over atomic memory mirroring cfg.File, and blocks until every
-// process halts, crashes, is cancelled, or exhausts the operation budget.
-// If len(programs) is 1 the single program is used for every process. A
-// program panic is re-raised on the caller's goroutine with its original
-// value.
-func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// run executes programs under cfg with the given seed and one free-running
+// goroutine per process over atomic memory mirroring cfg.File, and blocks
+// until every process halts, crashes, stalls, is cancelled through ctx, or
+// exhausts the operation budget. If len(programs) is 1 the single program
+// is used for every process. A program panic is re-raised on the caller's
+// goroutine with its original value.
+func run(ctx context.Context, cfg exec.Config, seed uint64, programs ...exec.Program) (*exec.Result, error) {
+	if cfg.N <= 0 {
+		return nil, fmt.Errorf("live: N=%d must be positive", cfg.N)
+	}
+	if cfg.File == nil {
+		return nil, errors.New("live: nil register file")
 	}
 	if cfg.Scheduler != nil {
 		return nil, fmt.Errorf("live: scheduler %q rejected: the live backend has no adversary control (the hardware scheduler decides the interleaving)", cfg.Scheduler.Name())
@@ -363,13 +363,20 @@ func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
 	default:
 		return nil, fmt.Errorf("live: unknown register semantics %v", cfg.Registers)
 	}
+	inj, err := fault.Compile(cfg.Faults, cfg.N, seed)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	if inj.HasStall() && ctx == nil {
+		return nil, errors.New("live: stall faults require a Context (a stalled process never halts; only cancellation ends the execution)")
+	}
 	cfg.File.SetSemantics(cfg.Registers)
 	progs, err := exec.Programs(cfg.N, programs)
 	if err != nil {
 		return nil, err
 	}
 
-	mem := NewMemory(cfg.File)
+	mem := newMemory(cfg.File)
 	res := exec.NewResult(cfg.N)
 
 	var budget *atomic.Int64
@@ -378,14 +385,10 @@ func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
 		budget.Store(int64(cfg.MaxSteps))
 	}
 	var ctxDone <-chan struct{}
-	if cfg.Context != nil {
-		ctxDone = cfg.Context.Done()
+	if ctx != nil {
+		ctxDone = ctx.Done()
 	}
 
-	inj, err := fault.Compile(cfg.Faults, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	var totalOps *atomic.Int64
 	if inj.HasCrashStep() {
 		totalOps = new(atomic.Int64)
@@ -394,11 +397,11 @@ func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
 		res.Stalled = make([]bool, cfg.N)
 	}
 
-	root := xrand.New(cfg.Seed)
+	root := xrand.New(seed)
 	regular := cfg.Registers == register.Regular
-	envs := make([]*Env, cfg.N)
+	envs := make([]*env, cfg.N)
 	for pid := 0; pid < cfg.N; pid++ {
-		envs[pid] = &Env{
+		envs[pid] = &env{
 			mem: mem, pid: pid, n: cfg.N, cheap: cfg.CheapCollect,
 			coins: exec.ProcCoins(root, pid), prob: exec.ProcProb(root, pid),
 			crashAt: inj.CrashAt(pid), stallAt: inj.StallAt(pid),
@@ -417,7 +420,7 @@ func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
 		wg        sync.WaitGroup
 		limited   atomic.Bool
 		cancelled atomic.Bool
-		// firstPanic captures a program panic so Run can re-panic it on
+		// firstPanic captures a program panic so run can re-panic it on
 		// the caller's goroutine (matching sim's propagation contract)
 		// instead of crashing the process from a worker.
 		panicMu    sync.Mutex
@@ -486,7 +489,7 @@ func Run(cfg exec.Config, programs ...exec.Program) (*exec.Result, error) {
 	case limited.Load():
 		return res, fmt.Errorf("%w (limit %d, backend %q)", exec.ErrStepLimit, cfg.MaxSteps, "live")
 	case cancelled.Load():
-		return res, fmt.Errorf("%w after %d operations: %w", exec.ErrCancelled, res.TotalWork, context.Cause(cfg.Context))
+		return res, fmt.Errorf("%w after %d operations: %w", exec.ErrCancelled, res.TotalWork, context.Cause(ctx))
 	}
 	return res, nil
 }

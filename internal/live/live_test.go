@@ -33,7 +33,7 @@ func TestMemoryMirrorsFile(t *testing.T) {
 	b := file.Alloc1("b")
 	file.Init(b, 0)
 	file.Store(a, 9)
-	mem := NewMemory(file)
+	mem := newMemory(file)
 	if got := mem.Load(a); got != 9 {
 		t.Fatalf("a = %s", got)
 	}
@@ -52,17 +52,23 @@ func TestMemoryMirrorsFile(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	file := register.NewFile()
 	noop := func(e core.Env) value.Value { return 0 }
-	if _, err := Run(exec.Config{N: 0, File: file}, noop); err == nil {
+	if _, err := run(nil, exec.Config{N: 0, File: file}, 0, noop); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := Run(exec.Config{N: 1}, noop); err == nil {
+	if _, err := run(nil, exec.Config{N: 1}, 0, noop); err == nil {
 		t.Fatal("nil file accepted")
 	}
-	if _, err := Run(exec.Config{N: 2, File: file}, noop, noop, noop); err == nil {
+	if _, err := run(nil, exec.Config{N: 2, File: file}, 0, noop, noop, noop); err == nil {
 		t.Fatal("3 programs for 2 processes accepted")
 	}
-	if _, err := Run(exec.Config{N: 1, File: file, Scheduler: sched.NewRoundRobin()}, noop); err == nil {
+	if _, err := run(nil, exec.Config{N: 1, File: file, Scheduler: sched.NewRoundRobin()}, 0, noop); err == nil {
 		t.Fatal("scheduler accepted by the live backend")
+	}
+	if _, err := run(nil, exec.Config{N: 1, File: file, Faults: fault.New(fault.Crash(3, 1))}, 0, noop); err == nil {
+		t.Fatal("fault on pid 3 of 1 accepted")
+	}
+	if _, err := run(nil, exec.Config{N: 1, File: file, Faults: fault.New(fault.Stall(0, 1))}, 0, noop); err == nil {
+		t.Fatal("stall fault accepted without a context")
 	}
 }
 
@@ -80,7 +86,7 @@ func TestBackendCapabilities(t *testing.T) {
 func TestRunBasics(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := Run(exec.Config{N: 4, File: file, Seed: 1}, func(e core.Env) value.Value {
+	res, err := run(nil, exec.Config{N: 4, File: file}, 1, func(e core.Env) value.Value {
 		e.Write(r, value.Value(e.PID()))
 		return e.Read(r) // some pid's value
 	})
@@ -107,8 +113,8 @@ func TestRunBasics(t *testing.T) {
 
 func TestCoinDeterminismPerSeedPerPid(t *testing.T) {
 	file := register.NewFile()
-	run := func() []value.Value {
-		res, err := Run(exec.Config{N: 3, File: file, Seed: 42}, func(e core.Env) value.Value {
+	coins := func() []value.Value {
+		res, err := run(nil, exec.Config{N: 3, File: file}, 42, func(e core.Env) value.Value {
 			return value.Value(e.CoinIntn(1 << 20))
 		})
 		if err != nil {
@@ -116,7 +122,7 @@ func TestCoinDeterminismPerSeedPerPid(t *testing.T) {
 		}
 		return res.Outputs
 	}
-	a, b := run(), run()
+	a, b := coins(), coins()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("coin streams not reproducible per (seed, pid)")
@@ -127,7 +133,7 @@ func TestCoinDeterminismPerSeedPerPid(t *testing.T) {
 	}
 }
 
-// TestSessionRunIsRun: a live session runs each trial as Run under the
+// TestSessionRunIsRun: a live session runs each trial as run under the
 // session's config with the trial's seed and context — the same coins per
 // seed, any number of times, and a cancelled context cancels the trial.
 func TestSessionRunIsRun(t *testing.T) {
@@ -144,14 +150,13 @@ func TestSessionRunIsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Seed = seed
-		want, err := Run(cfg, prog)
+		want, err := run(nil, cfg, seed, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pid := range want.Outputs {
 			if got.Outputs[pid] != want.Outputs[pid] {
-				t.Fatalf("seed %d pid %d: session coin %s, Run coin %s", seed, pid, got.Outputs[pid], want.Outputs[pid])
+				t.Fatalf("seed %d pid %d: session coin %s, run coin %s", seed, pid, got.Outputs[pid], want.Outputs[pid])
 			}
 		}
 	}
@@ -176,7 +181,7 @@ func TestSessionRunIsRun(t *testing.T) {
 func TestCollectCostModes(t *testing.T) {
 	file := register.NewFile()
 	arr := file.Alloc(5, "arr")
-	res, err := Run(exec.Config{N: 1, File: file, Seed: 1, CheapCollect: true}, func(e core.Env) value.Value {
+	res, err := run(nil, exec.Config{N: 1, File: file, CheapCollect: true}, 1, func(e core.Env) value.Value {
 		e.Collect(arr)
 		return 0
 	})
@@ -186,7 +191,7 @@ func TestCollectCostModes(t *testing.T) {
 	if res.TotalWork != 1 {
 		t.Fatalf("cheap collect cost %d", res.TotalWork)
 	}
-	res, err = Run(exec.Config{N: 1, File: file, Seed: 1}, func(e core.Env) value.Value {
+	res, err = run(nil, exec.Config{N: 1, File: file}, 1, func(e core.Env) value.Value {
 		e.Collect(arr)
 		return 0
 	})
@@ -201,10 +206,10 @@ func TestCollectCostModes(t *testing.T) {
 func TestCrashAfterInjection(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := Run(exec.Config{
-		N: 2, File: file, Seed: 1,
+	res, err := run(nil, exec.Config{
+		N: 2, File: file,
 		Faults: fault.New(fault.Crash(0, 3)),
-	}, func(e core.Env) value.Value {
+	}, 1, func(e core.Env) value.Value {
 		for i := 0; i < 10; i++ {
 			e.Write(r, value.Value(i))
 		}
@@ -231,9 +236,9 @@ func TestContextCancellation(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
 	ctx, cancel := context.WithCancel(context.Background())
-	res, err := Run(exec.Config{
-		N: 2, File: file, Seed: 1, Context: ctx,
-	}, func(e core.Env) value.Value {
+	res, err := run(ctx, exec.Config{
+		N: 2, File: file,
+	}, 1, func(e core.Env) value.Value {
 		for i := 0; ; i++ {
 			if i == 50 && e.PID() == 0 {
 				cancel()
@@ -254,9 +259,9 @@ func TestContextCancellation(t *testing.T) {
 func TestStepBudget(t *testing.T) {
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	res, err := Run(exec.Config{
-		N: 2, File: file, Seed: 1, MaxSteps: 100,
-	}, func(e core.Env) value.Value {
+	res, err := run(nil, exec.Config{
+		N: 2, File: file, MaxSteps: 100,
+	}, 1, func(e core.Env) value.Value {
 		for i := 0; ; i++ {
 			e.Write(r, value.Value(i))
 		}
@@ -290,7 +295,7 @@ func TestLiveBinaryConsensus(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = value.Value(i % 2)
 			}
-			res, err := Run(exec.Config{N: n, File: file, Seed: seed}, func(e core.Env) value.Value {
+			res, err := run(nil, exec.Config{N: n, File: file}, seed, func(e core.Env) value.Value {
 				out, ok := proto.Run(e, inputs[e.PID()])
 				if !ok {
 					t.Errorf("pid %d fell off the chain", e.PID())
@@ -317,7 +322,7 @@ func TestLiveConsensusRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []value.Value{0, 1, 1, 0}
-	res, err := Run(exec.Config{N: 4, File: file, Seed: 7}, func(e core.Env) value.Value {
+	res, err := run(nil, exec.Config{N: 4, File: file}, 7, func(e core.Env) value.Value {
 		out, _ := proto.Run(e, inputs[e.PID()])
 		return out
 	})

@@ -19,18 +19,18 @@ import (
 // of the per-process semantics stream, so a given seed always resolves the
 // same way.
 func TestLiveRegularStaleRead(t *testing.T) {
-	run := func(model register.Semantics, seed uint64) value.Value {
+	read := func(model register.Semantics, seed uint64) value.Value {
 		file := register.NewFile()
 		r := file.Alloc1("x")
 		file.Init(r, 5)
 		prog := func(ce core.Env) value.Value {
-			e := ce.(*Env)
+			e := ce.(*env)
 			old := readYield
 			readYield = func() { e.mem.Store(r, 9) }
 			defer func() { readYield = old }()
 			return e.Read(r)
 		}
-		res, err := Run(exec.Config{N: 1, File: file, Seed: seed, Registers: model}, prog)
+		res, err := run(nil, exec.Config{N: 1, File: file, Registers: model}, seed, prog)
 		if err != nil {
 			t.Fatalf("%v seed %d: %v", model, seed, err)
 		}
@@ -40,10 +40,10 @@ func TestLiveRegularStaleRead(t *testing.T) {
 	sawOld, sawNew := false, false
 	for seed := uint64(0); seed < 64; seed++ {
 		// Atomic never calls the yield hook: one linearized load, no coin.
-		if got := run(register.Atomic, seed); got != 5 {
+		if got := read(register.Atomic, seed); got != 5 {
 			t.Fatalf("atomic single-sample read = %s, want 5 (seed %d)", got, seed)
 		}
-		switch got := run(register.Regular, seed); got {
+		switch got := read(register.Regular, seed); got {
 		case 5:
 			sawOld = true
 		case 9:
@@ -52,8 +52,8 @@ func TestLiveRegularStaleRead(t *testing.T) {
 			t.Fatalf("regular overlapping read = %s, want 5 or 9 (seed %d)", got, seed)
 		}
 		// Same seed, same stream, same resolution: bit-reproducible coins.
-		first := run(register.Regular, seed)
-		if second := run(register.Regular, seed); second != first {
+		first := read(register.Regular, seed)
+		if second := read(register.Regular, seed); second != first {
 			t.Fatalf("seed %d resolved to %s then %s — the semantics stream is not deterministic", seed, first, second)
 		}
 	}
@@ -71,7 +71,7 @@ func TestLiveRejectsInterposed(t *testing.T) {
 	file := register.NewFile()
 	file.Alloc1("x")
 	noop := func(e core.Env) value.Value { return 0 }
-	_, err := Run(exec.Config{N: 1, File: file, Registers: register.Interposed}, noop)
+	_, err := run(nil, exec.Config{N: 1, File: file, Registers: register.Interposed}, 0, noop)
 	if err == nil {
 		t.Fatal("live accepted interposed registers")
 	}
@@ -104,7 +104,7 @@ func TestLiveRegularConsensus(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := []value.Value{0, 1, 1, 0}
-		res, err := Run(exec.Config{N: 4, File: file, Seed: seed, Registers: register.Regular}, func(e core.Env) value.Value {
+		res, err := run(nil, exec.Config{N: 4, File: file, Registers: register.Regular}, seed, func(e core.Env) value.Value {
 			out, ok := proto.Run(e, inputs[e.PID()])
 			if !ok {
 				t.Errorf("pid %d fell off the chain", e.PID())

@@ -11,6 +11,7 @@ import (
 
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/recipe"
@@ -91,32 +92,26 @@ func (d *diffScheduler) MinPower() sched.Power { return d.inner.MinPower() }
 
 func binaryRatifier(f *register.File, i int) core.Object { return ratifier.NewBinary(f, i) }
 
-// runChain runs the fixed-file binary protocol on one pooled engine, one
-// trial per seed, so Engine.Reset's clearing of the view is covered too.
-func runChain(n int, cfg sim.Config, plan *fault.Plan, seeds int) error {
+// runChain runs the fixed-file binary protocol on one sim session, one
+// trial per seed, so the session's clearing of the view between trials is
+// covered too.
+func runChain(n int, cfg exec.Config, seeds int) error {
 	file := register.NewFile()
 	proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
 	if err != nil {
 		return err
 	}
 	cfg.File = file
-	eng, err := sim.NewEngine(cfg, func(e *sim.Env) value.Value {
+	sess, err := sim.Backend().NewSession(cfg, func(e core.Env) value.Value {
 		out, _ := proto.Run(e, value.Value(e.PID()%2))
 		return out
 	})
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
+	defer sess.Close()
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		inj, err := fault.Compile(plan, n, seed)
-		if err != nil {
-			return err
-		}
-		if err := eng.Reset(seed, inj); err != nil {
-			return err
-		}
-		if _, err := eng.Run(nil); err != nil {
+		if _, err := sess.Run(nil, seed); err != nil {
 			return fmt.Errorf("seed %d: %w", seed, err)
 		}
 	}
@@ -124,8 +119,8 @@ func runChain(n int, cfg sim.Config, plan *fault.Plan, seeds int) error {
 }
 
 // runUnbounded runs the lazily built protocol, whose file grows mid-run, on
-// a fresh file per seed.
-func runUnbounded(n int, cfg sim.Config, plan *fault.Plan, seeds int) error {
+// a fresh file and session per seed.
+func runUnbounded(n int, cfg exec.Config, seeds int) error {
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		file := register.NewFile()
 		u, err := core.NewUnbounded(n, file, binaryRatifier,
@@ -133,12 +128,14 @@ func runUnbounded(n int, cfg sim.Config, plan *fault.Plan, seeds int) error {
 		if err != nil {
 			return err
 		}
-		inj, err := fault.Compile(plan, n, seed)
+		cfg.File = file
+		sess, err := sim.Backend().NewSession(cfg, func(e core.Env) value.Value { return u.Run(e, value.Value(e.PID()%2)) })
 		if err != nil {
 			return err
 		}
-		cfg.File, cfg.Seed, cfg.Faults = file, seed, inj
-		if _, err := sim.Run(cfg, func(e *sim.Env) value.Value { return u.Run(e, value.Value(e.PID()%2)) }); err != nil {
+		_, err = sess.Run(nil, seed)
+		sess.Close()
+		if err != nil {
 			return fmt.Errorf("seed %d: %w", seed, err)
 		}
 	}
@@ -156,7 +153,7 @@ func TestConcTrackerMatchesCopyAndScan(t *testing.T) {
 	}
 	protocols := []struct {
 		name string
-		run  func(n int, cfg sim.Config, plan *fault.Plan, seeds int) error
+		run  func(n int, cfg exec.Config, seeds int) error
 	}{{"chain", runChain}, {"unbounded", runUnbounded}}
 	plans := []*fault.Plan{nil, fault.New(fault.Crash(0, 40), fault.LoseCoin(1, 1, 3))}
 	models := []register.Semantics{register.Atomic, register.Regular, register.Interposed}
@@ -174,9 +171,9 @@ func TestConcTrackerMatchesCopyAndScan(t *testing.T) {
 				for _, plan := range plans {
 					for _, m := range models {
 						d := &diffScheduler{inner: mk()}
-						cfg := sim.Config{N: n, Scheduler: d, Registers: m, MaxSteps: 1 << 20}
+						cfg := exec.Config{N: n, Scheduler: d, Registers: m, Faults: plan, MaxSteps: 1 << 20}
 						name := fmt.Sprintf("%s/n=%d/%s/%v/faults=%v", proto.name, n, d.inner.Name(), m, plan)
-						if err := proto.run(n, cfg, plan, seeds[n]); err != nil {
+						if err := proto.run(n, cfg, seeds[n]); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 						if d.mismatches > 0 {

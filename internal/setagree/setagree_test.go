@@ -4,24 +4,13 @@ import (
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/check"
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
-	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
-
-// crashes compiles a pid -> crash-after-k map into the injector sim.Config
-// takes (nil for an empty map).
-func crashes(t *testing.T, n int, m map[int]int) *fault.Injector {
-	t.Helper()
-	inj, err := fault.Compile(fault.FromCrashMap(m), n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inj
-}
 
 func runSetAgree(t *testing.T, n, m, k int, inputs []value.Value, s sched.Scheduler, seed uint64, crash map[int]int) *exec.Result {
 	t.Helper()
@@ -30,9 +19,8 @@ func runSetAgree(t *testing.T, n, m, k int, inputs []value.Value, s sched.Schedu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
-		N: n, File: file, Scheduler: s, Seed: seed, Faults: crashes(t, n, crash),
-	}, func(e *sim.Env) value.Value { return p.Run(e, inputs[e.PID()]) })
+	res, err := harness.RunProgram(func(e core.Env) value.Value { return p.Run(e, inputs[e.PID()]) },
+		harness.ObjectConfig{N: n, File: file, Scheduler: s, Seed: seed, CrashAfter: crash})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -16,12 +16,11 @@ import (
 func flipAll(t *testing.T, file *register.File, coin Coin, n int, s sched.Scheduler, seed uint64) (*exec.Result, []value.Value) {
 	t.Helper()
 	outs := make([]value.Value, n)
-	res, err := sim.Run(sim.Config{N: n, File: file, Scheduler: s, Seed: seed},
-		func(e *sim.Env) value.Value {
-			v := coin.Flip(e)
-			outs[e.PID()] = v
-			return v
-		})
+	res, err := harness.RunProgram(func(e core.Env) value.Value {
+		v := coin.Flip(e)
+		outs[e.PID()] = v
+		return v
+	}, harness.ObjectConfig{N: n, File: file, Scheduler: s, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +122,10 @@ func TestVotingSolo(t *testing.T) {
 	file := register.NewFile()
 	coin := NewVoting(file, 3, 1)
 	outs := make([]value.Value, 1)
-	res, err := sim.Run(sim.Config{N: 1, File: file, Scheduler: sched.NewRoundRobin(), Seed: 3},
-		func(e *sim.Env) value.Value {
-			outs[0] = coin.Flip(e)
-			return outs[0]
-		})
+	res, err := harness.RunProgram(func(e core.Env) value.Value {
+		outs[0] = coin.Flip(e)
+		return outs[0]
+	}, harness.ObjectConfig{N: 1, File: file, Scheduler: sched.NewRoundRobin(), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +191,6 @@ func TestVotingRejectsBadN(t *testing.T) {
 	NewVoting(register.NewFile(), 0, 1)
 }
 
-// Interface assertions against core.Env usage.
-var _ core.Env = (*sim.Env)(nil)
-
 func TestWeightedOutputsAreBits(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		file := register.NewFile()
@@ -235,8 +230,8 @@ func TestWeightedSoloIsLogarithmic(t *testing.T) {
 	// threshold in O(log threshold) votes, vs Θ(threshold) unweighted.
 	n := 32
 	soloWork := func(coin Coin, file *register.File) int {
-		res, err := sim.Run(sim.Config{N: 1, File: file, Scheduler: sched.NewRoundRobin(), Seed: 3},
-			func(e *sim.Env) value.Value { return coin.Flip(e) })
+		res, err := harness.RunProgram(func(e core.Env) value.Value { return coin.Flip(e) },
+			harness.ObjectConfig{N: 1, File: file, Scheduler: sched.NewRoundRobin(), Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

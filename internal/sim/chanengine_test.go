@@ -12,18 +12,20 @@ package sim
 //     cost so the speedup claim in DESIGN.md is regenerated, not asserted.
 //
 // The code is a verbatim copy of the old sim.go/env.go with types renamed
-// chan*; request/response/Config/Result and the trace semantics are shared
-// with the production engine. One edit: crash thresholds come from the
-// compiled injector in Config.Faults (its only fault kind read here), since
-// Config no longer carries a crash map.
+// chan*; request/response/Result and the trace semantics are shared with the
+// production engine. Three edits: the engine takes an exec.Config and the
+// run's seed; crash thresholds come from the fault plan, compiled at that
+// seed (its only fault kind read here), so the reference never shares the
+// production engine's compile-once-and-reseed path; and the context check is
+// gone, since no equivalence run cancels.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
@@ -53,7 +55,7 @@ type chanProcState struct {
 type chanProgram func(e *chanEnv) value.Value
 
 // chanRun is the old Run: one goroutine per process, channel handoff.
-func chanRun(cfg Config, programs ...chanProgram) (*exec.Result, error) {
+func chanRun(cfg exec.Config, seed uint64, programs ...chanProgram) (*exec.Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("sim: N=%d must be positive", cfg.N)
 	}
@@ -78,17 +80,16 @@ func chanRun(cfg Config, programs ...chanProgram) (*exec.Result, error) {
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-
-	var ctxDone <-chan struct{}
-	if cfg.Context != nil {
-		ctxDone = cfg.Context.Done()
+	inj, err := fault.Compile(cfg.Faults, cfg.N, seed)
+	if err != nil {
+		return nil, err
 	}
 
 	rt := &chanEngine{
 		cfg:      cfg,
+		inj:      inj,
 		power:    cfg.Scheduler.MinPower(),
 		maxSteps: maxSteps,
-		ctxDone:  ctxDone,
 		states:   make([]*chanProcState, cfg.N),
 		probSrc:  make([]*xrand.Source, cfg.N),
 		killCh:   make(chan struct{}),
@@ -103,7 +104,7 @@ func chanRun(cfg Config, programs ...chanProgram) (*exec.Result, error) {
 		rt.result.Outputs[pid] = value.None
 	}
 
-	root := xrand.New(cfg.Seed)
+	root := xrand.New(seed)
 	cfg.Scheduler.Seed(root.Split(0))
 	for pid := 0; pid < cfg.N; pid++ {
 		rt.probSrc[pid] = root.Split(uint64(1_000_000 + pid))
@@ -129,7 +130,7 @@ func chanRun(cfg Config, programs ...chanProgram) (*exec.Result, error) {
 		go chanRunProcess(rt, pid, programs[pid], env)
 	}
 
-	err := rt.loop()
+	err = rt.loop()
 	rt.teardown()
 	if rt.failure != nil {
 		panic(rt.failure.cause)
@@ -158,10 +159,10 @@ func chanRunProcess(rt *chanEngine, pid int, prog chanProgram, env *chanEnv) {
 }
 
 type chanEngine struct {
-	cfg      Config
+	cfg      exec.Config
+	inj      *fault.Injector
 	power    sched.Power
 	maxSteps int
-	ctxDone  <-chan struct{}
 	states   []*chanProcState
 	probSrc  []*xrand.Source
 	killCh   chan struct{}
@@ -187,13 +188,6 @@ func (rt *chanEngine) loop() error {
 		}
 		if rt.steps >= rt.maxSteps {
 			return fmt.Errorf("%w (limit %d, scheduler %q)", exec.ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
-		}
-		if rt.ctxDone != nil {
-			select {
-			case <-rt.ctxDone:
-				return fmt.Errorf("%w after %d steps: %w", exec.ErrCancelled, rt.steps, context.Cause(rt.cfg.Context))
-			default:
-			}
 		}
 		rt.buildView(view, runnable)
 		pid := rt.cfg.Scheduler.Next(view)
@@ -253,7 +247,7 @@ func (rt *chanEngine) execute(pid int) {
 	rt.result.TotalWork++
 	rt.steps++
 
-	if rt.result.Work[pid] >= rt.cfg.Faults.CrashAt(pid) {
+	if rt.result.Work[pid] >= rt.inj.CrashAt(pid) {
 		st.crashed = true
 		rt.result.Crashed[pid] = true
 		rt.cfg.Trace.Append(trace.Event{Step: -1, PID: pid, Kind: trace.Crash})

@@ -10,23 +10,14 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
-
-// crashes compiles a pid -> crash-after-k map into the injector the engines
-// take (nil for an empty map), the way the harness lowers legacy crash maps.
-func crashes(t testing.TB, n int, m map[int]int) *fault.Injector {
-	t.Helper()
-	inj, err := fault.Compile(fault.FromCrashMap(m), n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inj
-}
 
 // TestCrashNeverRescheduled asserts, from the trace, that a crashed process
 // emits no event of any kind after its Crash marker, performed exactly its
@@ -36,10 +27,10 @@ func TestCrashNeverRescheduled(t *testing.T) {
 	f := register.NewFile()
 	a := f.Alloc(4, "arr")
 	log := trace.New()
-	res, err := Run(Config{
-		N: 4, File: f, Scheduler: sched.NewUniformRandom(), Seed: 77,
-		Trace: log, Faults: crashes(t, 4, crash), CheapCollect: true,
-	}, func(e *Env) value.Value { return equivBody(e, a) })
+	res, err := runOnce(exec.Config{
+		N: 4, File: f, Scheduler: sched.NewUniformRandom(),
+		Trace: log, Faults: fault.FromCrashMap(crash), CheapCollect: true,
+	}, 77, func(e core.Env) value.Value { return equivBody(e, a) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,22 +70,22 @@ func TestCrashNeverRescheduled(t *testing.T) {
 func TestCrashLastOpTakesEffect(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	writer := func(e *Env) value.Value {
+	writer := func(e core.Env) value.Value {
 		e.Write(r, 123)
 		t.Error("crashed writer resumed past its final op")
 		return 0
 	}
-	reader := func(e *Env) value.Value {
+	reader := func(e core.Env) value.Value {
 		for {
 			if v := e.Read(r); !v.IsNone() {
 				return v
 			}
 		}
 	}
-	res, err := Run(Config{
-		N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}), Seed: 1,
-		Faults: crashes(t, 2, map[int]int{0: 1}),
-	}, writer, reader)
+	res, err := runOnce(exec.Config{
+		N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}),
+		Faults: fault.FromCrashMap(map[int]int{0: 1}),
+	}, 1, writer, reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +99,10 @@ func TestCrashLastOpTakesEffect(t *testing.T) {
 func TestAllProcessesCrash(t *testing.T) {
 	f := register.NewFile()
 	a := f.Alloc(3, "arr")
-	res, err := Run(Config{
-		N: 3, File: f, Scheduler: sched.NewRoundRobin(), Seed: 9,
-		Faults: crashes(t, 3, map[int]int{0: 2, 1: 1, 2: 4}),
-	}, func(e *Env) value.Value { return equivBody(e, a) })
+	res, err := runOnce(exec.Config{
+		N: 3, File: f, Scheduler: sched.NewRoundRobin(),
+		Faults: fault.FromCrashMap(map[int]int{0: 2, 1: 1, 2: 4}),
+	}, 9, func(e core.Env) value.Value { return equivBody(e, a) })
 	if err != nil {
 		t.Fatal(err)
 	}

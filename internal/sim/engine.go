@@ -17,56 +17,42 @@ import (
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
-// Engine is a reusable simulator for one (programs, scheduler, config)
-// cell: the per-trial extension of the step loop's zero-allocation
-// contract. NewEngine pays construction once — register image, scheduler
-// views, per-process RNG streams, and the process coroutines themselves —
-// and Reset rewinds all of it in place, so a warmed-up engine runs whole
-// trials without allocating.
-//
-// Usage is strictly Reset-then-Run, once per trial:
-//
-//	eng, err := NewEngine(cfg, programs...)
-//	defer eng.Close()
-//	for _, seed := range seeds {
-//		eng.Reset(seed, injector) // injector may be nil
-//		res, err := eng.Run(ctx)  // res is engine-owned: copy what escapes
-//	}
-//
-// Engine.Run(ctx) with seed s is bit-identical to Run(cfg with Seed: s,
-// Context: ctx) — same results, same traces — which the reuse-equivalence
-// tests pin against the golden fixtures. cfg.Seed, cfg.Faults, and
-// cfg.Context are ignored by NewEngine; they are per-trial inputs and
-// arrive through Reset and Run instead. cfg.Scheduler is the engine's
-// adversary until SetScheduler installs another for later trials.
+// engine is the simulator's exec.Session: a reusable runtime for one
+// (config, programs) cell, and the per-trial extension of the step loop's
+// zero-allocation contract. newEngine pays construction once — register
+// image, scheduler views, per-process RNG streams, the compiled fault plan,
+// and the process coroutines themselves — and every Run(ctx, seed) first
+// rewinds all of it in place (reset), so a warmed-up engine runs whole
+// trials without allocating. cfg.Seed and cfg.Context are ignored: they
+// arrive with each Run. cfg.Scheduler is the engine's adversary until
+// SetScheduler installs another for later trials.
 //
 // Process coroutines persist across trials: after its program returns, a
 // coroutine parks on a sentinel yield instead of exiting, and the next
 // trial resumes it around the loop. Coroutines left suspended mid-trial
-// (step limit, cancellation, crash, stall) are unwound by the next Reset
+// (step limit, cancellation, crash, stall) are unwound by the next reset
 // through an abort response that panics out of the pending Env call and is
 // recovered at the trial boundary.
 //
 // If a trial panics (a program bug, a scheduler contract violation), the
 // engine is poisoned: the panic propagates to the caller, and every later
-// Reset or Run reports exec.ErrSessionPoisoned. A poisoned engine must be
-// Closed and replaced — pools discard it rather than reuse it.
+// Run reports exec.ErrSessionPoisoned. A poisoned engine must be Closed and
+// replaced — pools discard it rather than reuse it.
 //
-// An Engine is not safe for concurrent use.
-type Engine struct {
-	cfg      Config
+// An engine is not safe for concurrent use.
+type engine struct {
+	cfg      exec.Config
 	power    sched.Power
 	maxSteps int
 	procs    []proc
-	programs []Program
 
-	// image is the register file's post-construction contents; Reset
+	// image is the register file's post-construction contents; reset
 	// restores it so trial k+1 sees exactly the memory trial k started
 	// from, Inits included.
 	image []value.Value
 
-	// Per-trial RNG streams, reseeded in place by Reset with the shared
-	// exec derivation (same streams a fresh run would build).
+	// Per-trial RNG streams, reseeded in place by reset with the shared
+	// exec derivation (same streams a fresh engine would build).
 	root     xrand.Source
 	schedSrc xrand.Source
 	coinSrc  []xrand.Source
@@ -74,7 +60,7 @@ type Engine struct {
 
 	// Register-semantics state, allocated only under register.Regular: semSrc
 	// is the shared schedule-ordered stream that resolves overlapping reads
-	// (derived by Reset only when needed, so atomic trials draw exactly the
+	// (derived by reset only when needed, so atomic trials draw exactly the
 	// streams they always did), and invVal[pid] snapshots the target's value
 	// at the moment pid *invokes* a read. If the register changed by the time
 	// the read executes, the read overlapped a write and semSrc decides
@@ -92,6 +78,8 @@ type Engine struct {
 	stallAt     []int
 	stepCrashAt []int
 
+	// inj is cfg.Faults compiled once; reset rewinds its streams to each
+	// trial's seed. nil (and faulty false) when the plan is empty.
 	inj      *fault.Injector
 	faulty   bool
 	needCtx  bool
@@ -118,16 +106,14 @@ type Engine struct {
 	// collectBuf backs cheap-collect responses, reused every step.
 	collectBuf []value.Value
 
-	armed    bool
 	poisoned bool
 	closed   bool
 }
 
-// NewEngine validates cfg, broadcasts programs (1 or N), snapshots the
-// register file's initial image, and spawns the persistent process
-// coroutines. cfg.Seed, cfg.Faults, and cfg.Context are ignored (per-trial;
-// see Reset and Run).
-func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
+// newEngine validates cfg, resolves programs (1 or N, exec.Programs),
+// compiles the fault plan, snapshots the register file's initial image, and
+// spawns the persistent process coroutines.
+func newEngine(cfg exec.Config, programs ...exec.Program) (*engine, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("sim: N=%d must be positive", cfg.N)
 	}
@@ -135,21 +121,11 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 		return nil, errors.New("sim: nil register file")
 	}
 	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: nil scheduler")
+		return nil, errors.New("sim: nil scheduler (the sim backend requires an explicit adversary)")
 	}
-	switch len(programs) {
-	case cfg.N:
-		ps := make([]Program, cfg.N)
-		copy(ps, programs)
-		programs = ps
-	case 1:
-		one := programs[0]
-		programs = make([]Program, cfg.N)
-		for i := range programs {
-			programs[i] = one
-		}
-	default:
-		return nil, fmt.Errorf("sim: got %d programs for %d processes", len(programs), cfg.N)
+	progs, err := exec.Programs(cfg.N, programs)
+	if err != nil {
+		return nil, err
 	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
@@ -160,20 +136,30 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown register semantics %v", cfg.Registers)
 	}
+	// Thresholds and probabilities are seed-independent, and reset rewinds
+	// the fault streams to each trial's seed, so one compile serves every
+	// trial. (Stall plans are legal without a config context: Run demands
+	// a per-trial context for them instead.)
+	inj, err := fault.Compile(cfg.Faults, cfg.N, 0)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	// Stamp the model on the file so trace/error strings self-describe which
 	// semantics produced them (a no-op for atomic: names stay byte-identical).
 	cfg.File.SetSemantics(cfg.Registers)
-	eng := &Engine{
+	eng := &engine{
 		cfg:         cfg,
 		maxSteps:    maxSteps,
 		procs:       make([]proc, cfg.N),
-		programs:    programs,
 		image:       cfg.File.Contents(),
 		coinSrc:     make([]xrand.Source, cfg.N),
 		probSrc:     make([]xrand.Source, cfg.N),
 		crashAt:     make([]int, cfg.N),
 		stallAt:     make([]int, cfg.N),
 		stepCrashAt: make([]int, cfg.N),
+		inj:         inj,
+		faulty:      inj != nil,
+		needCtx:     inj.HasStall(),
 		result:      exec.NewResult(cfg.N),
 		stalledBuf:  make([]bool, cfg.N),
 		meter:       cfg.Meter,
@@ -186,19 +172,20 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 	eng.view = sched.View{Semantics: cfg.Registers, N: cfg.N, Pending: make([]sched.Op, cfg.N)}
 	eng.result.Trace = cfg.Trace
 	for pid := 0; pid < cfg.N; pid++ {
-		eng.spawn(pid)
+		eng.spawn(pid, progs[pid])
 	}
 	return eng, nil
 }
 
-// spawn creates pid's persistent coroutine. The body loops one program run
-// per trial, parking on a sentinel yield between trials; a fresh coroutine
-// counts as parked (its body has not started). A panic other than the
-// engine's own sentinels propagates to whichever engine call resumed the
-// coroutine — and from there out of Run with its original value.
-func (eng *Engine) spawn(pid int) {
+// spawn creates pid's persistent coroutine running prog. The body loops one
+// program run per trial, parking on a sentinel yield between trials; a
+// fresh coroutine counts as parked (its body has not started). A panic
+// other than the engine's own sentinels propagates to whichever engine call
+// resumed the coroutine — and from there out of Run with its original
+// value.
+func (eng *engine) spawn(pid int, prog exec.Program) {
 	p := &eng.procs[pid]
-	env := &Env{
+	e := &env{
 		pid:   pid,
 		n:     eng.cfg.N,
 		cheap: eng.cfg.CheapCollect,
@@ -206,7 +193,6 @@ func (eng *Engine) spawn(pid int) {
 		log:   eng.cfg.Trace,
 		resp:  &p.resp,
 	}
-	prog := eng.programs[pid]
 	p.parked = true
 	p.next, p.stop = iter.Pull(func(yield func(request) bool) {
 		defer func() {
@@ -217,9 +203,9 @@ func (eng *Engine) spawn(pid int) {
 				panic(r)
 			}
 		}()
-		env.yield = yield
+		e.yield = yield
 		for {
-			if out, completed := runProgram(env, prog); completed {
+			if out, completed := runProgram(e, prog); completed {
 				p.halted = true
 				p.output = out
 			}
@@ -235,7 +221,7 @@ func (eng *Engine) spawn(pid int) {
 // runProgram runs one trial of prog, converting the engine's reset-abort
 // into a clean (uncompleted) return. Teardown (errKilled) and genuine
 // program panics keep unwinding as panics.
-func runProgram(env *Env, prog Program) (out value.Value, completed bool) {
+func runProgram(e *env, prog exec.Program) (out value.Value, completed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && errors.Is(err, errTrialAbort) {
@@ -245,24 +231,17 @@ func runProgram(env *Env, prog Program) (out value.Value, completed bool) {
 			panic(r)
 		}
 	}()
-	return prog(env), true
+	return prog(e), true
 }
 
-// Reset rewinds the engine to run one trial with the given seed and
-// compiled fault injector (nil for a fault-free trial), reusing every
-// buffer in place: it aborts coroutines left mid-trial, restores the
+// reset rewinds the engine to run one trial with the given seed, reusing
+// every buffer in place: it aborts coroutines left mid-trial, restores the
 // register image, rewinds the injector's and the engine's RNG streams,
 // re-seeds the scheduler (which clears the scheduler's own state — see the
 // sched.Scheduler contract), and zeroes the result. The injector is
 // reseeded to seed, so its fault streams match fault.Compile(plan, n, seed)
-// whatever seed it was originally compiled with.
-func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
-	if eng.closed {
-		return errors.New("sim: Reset on closed engine")
-	}
-	if eng.poisoned {
-		return exec.ErrSessionPoisoned
-	}
+// although it was compiled at seed 0.
+func (eng *engine) reset(seed uint64) error {
 	// Unwind coroutines the previous trial left suspended mid-program
 	// (step limit, cancellation, crash, stall): the abort response panics
 	// out of their pending Env call and is recovered at the trial
@@ -287,17 +266,14 @@ func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
 		eng.poisoned = true
 		return fmt.Errorf("sim: %v: %w", err, exec.ErrSessionPoisoned)
 	}
-	// Install and rewind the fault plane. Thresholds are seed-independent;
-	// only the delay/lost-coin streams depend on the seed.
-	eng.inj = faults
-	eng.faulty = faults != nil
-	eng.needCtx = faults.HasStall()
-	faults.Reseed(seed)
+	// Rewind the fault plane. Thresholds are seed-independent; only the
+	// delay/lost-coin streams depend on the seed.
+	eng.inj.Reseed(seed)
 	for pid := 0; pid < eng.cfg.N; pid++ {
-		eng.crashAt[pid] = faults.CrashAt(pid)
+		eng.crashAt[pid] = eng.inj.CrashAt(pid)
 		if eng.faulty {
-			eng.stallAt[pid] = faults.StallAt(pid)
-			eng.stepCrashAt[pid] = faults.CrashStep(pid)
+			eng.stallAt[pid] = eng.inj.StallAt(pid)
+			eng.stepCrashAt[pid] = eng.inj.CrashStep(pid)
 		}
 	}
 	// Rewind every RNG stream in place. Split never advances its parent,
@@ -359,35 +335,32 @@ func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
 	eng.view.Memory = nil
 	eng.view.Changed = sched.Change{}
 	eng.runnable = eng.runnable[:0]
-	eng.armed = true
 	return nil
 }
 
-// SetScheduler installs s as the adversary of the trials armed by later
-// Resets, which seed it and build its views at its MinPower. A caller that
-// holds a fresh scheduler per execution (Solve) reuses one engine this way;
-// the result is the one an engine constructed with s would return. Such a
-// caller installs nil after each trial, so the idle engine keeps no
-// reference to its scheduler; Reset needs a non-nil one.
-func (eng *Engine) SetScheduler(s sched.Scheduler) { eng.cfg.Scheduler = s }
+// SetScheduler installs s as the adversary of later Runs, which seed it and
+// build its views at its MinPower. A caller that holds a fresh scheduler per
+// execution (Solve) reuses one engine this way; the result is the one an
+// engine constructed with s would return. Such a caller installs nil after
+// each trial, so the idle engine keeps no reference to its scheduler; Run
+// needs a non-nil one.
+func (eng *engine) SetScheduler(s sched.Scheduler) { eng.cfg.Scheduler = s }
 
-// Run executes the trial armed by the last Reset and returns the
-// engine-owned result: its slices and trace are invalidated by the next
-// Reset, so callers that retain anything across trials must deep-copy
-// first. ctx, if non-nil, cancels the execution between scheduled
-// operations; trials whose injector contains stall faults require one.
-// Each Reset arms exactly one Run.
-func (eng *Engine) Run(ctx context.Context) (*exec.Result, error) {
+// Run implements exec.Session: it rewinds the engine to seed (reset), then
+// runs one trial and returns the engine-owned result, whose slices and trace
+// are invalidated by the next Run; callers that retain anything across
+// trials must deep-copy first. ctx, if non-nil, cancels the execution
+// between scheduled operations; plans with stall faults require one.
+func (eng *engine) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 	if eng.closed {
-		return nil, errors.New("sim: Run on closed engine")
+		return nil, errors.New("sim: Run on closed session")
 	}
 	if eng.poisoned {
 		return nil, exec.ErrSessionPoisoned
 	}
-	if !eng.armed {
-		return nil, errors.New("sim: Run before Reset (arm each trial with Reset(seed, faults))")
+	if err := eng.reset(seed); err != nil {
+		return nil, err
 	}
-	eng.armed = false
 	if eng.needCtx && ctx == nil {
 		return nil, errors.New("sim: stall faults require a Context (a stalled process never halts; only cancellation ends the execution)")
 	}
@@ -429,12 +402,11 @@ func (eng *Engine) Run(ctx context.Context) (*exec.Result, error) {
 	return eng.result, err
 }
 
-// Close unwinds every coroutine and retires the engine. Suspended or parked
-// processes see their pending Env call or parking yield fail and exit
-// through the errKilled sentinel; Close is the pooled analogue of the
-// one-shot Run's deferred teardown and must be called exactly once per
-// engine (later calls are no-ops).
-func (eng *Engine) Close() error {
+// Close implements exec.Session: it unwinds every coroutine and retires the
+// engine. Suspended or parked processes see their pending Env call or
+// parking yield fail and exit through the errKilled sentinel. Later calls
+// are no-ops.
+func (eng *engine) Close() error {
 	if eng.closed {
 		return nil
 	}
@@ -448,8 +420,8 @@ func (eng *Engine) Close() error {
 	return nil
 }
 
-// loop drives the armed trial to completion or to the step limit.
-func (rt *Engine) loop() error {
+// loop drives the trial Run started to completion or to the step limit.
+func (rt *engine) loop() error {
 	seesMemory := rt.power == sched.LocationOblivious || rt.power == sched.Adaptive
 	for {
 		if len(rt.runnable) == 0 {
@@ -506,7 +478,7 @@ func (rt *Engine) loop() error {
 // dropRunnable removes pid from the ascending runnable list (called only
 // when a process halts or crashes, so the O(n) shift is off the per-step
 // path).
-func (rt *Engine) dropRunnable(pid int) {
+func (rt *engine) dropRunnable(pid int) {
 	for i, p := range rt.runnable {
 		if p == pid {
 			rt.runnable = append(rt.runnable[:i], rt.runnable[i+1:]...)
@@ -519,7 +491,7 @@ func (rt *Engine) dropRunnable(pid int) {
 // returns the register pid's operation changed, with its old value, for the
 // next view's Changed. Only a write or a successful probabilistic write can
 // change a register, and only to a value it does not already hold.
-func (rt *Engine) executeSeen(pid int) sched.Change {
+func (rt *engine) executeSeen(pid int) sched.Change {
 	req := rt.procs[pid].pending
 	if req.kind != sched.OpWrite && req.kind != sched.OpProbWrite {
 		rt.execute(pid)
@@ -535,7 +507,7 @@ func (rt *Engine) executeSeen(pid int) sched.Change {
 
 // execute applies pid's pending operation, then resumes pid's coroutine to
 // obtain its next request (unless pid crashes at this step).
-func (rt *Engine) execute(pid int) {
+func (rt *engine) execute(pid int) {
 	p := &rt.procs[pid]
 	req := p.pending
 	p.hasOp = false
@@ -612,7 +584,7 @@ func (rt *Engine) execute(pid int) {
 
 	// Crash checks run after the operation lands: the last operation takes
 	// effect, but the process never observes the result and is never
-	// scheduled again; its coroutine stays suspended until the next Reset
+	// scheduled again; its coroutine stays suspended until the next reset
 	// (or Close) unwinds it. rt.steps is now the 1-based global index of
 	// this operation, which is what the crash-on-round thresholds are
 	// compiled against.
@@ -631,7 +603,7 @@ func (rt *Engine) execute(pid int) {
 
 // crash marks pid crashed. Called either after its last operation landed or
 // before its first (threshold 0).
-func (rt *Engine) crash(pid int) {
+func (rt *engine) crash(pid int) {
 	rt.procs[pid].crashed = true
 	rt.result.Crashed[pid] = true
 	if rt.cfg.Trace != nil {
@@ -642,8 +614,8 @@ func (rt *Engine) crash(pid int) {
 // stall freezes pid: unlike a crash it is not reported as failed — the
 // process holds its state forever and simply never takes another step, the
 // classic livelock a deadline watchdog has to catch. Its coroutine stays
-// suspended until the next Reset aborts it.
-func (rt *Engine) stall(pid int) {
+// suspended until the next reset aborts it.
+func (rt *engine) stall(pid int) {
 	rt.procs[pid].stalled = true
 	rt.result.Stalled[pid] = true
 	rt.stalledN++
@@ -654,7 +626,7 @@ func (rt *Engine) stall(pid int) {
 // just returned leaves its coroutine on (recorded as the process's halt). A
 // program panic propagates out of p.next (and out of Run) with its original
 // value.
-func (rt *Engine) resume(pid int) {
+func (rt *engine) resume(pid int) {
 	p := &rt.procs[pid]
 	req, ok := p.next()
 	if !ok {
@@ -687,7 +659,7 @@ func (rt *Engine) resume(pid int) {
 
 // restrictOp projects a pending request down to what rt.power permits the
 // adversary to observe (§2.1).
-func (rt *Engine) restrictOp(req request) sched.Op {
+func (rt *engine) restrictOp(req request) sched.Op {
 	op := sched.Op{Valid: true, Reg: -1, Val: value.None}
 	switch rt.power {
 	case sched.Oblivious:

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -63,10 +64,11 @@ func benchBody[E interface {
 	}
 }
 
-func benchConfig(power sched.Power, n, steps int, f *register.File) Config {
-	return Config{
+// benchConfig is the step-loop cell; every step-loop run uses seed 1.
+func benchConfig(power sched.Power, n, steps int, f *register.File) exec.Config {
+	return exec.Config{
 		N: n, File: f, Scheduler: &powerRR{power: power, inner: sched.NewRoundRobin()},
-		Seed: 1, MaxSteps: steps,
+		MaxSteps: steps,
 	}
 }
 
@@ -82,8 +84,8 @@ func runStepLoopPadded(power sched.Power, n, pad, steps int) (int, error) {
 	f := register.NewFile()
 	a := f.Alloc(n, "bench")
 	f.Alloc(pad, "pad")
-	res, err := Run(benchConfig(power, n, steps, f),
-		func(e *Env) value.Value { return benchBody(e, a) })
+	res, err := runOnce(benchConfig(power, n, steps, f), 1,
+		func(e core.Env) value.Value { return benchBody(e, a) })
 	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return 0, err
 	}
@@ -94,7 +96,7 @@ func runStepLoopPadded(power sched.Power, n, pad, steps int) (int, error) {
 func runStepLoopChan(power sched.Power, n, steps int) (int, error) {
 	f := register.NewFile()
 	a := f.Alloc(n, "bench")
-	res, err := chanRun(benchConfig(power, n, steps, f),
+	res, err := chanRun(benchConfig(power, n, steps, f), 1,
 		func(e *chanEnv) value.Value { return benchBody(e, a) })
 	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return 0, err

@@ -8,13 +8,13 @@ import (
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
-// Env is a process's handle on the shared-memory world. Every method that
-// touches shared memory suspends the process's coroutine until the adversary
-// schedules the operation; coin methods are local, free, and invisible to
-// weak adversaries.
+// env is a process's handle on the shared-memory world: the simulator's
+// core.Env. Every method that touches shared memory suspends the process's
+// coroutine until the adversary schedules the operation; coin methods are
+// local, free, and invisible to weak adversaries.
 //
-// An Env belongs to exactly one process coroutine and must not be shared.
-type Env struct {
+// An env belongs to exactly one process coroutine and must not be shared.
+type env struct {
 	pid   int
 	n     int
 	cheap bool
@@ -31,22 +31,22 @@ type Env struct {
 }
 
 // PID returns this process's id in [0, N).
-func (e *Env) PID() int { return e.pid }
+func (e *env) PID() int { return e.pid }
 
 // N returns the number of processes.
-func (e *Env) N() int { return e.n }
+func (e *env) N() int { return e.n }
 
 // CheapCollect reports whether the cheap-collect cost model is active.
-func (e *Env) CheapCollect() bool { return e.cheap }
+func (e *env) CheapCollect() bool { return e.cheap }
 
 // Read performs an atomic read of r. Cost: 1 operation.
-func (e *Env) Read(r register.Reg) value.Value {
+func (e *env) Read(r register.Reg) value.Value {
 	resp := e.do(request{kind: sched.OpRead, reg: r})
 	return resp.val
 }
 
 // Write performs an atomic write of v to r. Cost: 1 operation.
-func (e *Env) Write(r register.Reg, v value.Value) {
+func (e *env) Write(r register.Reg, v value.Value) {
 	e.do(request{kind: sched.OpWrite, reg: r, val: v})
 }
 
@@ -59,7 +59,7 @@ func (e *Env) Write(r register.Reg, v value.Value) {
 // The return value reports success. Whether a protocol is allowed to *use*
 // it is a modeling choice (footnote 2 of the paper); the paper's default
 // protocols ignore it, and the detection ablation measures the difference.
-func (e *Env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
+func (e *env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
 	resp := e.do(request{kind: sched.OpProbWrite, reg: r, val: v, num: num, den: den})
 	return resp.ok
 }
@@ -75,7 +75,7 @@ func (e *Env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
 // construction in this repo iterates over it right away) need no copy;
 // anything that retains the slice across a subsequent Read/Write/ProbWrite/
 // Collect must copy it first.
-func (e *Env) Collect(arr register.Array) []value.Value {
+func (e *env) Collect(arr register.Array) []value.Value {
 	if e.cheap {
 		resp := e.do(request{kind: sched.OpCollect, arr: arr})
 		return resp.vals
@@ -88,7 +88,7 @@ func (e *Env) Collect(arr register.Array) []value.Value {
 }
 
 // CoinUint64 flips 64 local coin bits. Cost: 0.
-func (e *Env) CoinUint64() uint64 {
+func (e *env) CoinUint64() uint64 {
 	v := e.coins.Uint64()
 	if e.log != nil {
 		e.log.Append(trace.Event{Step: -1, PID: e.pid, Kind: trace.Coin, Val: value.Value(int64(v >> 1))})
@@ -97,7 +97,7 @@ func (e *Env) CoinUint64() uint64 {
 }
 
 // CoinBool flips one fair local coin. Cost: 0.
-func (e *Env) CoinBool() bool {
+func (e *env) CoinBool() bool {
 	v := e.coins.Bool()
 	if e.log != nil {
 		bit := value.Value(0)
@@ -110,7 +110,7 @@ func (e *Env) CoinBool() bool {
 }
 
 // CoinIntn returns a uniform local random integer in [0, n). Cost: 0.
-func (e *Env) CoinIntn(n int) int {
+func (e *env) CoinIntn(n int) int {
 	v := e.coins.Intn(n)
 	if e.log != nil {
 		e.log.Append(trace.Event{Step: -1, PID: e.pid, Kind: trace.Coin, Val: value.Value(v)})
@@ -120,7 +120,7 @@ func (e *Env) CoinIntn(n int) int {
 
 // MarkInvoke annotates the trace with the start of an operation on a
 // deciding object. Cost: 0.
-func (e *Env) MarkInvoke(label string, v value.Value) {
+func (e *env) MarkInvoke(label string, v value.Value) {
 	if e.log != nil {
 		e.log.Append(trace.Event{Step: -1, PID: e.pid, Kind: trace.Invoke, Label: label, Val: v})
 	}
@@ -128,7 +128,7 @@ func (e *Env) MarkInvoke(label string, v value.Value) {
 
 // MarkReturn annotates the trace with the result of an operation on a
 // deciding object. Cost: 0.
-func (e *Env) MarkReturn(label string, d value.Decision) {
+func (e *env) MarkReturn(label string, d value.Decision) {
 	if e.log != nil {
 		e.log.Append(trace.Event{
 			Step: -1, PID: e.pid, Kind: trace.Return,
@@ -140,10 +140,10 @@ func (e *Env) MarkReturn(label string, d value.Decision) {
 // do publishes a pending operation, suspends the coroutine until the
 // runtime executes the operation, and returns the runtime's response. A
 // false yield means the runtime is unwinding this process for good
-// (Engine.Close); an abort response means Engine.Reset is unwinding just
+// (engine.Close); an abort response means engine.reset is unwinding just
 // the current trial, recovered at the trial boundary so the coroutine can
 // park and serve the next one.
-func (e *Env) do(req request) response {
+func (e *env) do(req request) response {
 	if !e.yield(req) {
 		panic(errKilled)
 	}

@@ -29,7 +29,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
@@ -38,7 +40,7 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden trace files from the current engine")
 
-// envLike is the program-facing surface shared by the production *Env and the
+// envLike is the program-facing surface shared by the production *env and the
 // preserved *chanEnv, so test bodies are written once and run on both.
 type envLike interface {
 	PID() int
@@ -56,7 +58,7 @@ type envLike interface {
 }
 
 var (
-	_ envLike = (*Env)(nil)
+	_ envLike = (*env)(nil)
 	_ envLike = (*chanEnv)(nil)
 )
 
@@ -144,10 +146,10 @@ func equivCases() []equivCase {
 	}
 }
 
-func (c equivCase) config(t *testing.T, f *register.File, log *trace.Log, seed uint64) Config {
-	return Config{
-		N: c.n, File: f, Scheduler: c.mk(), Seed: seed,
-		Trace: log, CheapCollect: c.cheap, Faults: crashes(t, c.n, c.crash),
+func (c equivCase) config(f *register.File, log *trace.Log) exec.Config {
+	return exec.Config{
+		N: c.n, File: f, Scheduler: c.mk(),
+		Trace: log, CheapCollect: c.cheap, Faults: fault.FromCrashMap(c.crash),
 	}
 }
 
@@ -157,7 +159,7 @@ func runEquivNew(t *testing.T, c equivCase, seed uint64) (*exec.Result, *trace.L
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
 	log := trace.New()
-	res, err := Run(c.config(t, f, log, seed), func(e *Env) value.Value { return c.run(e, a) })
+	res, err := runOnce(c.config(f, log), seed, func(e core.Env) value.Value { return c.run(e, a) })
 	if err != nil {
 		t.Fatalf("%s: new engine: %v", c.name, err)
 	}
@@ -170,7 +172,7 @@ func runEquivChan(t *testing.T, c equivCase, seed uint64) (*exec.Result, *trace.
 	f := register.NewFile()
 	a := f.Alloc(c.regs, "arr")
 	log := trace.New()
-	res, err := chanRun(c.config(t, f, log, seed), func(e *chanEnv) value.Value { return c.run(e, a) })
+	res, err := chanRun(c.config(f, log), seed, func(e *chanEnv) value.Value { return c.run(e, a) })
 	if err != nil {
 		t.Fatalf("%s: chan engine: %v", c.name, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
@@ -19,7 +20,7 @@ func runStepLoopMeter(power sched.Power, n, steps int, m *obs.Meter) (*exec.Resu
 	a := f.Alloc(n, "bench")
 	cfg := benchConfig(power, n, steps, f)
 	cfg.Meter = m
-	res, err := Run(cfg, func(e *Env) value.Value { return benchBody(e, a) })
+	res, err := runOnce(cfg, 1, func(e core.Env) value.Value { return benchBody(e, a) })
 	if err != nil && !errors.Is(err, exec.ErrStepLimit) {
 		return nil, err
 	}
@@ -27,7 +28,7 @@ func runStepLoopMeter(power sched.Power, n, steps int, m *obs.Meter) (*exec.Resu
 }
 
 // TestStepLoopZeroAllocsMeterOff pins the obs plane's zero-overhead-when-off
-// contract on the sim hot path: with Config.Meter explicitly nil the step
+// contract on the sim hot path: with exec.Config.Meter explicitly nil the step
 // loop performs zero allocations per step, exactly as before the plane
 // existed. (The ns/step side of the contract is covered by
 // TestStepEngineSpeedup, which fails if the step path slows past its guard.)

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -13,8 +14,8 @@ import (
 // impatientProg is the ImpatientFirstMoverConciliator loop written directly
 // against the engine: the standard workload for differential runs because it
 // exercises reads and probabilistic writes under every adversary class.
-func impatientProg(r register.Reg, n int) Program {
-	return func(e *Env) value.Value {
+func impatientProg(r register.Reg, n int) exec.Program {
+	return func(e core.Env) value.Value {
 		v := value.Value(e.PID()%2 + 1)
 		for k := 0; ; k++ {
 			if u := e.Read(r); !u.IsNone() {
@@ -34,8 +35,8 @@ func impatientProg(r register.Reg, n int) Program {
 // TestAtomicSemanticsDifferential pins that the semantics refactor did not
 // fork the atomic path: at n ∈ {2, 16, 256} under one scheduler per
 // adversary power class, an explicit Registers: Atomic one-shot run is
-// bit-identical (outputs, per-process work, total work) to a pooled-engine
-// run whose config leaves Registers at its zero value.
+// bit-identical (outputs, per-process work, total work) to the second trial
+// of a session whose config leaves Registers at its zero value.
 func TestAtomicSemanticsDifferential(t *testing.T) {
 	mkScheds := map[string]func() sched.Scheduler{
 		"round-robin":       func() sched.Scheduler { return sched.NewRoundRobin() },
@@ -47,26 +48,26 @@ func TestAtomicSemanticsDifferential(t *testing.T) {
 		for name, mk := range mkScheds {
 			file := register.NewFile()
 			r := file.Alloc1("C0.r")
-			oneShot, err := Run(Config{
-				N: n, File: file, Scheduler: mk(), Seed: 42,
+			oneShot, err := runOnce(exec.Config{
+				N: n, File: file, Scheduler: mk(),
 				Registers: register.Atomic,
-			}, impatientProg(r, n))
+			}, 42, impatientProg(r, n))
 			if err != nil {
 				t.Fatalf("n=%d %s one-shot: %v", n, name, err)
 			}
 
 			file2 := register.NewFile()
 			r2 := file2.Alloc1("C0.r")
-			eng, err := NewEngine(Config{
+			sess, err := Backend().NewSession(exec.Config{
 				N: n, File: file2, Scheduler: mk(),
 			}, impatientProg(r2, n))
 			if err != nil {
-				t.Fatalf("n=%d %s engine: %v", n, name, err)
+				t.Fatalf("n=%d %s session: %v", n, name, err)
 			}
-			if err := eng.Reset(42, nil); err != nil {
-				t.Fatal(err)
+			if _, err := sess.Run(nil, 41); err != nil {
+				t.Fatalf("n=%d %s warm-up: %v", n, name, err)
 			}
-			pooled, err := eng.Run(nil)
+			pooled, err := sess.Run(nil, 42)
 			if err != nil {
 				t.Fatalf("n=%d %s pooled: %v", n, name, err)
 			}
@@ -79,7 +80,7 @@ func TestAtomicSemanticsDifferential(t *testing.T) {
 						n, name, pid, oneShot.Outputs[pid], oneShot.Work[pid], pooled.Outputs[pid], pooled.Work[pid])
 				}
 			}
-			eng.Close()
+			sess.Close()
 		}
 	}
 }
@@ -94,12 +95,12 @@ func TestRegularStaleRead(t *testing.T) {
 		file := register.NewFile()
 		r := file.Alloc1("x")
 		file.Init(r, 5)
-		reader := func(e *Env) value.Value { return e.Read(r) }
-		writer := func(e *Env) value.Value { e.Write(r, 9); return 0 }
-		res, err := Run(Config{
-			N: 2, File: file, Scheduler: sched.NewStaleReadAttack(), Seed: seed,
+		reader := func(e core.Env) value.Value { return e.Read(r) }
+		writer := func(e core.Env) value.Value { e.Write(r, 9); return 0 }
+		res, err := runOnce(exec.Config{
+			N: 2, File: file, Scheduler: sched.NewStaleReadAttack(),
 			Registers: model,
-		}, reader, writer)
+		}, seed, reader, writer)
 		if err != nil {
 			t.Fatalf("%v seed %d: %v", model, seed, err)
 		}
@@ -131,10 +132,10 @@ func TestRegularIsDeterministic(t *testing.T) {
 	run := func() *exec.Result {
 		file := register.NewFile()
 		r := file.Alloc1("C0.r")
-		res, err := Run(Config{
-			N: 8, File: file, Scheduler: sched.NewStaleReadAttack(), Seed: 17,
+		res, err := runOnce(exec.Config{
+			N: 8, File: file, Scheduler: sched.NewStaleReadAttack(),
 			Registers: register.Regular,
-		}, impatientProg(r, 8))
+		}, 17, impatientProg(r, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,10 +204,10 @@ func TestInterposedBluntsAdversaryView(t *testing.T) {
 		file := register.NewFile()
 		r := file.Alloc1("C0.r")
 		spy := &spySched{}
-		res, err := Run(Config{
-			N: 4, File: file, Scheduler: spy, Seed: 3,
+		res, err := runOnce(exec.Config{
+			N: 4, File: file, Scheduler: spy,
 			Registers: model,
-		}, impatientProg(r, 4))
+		}, 3, impatientProg(r, 4))
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
@@ -248,10 +249,10 @@ func TestInterposedBluntsAdversaryView(t *testing.T) {
 func TestEngineRejectsUnknownSemantics(t *testing.T) {
 	file := register.NewFile()
 	file.Alloc1("x")
-	_, err := NewEngine(Config{
+	_, err := Backend().NewSession(exec.Config{
 		N: 1, File: file, Scheduler: sched.NewRoundRobin(), Registers: register.Semantics(9),
-	}, func(e *Env) value.Value { return 0 })
+	}, func(e core.Env) value.Value { return 0 })
 	if err == nil {
-		t.Fatal("NewEngine accepted an unknown register model")
+		t.Fatal("NewSession accepted an unknown register model")
 	}
 }

@@ -1,7 +1,7 @@
 package sim
 
-// Tests and benchmarks for the resettable Engine behind the sim backend's
-// sessions: trial reuse must be invisible (bit-identical to fresh engines),
+// Tests and benchmarks for the resettable engine that is the sim backend's
+// session: trial reuse must be invisible (bit-identical to fresh engines),
 // free (0 allocs/trial after warmup), and measurably cheaper than
 // constructing an engine per trial (BenchmarkTrialReuse is the number the
 // pooled harness amortizes away).
@@ -48,24 +48,9 @@ func sessionWorkload(n int) (exec.Config, exec.Program) {
 	return cfg, prog
 }
 
-// freshRun is the one-shot reference a reused session must match: the
-// package-level Run on a fresh engine, with the fault plan compiled at the
-// run's seed rather than rewound to it.
-func freshRun(cfg exec.Config, prog exec.Program) (*exec.Result, error) {
-	inj, err := fault.Compile(cfg.Faults, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return Run(Config{
-		N: cfg.N, File: cfg.File, Scheduler: cfg.Scheduler, Seed: cfg.Seed,
-		CheapCollect: cfg.CheapCollect, Registers: cfg.Registers, Faults: inj,
-		MaxSteps: cfg.MaxSteps,
-	}, func(e *Env) value.Value { return prog(e) })
-}
-
 // TestSessionReuseMatchesFreshRuns pins the reuse contract: one session run
-// across many seeds produces exactly the results of a fresh one-shot run
-// per seed, in any seed order.
+// across many seeds produces exactly the results of a fresh engine run once
+// per seed (runOnce), in any seed order.
 func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 	const n = 5
 	cfg, prog := sessionWorkload(n)
@@ -84,8 +69,7 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 			t.Fatalf("seed %d: session run: %v", seed, err)
 		}
 		freshCfg, freshProg := sessionWorkload(n)
-		freshCfg.Seed = seed
-		want, err := freshRun(freshCfg, freshProg)
+		want, err := runOnce(freshCfg, seed, freshProg)
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}
@@ -148,10 +132,12 @@ func coinWorkload(n int, cheap bool, s sched.Scheduler) (exec.Config, exec.Progr
 // TestSessionMatchesFreshDifferential widens the reuse pin to the whole
 // engine surface: for every workload, process count, and adversary power, a
 // session reused across seeds under each fault plan and register model
-// reports exactly what a fresh one-shot run of the same seed reports. Stall
+// reports exactly what a fresh engine run once at the same seed reports
+// (that both engines' compile-once plans match a compile at the seed is
+// TestReseedMatchesCompile's job, in internal/fault). Stall
 // plans are excluded — a stalled execution only ends by cancellation, so
 // its step count is wall-clock dependent by design — but the remaining kinds
-// cover every injector stream Reset must rewind (crash thresholds, lost-coin
+// cover every injector stream reset must rewind (crash thresholds, lost-coin
 // draws), and the register models cover the regular-read stream and the
 // interposed view masking.
 func TestSessionMatchesFreshDifferential(t *testing.T) {
@@ -214,9 +200,8 @@ func TestSessionMatchesFreshDifferential(t *testing.T) {
 								want, ok := fresh[seed]
 								if !ok {
 									freshCfg, freshProg := build(pl.plan, m)
-									freshCfg.Seed = seed
 									var errF error
-									if want, errF = freshRun(freshCfg, freshProg); errF != nil {
+									if want, errF = runOnce(freshCfg, seed, freshProg); errF != nil {
 										t.Fatalf("%s/%v seed %d: fresh run: %v", pl.name, m, seed, errF)
 									}
 									fresh[seed] = want
@@ -299,7 +284,7 @@ func cloneForCompare(r *exec.Result) *exec.Result {
 
 // TestTrialZeroAllocsAfterWarmup is the tentpole's per-trial half of the
 // zero-allocation contract: after the first trial warms the session, a
-// whole trial — Reset plus Run — allocates nothing.
+// whole trial — reset plus the run — allocates nothing.
 func TestTrialZeroAllocsAfterWarmup(t *testing.T) {
 	cfg, prog := sessionWorkload(4)
 	sess, err := Backend().NewSession(cfg, prog)
@@ -322,8 +307,8 @@ func TestTrialZeroAllocsAfterWarmup(t *testing.T) {
 }
 
 // TestSessionPoisonedAfterProgramPanic pins the pessimistic-poisoning
-// contract: a program panic escapes Run, and every later Reset/Run on that
-// engine reports exec.ErrSessionPoisoned instead of running on wreckage.
+// contract: a program panic escapes Run, and every later Run on that
+// session reports exec.ErrSessionPoisoned instead of running on wreckage.
 func TestSessionPoisonedAfterProgramPanic(t *testing.T) {
 	cfg, _ := sessionWorkload(3)
 	armed := false
@@ -357,7 +342,7 @@ func TestSessionPoisonedAfterProgramPanic(t *testing.T) {
 
 // BenchmarkTrialReuse quantifies what session pooling buys: "fresh" pays
 // engine construction (registers snapshot, coroutine spawns, buffers, RNG
-// state) on every trial, "pooled" pays it once and runs Reset+Run per
+// state) on every trial, "pooled" pays it once and runs one Run per
 // trial. The delta is the per-trial overhead the pooled harness amortizes.
 func BenchmarkTrialReuse(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {

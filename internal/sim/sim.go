@@ -1,12 +1,12 @@
 // Package sim is the discrete-event runtime for the paper's asynchronous
 // shared-memory model (§2).
 //
-// Each of the n processes runs its Program as a same-thread resumable
+// Each of the n processes runs its exec.Program as a same-thread resumable
 // coroutine (an iter.Pull iterator over its pending operations). A process's
-// call into the Env (Read, Write, ProbWrite, Collect) publishes exactly one
-// pending operation and suspends; the runtime asks the adversary Scheduler
-// which pending operation executes next, applies it atomically to the
-// register file, and resumes that coroutine in place — a direct context
+// call into the core.Env (Read, Write, ProbWrite, Collect) publishes exactly
+// one pending operation and suspends; the runtime asks the adversary
+// Scheduler which pending operation executes next, applies it atomically to
+// the register file, and resumes that coroutine in place — a direct context
 // switch with no goroutine scheduler round-trip and no channel traffic.
 // Asynchrony is therefore modeled by interleaving, exactly as in the paper,
 // and the runtime counts total and per-process (individual) work as defined
@@ -18,14 +18,16 @@
 // every step, and adversaries that see memory read the live register file
 // plus the one register the previous step changed, so a step costs the same
 // whatever the file's size (see the copy-on-escape contracts on sched.View
-// and Env.Collect). Trace events are not even constructed when tracing is
-// off.
+// and core.Env.Collect). Trace events are not even constructed when tracing
+// is off.
 //
-// The same contract extends from steps to whole trials: Engine is a
-// reusable runtime for one (programs, scheduler, config) cell whose
-// Reset(seed, faults) rewinds registers, coroutines, views, and RNG streams
-// in place, so a warmed-up engine runs entire executions without
-// allocating. Run is the one-shot convenience built on it.
+// The same contract extends from steps to whole trials. The package's one
+// entry point is Backend, an exec.Backend whose sessions are engines: a
+// session is built once per (config, programs) cell — register image,
+// coroutines, buffers and the compiled fault plan — and each Run(ctx, seed)
+// rewinds registers, coroutines, views, and RNG streams in place and runs
+// one trial, so a warmed-up session runs entire executions without
+// allocating. A single execution is one Run of a fresh session.
 //
 // Executions are deterministic functions of (programs, scheduler, seed):
 // each process's local coins and probabilistic-write coins come from private
@@ -35,85 +37,15 @@
 package sim
 
 import (
-	"context"
 	"errors"
 
-	"github.com/modular-consensus/modcon/internal/exec"
-	"github.com/modular-consensus/modcon/internal/fault"
-	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
-// DefaultMaxSteps bounds executions when Config.MaxSteps is zero.
+// DefaultMaxSteps bounds executions when exec.Config.MaxSteps is zero.
 const DefaultMaxSteps = 10_000_000
-
-// Program is the code of one process. It receives its environment and
-// returns the process's decision value. Programs must perform all shared
-// memory access through the Env.
-type Program func(e *Env) value.Value
-
-// Config describes one execution.
-type Config struct {
-	// N is the number of processes.
-	N int
-	// File is the shared register file (pre-allocated by the protocol).
-	File *register.File
-	// Scheduler is the adversary. Views are built at exactly
-	// Scheduler.MinPower().
-	Scheduler sched.Scheduler
-	// Seed determines every random choice in the execution. (NewEngine
-	// ignores it: a reusable engine takes each trial's seed through Reset.)
-	Seed uint64
-	// Trace, if non-nil, records the execution.
-	Trace *trace.Log
-	// CheapCollect enables the cheap-collect cost model (§6.2, choice 4):
-	// Env.Collect costs one operation. Otherwise Collect performs one read
-	// per register.
-	CheapCollect bool
-	// Registers selects the register consistency model (zero value
-	// register.Atomic — the paper's base model, bit-identical to the
-	// pre-semantics engine). Under register.Regular a read whose target was
-	// overwritten between the read's invocation (publication as a pending
-	// op) and its execution may return the pre-write value, chosen by a
-	// dedicated schedule-ordered coin stream; cheap collects remain atomic
-	// snapshots (the cheap-collect primitive is an atomic snapshot by
-	// definition, §6.2), while non-cheap collects inherit regularity from
-	// their individual reads. Under register.Interposed reads stay atomic
-	// but adversary views are blunted: pending operation values and
-	// probabilities are hidden from strong adversaries (Attiya–Enea–Welch).
-	Registers register.Semantics
-	// Faults is the compiled fault injector (fault.Compile), consulted at
-	// operation boundaries: a process crashes after its crash threshold of
-	// own operations (its last operation takes effect, but it never
-	// observes the result and is never scheduled again), global-step
-	// crashes fire at the first own operation at or past the threshold,
-	// stalls freeze a process without halting or crashing it, per-op
-	// delays sleep the engine thread, and lost coins suppress probabilistic
-	// writes after the process's own coin stream is consumed as usual.
-	// Legacy pid -> crash-after-k maps compile through fault.FromCrashMap.
-	// Stall faults require a non-nil Context: a stalled process never
-	// halts, so only cancellation can end the execution. nil means no
-	// faults and costs nothing on the step path. (NewEngine ignores it: a
-	// reusable engine takes each trial's injector through Reset.)
-	Faults *fault.Injector
-	// MaxSteps bounds total work; 0 means DefaultMaxSteps.
-	MaxSteps int
-	// Context, if non-nil, cancels the execution between scheduled
-	// operations: a hung adversary schedule stops at the next step instead
-	// of running to MaxSteps. Cancellation is reported as an error wrapping
-	// both exec.ErrCancelled and the context's cause, so callers can test
-	// either. (NewEngine ignores it: a reusable engine takes each trial's
-	// context through Engine.Run.)
-	Context context.Context
-	// Meter, if non-nil, receives a live count of executed operations for
-	// progress reporting. nil costs one predictable branch per step and zero
-	// allocations (pinned by TestStepLoopZeroAllocsMeterOff); metering never
-	// affects results.
-	Meter *obs.Meter
-}
 
 type request struct {
 	kind sched.OpKind
@@ -133,7 +65,7 @@ type response struct {
 	ok   bool
 	// abort tells the resumed process to unwind its current trial: its
 	// pending Env call panics with errTrialAbort, recovered at the trial
-	// boundary (Engine.Reset aborting a mid-trial coroutine).
+	// boundary (engine.reset aborting a mid-trial coroutine).
 	abort bool
 }
 
@@ -167,39 +99,10 @@ type proc struct {
 }
 
 // errKilled is the sentinel panic used to unwind process coroutines at
-// teardown (Engine.Close).
+// teardown (engine.Close).
 var errKilled = errors.New("sim: process killed")
 
-// errTrialAbort is the sentinel panic used by Engine.Reset to unwind a
+// errTrialAbort is the sentinel panic used by engine.reset to unwind a
 // coroutine out of an unfinished trial without killing it: the coroutine
 // recovers it at the trial boundary and parks for the next trial.
 var errTrialAbort = errors.New("sim: trial aborted by engine reset")
-
-// Run executes programs[pid] for each pid under cfg and returns the result,
-// in which the simulator fills every field: Steps equals TotalWork (one
-// operation per scheduled step), and Trace is set when tracing was
-// requested. If len(programs) == 1 the single program is used for every
-// process. Run panics if a process program panics (with the original panic
-// value). An execution that exceeds MaxSteps before every live process
-// halts fails with exec.ErrStepLimit: randomized wait-free protocols
-// terminate with probability 1 but not surely, so a limit keeps adversarial
-// experiments finite, and hitting it is reported, never hidden.
-//
-// Run is the one-shot form of the reusable Engine — construct, run one
-// trial with cfg.Seed/cfg.Faults/cfg.Context, tear down — and is
-// bit-identical to it by construction. Sweeps that run many trials of one
-// cell should hold an Engine (or an exec.Session) instead and amortize the
-// construction.
-func Run(cfg Config, programs ...Program) (*exec.Result, error) {
-	eng, err := NewEngine(cfg, programs...)
-	if err != nil {
-		return nil, err
-	}
-	// Close unwinds every coroutine even when a program panic propagates
-	// out of eng.Run, preserving the original panic value.
-	defer eng.Close()
-	if err := eng.Reset(cfg.Seed, cfg.Faults); err != nil {
-		return nil, err
-	}
-	return eng.Run(cfg.Context)
-}

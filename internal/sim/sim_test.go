@@ -6,18 +6,33 @@ import (
 	"testing"
 	"time"
 
+	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
+// runOnce is one execution on a fresh session, the way harness.RunProgram
+// runs one: build the engine, run it once at seed, close it.
+func runOnce(cfg exec.Config, seed uint64, programs ...exec.Program) (*exec.Result, error) {
+	eng, err := newEngine(cfg, programs...)
+	if err != nil {
+		return nil, err
+	}
+	// Close unwinds every coroutine even when a program panic propagates
+	// out of Run, preserving the original panic value.
+	defer eng.Close()
+	return eng.Run(nil, seed)
+}
+
 func TestSingleProcessReadWrite(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	res, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1},
-		func(e *Env) value.Value {
+	res, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin()}, 1,
+		func(e core.Env) value.Value {
 			if got := e.Read(r); !got.IsNone() {
 				t.Errorf("initial read = %s, want ⊥", got)
 			}
@@ -43,9 +58,9 @@ func TestRegisterSemanticsAcrossProcesses(t *testing.T) {
 	// return the last value written.
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	writer := func(e *Env) value.Value { e.Write(r, 42); return 0 }
-	reader := func(e *Env) value.Value { return e.Read(r) }
-	res, err := Run(Config{N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}), Seed: 1},
+	writer := func(e core.Env) value.Value { e.Write(r, 42); return 0 }
+	reader := func(e core.Env) value.Value { return e.Read(r) }
+	res, err := runOnce(exec.Config{N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1})}, 1,
 		writer, reader)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +74,9 @@ func TestSchedulerControlsInterleaving(t *testing.T) {
 	// With order (1, 0) the reader runs first and sees ⊥.
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	writer := func(e *Env) value.Value { e.Write(r, 42); return 0 }
-	reader := func(e *Env) value.Value { return e.Read(r) }
-	res, err := Run(Config{N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{1, 0}), Seed: 1},
+	writer := func(e core.Env) value.Value { e.Write(r, 42); return 0 }
+	reader := func(e core.Env) value.Value { return e.Read(r) }
+	res, err := runOnce(exec.Config{N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{1, 0})}, 1,
 		writer, reader)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +87,7 @@ func TestSchedulerControlsInterleaving(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	prog := func(e *Env) value.Value {
+	prog := func(e core.Env) value.Value {
 		f := value.Value(0)
 		for i := 0; i < 10; i++ {
 			f += value.Value(e.CoinIntn(100))
@@ -82,7 +97,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() []value.Value {
 		f := register.NewFile()
 		f.Alloc1("pad")
-		res, err := Run(Config{N: 4, File: f, Scheduler: sched.NewUniformRandom(), Seed: 99}, prog)
+		res, err := runOnce(exec.Config{N: 4, File: f, Scheduler: sched.NewUniformRandom()}, 99, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,10 +112,10 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSeedsDiffer(t *testing.T) {
-	prog := func(e *Env) value.Value { return value.Value(e.CoinIntn(1 << 30)) }
+	prog := func(e core.Env) value.Value { return value.Value(e.CoinIntn(1 << 30)) }
 	out := func(seed uint64) value.Value {
 		f := register.NewFile()
-		res, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: seed}, prog)
+		res, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin()}, seed, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +129,8 @@ func TestSeedsDiffer(t *testing.T) {
 func TestProbWriteZeroAndOne(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	res, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: 5},
-		func(e *Env) value.Value {
+	res, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin()}, 5,
+		func(e core.Env) value.Value {
 			if e.ProbWrite(r, 1, 0, 10) {
 				t.Error("ProbWrite with p=0 succeeded")
 			}
@@ -144,8 +159,8 @@ func TestProbWriteRate(t *testing.T) {
 	for seed := 0; seed < trials; seed++ {
 		f := register.NewFile()
 		r := f.Alloc1("x")
-		res, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: uint64(seed)},
-			func(e *Env) value.Value {
+		res, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin()}, uint64(seed),
+			func(e core.Env) value.Value {
 				if e.ProbWrite(r, 1, 1, 4) {
 					return 1
 				}
@@ -168,8 +183,8 @@ func TestCollectCostModels(t *testing.T) {
 		a := f.Alloc(5, "arr")
 		return f, a
 	}
-	prog := func(a register.Array) Program {
-		return func(e *Env) value.Value {
+	prog := func(a register.Array) exec.Program {
+		return func(e core.Env) value.Value {
 			e.Write(a.At(3), 9)
 			vals := e.Collect(a)
 			return vals[3]
@@ -177,7 +192,7 @@ func TestCollectCostModels(t *testing.T) {
 	}
 
 	f, a := build()
-	res, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1, CheapCollect: true}, prog(a))
+	res, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), CheapCollect: true}, 1, prog(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +204,7 @@ func TestCollectCostModels(t *testing.T) {
 	}
 
 	f, a = build()
-	res, err = Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1}, prog(a))
+	res, err = runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin()}, 1, prog(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +219,7 @@ func TestCollectCostModels(t *testing.T) {
 func TestCrash(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	spin := func(e *Env) value.Value {
+	spin := func(e core.Env) value.Value {
 		for i := 0; ; i++ {
 			e.Write(r, value.Value(i))
 			if e.Read(r) == -1 { // never true; crashed before deciding
@@ -215,10 +230,10 @@ func TestCrash(t *testing.T) {
 			}
 		}
 	}
-	res, err := Run(Config{
-		N: 2, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1,
-		Faults: crashes(t, 2, map[int]int{0: 5, 1: 3}),
-	}, spin, spin)
+	res, err := runOnce(exec.Config{
+		N: 2, File: f, Scheduler: sched.NewRoundRobin(),
+		Faults: fault.FromCrashMap(map[int]int{0: 5, 1: 3}),
+	}, 1, spin, spin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,22 +259,22 @@ func TestCrashedProcessOperationTakesEffect(t *testing.T) {
 	// op applies), and a surviving process must be able to finish.
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	writer := func(e *Env) value.Value {
+	writer := func(e core.Env) value.Value {
 		e.Write(r, 77)
 		e.Write(r, 88) // never executed: crash after 1 op
 		return 0
 	}
-	reader := func(e *Env) value.Value {
+	reader := func(e core.Env) value.Value {
 		for {
 			if v := e.Read(r); !v.IsNone() {
 				return v
 			}
 		}
 	}
-	res, err := Run(Config{
-		N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}), Seed: 1,
-		Faults: crashes(t, 2, map[int]int{0: 1}),
-	}, writer, reader)
+	res, err := runOnce(exec.Config{
+		N: 2, File: f, Scheduler: sched.NewFixedOrder([]int{0, 1}),
+		Faults: fault.FromCrashMap(map[int]int{0: 1}),
+	}, 1, writer, reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +286,8 @@ func TestCrashedProcessOperationTakesEffect(t *testing.T) {
 func TestStepLimit(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	res, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1, MaxSteps: 10},
-		func(e *Env) value.Value {
+	res, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), MaxSteps: 10}, 1,
+		func(e core.Env) value.Value {
 			for {
 				e.Read(r)
 			}
@@ -290,8 +305,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
 	for i := 0; i < 20; i++ {
-		_, err := Run(Config{N: 8, File: f, Scheduler: sched.NewRoundRobin(), Seed: uint64(i), MaxSteps: 50},
-			func(e *Env) value.Value {
+		_, err := runOnce(exec.Config{N: 8, File: f, Scheduler: sched.NewRoundRobin(), MaxSteps: 50}, uint64(i),
+			func(e core.Env) value.Value {
 				for {
 					e.Read(r) // runs forever; must be reaped at step limit
 				}
@@ -317,26 +332,34 @@ func TestProgramPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want boom", r)
 		}
 	}()
-	_, _ = Run(Config{N: 2, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1},
-		func(e *Env) value.Value { panic("boom") })
+	_, _ = runOnce(exec.Config{N: 2, File: f, Scheduler: sched.NewRoundRobin()}, 1,
+		func(e core.Env) value.Value { panic("boom") })
 	t.Fatal("Run returned instead of panicking")
 }
 
 func TestConfigValidation(t *testing.T) {
 	f := register.NewFile()
-	prog := func(e *Env) value.Value { return 0 }
-	cases := []Config{
+	prog := func(e core.Env) value.Value { return 0 }
+	cases := []exec.Config{
 		{N: 0, File: f, Scheduler: sched.NewRoundRobin()},
 		{N: 1, File: nil, Scheduler: sched.NewRoundRobin()},
 		{N: 1, File: f, Scheduler: nil},
+		{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Faults: fault.New(fault.Crash(3, 1))},
 	}
 	for i, cfg := range cases {
-		if _, err := Run(cfg, prog); err == nil {
+		sess, err := Backend().NewSession(cfg, prog)
+		if err == nil {
+			sess.Close()
 			t.Errorf("case %d: expected error", i)
+			continue
+		}
+		// A nil *engine wrapped in a non-nil Session would look usable.
+		if sess != nil {
+			t.Errorf("case %d: NewSession returned a non-nil session with error %v", i, err)
 		}
 	}
 	// Wrong program count.
-	if _, err := Run(Config{N: 3, File: f, Scheduler: sched.NewRoundRobin()}, prog, prog); err == nil {
+	if _, err := runOnce(exec.Config{N: 3, File: f, Scheduler: sched.NewRoundRobin()}, 0, prog, prog); err == nil {
 		t.Error("expected error for 2 programs / 3 processes")
 	}
 }
@@ -345,8 +368,8 @@ func TestTraceRecordsExecution(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
 	log := trace.New()
-	_, err := Run(Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1, Trace: log},
-		func(e *Env) value.Value {
+	_, err := runOnce(exec.Config{N: 1, File: f, Scheduler: sched.NewRoundRobin(), Trace: log}, 1,
+		func(e core.Env) value.Value {
 			e.MarkInvoke("obj", 3)
 			e.Write(r, 3)
 			v := e.Read(r)
@@ -385,8 +408,8 @@ func TestTraceRecordsExecution(t *testing.T) {
 func TestWorkAccounting(t *testing.T) {
 	f := register.NewFile()
 	r := f.Alloc1("x")
-	prog := func(ops int) Program {
-		return func(e *Env) value.Value {
+	prog := func(ops int) exec.Program {
+		return func(e core.Env) value.Value {
 			for i := 0; i < ops; i++ {
 				e.Read(r)
 			}
@@ -394,7 +417,7 @@ func TestWorkAccounting(t *testing.T) {
 			return 0
 		}
 	}
-	res, err := Run(Config{N: 3, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1},
+	res, err := runOnce(exec.Config{N: 3, File: f, Scheduler: sched.NewRoundRobin()}, 1,
 		prog(2), prog(5), prog(3))
 	if err != nil {
 		t.Fatal(err)
@@ -412,8 +435,8 @@ func TestWorkAccounting(t *testing.T) {
 
 func TestSharedProgramReplication(t *testing.T) {
 	f := register.NewFile()
-	res, err := Run(Config{N: 5, File: f, Scheduler: sched.NewRoundRobin(), Seed: 1},
-		func(e *Env) value.Value { return value.Value(e.PID()) })
+	res, err := runOnce(exec.Config{N: 5, File: f, Scheduler: sched.NewRoundRobin()}, 1,
+		func(e core.Env) value.Value { return value.Value(e.PID()) })
 	if err != nil {
 		t.Fatal(err)
 	}

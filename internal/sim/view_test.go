@@ -7,6 +7,8 @@ package sim
 import (
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -90,8 +92,8 @@ func TestViewsRespectPowerClasses(t *testing.T) {
 		spy := &spyScheduler{power: power, t: t, inner: sched.NewRoundRobin()}
 		file := register.NewFile()
 		r := file.Alloc1("x")
-		_, err := Run(Config{N: 3, File: file, Scheduler: spy, Seed: 1},
-			func(e *Env) value.Value {
+		_, err := runOnce(exec.Config{N: 3, File: file, Scheduler: spy}, 1,
+			func(e core.Env) value.Value {
 				e.Read(r)
 				e.Write(r, value.Value(e.PID()))
 				e.ProbWrite(r, 9, 1, 2)
@@ -114,8 +116,8 @@ func TestViewRunnableMatchesPending(t *testing.T) {
 	spy := &spyScheduler{power: sched.Oblivious, t: t, inner: sched.NewRoundRobin()}
 	file := register.NewFile()
 	r := file.Alloc1("x")
-	_, err := Run(Config{N: 2, File: file, Scheduler: checkRunnable{spy, t, &spyRan}, Seed: 1},
-		func(e *Env) value.Value { e.Read(r); return 0 })
+	_, err := runOnce(exec.Config{N: 2, File: file, Scheduler: checkRunnable{spy, t, &spyRan}}, 1,
+		func(e core.Env) value.Value { e.Read(r); return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,23 +3,12 @@ package tas
 import (
 	"testing"
 
-	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/sim"
 	"github.com/modular-consensus/modcon/internal/value"
 )
-
-// crashes compiles a pid -> crash-after-k map into the injector sim.Config
-// takes (nil for an empty map).
-func crashes(t *testing.T, n int, m map[int]int) *fault.Injector {
-	t.Helper()
-	inj, err := fault.Compile(fault.FromCrashMap(m), n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inj
-}
 
 // runTAS executes one test-and-set among n processes and returns the
 // per-process outcomes (0 for crashed/unfinished processes).
@@ -31,12 +20,11 @@ func runTAS(t *testing.T, n int, s sched.Scheduler, seed uint64, crash map[int]i
 		t.Fatal(err)
 	}
 	outcomes := make([]Outcome, n)
-	_, err = sim.Run(sim.Config{N: n, File: file, Scheduler: s, Seed: seed, Faults: crashes(t, n, crash)},
-		func(e *sim.Env) value.Value {
-			o := obj.Invoke(e)
-			outcomes[e.PID()] = o
-			return value.Value(o)
-		})
+	_, err = harness.RunProgram(func(e core.Env) value.Value {
+		o := obj.Invoke(e)
+		outcomes[e.PID()] = o
+		return value.Value(o)
+	}, harness.ObjectConfig{N: n, File: file, Scheduler: s, Seed: seed, CrashAfter: crash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +103,12 @@ func TestCrashTolerance(t *testing.T) {
 			t.Fatal(err)
 		}
 		outcomes := make([]Outcome, n)
-		res, err := sim.Run(sim.Config{
-			N: n, File: file, Scheduler: sched.NewUniformRandom(), Seed: seed, Faults: crashes(t, n, crash),
-		}, func(e *sim.Env) value.Value {
+		res, err := harness.RunProgram(func(e core.Env) value.Value {
 			o := obj.Invoke(e)
 			outcomes[e.PID()] = o
 			return value.Value(o)
+		}, harness.ObjectConfig{
+			N: n, File: file, Scheduler: sched.NewUniformRandom(), Seed: seed, CrashAfter: crash,
 		})
 		if err != nil {
 			t.Fatal(err)
