@@ -113,6 +113,32 @@ func scalingSweep(regs register.Semantics) harness.ProtocolSweep {
 	}
 }
 
+// sweepTally is the consensus sweep's fold: the aggregate step and work
+// histograms, the decision tally and, when demands is non-nil, each
+// trial's total work by its offset in the sweep.
+type sweepTally struct {
+	steps, work obs.Hist
+	decided     int
+	demands     []int64
+}
+
+// run sweeps the scaling workload on regs registers under s and folds
+// every trial into the tally, in trial order. It is the one consensus
+// sweep of this command: the scaling cells, the shard slices, and the
+// workload recordings and replays all run through it.
+func (t *sweepTally) run(s harness.Sweep, regs register.Semantics) error {
+	return harness.SweepProtocol(s, scalingSweep(regs), func(tr harness.Trial, run *harness.ProtocolRun) {
+		if t.demands != nil {
+			t.demands[tr.Index-s.Offset] = int64(run.Result.TotalWork)
+		}
+		t.steps.AddInt(run.Result.TotalWork)
+		t.work.AddInt(run.Result.MaxIndividualWork())
+		if len(run.DecidedOutputs()) == scalingN {
+			t.decided++
+		}
+	})
+}
+
 // runScalingCell runs the sweep at one worker count and folds the aggregate
 // histograms. GOMAXPROCS is pinned to the worker count for the cell so the
 // curve reflects CPU parallelism, not just pool width.
@@ -123,29 +149,18 @@ func runScalingCell(workers, trials int, seed uint64, regs register.Semantics) (
 	// measurably ran under, not the value this function intended to set.
 	gomaxprocs := runtime.GOMAXPROCS(0)
 
-	var steps, work obs.Hist
-	decided := 0
+	var tally sweepTally
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	err := harness.SweepProtocol(
-		harness.Sweep{Trials: trials, Workers: workers, Seed: seed},
-		scalingSweep(regs),
-		func(tr harness.Trial, run *harness.ProtocolRun) {
-			steps.AddInt(run.Result.TotalWork)
-			work.AddInt(run.Result.MaxIndividualWork())
-			if len(run.DecidedOutputs()) == scalingN {
-				decided++
-			}
-		})
-	if err != nil {
+	if err := tally.run(harness.Sweep{Trials: trials, Workers: workers, Seed: seed}, regs); err != nil {
 		return scalingCell{}, err
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 
-	digest, err := scalingDigest(&steps, &work, decided)
+	digest, err := scalingDigest(&tally.steps, &tally.work, tally.decided)
 	if err != nil {
 		return scalingCell{}, err
 	}

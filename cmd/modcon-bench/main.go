@@ -64,24 +64,23 @@
 //	modcon-bench -search-replay 'adv:…'  # re-evaluate a found adversary
 //	                             # config; bit-identical at any -workers
 //
-// # Open-loop workloads and trace replay
+// # Workloads and trace replay
 //
 //	modcon-bench -workload 'poisson:rate=2000;serve:servers=4'
-//	                             # run the consensus sweep open-loop under a
-//	                             # declarative arrival process and print a
-//	                             # report with saturation metrics (offered vs
-//	                             # achieved rate, latency percentiles) and the
-//	                             # executed workload as an inline tracev1
-//	                             # recording; combinable with -shards (slice
-//	                             # traces merge exactly)
+//	                             # run the consensus sweep as the jobs of a
+//	                             # declarative arrival process and print its
+//	                             # shard report with the executed workload as
+//	                             # an inline tracev1 recording and the
+//	                             # saturation metrics served from it in
+//	                             # virtual time (offered vs achieved rate,
+//	                             # latency percentiles); combinable with
+//	                             # -shards and -shard-run (slice traces merge
+//	                             # exactly)
 //	modcon-bench -workload ... -trace-out run.trace  # also save the recording
 //	modcon-bench -trace-in run.trace                 # replay a recording and
 //	                             # verify per-trial work is bit-identical;
 //	                             # accepts comma-separated slice files, merged
 //	                             # before replay
-//	modcon-bench -pace 1000      # replay the arrival schedule on the wall
-//	                             # clock, 1000× faster than recorded virtual
-//	                             # time (0 = admit in order, full speed)
 //
 // Results are deterministic in (-seed, -trials) and independent of
 // -workers: trial seeds are derived per-trial and results are merged in
@@ -147,10 +146,9 @@ func run(args []string) error {
 		shardRun    = fs.String("shard-run", "", "run one shard i/M of the consensus sweep and print its artifact (used by -shards; usable by hand across machines)")
 		mergeShards = fs.String("merge-shards", "", "comma-separated shard artifact files to merge into one normalized report")
 
-		workloadSpec = fs.String("workload", "", "run the consensus sweep open-loop under this workload spec (e.g. 'poisson:rate=2000;serve:servers=4') and print a report with saturation metrics and the executed tracev1 recording; combinable with -shards")
+		workloadSpec = fs.String("workload", "", "run the consensus sweep as the jobs of this workload spec (e.g. 'poisson:rate=2000;serve:servers=4') and print a report with the executed tracev1 recording and its saturation metrics; combinable with -shards and -shard-run")
 		traceOut     = fs.String("trace-out", "", "write the recorded workload trace (tracev1 text) to this file")
 		traceIn      = fs.String("trace-in", "", "replay these comma-separated workload trace files (merged when slices) and verify per-trial work against the recording")
-		pace         = fs.Float64("pace", 0, "map the workload's virtual arrival schedule onto the wall clock at this speedup factor (0 = admit in arrival order at full speed)")
 
 		search          = fs.Bool("search", false, "search the parametric scheduler family for a worst-case adversary and print a JSON artifact (see the -search-* flags)")
 		searchPower     = fs.String("search-power", "value-oblivious", "adversary power class to search: oblivious, value-oblivious, location-oblivious, or adaptive")
@@ -180,46 +178,30 @@ func run(args []string) error {
 	}
 	defer stopProfiles()
 
-	if *workloadSpec != "" || *traceIn != "" {
-		// Workload modes share the sweep knobs with the shard modes (and
-		// route -shard-run/-shards themselves when a workload is in play).
+	if *shardRun != "" || *shards != 0 || *mergeShards != "" || *workloadSpec != "" || *traceIn != "" || *traceOut != "" {
+		// The seed-space modes share the sweep knobs: -trials is the FULL
+		// seed space (0 picks the -scaling-trials default so a bare
+		// `-shards 4` works), -seed the shared root, -workers each
+		// process's concurrency cap.
 		total := *trials
 		if total == 0 {
 			total = *scalingTrials
 		}
-		return runWorkloadMode(workloadFlags{
-			Spec:      *workloadSpec,
-			TraceOut:  *traceOut,
-			TraceIn:   *traceIn,
-			Pace:      *pace,
-			Trials:    total,
-			Seed:      *seed,
-			Workers:   *workers,
-			Shards:    *shards,
-			ShardRun:  *shardRun,
-			Registers: registers,
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		return runSweepMode(sweepFlags{
+			ShardRun:    *shardRun,
+			Shards:      *shards,
+			MergeShards: *mergeShards,
+			Workload:    *workloadSpec,
+			TraceIn:     *traceIn,
+			TraceOut:    *traceOut,
+			Trials:      total,
+			Seed:        *seed,
+			Workers:     *workers,
+			Registers:   registers,
+			Set:         set,
 		})
-	}
-	if *traceOut != "" {
-		return fmt.Errorf("-trace-out needs -workload (nothing to record)")
-	}
-
-	if *shardRun != "" || *shards > 0 || *mergeShards != "" {
-		// Shard modes share the sweep knobs: -trials is the FULL seed space
-		// (0 picks the -scaling-trials default so a bare `-shards 4` works),
-		// -seed the shared root, -workers each shard's concurrency cap.
-		total := *trials
-		if total == 0 {
-			total = *scalingTrials
-		}
-		switch {
-		case *shardRun != "":
-			return runShardRun(*shardRun, total, *seed, *workers, registers)
-		case *mergeShards != "":
-			return runMergeShards(*mergeShards)
-		default:
-			return runShardFanout(*shards, total, *seed, *workers, registers)
-		}
 	}
 
 	if *search || *searchReplay != "" {

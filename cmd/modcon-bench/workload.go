@@ -1,11 +1,13 @@
 package main
 
-// Open-loop workload modes: run the consensus sweep under a declarative
-// arrival process, record the executed workload as a versioned tracev1
-// artifact, and replay recorded traces with bit-identity verification.
+// Workload modes: run the consensus sweep as the jobs of a declarative
+// workload, record the executed workload as a versioned tracev1 artifact,
+// and replay recorded traces with bit-identity verification. A workload
+// run is the sharded consensus sweep of shard.go plus a recording: its
+// report is a shardReport whose trace and metrics fields are set.
 //
 //	modcon-bench -workload 'poisson:rate=2000;serve:servers=4' -trials 2000
-//	                                  # open-loop sweep + saturation metrics
+//	                                  # sweep + recording + saturation metrics
 //	modcon-bench -workload ... -trace-out run.trace   # save the recording
 //	modcon-bench -workload ... -shards 4              # sharded: slice traces
 //	                                  # merge exactly; byte-identical to -shards 1
@@ -19,355 +21,59 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
-	"sort"
 	"strings"
 
-	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/obs"
-	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/workload"
 )
 
-// workloadFlags bundles the flag values the workload modes consume.
-type workloadFlags struct {
-	Spec      string // -workload (canonicalized into the report)
-	TraceOut  string // -trace-out
-	TraceIn   string // -trace-in (comma-separated slice files)
-	Pace      float64
-	Trials    int
-	Seed      uint64
-	Workers   int
-	Shards    int
-	ShardRun  string
-	Registers register.Semantics
-}
-
-// workloadReport is the workload-mode JSON artifact: the shard-report
-// aggregates plus the canonical spec, the inline tracev1 recording, and —
-// for complete runs — the served saturation metrics.
-type workloadReport struct {
-	Manifest obs.Manifest `json:"manifest"`
-	// Workload is the spec's canonical text; all slices of a run share it.
-	Workload string `json:"workload"`
-	N        int    `json:"n"`
-	// Trials is the FULL seed-space size; a slice's own share is Shard.Hi-Lo.
-	Trials    int        `json:"trials"`
-	Seed      uint64     `json:"seed"`
-	Registers string     `json:"registers"`
-	Shard     shardSlice `json:"shard"`
-	Steps     *obs.Hist  `json:"steps"`
-	Work      *obs.Hist  `json:"work"`
-	Decided   int        `json:"decided"`
-	// Trace is the executed workload in the tracev1 text encoding — a slice
-	// trace for shard artifacts, the complete recording after a merge.
-	Trace string `json:"trace"`
-	// Metrics is the virtual-time saturation summary (offered vs achieved
-	// rate, latency percentiles), derived by serving the complete trace;
-	// omitted on shard slices, which cannot be served alone.
-	Metrics *workload.Metrics `json:"metrics,omitempty"`
-	Digest  string            `json:"digest"`
-}
-
-// runWorkloadMode dispatches the workload modes: replay (-trace-in), one
-// shard slice (-shard-run), sharded fan-out (-shards), or a plain run.
-func runWorkloadMode(wf workloadFlags) error {
-	if wf.Pace < 0 {
-		return fmt.Errorf("-pace: want ≥ 0, got %v", wf.Pace)
-	}
-	if wf.TraceIn != "" {
-		if wf.Spec != "" {
-			return fmt.Errorf("-trace-in carries its own workload spec; drop -workload")
-		}
-		if wf.Shards > 0 || wf.ShardRun != "" {
-			return fmt.Errorf("-trace-in replays in one process; drop -shards/-shard-run")
-		}
-		return runTraceReplay(wf)
-	}
-	spec, err := workload.Parse(wf.Spec)
-	if err != nil {
-		return fmt.Errorf("-workload: %w", err)
-	}
-	switch {
-	case wf.ShardRun != "":
-		index, of, err := parseShardRef(wf.ShardRun)
-		if err != nil {
-			return err
-		}
-		report, err := runWorkloadSlice(spec, wf, index, of)
-		if err != nil {
-			return err
-		}
-		return emitWorkloadReport(report)
-	case wf.Shards > 0:
-		return runWorkloadFanout(spec, wf)
-	default:
-		report, err := runWorkloadSlice(spec, wf, 0, 1)
-		if err != nil {
-			return err
-		}
-		if err := finishWorkloadReport(report, wf.TraceOut); err != nil {
-			return err
-		}
-		return emitWorkloadReport(report)
-	}
-}
-
-// runWorkloadSlice runs the consensus sweep open-loop over the shard's
-// global slice [lo, hi) and returns its artifact with the trace slice
-// inline. index 0 of 1 is the unsharded run.
-func runWorkloadSlice(spec *workload.Spec, wf workloadFlags, index, of int) (*workloadReport, error) {
-	if !spec.Open() && of > 1 {
-		return nil, fmt.Errorf("-workload: closed (cohort) workloads are inherently sequential and cannot shard")
-	}
+// recordTrace records the workload trace of global trials [lo, hi) from
+// their measured demands, in the tracev1 text encoding. An open workload's
+// arrivals are its schedule's slice; a closed cohort, necessarily
+// unsharded, takes its issue times from the virtual service model over the
+// full demand vector.
+func (j sweepJob) recordTrace(lo, hi int, demands []int64) (string, error) {
 	var arrivals []int64
-	if spec.Open() {
-		sched, err := spec.Schedule(wf.Seed, wf.Trials)
+	if j.Spec.Open() {
+		sched, err := j.Spec.Schedule(j.Seed, j.Trials)
 		if err != nil {
-			return nil, fmt.Errorf("-workload: %w", err)
+			return "", fmt.Errorf("-workload: %w", err)
 		}
-		arrivals = sched
-	}
-	lo, hi := shardSpan(index, of, wf.Trials)
-	demands := make([]int64, hi-lo)
-	var steps, work obs.Hist
-	decided := 0
-	err := harness.SweepProtocol(
-		harness.Sweep{Trials: hi - lo, Offset: lo, Workers: wf.Workers, Seed: wf.Seed,
-			Arrivals: arrivals, Pace: wf.Pace},
-		scalingSweep(wf.Registers),
-		func(tr harness.Trial, run *harness.ProtocolRun) {
-			demands[tr.Index-lo] = int64(run.Result.TotalWork)
-			steps.AddInt(run.Result.TotalWork)
-			work.AddInt(run.Result.MaxIndividualWork())
-			if len(run.DecidedOutputs()) == scalingN {
-				decided++
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	var sliceArrivals []int64
-	if spec.Open() {
-		sliceArrivals = arrivals[lo:hi]
+		arrivals = sched[lo:hi]
 	} else {
-		// Closed cohort, necessarily unsharded here: issue times come from
-		// the virtual service model over the full demand vector.
-		served, err := spec.Serve(nil, demands)
+		served, err := j.Spec.Serve(nil, demands)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		sliceArrivals = served.Arrivals
+		arrivals = served.Arrivals
 	}
-	trace, err := workload.Record(spec, wf.Seed, wf.Trials, lo, hi, sliceArrivals, demands)
+	trace, err := workload.Record(j.Spec, j.Seed, j.Trials, lo, hi, arrivals, demands)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	digest, err := scalingDigest(&steps, &work, decided)
-	if err != nil {
-		return nil, err
-	}
-	return &workloadReport{
-		Manifest:  workloadManifest(spec, wf, fmt.Sprintf("%d/%d", index, of)),
-		Workload:  spec.String(),
-		N:         scalingN,
-		Trials:    wf.Trials,
-		Seed:      wf.Seed,
-		Registers: wf.Registers.String(),
-		Shard:     shardSlice{Index: index, Of: of, Lo: lo, Hi: hi},
-		Steps:     &steps,
-		Work:      &work,
-		Decided:   decided,
-		Trace:     encodeTrace(trace),
-		Digest:    digest,
-	}, nil
-}
-
-// finishWorkloadReport completes an artifact whose trace covers the full
-// seed space: derive the saturation metrics by serving the trace, and
-// write the trace file if requested.
-func finishWorkloadReport(r *workloadReport, traceOut string) error {
-	trace, err := workload.Decode(strings.NewReader(r.Trace))
-	if err != nil {
-		return fmt.Errorf("workload: internal: %w", err)
-	}
-	served, err := trace.Serve()
-	if err != nil {
-		return err
-	}
-	r.Metrics = served.Metrics
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.Encode(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return nil
-}
-
-// runWorkloadFanout is -workload with -shards M: one -shard-run subprocess
-// per slice, each emitting its artifact with its trace slice inline; the
-// parent merges the aggregates and the traces exactly, serves the complete
-// trace, and prints the normalized report — byte-identical (manifest
-// aside) to -shards 1.
-func runWorkloadFanout(spec *workload.Spec, wf workloadFlags) error {
-	if wf.Shards < 1 {
-		return fmt.Errorf("-shards: want ≥ 1, got %d", wf.Shards)
-	}
-	if wf.Trials < 1 {
-		return fmt.Errorf("-shards: want -trials ≥ 1, got %d", wf.Trials)
-	}
-	self, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("workload shards: locate own binary: %w", err)
-	}
-	type slot struct {
-		report *workloadReport
-		err    error
-	}
-	slots := make([]slot, wf.Shards)
-	done := make(chan int, wf.Shards)
-	for i := 0; i < wf.Shards; i++ {
-		go func(i int) {
-			defer func() { done <- i }()
-			cmd := exec.Command(self,
-				"-workload", spec.String(),
-				"-shard-run", fmt.Sprintf("%d/%d", i, wf.Shards),
-				"-trials", fmt.Sprint(wf.Trials),
-				"-seed", fmt.Sprint(wf.Seed),
-				"-workers", fmt.Sprint(wf.Workers),
-				"-pace", fmt.Sprint(wf.Pace),
-				"-registers", wf.Registers.String())
-			cmd.Stderr = os.Stderr
-			out, err := cmd.Output()
-			if err != nil {
-				slots[i].err = fmt.Errorf("workload shard %d/%d: %w", i, wf.Shards, err)
-				return
-			}
-			var r workloadReport
-			if err := json.Unmarshal(out, &r); err != nil {
-				slots[i].err = fmt.Errorf("workload shard %d/%d: bad artifact: %w", i, wf.Shards, err)
-				return
-			}
-			slots[i].report = &r
-		}(i)
-	}
-	for range slots {
-		<-done
-	}
-	reports := make([]*workloadReport, 0, wf.Shards)
-	for i := range slots {
-		if slots[i].err != nil {
-			return slots[i].err
-		}
-		reports = append(reports, slots[i].report)
-	}
-	merged, err := mergeWorkloadReports(reports, wf)
-	if err != nil {
-		return err
-	}
-	if err := finishWorkloadReport(merged, wf.TraceOut); err != nil {
-		return err
-	}
-	return emitWorkloadReport(merged)
-}
-
-// mergeWorkloadReports folds slice artifacts into one normalized report:
-// the same exact tiling walk as mergeShardReports, plus an exact merge of
-// the trace slices into the complete recording.
-func mergeWorkloadReports(reports []*workloadReport, wf workloadFlags) (*workloadReport, error) {
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("workload merge: no slice reports")
-	}
-	sorted := append([]*workloadReport(nil), reports...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i].Shard, sorted[j].Shard
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		return a.Hi < b.Hi
-	})
-	first := sorted[0]
-	var steps, work obs.Hist
-	decided, at := 0, 0
-	traces := make([]*workload.Trace, 0, len(sorted))
-	for _, r := range sorted {
-		if r.Workload != first.Workload || r.N != first.N || r.Trials != first.Trials ||
-			r.Seed != first.Seed || r.Registers != first.Registers {
-			return nil, fmt.Errorf("workload merge: slice %d/%d is from a different run",
-				r.Shard.Index, r.Shard.Of)
-		}
-		if r.Shard.Lo != at || r.Shard.Hi < r.Shard.Lo {
-			return nil, fmt.Errorf("workload merge: slices do not tile the seed space: want a slice starting at %d, got [%d,%d)",
-				at, r.Shard.Lo, r.Shard.Hi)
-		}
-		at = r.Shard.Hi
-		steps.Merge(r.Steps)
-		work.Merge(r.Work)
-		decided += r.Decided
-		tr, err := workload.Decode(strings.NewReader(r.Trace))
-		if err != nil {
-			return nil, fmt.Errorf("workload merge: slice %d/%d trace: %w", r.Shard.Index, r.Shard.Of, err)
-		}
-		traces = append(traces, tr)
-	}
-	if at != first.Trials {
-		return nil, fmt.Errorf("workload merge: slices cover [0,%d) of %d trials", at, first.Trials)
-	}
-	mergedTrace, err := workload.Merge(traces...)
-	if err != nil {
-		return nil, fmt.Errorf("workload merge: %w", err)
-	}
-	digest, err := scalingDigest(&steps, &work, decided)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := mergedTrace.ParseSpec()
-	if err != nil {
-		return nil, err
-	}
-	return &workloadReport{
-		Manifest:  workloadManifest(spec, wf, "0/1"),
-		Workload:  first.Workload,
-		N:         first.N,
-		Trials:    first.Trials,
-		Seed:      first.Seed,
-		Registers: first.Registers,
-		Shard:     shardSlice{Index: 0, Of: 1, Lo: 0, Hi: first.Trials},
-		Steps:     &steps,
-		Work:      &work,
-		Decided:   decided,
-		Trace:     encodeTrace(mergedTrace),
-		Digest:    digest,
-	}, nil
+	return encodeTrace(trace), nil
 }
 
 // runTraceReplay is the -trace-in mode: read the trace files (shard slices
 // or a complete recording), merge them, re-run the sweep the trace
 // describes, and verify every trial's measured work against the recording.
-// The emitted report is byte-identical (manifest aside) to the recording
-// run's report.
-func runTraceReplay(wf workloadFlags) error {
+// The trace fixes the seed and the trial count, so an explicit -seed or
+// -trials that differs from it is an error. The emitted report is
+// byte-identical (manifest aside) to the recording run's report.
+func runTraceReplay(f sweepFlags) error {
 	var parts []*workload.Trace
-	for _, name := range strings.Split(wf.TraceIn, ",") {
+	for _, name := range strings.Split(f.TraceIn, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		f, err := os.Open(name)
+		file, err := os.Open(name)
 		if err != nil {
 			return err
 		}
-		tr, err := workload.Decode(f)
-		f.Close()
+		tr, err := workload.Decode(file)
+		file.Close()
 		if err != nil {
 			return fmt.Errorf("-trace-in: %s: %w", name, err)
 		}
@@ -388,78 +94,30 @@ func runTraceReplay(wf workloadFlags) error {
 	if err != nil {
 		return fmt.Errorf("-trace-in: %w", err)
 	}
-	if wf.Seed != 1 && wf.Seed != trace.Seed { // 1 is the flag default
-		return fmt.Errorf("-trace-in: trace was recorded with -seed %d; drop the conflicting -seed %d", trace.Seed, wf.Seed)
+	if f.Set["seed"] && f.Seed != trace.Seed {
+		return fmt.Errorf("-trace-in: trace was recorded with -seed %d; drop the conflicting -seed %d", trace.Seed, f.Seed)
 	}
-	wf.Seed, wf.Trials = trace.Seed, trace.Trials // the trace is authoritative
-	var arrivals []int64
-	if spec.Open() {
-		arrivals = trace.Arrivals()
+	if f.Set["trials"] && f.Trials != trace.Trials {
+		return fmt.Errorf("-trace-in: trace records -trials %d; drop the conflicting -trials %d", trace.Trials, f.Trials)
 	}
-	demands := make([]int64, trace.Trials)
-	var steps, work obs.Hist
-	decided := 0
-	err = harness.SweepProtocol(
-		harness.Sweep{Trials: trace.Trials, Workers: wf.Workers, Seed: trace.Seed,
-			Arrivals: arrivals, Pace: wf.Pace},
-		scalingSweep(wf.Registers),
-		func(tr harness.Trial, run *harness.ProtocolRun) {
-			demands[tr.Index] = int64(run.Result.TotalWork)
-			steps.AddInt(run.Result.TotalWork)
-			work.AddInt(run.Result.MaxIndividualWork())
-			if len(run.DecidedOutputs()) == scalingN {
-				decided++
-			}
-		})
+	job := sweepJob{Spec: spec, Trials: trace.Trials, Seed: trace.Seed, Workers: f.Workers, Registers: f.Registers}
+	report, err := job.slice(0, 1)
 	if err != nil {
 		return err
 	}
-	if err := trace.Verify(demands); err != nil {
+	replayed, err := workload.Decode(strings.NewReader(report.Trace))
+	if err != nil {
+		return fmt.Errorf("workload: internal: %w", err)
+	}
+	if err := trace.Verify(replayed.Demands()); err != nil {
 		return fmt.Errorf("trace replay diverged (different binary, registers model, or tampered trace?): %w", err)
 	}
-	digest, err := scalingDigest(&steps, &work, decided)
-	if err != nil {
+	report.Trace = encodeTrace(trace) // the report carries the trace it replayed
+	if report, err = mergeShardReports([]*shardReport{report}); err != nil {
 		return err
 	}
-	report := &workloadReport{
-		Manifest:  workloadManifest(spec, wf, "0/1"),
-		Workload:  spec.String(),
-		N:         scalingN,
-		Trials:    trace.Trials,
-		Seed:      trace.Seed,
-		Registers: wf.Registers.String(),
-		Shard:     shardSlice{Index: 0, Of: 1, Lo: 0, Hi: trace.Trials},
-		Steps:     &steps,
-		Work:      &work,
-		Decided:   decided,
-		Trace:     encodeTrace(trace),
-		Digest:    digest,
-	}
-	if err := finishWorkloadReport(report, wf.TraceOut); err != nil {
-		return err
-	}
-	return emitWorkloadReport(report)
-}
-
-// workloadManifest builds the artifact manifest, stamping the canonical
-// workload spec both in its dedicated field and the config echo.
-func workloadManifest(spec *workload.Spec, wf workloadFlags, shard string) obs.Manifest {
-	m := obs.NewManifest("modcon-bench")
-	m.Seed = wf.Seed
-	m.Backend = "sim"
-	m.Registers = wf.Registers.String()
-	m.Workload = spec.String()
-	m.Config = map[string]string{
-		"workload":  spec.String(),
-		"shard":     shard,
-		"trials":    fmt.Sprint(wf.Trials),
-		"seed":      fmt.Sprint(wf.Seed),
-		"workers":   fmt.Sprint(wf.Workers),
-		"pace":      fmt.Sprint(wf.Pace),
-		"registers": wf.Registers.String(),
-		"trace-in":  wf.TraceIn,
-	}
-	return m
+	report.Manifest.Config["trace-in"] = f.TraceIn
+	return emitShardReport(report, f.TraceOut)
 }
 
 // encodeTrace renders a trace in its text encoding; the encoding only
@@ -470,10 +128,4 @@ func encodeTrace(t *workload.Trace) string {
 		panic(fmt.Sprintf("workload: encode recorded trace: %v", err))
 	}
 	return buf.String()
-}
-
-func emitWorkloadReport(r *workloadReport) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -75,8 +75,8 @@ func E23WorkloadSaturation(cfg Config) *Table {
 		kneeRate[model] = map[string]float64{}
 		for _, adv := range e23Adversaries() {
 			// One demand sweep per cell: the offered rate never changes
-			// what a trial computes (open-loop admission re-times dispatch,
-			// it never reaches the simulator), so every ladder point below
+			// what a trial computes (arrivals live only in virtual time and
+			// never reach the simulator), so every ladder point below
 			// serves the same measured demands.
 			spec := defaultSpec(e23N, e23M)
 			spec.registers = model

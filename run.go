@@ -468,10 +468,6 @@ func Trials[T any](trials int, run func(ctx context.Context, t Trial) (T, error)
 	if err != nil {
 		return nil, err
 	}
-	s := c.sweep(trials)
-	if wl != nil {
-		s.Arrivals = wl.arrivals
-	}
 	mergeFn := merge
 	if wl != nil && wl.demands != nil {
 		mergeFn = func(t Trial, result T, rep TrialReport) {
@@ -481,7 +477,7 @@ func Trials[T any](trials int, run func(ctx context.Context, t Trial) (T, error)
 			}
 		}
 	}
-	report, err := harness.RunTrialsRobust(s, harness.Resilience{
+	report, err := harness.RunTrialsRobust(c.sweep(trials), harness.Resilience{
 		Deadline: c.deadline,
 		Retries:  c.retries,
 		FailFast: c.failFast,

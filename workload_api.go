@@ -9,7 +9,7 @@ package modcon
 //	var trace modcon.WorkloadTrace
 //	report, err := modcon.Trials(1000, run, merge,
 //	    modcon.WithSeed(7),
-//	    modcon.WithWorkload(spec),        // admit trials at Poisson arrivals
+//	    modcon.WithWorkload(spec),        // the load the trials serve
 //	    modcon.WithTraceRecord(&trace))   // record what actually ran
 //	// ... later, anywhere:
 //	report2, err := modcon.Trials(1000, run, merge,
@@ -72,15 +72,15 @@ func ParseWorkload(text string) (*WorkloadSpec, error) {
 	return spec, nil
 }
 
-// WithWorkload runs a Trials sweep open-loop: trial i is admitted at the
-// i-th arrival of the spec's process (generated deterministically from the
-// sweep's root seed), in arrival order, rather than as fast as workers
-// free up. Admission changes only when trials start — results and
-// aggregates stay bit-identical to the closed-loop sweep at any worker
-// count. Closed (cohort) specs admit trials normally; their pacing lives
-// entirely in the virtual service model. A nil spec is a no-op. Only Trials
-// honors workload options; Run, RunProtocol, and Consensus.Sweep ignore
-// them.
+// WithWorkload names the load a Trials sweep serves: trial i is the job
+// of the i-th arrival of the spec's process (generated deterministically
+// from the sweep's root seed), or of the closed cohort's next request.
+// Arrivals and service live in virtual time, computed from each trial's
+// measured work (WorkloadTrace.Serve), so trials still run as fast as
+// workers free up, and results and aggregates are bit-identical to the
+// sweep without a workload at any worker count. The spec is what
+// WithTraceRecord records. A nil spec is a no-op. Only Trials honors
+// workload options; Run, RunProtocol, and Consensus.Sweep ignore them.
 func WithWorkload(spec *WorkloadSpec) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.workloadSpec = spec })
 }
@@ -97,26 +97,26 @@ func WithTraceRecord(t *WorkloadTrace) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.traceRecord = t })
 }
 
-// WithTraceReplay re-runs a recorded workload: the sweep takes its seed,
-// trial count, and arrival schedule from the trace, and after the sweep
-// every trial's measured step demand is verified against the recording —
-// any divergence fails the sweep with ErrTraceDiverged. Conflicting
-// options (a non-zero WithSeed differing from the trace's, a trial count
-// differing from the trace's, or WithWorkload) are rejected with
-// ErrBadOption. The trace must be complete (an unsharded recording or an
-// exact Merge of shard slices).
+// WithTraceReplay re-runs a recorded workload: the sweep takes its seed
+// and trial count from the trace, and after the sweep every trial's
+// measured step demand is verified against the recording — any divergence
+// fails the sweep with ErrTraceDiverged. Conflicting options (a non-zero
+// WithSeed differing from the trace's, a trial count differing from the
+// trace's, or WithWorkload) are rejected with ErrBadOption. The trace must
+// be complete (an unsharded recording or an exact Merge of shard slices).
 func WithTraceReplay(t *WorkloadTrace) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.traceReplay = t })
 }
 
-// workloadPlan is the resolved open-loop configuration of one Trials
-// sweep: the arrival schedule to admit against and, when recording or
-// replaying, the demand collector and its post-sweep obligation.
+// workloadPlan is the resolved workload configuration of one Trials sweep:
+// the arrival schedule a recording records and, when recording or
+// replaying, the demand collector and its post-sweep obligation. The sweep
+// itself never reads the schedule.
 type workloadPlan struct {
 	spec     *workload.Spec
 	seed     uint64
 	trials   int
-	arrivals []int64 // admission schedule (nil for closed specs)
+	arrivals []int64 // arrival schedule to record (nil for closed specs)
 	demands  []int64 // per-trial measured steps, filled by the merge hook
 	record   *workload.Trace
 	replay   *workload.Trace
@@ -155,9 +155,6 @@ func (c *runConfig) workloadPlan(trials int) (*workloadPlan, error) {
 		}
 		c.seed = p.replay.Seed
 		p.spec, p.seed, p.trials = spec, p.replay.Seed, trials
-		if spec.Open() {
-			p.arrivals = p.replay.Arrivals()
-		}
 	case c.workloadSpec != nil:
 		if err := c.workloadSpec.Validate(); err != nil {
 			return nil, fmt.Errorf("WithWorkload: %v: %w", err, ErrBadOption)

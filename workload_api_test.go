@@ -1,6 +1,6 @@
 package modcon
 
-// Public-API tests for the workload plane: open-loop admission must not
+// Public-API tests for the workload plane: attaching a workload must not
 // change sweep results, a recorded trace must replay bit-identically (and
 // a tampered one must fail loudly), and the option conflicts must be
 // actionable errors.
@@ -26,8 +26,9 @@ func workloadSolve(t *testing.T, cons *Consensus) func(ctx context.Context, tr T
 	}
 }
 
-// TestTrialsWorkloadAggregatesUnchanged: an open-loop sweep folds the same
-// per-trial results as the closed-loop sweep, at any worker count.
+// TestTrialsWorkloadAggregatesUnchanged: a sweep with a workload attached
+// folds the same per-trial results as the sweep without one, at any worker
+// count.
 func TestTrialsWorkloadAggregatesUnchanged(t *testing.T) {
 	cons, err := NewBinary(6)
 	if err != nil {
