@@ -81,7 +81,8 @@ func mustSweep(err error) {
 // engine, one per trial of s, under schedulers built by mk. Sessions are
 // pooled: the protocol, file, and scheduler are built once per worker and
 // replayed per trial; only the inputs vary with the trial index. fold runs
-// in trial order on a single goroutine; per-process deciding stages come
+// one trial at a time, in trial order, on the sweep's workers, and a panic
+// in it is raised again in the caller. Per-process deciding stages come
 // from run.DecidedStage. Any trial error (including step-limit exhaustion)
 // aborts the experiment; sweeps that must tolerate exec.ErrStepLimit call
 // harness.RunTrials directly.

@@ -112,8 +112,6 @@ type TrialReport struct {
 	Err error
 	// Attempts counts executions of the trial (1 + retries used).
 	Attempts int
-	// Elapsed is the trial's total wall time across attempts.
-	Elapsed time.Duration
 }
 
 // SweepReport aggregates a robust sweep: per-outcome counts plus the
@@ -242,8 +240,6 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 // mid-trial and the trial should not be counted at all.
 func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func(context.Context, Trial) (T, error)) (result T, rep TrialReport, dropped bool) {
 	rep = TrialReport{Trial: t}
-	start := time.Now()
-	defer func() { rep.Elapsed = time.Since(start) }()
 	backoff := rz.backoff()
 	for attempt := 0; ; attempt++ {
 		rep.Attempts = attempt + 1
@@ -303,10 +299,11 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func
 // (contained panics, watchdog timeouts, safety violations, short runs,
 // retried-then-failed infrastructure errors) and the sweep always returns
 // its partial aggregates. merge, which may be nil, receives every
-// classified trial in trial-index order together with its report; for
-// non-ok outcomes the result may be partial or the zero value — consult
-// rep.Outcome before trusting it. A sweep cut short (FailFast, or
-// cancellation) has classified a gap-free prefix of its trials.
+// classified trial in trial-index order together with its report, one at a
+// time on the workers, as under RunTrials; for non-ok outcomes the result
+// may be partial or the zero value — consult rep.Outcome before trusting
+// it. A sweep cut short (FailFast, or cancellation) has classified a
+// gap-free prefix of its trials.
 //
 // The returned error is nil unless the sweep's own context was cancelled
 // externally; violations and timeouts are reported, not returned.
@@ -315,7 +312,7 @@ func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context
 	err := dispatch(s, func(ctx context.Context, t Trial) outcome[T] {
 		r, rep, dropped := runRobustTrial(ctx, rz, t, run)
 		return outcome[T]{trial: t, result: r, report: rep, dropped: dropped}
-	}, func(oc outcome[T], prog *Progress) bool {
+	}, func(oc outcome[T], prog *tally) bool {
 		report.Trials++
 		report.Counts[oc.report.Outcome]++
 		report.Reports = append(report.Reports, oc.report)
@@ -325,7 +322,7 @@ func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context
 		if oc.report.Outcome == OutcomeOK {
 			s.meterCost(prog, any(oc.result))
 		}
-		prog.Violations = report.Counts[OutcomeViolated]
+		prog.violations = report.Counts[OutcomeViolated]
 		return !rz.FailFast || oc.report.Outcome != OutcomeViolated
 	})
 	if report.Trials < s.Trials {

@@ -82,11 +82,6 @@ type ProtocolSweep struct {
 	Inputs func(t Trial) []value.Value
 }
 
-// errPoolClosed is returned by sessionPool.get after closeAll; it can only
-// surface when a worker races the sweep's teardown, by which point the sweep
-// is already ending.
-var errPoolClosed = errors.New("harness: session pool closed")
-
 // cell is one pooled session of a sweep: *objectSession or *protocolSession.
 type cell[R any] interface {
 	// runTrial executes one trial. The run it returns aliases the session's
@@ -122,12 +117,7 @@ func (p *sessionPool[R, S]) get() (S, error) {
 		p.mu.Unlock()
 		return s, nil
 	}
-	closed := p.closed
 	p.mu.Unlock()
-	if closed {
-		var zero S
-		return zero, errPoolClosed
-	}
 	return p.make()
 }
 
@@ -210,7 +200,7 @@ func (p *sessionPool[R, S]) trial(ctx context.Context, t Trial) (R, error) {
 }
 
 // cloneResult deep-copies a session-owned Result, attaching the caller's
-// trace snapshot tr, so the merge goroutine (and anything the caller's merge
+// trace snapshot tr, so what the fold hands to merge (and anything merge
 // retains) stays valid while the session's buffers are overwritten by its
 // next trial.
 func cloneResult(r *exec.Result, tr *trace.Log) *exec.Result {

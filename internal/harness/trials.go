@@ -15,11 +15,14 @@
 //     a pure function of (root, index). Workers pull trial indices from a
 //     counter, so which worker runs a trial never affects what the trial
 //     computes.
-//   - Results are folded by a single merge step that consumes them in trial
-//     order (a reorder buffer holds early out-of-order arrivals), so
-//     floating-point accumulation in the caller's merge callback happens in
-//     the same sequence regardless of scheduling. Same root seed ⇒
-//     bit-identical aggregates at 1 worker or 16.
+//   - Results are folded in trial order: the worker that finishes a trial
+//     parks it in a reorder buffer and, under one lock, folds every trial
+//     that is now next by index. The callbacks (merge, the Reporter, the
+//     histograms) therefore run one at a time, in trial order, on the
+//     sweep's worker goroutines, and floating-point accumulation in the
+//     caller's merge callback happens in the same sequence regardless of
+//     scheduling. Same root seed ⇒ bit-identical aggregates at 1 worker or
+//     16. A panic in a callback is raised again in the caller.
 //
 // Sweeps are cancellable: the sweep's context (plus any per-sweep error)
 // stops both the dispatch of new trials and — because the derived context is
@@ -57,25 +60,18 @@ type Trial struct {
 	Seed uint64
 }
 
-// Progress snapshots a running sweep; the Sweep.Progress hook receives one
-// after every merged trial, from the merge goroutine (no locking needed).
-type Progress struct {
-	// Done counts merged trials; Total is Sweep.Trials.
-	Done, Total int
-	// Steps accumulates simulated operations (total work) across merged
-	// trials, and Work the per-trial max individual work, when the trial
-	// result implements Metered; both stay 0 otherwise.
-	Steps, Work int64
-	// Violations counts trials classified as safety violations so far.
-	// Only the resilient engine (RunTrialsRobust) classifies trials, so it
-	// stays 0 under RunTrials.
-	Violations int
-	// Elapsed is wall time since the sweep started.
-	Elapsed time.Duration
+// tally is a running sweep's progress, as its Reporter observes it.
+type tally struct {
+	// done counts folded trials, and violations those the resilient engine
+	// (RunTrialsRobust) classified as safety violations.
+	done, violations int
+	// steps accumulates the total work of folded trials whose result
+	// implements Metered.
+	steps int64
 }
 
-// Metered lets trial results contribute work accounting to Progress.
-// *ObjectRun and *ProtocolRun implement it.
+// Metered lets trial results contribute work accounting to a sweep's
+// progress and histograms. *ObjectRun and *ProtocolRun implement it.
 type Metered interface {
 	// SweepCost reports the execution's total work and max individual work.
 	SweepCost() (steps, work int)
@@ -99,18 +95,17 @@ type Sweep struct {
 	// Context cancels the sweep: no new trials start and in-flight
 	// simulated executions stop at their next step. Nil means Background.
 	Context context.Context
-	// Progress, if non-nil, is called after each merged trial.
-	Progress func(Progress)
 	// Reporter, if non-nil, receives throttled progress snapshots (trials
-	// done, trials/sec, violations, ETA) after each merged trial plus a
-	// final one when the fold completes. Build one with obs.NewReporter
-	// over a text, JSON-lines, or silent sink.
+	// done, trials/sec, violations, ETA) after each folded trial, from the
+	// fold, plus a final one on the caller's goroutine once the workers
+	// have exited. Build one with obs.NewReporter over a text, JSON-lines,
+	// or silent sink.
 	Reporter *obs.Reporter
 	// StepsHist and WorkHist, if non-nil, accumulate per-trial total work
-	// and max individual work for every merged trial whose result
+	// and max individual work for every folded trial whose result
 	// implements Metered (under the resilient engine, only trials
-	// classified OutcomeOK). They are fed from the single-goroutine merge
-	// step in trial order, and obs.Hist holds only integer state, so the
+	// classified OutcomeOK). The fold feeds them one trial at a time in
+	// trial order, and obs.Hist holds only integer state, so the
 	// aggregates are bit-identical at any worker count.
 	StepsHist, WorkHist *obs.Hist
 	// Meter, if non-nil, is threaded into each trial's execution by
@@ -121,36 +116,30 @@ type Sweep struct {
 	Meter *obs.Meter
 }
 
-// observe fans one merged-trial progress snapshot out to the sweep's hooks:
-// the raw Progress callback on every merged trial, and the throttled
-// Reporter (which additionally gets a final snapshot when the fold ends).
-// When a Meter is attached its live step count — which includes in-flight
-// trials — supersedes the merged-trials count for reporting.
-func (s Sweep) observe(prog *Progress, start time.Time, final bool) {
-	if s.Progress == nil && s.Reporter == nil {
+// observe reports the sweep's progress to its Reporter: after each folded
+// trial, and once more (final) when the sweep ends. When a Meter is
+// attached its live step count — which includes in-flight trials —
+// supersedes the folded trials' count.
+func (s Sweep) observe(t *tally, start time.Time, final bool) {
+	if s.Reporter == nil {
 		return
 	}
-	prog.Elapsed = time.Since(start)
-	if s.Progress != nil && !final {
-		s.Progress(*prog)
-	}
-	steps := prog.Steps
+	steps := t.steps
 	if s.Meter != nil {
 		steps = s.Meter.Steps()
 	}
-	s.Reporter.Observe(prog.Done, prog.Total, prog.Violations, steps, prog.Elapsed, final)
+	s.Reporter.Observe(t.done, s.Trials, t.violations, steps, time.Since(start), final)
 }
 
-// meterCost feeds one merged trial's cost into the progress totals and the
+// meterCost feeds one folded trial's cost into the progress tally and the
 // sweep's histograms, when the result is Metered.
-func (s Sweep) meterCost(prog *Progress, result any) {
+func (s Sweep) meterCost(t *tally, result any) {
 	m, ok := result.(Metered)
 	if !ok {
 		return
 	}
 	steps, work := m.SweepCost()
-	prog.Steps += int64(steps)
-	prog.Work += int64(work)
+	t.steps += int64(steps)
 	if s.StepsHist != nil {
 		s.StepsHist.AddInt(steps)
 	}
@@ -176,7 +165,7 @@ func (s Sweep) trial(i int) Trial {
 	return Trial{Index: s.Offset + i, Seed: TrialSeed(s.Seed, s.Offset+i)}
 }
 
-// outcome carries one finished trial from its worker to the fold.
+// outcome is one finished trial, parked until the fold reaches it.
 type outcome[T any] struct {
 	trial  Trial
 	result T
@@ -190,23 +179,32 @@ type outcome[T any] struct {
 }
 
 // dispatch is the one trial dispatcher behind every sweep in this package.
-// Workers take trial indices from a single claim counter and run each
-// trial inline through attempt; the calling goroutine folds the outcomes
-// through consume in trial-index order, holding early arrivals in a reorder
-// buffer. Everything consume accumulates is therefore bit-identical at any
-// worker count.
+// The sweep's workers are the only goroutines it starts, and it returns
+// only after they have all exited. Workers take trial indices from a
+// single claim counter and run each trial inline through attempt. The
+// worker that finishes a trial parks its outcome in a reorder buffer and,
+// holding the fold's lock, passes consume every outcome that is now next
+// in trial-index order. consume and the Reporter therefore run one at a
+// time and in trial order, so everything they accumulate is bit-identical
+// at any worker count. They run under that lock, so a callback must not
+// wait for another trial of its own sweep.
 //
 // The fold stops at the first outcome that failed (err) or was dropped, or
-// when consume returns false. Stopping cancels the in-flight trials, and the
-// remaining outcomes are drained unread, so a sweep cut short has folded a
-// gap-free prefix of its trials. A failed outcome also stops the claiming of
-// new trials the moment it arrives, while the trials below it run on to
-// their own verdicts: the failure reported is the earliest by trial index,
-// whatever the timing.
+// when consume returns false. Stopping cancels the in-flight trials, whose
+// outcomes are then discarded unread, so a sweep cut short has folded a
+// gap-free prefix of its trials. A failed outcome also stops the claiming
+// of new trials the moment its trial ends, while the trials below it run
+// on to their own verdicts: the failure reported is the earliest by trial
+// index, whatever the timing.
+//
+// A callback under the fold that panics or calls runtime.Goexit stops the
+// fold in the same way. Once every worker has exited, dispatch raises that
+// panic again, or calls Goexit, on the caller's goroutine, with no final
+// report.
 //
 // The returned error is the failed trial's, wrapped with its index, or else
 // the sweep context's error (nil unless it was cancelled).
-func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome[T], consume func(oc outcome[T], prog *Progress) bool) error {
+func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome[T], consume func(oc outcome[T], prog *tally) bool) error {
 	if s.Trials <= 0 {
 		return nil
 	}
@@ -219,50 +217,38 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 
 	start := time.Now()
 	workers := s.workers()
-	// One slot per worker: a finished trial need not wait while the fold
-	// merges the one before it.
-	results := make(chan outcome[T], workers)
 	var (
 		next atomic.Int64 // sweep-local index of the next trial to claim
 		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1) - 1)
-				if i >= s.Trials {
-					return
-				}
-				oc := attempt(ctx, s.trial(i))
-				if oc.err != nil {
-					next.Store(int64(s.Trials)) // claim nothing more
-				}
-				// Every claimed trial reports in, so the fold sees a gap-free
-				// index sequence; the fold drains until the channel closes, so
-				// this send cannot block forever.
-				results <- oc
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	var (
+		mu       sync.Mutex // the fold's lock, over everything below
 		pending  = make(map[int]outcome[T], workers)
 		nextFold = s.Offset // trial indices are global (shard offset applied)
-		prog     = Progress{Total: s.Trials}
+		prog     tally
 		stopped  bool
 		failed   error
+		raised   bool // a callback panicked or called Goexit
+		pan      any  // the panic's value; nil for Goexit
 	)
-	for oc := range results {
+	// fold parks oc and folds every outcome now next in trial order. A
+	// callback that does not return stops the fold before the lock is
+	// released, so no later trial reaches consume.
+	fold := func(oc outcome[T]) {
+		mu.Lock()
+		defer mu.Unlock()
 		if stopped {
-			continue
+			return
 		}
 		pending[oc.trial.Index] = oc
+		returned := false
+		defer func() {
+			if !returned {
+				stopped, raised, pan = true, true, recover()
+			}
+			if stopped {
+				cancel() // stop dispatch and in-flight executions
+			}
+		}()
 		for !stopped {
 			oc, ok := pending[nextFold]
 			if !ok {
@@ -277,14 +263,36 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 			case oc.dropped:
 				stopped = true
 			default:
-				prog.Done++
+				prog.done++
 				stopped = !consume(oc, &prog)
 				s.observe(&prog, start, false)
 			}
 		}
-		if stopped {
-			cancel() // stop dispatch and in-flight executions
+		returned = true
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= s.Trials {
+					return
+				}
+				oc := attempt(ctx, s.trial(i))
+				if oc.err != nil {
+					next.Store(int64(s.Trials)) // claim nothing more
+				}
+				fold(oc)
+			}
+		}()
+	}
+	wg.Wait()
+	if raised {
+		if pan == nil {
+			runtime.Goexit() // the callback called Goexit; so does the caller
 		}
+		panic(pan)
 	}
 	s.observe(&prog, start, true)
 	if failed != nil {
@@ -294,7 +302,9 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 }
 
 // RunTrials executes run for every trial of s on a worker pool and folds the
-// results, in trial order, through merge (which may be nil). run receives a
+// results, in trial order, through merge (which may be nil). merge runs on
+// the workers, one trial at a time, and a panic in it is raised again in
+// the caller once the workers have exited (see dispatch). run receives a
 // context that is cancelled when the sweep is (thread it into the execution
 // via ObjectConfig.Context). Each trial must be independent: either build
 // all per-trial state fresh inside run, or — as SweepObject/SweepProtocol do
@@ -317,7 +327,7 @@ func RunTrials[T any](s Sweep, run func(ctx context.Context, t Trial) (T, error)
 		}()
 		oc.result, oc.err = run(ctx, t)
 		return oc
-	}, func(oc outcome[T], prog *Progress) bool {
+	}, func(oc outcome[T], prog *tally) bool {
 		if merge != nil {
 			merge(oc.trial, oc.result)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -102,10 +103,9 @@ func TestSweepMergesInTrialOrder(t *testing.T) {
 }
 
 func TestSweepProgressHook(t *testing.T) {
-	var last Progress
-	calls := 0
+	sink := &sweepSink{}
 	err := SweepObject(
-		Sweep{Trials: 10, Workers: 4, Seed: 3, Progress: func(p Progress) { last = p; calls++ }},
+		Sweep{Trials: 10, Workers: 4, Seed: 3, Reporter: obs.NewReporter(sink, 0)},
 		ObjectSweep{Build: func() (core.Object, ObjectConfig) {
 			file := register.NewFile()
 			r := ratifier.NewBinary(file, 1)
@@ -115,14 +115,18 @@ func TestSweepProgressHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 10 {
-		t.Fatalf("progress called %d times, want 10", calls)
+	if len(sink.snaps) != 11 { // 10 merges + 1 final
+		t.Fatalf("reporter observed %d snapshots, want 11", len(sink.snaps))
 	}
-	if last.Done != 10 || last.Total != 10 {
-		t.Fatalf("final progress %+v", last)
+	last := sink.snaps[len(sink.snaps)-1]
+	if !last.Final || last.Done != 10 || last.Total != 10 {
+		t.Fatalf("final snapshot %+v", last)
 	}
-	if last.Steps == 0 || last.Work == 0 {
-		t.Fatalf("progress did not account work: %+v", last)
+	if last.Steps == 0 {
+		t.Fatalf("progress did not account steps: %+v", last)
+	}
+	if got, want := sink.gids[len(sink.gids)-1], goroutineID(); got != want {
+		t.Fatalf("final snapshot emitted on goroutine %s, want the caller's %s", got, want)
 	}
 }
 
@@ -193,6 +197,90 @@ func TestStrictSweepContainsTrialPanics(t *testing.T) {
 		}, nil)
 	if err == nil || !strings.Contains(err.Error(), "trial 7: panic: bad trial 7") {
 		t.Fatalf("err = %v, want trial 7's panic", err)
+	}
+}
+
+// TestSweepCallbackPanicReachesCaller: merge runs on the sweep's workers, so
+// a panic or runtime.Goexit inside it must stop the fold (no later trial is
+// merged) and reach the caller only after every worker has exited: 20
+// sweeps whose merge panics, or calls Goexit, leave the goroutine count where
+// it was, on either policy.
+func TestSweepCallbackPanicReachesCaller(t *testing.T) {
+	const trials, workers, victim = 200, 2, 7
+	boom := errors.New("merge failed")
+	run := func(ctx context.Context, tr Trial) (int, error) { return tr.Index, nil }
+	sweeps := []struct {
+		name  string
+		sweep func(merge func(i int))
+	}{
+		{"strict", func(merge func(i int)) {
+			RunTrials(Sweep{Trials: trials, Workers: workers, Seed: 1}, run,
+				func(tr Trial, r int) { merge(r) })
+		}},
+		{"robust", func(merge func(i int)) {
+			RunTrialsRobust(Sweep{Trials: trials, Workers: workers, Seed: 1}, Resilience{}, run,
+				func(tr Trial, r int, rep TrialReport) { merge(r) })
+		}},
+	}
+	// call runs sweep on a goroutine of its own, with a merge that raises at
+	// the victim trial, and reports what that goroutine saw: the value it
+	// recovered (nil after Goexit), and whether the sweep failed to return.
+	call := func(sweep func(merge func(i int)), goexit bool) (merged []int, recovered any, unwound bool) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer func() { recovered = recover() }()
+			unwound = true
+			sweep(func(i int) {
+				if i == victim {
+					time.Sleep(time.Millisecond) // let the workers run ahead of the fold
+					if goexit {
+						runtime.Goexit()
+					}
+					panic(boom)
+				}
+				merged = append(merged, i)
+			})
+			unwound = false
+		}()
+		<-done
+		return merged, recovered, unwound
+	}
+	settle := func() int {
+		time.Sleep(5 * time.Millisecond)
+		return runtime.NumGoroutine()
+	}
+	prefix := []int{0, 1, 2, 3, 4, 5, 6}
+	for _, sc := range sweeps {
+		for _, goexit := range []bool{false, true} {
+			name := sc.name + "/panic"
+			want := any(boom)
+			if goexit {
+				name, want = sc.name+"/goexit", nil
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				for prev := -1; base != prev; {
+					prev, base = base, settle()
+				}
+				for round := 0; round < 20; round++ {
+					merged, recovered, unwound := call(sc.sweep, goexit)
+					if !unwound || recovered != want {
+						t.Fatalf("round %d: sweep unwound=%v, caller recovered %v; want the merge's %v raised in the caller", round, unwound, recovered, want)
+					}
+					if !reflect.DeepEqual(merged, prefix) {
+						t.Fatalf("round %d: merged %v, want %v", round, merged, prefix)
+					}
+				}
+				got := settle()
+				for deadline := time.Now().Add(5 * time.Second); got > base && time.Now().Before(deadline); {
+					got = settle()
+				}
+				if got > base {
+					t.Errorf("%d goroutines after 20 sweeps whose merge raised, want at most the %d before", got, base)
+				}
+			})
+		}
 	}
 }
 

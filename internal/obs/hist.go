@@ -7,7 +7,8 @@
 //     accumulation and Merge are exact — the same multiset of observations
 //     produces bit-identical aggregates no matter how it was sharded across
 //     workers, as long as observations are folded through the harness's
-//     in-order reorder buffer (which fixes the fold order).
+//     in-order reorder buffer (which fixes the fold order and feeds one
+//     trial at a time).
 //
 //   - Zero overhead when off. The hooks the backends consult (Meter) are
 //     nil-safe pointers: a disabled plane costs one predictable nil check per
@@ -43,8 +44,8 @@ const denseSize = 4096
 // histograms yields bit-identical results at any worker count.
 //
 // The zero value is an empty histogram ready for use. Hist is not safe for
-// concurrent use; the harness feeds it from the single-goroutine reorder
-// buffer.
+// concurrent use; the harness feeds it under its sweep's fold lock, one
+// trial at a time, in trial order.
 type Hist struct {
 	n     int64
 	sum   int64

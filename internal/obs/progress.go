@@ -33,9 +33,10 @@ type Snapshot struct {
 	Final bool `json:"final"`
 }
 
-// Sink consumes progress snapshots. Implementations must be safe for use
-// from a single reporting goroutine; they are never called concurrently by a
-// Reporter.
+// Sink consumes progress snapshots. A Reporter never calls its sink
+// concurrently, but successive calls may come from different goroutines:
+// the harness reports from its sweep's worker goroutines, one folded trial
+// at a time, and the final snapshot from the caller's.
 type Sink interface {
 	Emit(Snapshot)
 }
@@ -95,8 +96,9 @@ func (discardSink) Emit(Snapshot) {}
 // per Interval, plus always the final observation. A Reporter derives Rate
 // and ETA from the observation stream, so callers only feed it raw counts.
 //
-// Reporter is safe for concurrent use; the harness calls Observe from its
-// single merge goroutine, but public callers may share one across sweeps.
+// Reporter is safe for concurrent use; the harness calls Observe one folded
+// trial at a time, in trial order, from its sweep's worker goroutines, and
+// public callers may share one across sweeps.
 type Reporter struct {
 	mu       sync.Mutex
 	sink     Sink

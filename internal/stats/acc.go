@@ -2,10 +2,10 @@ package stats
 
 // Accumulators for streaming per-trial metrics out of parallel sweeps.
 //
-// The trial engine (internal/harness) folds results through a single merge
-// step in trial order, so feeding these accumulators from a merge callback
-// is race-free and — because addition happens in a fixed sequence — yields
-// bit-identical aggregates at any worker count.
+// The trial engine (internal/harness) folds results one trial at a time, in
+// trial order, under one lock, so feeding these accumulators from a merge
+// callback is race-free and — because addition happens in a fixed sequence —
+// yields bit-identical aggregates at any worker count.
 
 // Acc accumulates a sample of float64 observations for Summary. The full
 // sample is retained (the Summary quantiles need it); Add order determines

@@ -31,9 +31,6 @@ type (
 	// Trial identifies one execution of a Trials sweep: its index and the
 	// seed derived for it from the sweep's root seed.
 	Trial = harness.Trial
-	// SweepProgress snapshots a running Trials sweep (trials done, steps,
-	// work, wall time); see WithProgress.
-	SweepProgress = harness.Progress
 )
 
 // Observability types, re-exported from the internal obs plane.
@@ -108,7 +105,6 @@ type runConfig struct {
 	// dispatcher supplies, so a stall plan needs no Context.
 	sweeping     bool
 	workers      int
-	progress     func(SweepProgress)
 	sink         ProgressSink
 	sinkInterval time.Duration
 	stepsHist    *Hist
@@ -282,12 +278,6 @@ func WithCheapCollect(on bool) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.CheapCollect = on })
 }
 
-// WithProgress registers a hook a Trials sweep calls after every merged
-// trial, from a single goroutine. Run and RunProtocol ignore it.
-func WithProgress(fn func(SweepProgress)) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.progress = fn })
-}
-
 // WithProgressSink streams throttled progress snapshots (trials done,
 // trials/sec, ETA, violation count) from a Trials or Consensus.Sweep sweep
 // to sink, at most one per interval plus always the final snapshot; a
@@ -396,7 +386,6 @@ func (c *runConfig) sweep(trials int) harness.Sweep {
 		Workers:   c.workers,
 		Seed:      c.seed,
 		Context:   c.Context,
-		Progress:  c.progress,
 		Reporter:  reporter,
 		StepsHist: c.stepsHist,
 		WorkHist:  c.workHist,
@@ -443,11 +432,13 @@ func RunProtocol(p *Protocol, opts ...RunOption) (*ProtocolRun, error) {
 // state (register files, objects, schedulers) fresh — or replay a reusable
 // session — seed the execution with t.Seed, and thread ctx into it
 // (WithContext) so cancellation reaches in-flight executions. merge, which
-// may be nil, is called from a single goroutine in trial-index order
-// regardless of completion order — so aggregates accumulated there are
-// bit-identical at any worker count for the same root seed (see WithSeed,
-// WithWorkers). It also receives each trial's TrialReport; for non-ok
-// outcomes the result may be partial or zero.
+// may be nil, is called one trial at a time, in trial-index order
+// regardless of completion order, on the sweep's worker goroutines — so
+// aggregates accumulated there are bit-identical at any worker count for
+// the same root seed (see WithSeed, WithWorkers), and a panic in merge is
+// raised again in the caller once the workers have exited. It also
+// receives each trial's TrialReport; for non-ok outcomes the result may be
+// partial or zero.
 //
 // Trials degrades gracefully instead of aborting: every trial is classified
 // (TrialOK, TrialViolated on an online safety violation, TrialTimeout when
@@ -456,7 +447,7 @@ func RunProtocol(p *Protocol, opts ...RunOption) (*ProtocolRun, error) {
 // decided, TrialFailed after WithRetries infrastructure retries) and the
 // sweep always returns its partial aggregates in the SweepReport.
 //
-// Recognized options: WithSeed, WithWorkers, WithContext, WithProgress,
+// Recognized options: WithSeed, WithWorkers, WithContext,
 // WithProgressSink, WithHistograms, WithMeter, WithTrialDeadline,
 // WithRetries, WithFailFast, WithWorkload, WithTraceRecord,
 // WithTraceReplay. The error is nil unless the sweep's context was

@@ -116,7 +116,7 @@ type workloadPlan struct {
 	spec     *workload.Spec
 	seed     uint64
 	trials   int
-	arrivals []int64 // arrival schedule to record (nil for closed specs)
+	arrivals []int64 // arrival schedule to record (nil unless recording an open spec)
 	demands  []int64 // per-trial measured steps, filled by the merge hook
 	record   *workload.Trace
 	replay   *workload.Trace
@@ -160,7 +160,7 @@ func (c *runConfig) workloadPlan(trials int) (*workloadPlan, error) {
 			return nil, fmt.Errorf("WithWorkload: %v: %w", err, ErrBadOption)
 		}
 		p.spec, p.seed, p.trials = c.workloadSpec, c.seed, trials
-		if p.spec.Open() {
+		if p.spec.Open() && p.record != nil {
 			arrivals, err := p.spec.Schedule(p.seed, trials)
 			if err != nil {
 				return nil, fmt.Errorf("WithWorkload: %v: %w", err, ErrBadOption)

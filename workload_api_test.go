@@ -167,3 +167,31 @@ func TestWorkloadOptionValidation(t *testing.T) {
 		t.Errorf("ParseWorkload(\"\") = %v, %v; want nil, nil", s, err)
 	}
 }
+
+// TestWorkloadPlanSchedulesOnlyWhenRecording: only a recording reads the
+// arrival schedule, so a plan builds one only when WithTraceRecord asks
+// for it; a spec alone draws no arrivals.
+func TestWorkloadPlanSchedulesOnlyWhenRecording(t *testing.T) {
+	spec, err := ParseWorkload("poisson:rate=2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 16
+	for _, tc := range []struct {
+		name string
+		opts []RunOption
+		want int
+	}{
+		{"spec alone", []RunOption{WithSeed(5), WithWorkload(spec)}, 0},
+		{"recording", []RunOption{WithSeed(5), WithWorkload(spec), WithTraceRecord(&WorkloadTrace{})}, trials},
+	} {
+		c := buildRunConfig(tc.opts)
+		plan, err := c.workloadPlan(trials)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(plan.arrivals) != tc.want || (tc.want == 0) != (plan.arrivals == nil) {
+			t.Errorf("%s: plan holds %d arrivals (nil=%v), want %d", tc.name, len(plan.arrivals), plan.arrivals == nil, tc.want)
+		}
+	}
+}
