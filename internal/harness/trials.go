@@ -179,15 +179,15 @@ type outcome[T any] struct {
 }
 
 // dispatch is the one trial dispatcher behind every sweep in this package.
-// The sweep's workers are the only goroutines it starts, and it returns
-// only after they have all exited. Workers take trial indices from a
-// single claim counter and run each trial inline through attempt. The
-// worker that finishes a trial parks its outcome in a reorder buffer and,
-// holding the fold's lock, passes consume every outcome that is now next
-// in trial-index order. consume and the Reporter therefore run one at a
-// time and in trial order, so everything they accumulate is bit-identical
-// at any worker count. They run under that lock, so a callback must not
-// wait for another trial of its own sweep.
+// It starts no goroutine but the sweep's workers (a robust attempt starts
+// its own), and returns only after they have all exited. Workers take
+// trial indices from a single claim counter and run each trial inline
+// through attempt. The worker that finishes a trial parks its outcome in a
+// reorder buffer and, holding the fold's lock, passes consume every
+// outcome that is now next in trial-index order. consume and the Reporter
+// therefore run one at a time and in trial order, so everything they
+// accumulate is bit-identical at any worker count. They run under that
+// lock, so a callback must not wait for another trial of its own sweep.
 //
 // The fold stops at the first outcome that failed (err) or was dropped, or
 // when consume returns false. Stopping cancels the in-flight trials, whose
