@@ -51,8 +51,8 @@ const (
 	// OutcomeTimeout: the deadline watchdog killed a livelocked or stuck
 	// trial (or the trial was unresponsive even to cancellation).
 	OutcomeTimeout TrialOutcome = "timeout"
-	// OutcomePanicked: the trial's execution panicked; the panic was
-	// contained to the trial and the sweep continued.
+	// OutcomePanicked: the trial's execution panicked, or called
+	// runtime.Goexit; the trial was contained and the sweep continued.
 	OutcomePanicked TrialOutcome = "panicked"
 	// OutcomeCrashedShort: the execution ended without any process
 	// deciding (every process crashed, or the step limit cut it down).
@@ -188,7 +188,8 @@ func classify[T any](r T, err error) (TrialOutcome, error) {
 }
 
 // runAttempt executes one attempt of a trial under the watchdog, containing
-// panics to the attempt's goroutine. abandoned reports the pathological
+// panics to the attempt's goroutine; a run that calls runtime.Goexit
+// reports pan = errGoexit. abandoned reports the pathological
 // case of a trial that ignored cancellation past the grace period — its
 // goroutine is leaked by design (there is no way to kill it), counted as a
 // timeout, and the leak is bounded by one goroutine per abandoned trial.
@@ -207,12 +208,20 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 	}
 	ch := make(chan attemptDone, 1)
 	go func() {
+		returned := false
 		defer func() {
-			if p := recover(); p != nil {
+			if !returned {
+				// A panic, or runtime.Goexit, which leaves nothing to
+				// recover: the attempt reports either way.
+				p := recover()
+				if p == nil {
+					p = errGoexit
+				}
 				ch <- attemptDone{pan: p}
 			}
 		}()
 		r, err := run(attemptCtx, t)
+		returned = true
 		ch <- attemptDone{result: r, err: err}
 	}()
 
@@ -245,10 +254,13 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func
 		rep.Attempts = attempt + 1
 		r, err, pan, abandoned := runAttempt(ctx, rz, t, run)
 		if pan != nil {
-			// A panic is a bug, hence deterministic: contain it, report
-			// it, never retry it.
+			// A panic, or a call to runtime.Goexit, is a bug, hence
+			// deterministic: contain it, report it, never retry it.
 			rep.Outcome = OutcomePanicked
 			rep.Err = fmt.Errorf("harness: trial panicked: %v", pan)
+			if pan == errGoexit {
+				rep.Err = fmt.Errorf("harness: %w", errGoexit)
+			}
 			return r, rep, false
 		}
 		if abandoned {

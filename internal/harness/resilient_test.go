@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +154,47 @@ func TestRobustPanicContainment(t *testing.T) {
 	}
 	if rep.Attempts != 1 {
 		t.Fatalf("panicked trial retried: %d attempts", rep.Attempts)
+	}
+}
+
+// TestRobustTrialGoexitIsPanicked: a robust trial that calls
+// runtime.Goexit never returns to its attempt, and without a Deadline
+// nothing cancels it. The attempt must still report: the trial is
+// classified panicked, never retried, and the sweep finishes.
+func TestRobustTrialGoexitIsPanicked(t *testing.T) {
+	type result struct {
+		report *SweepReport
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		report, err := RunTrialsRobust(Sweep{Trials: 50, Workers: 2, Seed: 1}, Resilience{Retries: 3},
+			func(ctx context.Context, tr Trial) (int, error) {
+				if tr.Index == 5 {
+					runtime.Goexit()
+				}
+				return tr.Index, nil
+			}, nil)
+		done <- result{report, err}
+	}()
+	var got result
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("robust sweep with a trial that called runtime.Goexit still running after 10s")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.report.Trials != 50 || got.report.Count(OutcomeOK) != 49 || got.report.Count(OutcomePanicked) != 1 {
+		t.Fatalf("outcomes %s over %d trials, want ok=49 panicked=1 over 50", got.report, got.report.Trials)
+	}
+	rep := got.report.Reports[5]
+	if rep.Outcome != OutcomePanicked || rep.Err == nil || !strings.Contains(rep.Err.Error(), "trial called runtime.Goexit") {
+		t.Fatalf("trial 5 report: outcome=%s err=%v", rep.Outcome, rep.Err)
+	}
+	if rep.Attempts != 1 {
+		t.Fatalf("trial that called Goexit retried: %d attempts", rep.Attempts)
 	}
 }
 

@@ -200,6 +200,31 @@ func TestStrictSweepContainsTrialPanics(t *testing.T) {
 	}
 }
 
+// TestStrictSweepTrialGoexitFailsSweep: a strict trial that calls
+// runtime.Goexit (t.Fatal inside run, say) ends its worker without
+// returning. The sweep must still fail at that trial, as if it had
+// panicked, after folding exactly the trials below it, at one worker or
+// several.
+func TestStrictSweepTrialGoexitFailsSweep(t *testing.T) {
+	const victim = 5
+	for _, workers := range []int{1, 2, 4} {
+		var merged []int
+		err := RunTrials(Sweep{Trials: 50, Workers: workers, Seed: 1},
+			func(ctx context.Context, tr Trial) (int, error) {
+				if tr.Index == victim {
+					runtime.Goexit()
+				}
+				return tr.Index, nil
+			}, func(tr Trial, r int) { merged = append(merged, r) })
+		if err == nil || !strings.Contains(err.Error(), "trial 5: trial called runtime.Goexit") {
+			t.Errorf("workers=%d: err = %v, want trial %d's Goexit", workers, err, victim)
+		}
+		if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(merged, want) {
+			t.Errorf("workers=%d: merged %v, want %v", workers, merged, want)
+		}
+	}
+}
+
 // TestSweepCallbackPanicReachesCaller: merge runs on the sweep's workers, so
 // a panic or runtime.Goexit inside it must stop the fold (no later trial is
 // merged) and reach the caller only after every worker has exited: 20

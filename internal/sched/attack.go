@@ -44,13 +44,7 @@ const trackedCells = 16
 // pending but none has taken effect, phaseEndgame (with the winning value)
 // once one has.
 func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
-	anyProb := false
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind == OpProbWrite {
-			anyProb = true
-			break
-		}
-	}
+	anyProb := v.CountPending(OpProbWrite) > 0
 	mem := v.Memory
 	if !c.armed {
 		if !anyProb {
@@ -131,25 +125,32 @@ const (
 // protocol survives only if no conflicting write lands after the first
 // success.
 type firstMoverEndgame struct {
+	// played reports that play ran since the last reset.
+	played    bool
 	locked    bool
 	lockedVal value.Value
 	attempts  []int
 }
 
-// reset clears the endgame for a fresh execution, keeping the attempts
-// array.
+// reset clears the endgame for the next conciliator round or a fresh
+// execution, keeping the attempts array. It does nothing unless play ran
+// since the last reset, so calling it on every step outside the endgame
+// costs O(1), and O(n) once per endgame.
 func (g *firstMoverEndgame) reset() {
+	if !g.played {
+		return
+	}
+	g.played = false
 	g.locked = false
 	g.lockedVal = value.None
-	for i := range g.attempts {
-		g.attempts[i] = 0
-	}
+	clear(g.attempts)
 }
 
 // play chooses the next pid given the current conciliator-register value.
 func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
+	g.played = true
 	if !g.locked {
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.NextPending(OpRead, 0); pid >= 0 {
 			g.locked = true
 			g.lockedVal = cur
 			return pid
@@ -162,7 +163,7 @@ func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
 	}
 	if cur != g.lockedVal {
 		// Disagreement is on the table: bank it with readers first.
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.NextPending(OpRead, 0); pid >= 0 {
 			return pid
 		}
 		if pid := g.fireWrite(v, value.None); pid >= 0 {
@@ -174,25 +175,22 @@ func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
 	if pid := g.fireWrite(v, cur); pid >= 0 {
 		return pid
 	}
-	if pid := pendingOfKind(v, OpRead); pid >= 0 {
+	if pid := v.NextPending(OpRead, 0); pid >= 0 {
 		return pid
 	}
 	return v.Runnable[0]
 }
 
 // fireWrite schedules the fewest-attempts pending probabilistic write whose
-// value differs from avoid (value.None matches everything); -1 if none.
+// value differs from avoid (value.None matches everything), the lowest pid
+// on ties; -1 if none. It walks only the pending probabilistic writes.
 func (g *firstMoverEndgame) fireWrite(v *View, avoid value.Value) int {
 	if g.attempts == nil {
 		g.attempts = make([]int, v.N)
 	}
 	best := -1
-	for _, pid := range v.Runnable {
-		op := v.Pending[pid]
-		if op.Kind != OpProbWrite {
-			continue
-		}
-		if !avoid.IsNone() && op.Val == avoid {
+	for pid := v.NextPending(OpProbWrite, 0); pid >= 0; pid = v.NextPending(OpProbWrite, pid+1) {
+		if !avoid.IsNone() && v.Pending[pid].Val == avoid {
 			continue
 		}
 		if best == -1 || g.attempts[pid] < g.attempts[best] {
@@ -217,15 +215,16 @@ func firstWrittenValue(memory []value.Value) (value.Value, bool) {
 	return value.None, false
 }
 
-// pendingOfKind returns the first runnable pid whose pending op has the
-// given kind, or -1.
-func pendingOfKind(v *View, kind OpKind) int {
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind == kind {
-			return pid
+// firstNotProbWrite returns the lowest pid whose pending operation is not a
+// probabilistic write, or -1.
+func firstNotProbWrite(v *View) int {
+	first := -1
+	for _, k := range [...]OpKind{OpRead, OpWrite, OpCollect} {
+		if pid := v.NextPending(k, 0); pid >= 0 && (first < 0 || pid < first) {
+			first = pid
 		}
 	}
-	return -1
+	return first
 }
 
 // FirstMoverAttack is a location-oblivious strategy tuned against
@@ -237,8 +236,12 @@ func pendingOfKind(v *View, kind OpKind) int {
 //     *every* runnable process has one pending, so the pool of in-flight
 //     attempts is as large as possible; then release attempts
 //     cheapest-first (fewest prior attempts, i.e. smallest current write
-//     probability), spending as little of the Σpᵢ budget as possible
-//     before a success lands.
+//     probability, the lowest pid on ties), spending as little of the Σpᵢ
+//     budget as possible before a success lands. Only releases add
+//     attempts, one to the released pid, and the runnable set only shrinks,
+//     so the cheapest release is the next runnable pid after the last one
+//     released, in cyclic order (the argument on Laggard); a cursor finds
+//     it without counting.
 //   - Endgame (after the first success): lock in a witness reader, then
 //     fire the conflicting pending writes (see firstMoverEndgame).
 //
@@ -246,10 +249,11 @@ func pendingOfKind(v *View, kind OpKind) int {
 // pending operation *types and values*, register *contents*, and its own
 // memory of how many attempts each process has made.
 type FirstMoverAttack struct {
-	tracker  concTracker
-	endgame  firstMoverEndgame
-	attempts []int
-	next     int
+	tracker concTracker
+	endgame firstMoverEndgame
+	// release follows the last pool release; next the last neutral pick.
+	release int
+	next    int
 }
 
 // NewFirstMoverAttack returns the attack scheduler.
@@ -264,41 +268,21 @@ func (s *FirstMoverAttack) Next(v *View) int {
 	case phaseNeutral:
 		// Outside conciliator rounds (e.g. inside ratifiers): neutral
 		// round-robin, and reset the endgame for the next round.
-		s.endgame = firstMoverEndgame{}
-		return s.roundRobin(v)
+		s.endgame.reset()
+		pid := nextRunnable(v, s.next)
+		s.next = pid + 1
+		return pid
 	}
 	// Pool building: advance processes that are *not* yet poised to write,
 	// so the pending-write pool grows.
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind != OpProbWrite {
-			return pid
-		}
+	if pid := firstNotProbWrite(v); pid >= 0 {
+		return pid
 	}
 	// All runnable processes have a pending probabilistic write: release
 	// the cheapest attempt.
-	if s.attempts == nil {
-		s.attempts = make([]int, v.N)
-	}
-	best := -1
-	for _, pid := range v.Runnable {
-		if best == -1 || s.attempts[pid] < s.attempts[best] {
-			best = pid
-		}
-	}
-	s.attempts[best]++
-	return best
-}
-
-// roundRobin cycles through runnable processes.
-func (s *FirstMoverAttack) roundRobin(v *View) int {
-	for i := 0; i < v.N; i++ {
-		pid := (s.next + i) % v.N
-		if v.Pending[pid].Valid {
-			s.next = (pid + 1) % v.N
-			return pid
-		}
-	}
-	return v.Runnable[0]
+	pid := nextRunnable(v, s.release)
+	s.release = pid + 1
+	return pid
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the attack
@@ -306,9 +290,7 @@ func (s *FirstMoverAttack) roundRobin(v *View) int {
 func (s *FirstMoverAttack) Seed(*xrand.Source) {
 	s.tracker.reset()
 	s.endgame.reset()
-	for i := range s.attempts {
-		s.attempts[i] = 0
-	}
+	s.release = 0
 	s.next = 0
 }
 
@@ -338,19 +320,14 @@ func (s *EagerWriteAttack) Next(v *View) int {
 		return s.endgame.play(v, cur)
 	}
 	if phase == phaseNeutral {
-		s.endgame = firstMoverEndgame{}
+		s.endgame.reset()
 	}
 	// Opening and pool phase: plain round-robin — writes fire as soon as
 	// their turn comes, keeping every process one step from a fresh attempt
 	// when the first success lands.
-	for i := 0; i < v.N; i++ {
-		pid := (s.next + i) % v.N
-		if v.Pending[pid].Valid {
-			s.next = (pid + 1) % v.N
-			return pid
-		}
-	}
-	return v.Runnable[0]
+	pid := nextRunnable(v, s.next)
+	s.next = pid + 1
+	return pid
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the attack
@@ -420,14 +397,9 @@ func (s *StaleReadAttack) Next(v *View) int {
 		}
 	}
 	// No overlap to engineer: neutral round-robin keeps the run moving.
-	for i := 0; i < v.N; i++ {
-		pid := (s.next + i) % v.N
-		if v.Pending[pid].Valid {
-			s.next = (pid + 1) % v.N
-			return pid
-		}
-	}
-	return v.Runnable[0]
+	pid := nextRunnable(v, s.next)
+	s.next = pid + 1
+	return pid
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the poisoned-
@@ -494,7 +466,7 @@ func (s *AdaptiveSpoiler) Next(v *View) int {
 	if !written {
 		// Arm the attack: advance readers so writes queue up, then let the
 		// first write land.
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.NextPending(OpRead, 0); pid >= 0 {
 			return pid
 		}
 		for _, pid := range v.Runnable {
@@ -518,13 +490,13 @@ func (s *AdaptiveSpoiler) Next(v *View) int {
 			s.wantWrite = false
 			return conflicting
 		}
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.NextPending(OpRead, 0); pid >= 0 {
 			return pid
 		}
 		return v.Runnable[0]
 	}
 	// Commit a victim to the current value before spoiling it.
-	if pid := pendingOfKind(v, OpRead); pid >= 0 {
+	if pid := v.NextPending(OpRead, 0); pid >= 0 {
 		s.wantWrite = true
 		return pid
 	}

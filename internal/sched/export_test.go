@@ -1,6 +1,9 @@
 package sched
 
-import "github.com/modular-consensus/modcon/internal/value"
+import (
+	"github.com/modular-consensus/modcon/internal/value"
+	"github.com/modular-consensus/modcon/internal/xrand"
+)
 
 // Hooks for the external differential tests (view_diff_test.go), which run
 // the attacks' phase tracker over real simulator executions; package sim
@@ -83,3 +86,233 @@ func (c *CopyScanTracker) observe(v *View) (phase int, cur value.Value) {
 	}
 	return phasePool, value.None
 }
+
+// The scans the view's index of pending operations by kind replaced, kept
+// verbatim as the references the indexed schedulers must match pick for
+// pick (view_diff_test.go): Laggard with its step counters, the attacks'
+// Next with the copy-and-scan tracker above, and the endgame's fireWrite
+// and pendingOfKind scanning Runnable.
+
+// ScanLaggard is Laggard as it was before it became a cursor.
+type ScanLaggard struct {
+	steps []int
+}
+
+// Next implements Scheduler.
+func (s *ScanLaggard) Next(v *View) int {
+	if s.steps == nil {
+		s.steps = make([]int, v.N)
+	}
+	best := -1
+	for _, pid := range v.Runnable {
+		if best == -1 || s.steps[pid] < s.steps[best] {
+			best = pid
+		}
+	}
+	s.steps[best]++
+	return best
+}
+
+// Seed implements Scheduler.
+func (s *ScanLaggard) Seed(*xrand.Source) {
+	for i := range s.steps {
+		s.steps[i] = 0
+	}
+}
+
+// Name implements Scheduler.
+func (s *ScanLaggard) Name() string { return "scan/laggard-lockstep" }
+
+// MinPower implements Scheduler.
+func (s *ScanLaggard) MinPower() Power { return Oblivious }
+
+// scanEndgame is firstMoverEndgame as it was before the index.
+type scanEndgame struct {
+	locked    bool
+	lockedVal value.Value
+	attempts  []int
+}
+
+func (g *scanEndgame) reset() {
+	g.locked = false
+	g.lockedVal = value.None
+	for i := range g.attempts {
+		g.attempts[i] = 0
+	}
+}
+
+func (g *scanEndgame) play(v *View, cur value.Value) int {
+	if !g.locked {
+		if pid := scanPendingOfKind(v, OpRead); pid >= 0 {
+			g.locked = true
+			g.lockedVal = cur
+			return pid
+		}
+		// No reader to lock yet; keep the write pressure up.
+		if pid := g.fireWrite(v, value.None); pid >= 0 {
+			return pid
+		}
+		return v.Runnable[0]
+	}
+	if cur != g.lockedVal {
+		// Disagreement is on the table: bank it with readers first.
+		if pid := scanPendingOfKind(v, OpRead); pid >= 0 {
+			return pid
+		}
+		if pid := g.fireWrite(v, value.None); pid >= 0 {
+			return pid
+		}
+		return v.Runnable[0]
+	}
+	// Memory still shows the witness value: try to flip it.
+	if pid := g.fireWrite(v, cur); pid >= 0 {
+		return pid
+	}
+	if pid := scanPendingOfKind(v, OpRead); pid >= 0 {
+		return pid
+	}
+	return v.Runnable[0]
+}
+
+func (g *scanEndgame) fireWrite(v *View, avoid value.Value) int {
+	if g.attempts == nil {
+		g.attempts = make([]int, v.N)
+	}
+	best := -1
+	for _, pid := range v.Runnable {
+		op := v.Pending[pid]
+		if op.Kind != OpProbWrite {
+			continue
+		}
+		if !avoid.IsNone() && op.Val == avoid {
+			continue
+		}
+		if best == -1 || g.attempts[pid] < g.attempts[best] {
+			best = pid
+		}
+	}
+	if best >= 0 {
+		g.attempts[best]++
+	}
+	return best
+}
+
+func scanPendingOfKind(v *View, kind OpKind) int {
+	for _, pid := range v.Runnable {
+		if v.Pending[pid].Kind == kind {
+			return pid
+		}
+	}
+	return -1
+}
+
+// ScanFirstMoverAttack is FirstMoverAttack as it was before the index.
+type ScanFirstMoverAttack struct {
+	tracker  CopyScanTracker
+	endgame  scanEndgame
+	attempts []int
+	next     int
+}
+
+// Next implements Scheduler.
+func (s *ScanFirstMoverAttack) Next(v *View) int {
+	phase, cur := s.tracker.observe(v)
+	switch phase {
+	case phaseEndgame:
+		return s.endgame.play(v, cur)
+	case phaseNeutral:
+		// Outside conciliator rounds (e.g. inside ratifiers): neutral
+		// round-robin, and reset the endgame for the next round.
+		s.endgame = scanEndgame{}
+		return s.roundRobin(v)
+	}
+	// Pool building: advance processes that are *not* yet poised to write,
+	// so the pending-write pool grows.
+	for _, pid := range v.Runnable {
+		if v.Pending[pid].Kind != OpProbWrite {
+			return pid
+		}
+	}
+	// All runnable processes have a pending probabilistic write: release
+	// the cheapest attempt.
+	if s.attempts == nil {
+		s.attempts = make([]int, v.N)
+	}
+	best := -1
+	for _, pid := range v.Runnable {
+		if best == -1 || s.attempts[pid] < s.attempts[best] {
+			best = pid
+		}
+	}
+	s.attempts[best]++
+	return best
+}
+
+func (s *ScanFirstMoverAttack) roundRobin(v *View) int {
+	for i := 0; i < v.N; i++ {
+		pid := (s.next + i) % v.N
+		if v.Pending[pid].Valid {
+			s.next = (pid + 1) % v.N
+			return pid
+		}
+	}
+	return v.Runnable[0]
+}
+
+// Seed implements Scheduler.
+func (s *ScanFirstMoverAttack) Seed(*xrand.Source) {
+	s.tracker.Reset()
+	s.endgame.reset()
+	for i := range s.attempts {
+		s.attempts[i] = 0
+	}
+	s.next = 0
+}
+
+// Name implements Scheduler.
+func (s *ScanFirstMoverAttack) Name() string { return "scan/first-mover-attack" }
+
+// MinPower implements Scheduler.
+func (s *ScanFirstMoverAttack) MinPower() Power { return LocationOblivious }
+
+// ScanEagerWriteAttack is EagerWriteAttack as it was before the index.
+type ScanEagerWriteAttack struct {
+	tracker CopyScanTracker
+	endgame scanEndgame
+	next    int
+}
+
+// Next implements Scheduler.
+func (s *ScanEagerWriteAttack) Next(v *View) int {
+	phase, cur := s.tracker.observe(v)
+	if phase == phaseEndgame {
+		return s.endgame.play(v, cur)
+	}
+	if phase == phaseNeutral {
+		s.endgame = scanEndgame{}
+	}
+	// Opening and pool phase: plain round-robin — writes fire as soon as
+	// their turn comes, keeping every process one step from a fresh attempt
+	// when the first success lands.
+	for i := 0; i < v.N; i++ {
+		pid := (s.next + i) % v.N
+		if v.Pending[pid].Valid {
+			s.next = (pid + 1) % v.N
+			return pid
+		}
+	}
+	return v.Runnable[0]
+}
+
+// Seed implements Scheduler.
+func (s *ScanEagerWriteAttack) Seed(*xrand.Source) {
+	s.tracker.Reset()
+	s.endgame.reset()
+	s.next = 0
+}
+
+// Name implements Scheduler.
+func (s *ScanEagerWriteAttack) Name() string { return "scan/eager-write-attack" }
+
+// MinPower implements Scheduler.
+func (s *ScanEagerWriteAttack) MinPower() Power { return LocationOblivious }

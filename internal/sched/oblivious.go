@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
@@ -17,14 +18,22 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Next implements Scheduler.
 func (s *RoundRobin) Next(v *View) int {
-	for i := 0; i < v.N; i++ {
-		pid := (s.next + i) % v.N
-		if v.Pending[pid].Valid {
-			s.next = (pid + 1) % v.N
-			return pid
-		}
+	pid := nextRunnable(v, s.next)
+	s.next = pid + 1
+	return pid
+}
+
+// nextRunnable returns the first runnable pid at or after from in cyclic
+// pid order: from itself when it is runnable, else by binary search.
+func nextRunnable(v *View, from int) int {
+	if from < len(v.Pending) && v.Pending[from].Valid {
+		return from
 	}
-	panic("sched: RoundRobin.Next with no runnable process")
+	i, _ := slices.BinarySearch(v.Runnable, from)
+	if i == len(v.Runnable) {
+		i = 0
+	}
+	return v.Runnable[i]
 }
 
 // Seed implements Scheduler (no randomness used; resets the cursor).
@@ -105,13 +114,22 @@ func (s *UniformRandom) Name() string { return "uniform-random" }
 // MinPower implements Scheduler.
 func (s *UniformRandom) MinPower() Power { return Oblivious }
 
-// Laggard always runs the process that has taken the fewest steps so far,
-// keeping the whole system in lockstep. Lockstep is the hardest symmetric
-// schedule for first-mover protocols (everybody attempts together), yet it
-// needs no knowledge of the execution content, only of its own past choices,
-// so it is oblivious.
+// Laggard always runs the process that has taken the fewest steps so far
+// (the lowest pid on ties), keeping the whole system in lockstep. Lockstep
+// is the hardest symmetric schedule for first-mover protocols (everybody
+// attempts together), yet it needs no knowledge of the execution content,
+// only of its own past choices, so it is oblivious.
+//
+// It counts no steps: a cursor after the last pick finds the same pid in
+// O(log n) at worst. Within an execution the runnable set only shrinks (a process
+// that halts, crashes or stalls never runs again) and each pick adds a
+// step to the chosen pid alone. So, with k the fewest steps, the runnable
+// pids below the cursor have taken k+1 steps and those at or above it k,
+// and the fewest-steps pid is the first runnable pid at or after the
+// cursor in cyclic order: the pick of RoundRobin, which lockstep therefore
+// equals step for step.
 type Laggard struct {
-	steps []int
+	next int
 }
 
 // NewLaggard returns a lockstep scheduler.
@@ -119,26 +137,13 @@ func NewLaggard() *Laggard { return &Laggard{} }
 
 // Next implements Scheduler.
 func (s *Laggard) Next(v *View) int {
-	if s.steps == nil {
-		s.steps = make([]int, v.N)
-	}
-	best := -1
-	for _, pid := range v.Runnable {
-		if best == -1 || s.steps[pid] < s.steps[best] {
-			best = pid
-		}
-	}
-	s.steps[best]++
-	return best
+	pid := nextRunnable(v, s.next)
+	s.next = pid + 1
+	return pid
 }
 
-// Seed implements Scheduler (no randomness used; resets the step counters,
-// keeping their backing array for pooled reuse).
-func (s *Laggard) Seed(*xrand.Source) {
-	for i := range s.steps {
-		s.steps[i] = 0
-	}
-}
+// Seed implements Scheduler (no randomness used; resets the cursor).
+func (s *Laggard) Seed(*xrand.Source) { s.next = 0 }
 
 // Name implements Scheduler.
 func (s *Laggard) Name() string { return "laggard-lockstep" }

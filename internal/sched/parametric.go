@@ -718,19 +718,9 @@ func (p *Parametric) condHolds(c Cond, k int, v *View) bool {
 	case CondStepLT:
 		return v.Step < k
 	case CondProbPending:
-		for _, pid := range v.Runnable {
-			if v.Pending[pid].Kind == OpProbWrite {
-				return true
-			}
-		}
-		return false
+		return v.CountPending(OpProbWrite) > 0
 	case CondAllProb:
-		for _, pid := range v.Runnable {
-			if v.Pending[pid].Kind != OpProbWrite {
-				return false
-			}
-		}
-		return len(v.Runnable) > 0
+		return len(v.Runnable) > 0 && v.CountPending(OpProbWrite) == len(v.Runnable)
 	case CondInFlight:
 		for _, pid := range v.Runnable {
 			if v.Pending[pid].InFlight {

@@ -141,14 +141,18 @@ type Change struct {
 
 // View is what the adversary sees when choosing the next step.
 //
-// Buffer-reuse contract (copy-on-escape): the View pointer and its Runnable
-// and Pending slices are owned by the runtime and reused on every step, and
-// Memory is the live register file itself, which the next step changes —
-// the step path neither allocates nor copies memory. A Scheduler may read
-// them freely during Next, but must not mutate them and must not retain any
-// of them past Next's return; a strategy that wants history (e.g. what a
-// register held when an attack armed) must copy what it needs into its own
-// state, as concTracker does with the Old value of each Changed register.
+// Buffer-reuse contract (copy-on-escape): the View pointer, its Runnable and
+// Pending slices and its index of pending operations by kind (SetPending)
+// are owned by the runtime and reused on every step, and Memory is the live
+// register file itself, which the next step changes — the step path neither
+// allocates nor copies memory. A Scheduler may read them freely during Next
+// (the index through CountPending and NextPending), but must not mutate
+// them and must not retain any of them past Next's return; a strategy that
+// wants history (e.g. what a register held when an attack armed) must copy
+// what it needs into its own state, as concTracker does with the Old value
+// of each Changed register. Whoever builds a View writes Pending only
+// through SetPending, which keeps the index in step; a copy of a View
+// shares its index.
 type View struct {
 	// Power is the information class this view was built for.
 	Power Power
@@ -165,7 +169,8 @@ type View struct {
 	N int
 	// Runnable lists the pids with a pending operation, ascending.
 	Runnable []int
-	// Pending is indexed by pid; entries are power-restricted.
+	// Pending is indexed by pid; entries are power-restricted. Written only
+	// through SetPending.
 	Pending []Op
 	// Memory is the register file contents (LocationOblivious, Adaptive);
 	// nil otherwise. It is the live file, not a copy: the next step changes
@@ -175,6 +180,9 @@ type View struct {
 	// Adaptive). It stays zero for the weaker powers, because Old is memory
 	// content.
 	Changed Change
+
+	// byKind[k-1] holds the pids whose Pending entry is Valid with Kind k.
+	byKind [opKinds]pidSet
 }
 
 // PendingOf returns the (restricted) pending op of pid.

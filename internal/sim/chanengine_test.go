@@ -284,8 +284,10 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 	if view.Pending == nil {
 		view.Pending = make([]sched.Op, rt.cfg.N)
 	}
+	// Clear every entry and set each runnable one: the view's index of
+	// pending operations by kind is rebuilt from nothing every step.
 	for pid := range view.Pending {
-		view.Pending[pid] = sched.Op{}
+		view.SetPending(pid, sched.Op{})
 	}
 	for _, pid := range run {
 		req := rt.states[pid].pending
@@ -317,7 +319,7 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 		default:
 			panic(fmt.Sprintf("sim: unknown power %v", rt.power))
 		}
-		view.Pending[pid] = op
+		view.SetPending(pid, op)
 	}
 	switch rt.power {
 	case sched.LocationOblivious, sched.Adaptive:

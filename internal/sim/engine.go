@@ -97,8 +97,9 @@ type engine struct {
 	ctxDone <-chan struct{}
 
 	// The scheduler view is maintained incrementally: exactly one process
-	// changes state per step, so runnable (ascending pids) and view.Pending
-	// are patched in O(1) amortized instead of rebuilt in O(n). The slices
+	// changes state per step, so runnable (ascending pids), view.Pending and
+	// the view's index of pending operations by kind (sched.View.SetPending)
+	// are patched in O(1) amortized instead of rebuilt in O(n). The buffers
 	// are engine-owned and reused every step; schedulers may read them only
 	// for the duration of one Next call (see the contract on sched.View).
 	view     sched.View
@@ -328,8 +329,8 @@ func (eng *engine) reset(seed uint64) error {
 	eng.cfg.Trace.Reset()
 	eng.steps = 0
 	eng.stalledN = 0
-	for i := range eng.view.Pending {
-		eng.view.Pending[i] = sched.Op{}
+	for pid := range eng.view.Pending {
+		eng.view.SetPending(pid, sched.Op{})
 	}
 	eng.view.Step = 0
 	eng.view.Memory = nil
@@ -392,7 +393,7 @@ func (eng *engine) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 		p := &eng.procs[pid]
 		if p.hasOp && !p.crashed && !p.halted {
 			eng.runnable = append(eng.runnable, pid)
-			eng.view.Pending[pid] = eng.restrictOp(p.pending)
+			eng.view.SetPending(pid, eng.restrictOp(p.pending))
 		}
 	}
 	err := eng.loop()
@@ -467,9 +468,9 @@ func (rt *engine) loop() error {
 		// Patch the view entry of the one process that moved.
 		p := &rt.procs[pid]
 		if p.hasOp && !p.crashed && !p.halted {
-			rt.view.Pending[pid] = rt.restrictOp(p.pending)
+			rt.view.SetPending(pid, rt.restrictOp(p.pending))
 		} else {
-			rt.view.Pending[pid] = sched.Op{}
+			rt.view.SetPending(pid, sched.Op{})
 			rt.dropRunnable(pid)
 		}
 	}

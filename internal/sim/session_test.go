@@ -15,6 +15,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -303,6 +304,52 @@ func TestTrialZeroAllocsAfterWarmup(t *testing.T) {
 	trial() // warm up: coroutine stacks grow, lazy buffers settle
 	if allocs := testing.AllocsPerRun(50, trial); allocs != 0 {
 		t.Errorf("got %v allocs/trial after warmup, want 0", allocs)
+	}
+}
+
+// TestAttackTrialZeroAllocsAfterWarmup extends the per-trial contract to
+// consensus under the attacks, which keep per-execution state of their own:
+// once warm, a pooled session runs whole attacked trials without
+// allocating, the endgame's attempt counts included.
+func TestAttackTrialZeroAllocsAfterWarmup(t *testing.T) {
+	sizes := []int{32, 256}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, mk := range []func() sched.Scheduler{
+		func() sched.Scheduler { return sched.NewFirstMoverAttack() },
+		func() sched.Scheduler { return sched.NewEagerWriteAttack() },
+	} {
+		for _, n := range sizes {
+			s := mk()
+			t.Run(fmt.Sprintf("%s/n=%d", s.Name(), n), func(t *testing.T) {
+				file := register.NewFile()
+				proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := Backend().NewSession(exec.Config{N: n, File: file, Scheduler: s, MaxSteps: 1 << 24},
+					func(e core.Env) value.Value {
+						out, _ := proto.Run(e, value.Value(e.PID()%2))
+						return out
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				seed := uint64(0)
+				trial := func() {
+					seed++
+					if _, err := sess.Run(nil, seed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				trial()
+				if allocs := testing.AllocsPerRun(20, trial); allocs != 0 {
+					t.Errorf("got %v allocs/trial after warmup, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package sim
 // scheduler asserts on every view it receives.
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/core"
@@ -57,6 +58,22 @@ func (s *spyScheduler) Next(v *sched.View) int {
 			if op.Kind == 0 {
 				s.t.Errorf("adaptive view missing op kind: pid %d", pid)
 			}
+		}
+	}
+	// The index of pending operations by kind holds exactly the valid
+	// entries of each kind: none in an oblivious view, which has no kinds.
+	for k := sched.OpRead; k <= sched.OpCollect; k++ {
+		count := 0
+		for _, op := range v.Pending {
+			if op.Valid && op.Kind == k {
+				count++
+			}
+		}
+		if s.power == sched.Oblivious && (v.CountPending(k) != 0 || v.NextPending(k, 0) != -1) {
+			s.t.Errorf("oblivious view indexes %d pending %v ops, the first at pid %d", v.CountPending(k), k, v.NextPending(k, 0))
+		}
+		if v.CountPending(k) != count {
+			s.t.Errorf("%v view counts %d pending %v ops, Pending holds %d", s.power, v.CountPending(k), k, count)
 		}
 	}
 	switch s.power {
@@ -153,3 +170,36 @@ func (c checkRunnable) Next(v *sched.View) int {
 func (c checkRunnable) Seed(s *xrand.Source)  { c.inner.Seed(s) }
 func (c checkRunnable) Name() string          { return "check-runnable" }
 func (c checkRunnable) MinPower() sched.Power { return c.inner.MinPower() }
+
+// TestViewIndexClearedBetweenTrials: a trial cut short by the step limit
+// leaves every process with a pending operation, so the next trial on the
+// same session must start from an empty index of pending operations by
+// kind; the spy checks the index against Pending on every view.
+func TestViewIndexClearedBetweenTrials(t *testing.T) {
+	for _, power := range []sched.Power{
+		sched.Oblivious, sched.ValueOblivious, sched.LocationOblivious, sched.Adaptive,
+	} {
+		spy := &spyScheduler{power: power, t: t, inner: sched.NewRoundRobin()}
+		file := register.NewFile()
+		r := file.Alloc1("x")
+		sess, err := Backend().NewSession(exec.Config{N: 3, File: file, Scheduler: spy, MaxSteps: 5},
+			func(e core.Env) value.Value {
+				for {
+					e.Read(r)
+					e.ProbWrite(r, 1, 1, 2)
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			if _, err := sess.Run(nil, seed); !errors.Is(err, exec.ErrStepLimit) {
+				t.Fatalf("%v seed %d: err = %v, want the step limit", power, seed, err)
+			}
+		}
+		sess.Close()
+		if spy.checks != 15 {
+			t.Fatalf("%v: %d views, want 15", power, spy.checks)
+		}
+	}
+}
