@@ -50,16 +50,17 @@ func mixedInputs(n, m, shift int) []value.Value {
 	return in
 }
 
-// adversaryPortfolio returns the named adversary constructors used across
-// experiments. Conciliator experiments report the minimum δ over these.
-func adversaryPortfolio() []struct {
+// adversary is one named entry of an experiment's adversary axis, with a
+// constructor that builds a fresh scheduler per pooled session.
+type adversary struct {
 	Name string
 	New  func() sched.Scheduler
-} {
-	return []struct {
-		Name string
-		New  func() sched.Scheduler
-	}{
+}
+
+// adversaryPortfolio returns the named adversary constructors used across
+// experiments. Conciliator experiments report the minimum δ over these.
+func adversaryPortfolio() []adversary {
+	return []adversary{
 		{"round-robin", func() sched.Scheduler { return sched.NewRoundRobin() }},
 		{"uniform-random", func() sched.Scheduler { return sched.NewUniformRandom() }},
 		{"lockstep", func() sched.Scheduler { return sched.NewLaggard() }},

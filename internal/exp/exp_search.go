@@ -52,32 +52,21 @@ func e22Target(cfg Config) advsearch.Target {
 
 // e22Baselines is the attack-catalog slice admissible at power p (every
 // fixed adversary whose declared MinPower fits the class under test).
-func e22Baselines(p sched.Power) []struct {
-	Name string
-	New  func() sched.Scheduler
-} {
-	out := []struct {
-		Name string
-		New  func() sched.Scheduler
-	}{
+func e22Baselines(p sched.Power) []adversary {
+	var out []adversary
+	for _, a := range []adversary{
 		{"round-robin", func() sched.Scheduler { return sched.NewRoundRobin() }},
 		{"uniform-random", func() sched.Scheduler { return sched.NewUniformRandom() }},
 		{"lockstep", func() sched.Scheduler { return sched.NewLaggard() }},
 		{"frontrunner", func() sched.Scheduler { return sched.NewFrontrunner() }},
 		{"split-vote", func() sched.Scheduler { return sched.NewSplitVote() }},
 		{"stale-read-attack", func() sched.Scheduler { return sched.NewStaleReadAttack() }},
-	}
-	if p >= sched.LocationOblivious {
-		out = append(out,
-			struct {
-				Name string
-				New  func() sched.Scheduler
-			}{"first-mover-attack", func() sched.Scheduler { return sched.NewFirstMoverAttack() }},
-			struct {
-				Name string
-				New  func() sched.Scheduler
-			}{"eager-write-attack", func() sched.Scheduler { return sched.NewEagerWriteAttack() }},
-		)
+		{"first-mover-attack", func() sched.Scheduler { return sched.NewFirstMoverAttack() }},
+		{"eager-write-attack", func() sched.Scheduler { return sched.NewEagerWriteAttack() }},
+	} {
+		if a.New().MinPower() <= p {
+			out = append(out, a)
+		}
 	}
 	return out
 }

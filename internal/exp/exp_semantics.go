@@ -148,10 +148,7 @@ func E21RegisterSemantics(cfg Config) *Table {
 	}
 	trials := cfg.trials(120)
 
-	advs := []struct {
-		name string
-		mk   func() sched.Scheduler
-	}{
+	advs := []adversary{
 		{"round-robin", func() sched.Scheduler { return sched.NewRoundRobin() }},
 		{"uniform-random", func() sched.Scheduler { return sched.NewUniformRandom() }},
 		{"first-mover-attack", func() sched.Scheduler { return sched.NewFirstMoverAttack() }},
@@ -168,17 +165,17 @@ func E21RegisterSemantics(cfg Config) *Table {
 
 	for _, model := range []register.Semantics{register.Atomic, register.Regular, register.Interposed} {
 		for _, adv := range advs {
-			agree, minority := e21Agreement(cfg.sweep(trials), model, nil, adv.mk)
-			term, work, viol := e21Consensus(cfg, cfg.sweep(trials), model, nil, adv.mk)
+			agree, minority := e21Agreement(cfg.sweep(trials), model, nil, adv.New)
+			term, work, viol := e21Consensus(cfg, cfg.sweep(trials), model, nil, adv.New)
 			t.Violations += viol
 			p := stats.NewProportion(agree.Successes, agree.Trials)
-			if adv.name == "adaptive-spoiler" {
+			if adv.Name == "adaptive-spoiler" {
 				spoilerSplit[model] = minority.Mean()
 			}
-			if adv.name == "adaptive-spoiler" || adv.name == "stale-read-attack" {
-				t.AddDist(fmt.Sprintf("consensus total work sim/%s/%s", model, adv.name), work)
+			if adv.Name == "adaptive-spoiler" || adv.Name == "stale-read-attack" {
+				t.AddDist(fmt.Sprintf("consensus total work sim/%s/%s", model, adv.Name), work)
 			}
-			t.AddRow("sim", model.String(), adv.name, p.String(),
+			t.AddRow("sim", model.String(), adv.Name, p.String(),
 				fmt.Sprintf("%.3f", minority.Mean()),
 				fmt.Sprintf("%d/%d", term.Successes, term.Trials), workCell(work))
 		}

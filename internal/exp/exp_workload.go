@@ -38,14 +38,8 @@ var e23Ladder = []float64{0.25, 0.50, 0.75, 0.90, 1.00, 1.25, 1.50}
 // e23Adversaries is the scheduler axis of the saturation grid: the benign
 // baseline plus the strongest catalog attack, so the knee shift under
 // adversarial scheduling is visible in one table.
-func e23Adversaries() []struct {
-	Name string
-	New  func() sched.Scheduler
-} {
-	return []struct {
-		Name string
-		New  func() sched.Scheduler
-	}{
+func e23Adversaries() []adversary {
+	return []adversary{
 		{"round-robin", func() sched.Scheduler { return sched.NewRoundRobin() }},
 		{"first-mover-attack", func() sched.Scheduler { return sched.NewFirstMoverAttack() }},
 	}

@@ -215,12 +215,12 @@ func firstWrittenValue(memory []value.Value) (value.Value, bool) {
 	return value.None, false
 }
 
-// firstNotProbWrite returns the lowest pid whose pending operation is not a
-// probabilistic write, or -1.
-func firstNotProbWrite(v *View) int {
+// firstNotProbWrite returns the lowest pid at or above from whose pending
+// operation is not a probabilistic write, or -1.
+func firstNotProbWrite(v *View, from int) int {
 	first := -1
 	for _, k := range [...]OpKind{OpRead, OpWrite, OpCollect} {
-		if pid := v.NextPending(k, 0); pid >= 0 && (first < 0 || pid < first) {
+		if pid := v.NextPending(k, from); pid >= 0 && (first < 0 || pid < first) {
 			first = pid
 		}
 	}
@@ -240,8 +240,7 @@ func firstNotProbWrite(v *View) int {
 //     budget as possible before a success lands. Only releases add
 //     attempts, one to the released pid, and the runnable set only shrinks,
 //     so the cheapest release is the next runnable pid after the last one
-//     released, in cyclic order (the argument on Laggard); a cursor finds
-//     it without counting.
+//     released, in cyclic order (the argument on Laggard): a cursor's pick.
 //   - Endgame (after the first success): lock in a witness reader, then
 //     fire the conflicting pending writes (see firstMoverEndgame).
 //
@@ -251,9 +250,8 @@ func firstNotProbWrite(v *View) int {
 type FirstMoverAttack struct {
 	tracker concTracker
 	endgame firstMoverEndgame
-	// release follows the last pool release; next the last neutral pick.
-	release int
-	next    int
+	// rr follows the last neutral pick; release the last pool release.
+	rr, release cursor
 }
 
 // NewFirstMoverAttack returns the attack scheduler.
@@ -269,20 +267,16 @@ func (s *FirstMoverAttack) Next(v *View) int {
 		// Outside conciliator rounds (e.g. inside ratifiers): neutral
 		// round-robin, and reset the endgame for the next round.
 		s.endgame.reset()
-		pid := nextRunnable(v, s.next)
-		s.next = pid + 1
-		return pid
+		return s.rr.pick(v)
 	}
 	// Pool building: advance processes that are *not* yet poised to write,
 	// so the pending-write pool grows.
-	if pid := firstNotProbWrite(v); pid >= 0 {
+	if pid := firstNotProbWrite(v, 0); pid >= 0 {
 		return pid
 	}
 	// All runnable processes have a pending probabilistic write: release
 	// the cheapest attempt.
-	pid := nextRunnable(v, s.release)
-	s.release = pid + 1
-	return pid
+	return s.release.pick(v)
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the attack
@@ -290,8 +284,7 @@ func (s *FirstMoverAttack) Next(v *View) int {
 func (s *FirstMoverAttack) Seed(*xrand.Source) {
 	s.tracker.reset()
 	s.endgame.reset()
-	s.release = 0
-	s.next = 0
+	s.rr, s.release = cursor{}, cursor{}
 }
 
 // Name implements Scheduler.
@@ -307,7 +300,7 @@ func (s *FirstMoverAttack) MinPower() Power { return LocationOblivious }
 type EagerWriteAttack struct {
 	tracker concTracker
 	endgame firstMoverEndgame
-	next    int
+	rr      cursor
 }
 
 // NewEagerWriteAttack returns the attack scheduler.
@@ -325,9 +318,7 @@ func (s *EagerWriteAttack) Next(v *View) int {
 	// Opening and pool phase: plain round-robin — writes fire as soon as
 	// their turn comes, keeping every process one step from a fresh attempt
 	// when the first success lands.
-	pid := nextRunnable(v, s.next)
-	s.next = pid + 1
-	return pid
+	return s.rr.pick(v)
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the attack
@@ -335,7 +326,7 @@ func (s *EagerWriteAttack) Next(v *View) int {
 func (s *EagerWriteAttack) Seed(*xrand.Source) {
 	s.tracker.reset()
 	s.endgame.reset()
-	s.next = 0
+	s.rr = cursor{}
 }
 
 // Name implements Scheduler.
@@ -358,7 +349,7 @@ type StaleReadAttack struct {
 	// any still-pending read on such a register carries a stale invocation
 	// snapshot worth cashing in.
 	stale map[register.Reg]bool
-	next  int
+	rr    cursor
 }
 
 // NewStaleReadAttack returns the attack scheduler.
@@ -397,16 +388,14 @@ func (s *StaleReadAttack) Next(v *View) int {
 		}
 	}
 	// No overlap to engineer: neutral round-robin keeps the run moving.
-	pid := nextRunnable(v, s.next)
-	s.next = pid + 1
-	return pid
+	return s.rr.pick(v)
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the poisoned-
 // register memory accumulated over the previous execution).
 func (s *StaleReadAttack) Seed(*xrand.Source) {
 	clear(s.stale)
-	s.next = 0
+	s.rr = cursor{}
 }
 
 // Name implements Scheduler.

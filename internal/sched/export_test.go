@@ -87,11 +87,12 @@ func (c *CopyScanTracker) observe(v *View) (phase int, cur value.Value) {
 	return phasePool, value.None
 }
 
-// The scans the view's index of pending operations by kind replaced, kept
-// verbatim as the references the indexed schedulers must match pick for
-// pick (view_diff_test.go): Laggard with its step counters, the attacks'
-// Next with the copy-and-scan tracker above, and the endgame's fireWrite
-// and pendingOfKind scanning Runnable.
+// The scans the view's index of pending operations by kind and the cursor
+// replaced, kept verbatim as the references the schedulers must match pick
+// for pick (view_diff_test.go): Laggard and Frontrunner with their step
+// counters, the attacks' Next with the copy-and-scan tracker above, the
+// endgame's fireWrite and pendingOfKind scanning Runnable, and Parametric's
+// candidate filter, round robin and kind actions.
 
 // ScanLaggard is Laggard as it was before it became a cursor.
 type ScanLaggard struct {
@@ -316,3 +317,181 @@ func (s *ScanEagerWriteAttack) Name() string { return "scan/eager-write-attack" 
 
 // MinPower implements Scheduler.
 func (s *ScanEagerWriteAttack) MinPower() Power { return LocationOblivious }
+
+// ScanFrontrunner is Frontrunner as it was before it became stateless.
+type ScanFrontrunner struct {
+	steps []int
+}
+
+// Next implements Scheduler.
+func (s *ScanFrontrunner) Next(v *View) int {
+	if s.steps == nil {
+		s.steps = make([]int, v.N)
+	}
+	best := -1
+	for _, pid := range v.Runnable {
+		if best == -1 || s.steps[pid] > s.steps[best] {
+			best = pid
+		}
+	}
+	s.steps[best]++
+	return best
+}
+
+// Seed implements Scheduler.
+func (s *ScanFrontrunner) Seed(*xrand.Source) {
+	for i := range s.steps {
+		s.steps[i] = 0
+	}
+}
+
+// Name implements Scheduler.
+func (s *ScanFrontrunner) Name() string { return "scan/frontrunner" }
+
+// MinPower implements Scheduler.
+func (s *ScanFrontrunner) MinPower() Power { return Oblivious }
+
+// ScanParametric is Parametric with the pieces it had before its candidates
+// became a run of Runnable, kept verbatim: the candidate filter into a
+// scratch buffer, the member-mark round robin, and the kind actions'
+// per-candidate loops. Everything else is Parametric's own.
+type ScanParametric struct {
+	Parametric
+	next   int
+	cand   []int
+	member []bool
+}
+
+// NewScanParametric builds the reference for a valid cfg.
+func NewScanParametric(cfg ParamConfig) *ScanParametric {
+	p, err := NewParametric(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return &ScanParametric{Parametric: *p}
+}
+
+// Seed implements Scheduler.
+func (p *ScanParametric) Seed(src *xrand.Source) {
+	p.Parametric.Seed(src)
+	p.next = 0
+}
+
+// Name implements Scheduler.
+func (p *ScanParametric) Name() string { return "scan/" + p.Parametric.Name() }
+
+// Next implements Scheduler.
+func (p *ScanParametric) Next(v *View) int {
+	if len(p.stepCount) < v.N {
+		p.stepCount = make([]int, v.N)
+		p.attempts = make([]int, v.N)
+		p.member = make([]bool, v.N)
+	}
+	cand := p.candidates(v)
+	pid := -1
+	for i := range p.cfg.Rules {
+		r := &p.cfg.Rules[i]
+		if !p.condHolds(r.When, r.K, v) {
+			continue
+		}
+		if q := p.act(r.Do, v, cand); q >= 0 {
+			pid = q
+			break
+		}
+	}
+	if pid < 0 {
+		pid = p.base(v, cand)
+	}
+	p.chosen++
+	p.stepCount[pid]++
+	return pid
+}
+
+func (p *ScanParametric) candidates(v *View) []int {
+	if p.cfg.PhasePeriod == 0 {
+		return v.Runnable
+	}
+	focusLow := p.chosen%p.cfg.PhasePeriod < p.cfg.PhaseBurst
+	p.cand = p.cand[:0]
+	for _, pid := range v.Runnable {
+		if (pid < p.cfg.PhaseFocus) == focusLow {
+			p.cand = append(p.cand, pid)
+		}
+	}
+	if len(p.cand) == 0 {
+		return v.Runnable
+	}
+	return p.cand
+}
+
+func (p *ScanParametric) act(a Act, v *View, cand []int) int {
+	switch a {
+	case ActHoldProb:
+		for _, pid := range cand {
+			op := v.Pending[pid]
+			if op.Valid && op.Kind != OpProbWrite {
+				return pid
+			}
+		}
+		return -1
+	case ActFireProb:
+		for _, pid := range cand {
+			if v.Pending[pid].Kind == OpProbWrite {
+				return pid
+			}
+		}
+		return -1
+	case ActFireCheapestProb:
+		best := -1
+		for _, pid := range cand {
+			if v.Pending[pid].Kind != OpProbWrite {
+				continue
+			}
+			if best == -1 || p.attempts[pid] < p.attempts[best] {
+				best = pid
+			}
+		}
+		if best >= 0 {
+			p.attempts[best]++
+		}
+		return best
+	case ActFireRead:
+		for _, pid := range cand {
+			if v.Pending[pid].Kind == OpRead {
+				return pid
+			}
+		}
+		return -1
+	case ActFireWrite:
+		for _, pid := range cand {
+			if v.Pending[pid].Kind == OpWrite {
+				return pid
+			}
+		}
+		return -1
+	default:
+		return p.Parametric.act(a, v, cand)
+	}
+}
+
+func (p *ScanParametric) base(v *View, cand []int) int {
+	if p.cfg.Base != BaseRoundRobin {
+		return p.Parametric.base(cand)
+	}
+	for _, pid := range cand {
+		p.member[pid] = true
+	}
+	pick := cand[0]
+	for i := 0; i < v.N; i++ {
+		pid := (p.next + i) % v.N
+		if pid < len(p.member) && p.member[pid] {
+			pick = pid
+			break
+		}
+	}
+	for _, pid := range cand {
+		p.member[pid] = false
+	}
+	p.next = (pick + 1) % v.N
+	return pick
+}

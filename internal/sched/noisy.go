@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
@@ -111,31 +112,24 @@ type Priority struct {
 
 // NewPriority returns a priority scheduler; ranks may be nil for pid order
 // (pid 0 is highest priority).
-func NewPriority(ranks []int) *Priority {
-	var cp []int
-	if ranks != nil {
-		cp = make([]int, len(ranks))
-		copy(cp, ranks)
-	}
-	return &Priority{Ranks: cp}
-}
+func NewPriority(ranks []int) *Priority { return &Priority{Ranks: slices.Clone(ranks)} }
 
-// Next implements Scheduler.
+// Next implements Scheduler. It panics when Ranks is set but does not hold
+// one rank per process.
 func (s *Priority) Next(v *View) int {
-	best := -1
-	for _, pid := range v.Runnable {
-		if best == -1 || s.rank(pid) < s.rank(best) {
+	if s.Ranks == nil {
+		return v.Runnable[0]
+	}
+	if len(s.Ranks) != v.N {
+		panic(fmt.Sprintf("sched: Priority has %d ranks for n=%d", len(s.Ranks), v.N))
+	}
+	best := v.Runnable[0]
+	for _, pid := range v.Runnable[1:] {
+		if s.Ranks[pid] < s.Ranks[best] {
 			best = pid
 		}
 	}
 	return best
-}
-
-func (s *Priority) rank(pid int) int {
-	if s.Ranks == nil {
-		return pid
-	}
-	return s.Ranks[pid]
 }
 
 // Seed implements Scheduler (deterministic strategy).

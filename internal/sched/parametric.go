@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -602,11 +603,9 @@ type Parametric struct {
 	src *xrand.Source
 
 	chosen    int    // scheduling decisions made this execution (phase clock)
-	next      int    // round-robin cursor
+	rr        cursor // round-robin cursor
 	stepCount []int  // per-pid times scheduled
 	attempts  []int  // per-pid probabilistic-write releases (fire-cheapest-prob)
-	cand      []int  // scratch: phase-restricted candidate set
-	member    []bool // scratch: candidate membership for the rr scan
 }
 
 // NewParametric validates the config and builds the adversary. A zero Power
@@ -645,13 +644,9 @@ func (p *Parametric) Config() ParamConfig {
 func (p *Parametric) Seed(src *xrand.Source) {
 	p.src = src
 	p.chosen = 0
-	p.next = 0
-	for i := range p.stepCount {
-		p.stepCount[i] = 0
-	}
-	for i := range p.attempts {
-		p.attempts[i] = 0
-	}
+	p.rr = cursor{}
+	clear(p.stepCount)
+	clear(p.attempts)
 }
 
 // Name implements Scheduler. The name embeds the canonical config text, so
@@ -666,46 +661,46 @@ func (p *Parametric) Next(v *View) int {
 	if len(p.stepCount) < v.N {
 		p.stepCount = make([]int, v.N)
 		p.attempts = make([]int, v.N)
-		p.member = make([]bool, v.N)
 	}
-	cand := p.candidates(v)
+	run := p.candidates(v)
 	pid := -1
 	for i := range p.cfg.Rules {
 		r := &p.cfg.Rules[i]
 		if !p.condHolds(r.When, r.K, v) {
 			continue
 		}
-		if q := p.act(r.Do, v, cand); q >= 0 {
+		if q := p.act(r.Do, v, run); q >= 0 {
 			pid = q
 			break
 		}
 	}
 	if pid < 0 {
-		pid = p.base(v, cand)
+		pid = p.base(run)
 	}
 	p.chosen++
 	p.stepCount[pid]++
 	return pid
 }
 
-// candidates returns the phase-restricted candidate set (a subset of
-// v.Runnable, in ascending order), falling back to all runnable pids when
-// the restriction would be empty.
+// candidates returns the phase-restricted candidate set: the runnable pids
+// below PhaseFocus during a burst and those at or above it otherwise, or
+// all of v.Runnable when that set is empty. Runnable is ascending, so
+// either side of the split is a contiguous run of it, found by one binary
+// search, and every runnable pid between the run's first and last is in
+// the run: the actions read the view's index between those two pids.
 func (p *Parametric) candidates(v *View) []int {
 	if p.cfg.PhasePeriod == 0 {
 		return v.Runnable
 	}
-	focusLow := p.chosen%p.cfg.PhasePeriod < p.cfg.PhaseBurst
-	p.cand = p.cand[:0]
-	for _, pid := range v.Runnable {
-		if (pid < p.cfg.PhaseFocus) == focusLow {
-			p.cand = append(p.cand, pid)
-		}
+	i, _ := slices.BinarySearch(v.Runnable, p.cfg.PhaseFocus)
+	run := v.Runnable[i:]
+	if p.chosen%p.cfg.PhasePeriod < p.cfg.PhaseBurst {
+		run = v.Runnable[:i]
 	}
-	if len(p.cand) == 0 {
+	if len(run) == 0 {
 		return v.Runnable
 	}
-	return p.cand
+	return run
 }
 
 // condHolds evaluates a rule condition against the view.
@@ -729,7 +724,8 @@ func (p *Parametric) condHolds(c Cond, k int, v *View) bool {
 		}
 		return false
 	case CondMemWritten:
-		return v.AnyMemoryWritten()
+		_, written := firstWrittenValue(v.Memory)
+		return written
 	case CondConflict:
 		return p.conflictPid(v, v.Runnable) >= 0
 	default:
@@ -737,35 +733,23 @@ func (p *Parametric) condHolds(c Cond, k int, v *View) bool {
 	}
 }
 
-// act performs a rule action over the candidate set; -1 when no candidate
-// matches.
-func (p *Parametric) act(a Act, v *View, cand []int) int {
+// act performs a rule action over the candidate run; -1 when no candidate
+// matches. The kind actions read the view's index from the run's first pid
+// and keep what they find up to its last.
+func (p *Parametric) act(a Act, v *View, run []int) int {
+	first, last := run[0], run[len(run)-1]
 	switch a {
 	case ActLowest:
-		return cand[0]
+		return first
 	case ActWeighted:
-		return p.weightiest(cand)
+		return p.weightiest(run)
 	case ActHoldProb:
-		for _, pid := range cand {
-			op := v.Pending[pid]
-			if op.Valid && op.Kind != OpProbWrite {
-				return pid
-			}
-		}
-		return -1
+		return atMost(firstNotProbWrite(v, first), last)
 	case ActFireProb:
-		for _, pid := range cand {
-			if v.Pending[pid].Kind == OpProbWrite {
-				return pid
-			}
-		}
-		return -1
+		return atMost(v.NextPending(OpProbWrite, first), last)
 	case ActFireCheapestProb:
 		best := -1
-		for _, pid := range cand {
-			if v.Pending[pid].Kind != OpProbWrite {
-				continue
-			}
+		for pid := v.NextPending(OpProbWrite, first); pid >= 0 && pid <= last; pid = v.NextPending(OpProbWrite, pid+1) {
 			if best == -1 || p.attempts[pid] < p.attempts[best] {
 				best = pid
 			}
@@ -775,24 +759,22 @@ func (p *Parametric) act(a Act, v *View, cand []int) int {
 		}
 		return best
 	case ActFireRead:
-		for _, pid := range cand {
-			if v.Pending[pid].Kind == OpRead {
-				return pid
-			}
-		}
-		return -1
+		return atMost(v.NextPending(OpRead, first), last)
 	case ActFireWrite:
-		for _, pid := range cand {
-			if v.Pending[pid].Kind == OpWrite {
-				return pid
-			}
-		}
-		return -1
+		return atMost(v.NextPending(OpWrite, first), last)
 	case ActFireConflict:
-		return p.conflictPid(v, cand)
+		return p.conflictPid(v, run)
 	default:
 		return -1
 	}
+}
+
+// atMost returns pid, or -1 when pid is past last.
+func atMost(pid, last int) int {
+	if pid > last {
+		return -1
+	}
+	return pid
 }
 
 // conflictPid returns the first pid in set whose pending write value
@@ -814,48 +796,33 @@ func (p *Parametric) conflictPid(v *View, set []int) int {
 	return -1
 }
 
-// base applies the fallback policy over the candidate set.
-func (p *Parametric) base(v *View, cand []int) int {
+// base applies the fallback policy over the candidate run.
+func (p *Parametric) base(run []int) int {
 	switch p.cfg.Base {
 	case BaseRoundRobin:
-		for _, pid := range cand {
-			p.member[pid] = true
-		}
-		pick := cand[0]
-		for i := 0; i < v.N; i++ {
-			pid := (p.next + i) % v.N
-			if pid < len(p.member) && p.member[pid] {
-				pick = pid
-				break
-			}
-		}
-		for _, pid := range cand {
-			p.member[pid] = false
-		}
-		p.next = (pick + 1) % v.N
-		return pick
+		return p.rr.pickIn(run)
 	case BaseLockstep:
-		best := cand[0]
-		for _, pid := range cand[1:] {
+		best := run[0]
+		for _, pid := range run[1:] {
 			if p.stepCount[pid] < p.stepCount[best] {
 				best = pid
 			}
 		}
 		return best
 	case BaseFrontrun:
-		best := cand[0]
-		for _, pid := range cand[1:] {
+		best := run[0]
+		for _, pid := range run[1:] {
 			if p.stepCount[pid] > p.stepCount[best] {
 				best = pid
 			}
 		}
 		return best
 	case BaseRandom:
-		return cand[p.src.Intn(len(cand))]
+		return run[p.src.Intn(len(run))]
 	case BaseWeighted:
-		return p.weightiest(cand)
+		return p.weightiest(run)
 	default:
-		return cand[0]
+		return run[0]
 	}
 }
 

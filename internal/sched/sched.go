@@ -185,26 +185,6 @@ type View struct {
 	byKind [opKinds]pidSet
 }
 
-// PendingOf returns the (restricted) pending op of pid.
-func (v *View) PendingOf(pid int) Op {
-	if pid < 0 || pid >= len(v.Pending) {
-		return Op{}
-	}
-	return v.Pending[pid]
-}
-
-// AnyMemoryWritten reports whether any visible register holds a non-⊥ value.
-// Helper for first-mover attack strategies watching for the first successful
-// write; requires Memory visibility.
-func (v *View) AnyMemoryWritten() bool {
-	for _, m := range v.Memory {
-		if !m.IsNone() {
-			return true
-		}
-	}
-	return false
-}
-
 // Scheduler chooses the next process to step. Implementations must return a
 // pid drawn from view.Runnable; the runtime panics otherwise, because a
 // scheduling bug would silently corrupt every measurement built on top.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/value"
@@ -91,6 +92,57 @@ func TestFixedOrderWrongLengthPanics(t *testing.T) {
 		}
 	}()
 	NewFixedOrder([]int{0}).Next(mkView(2, 0, 1))
+}
+
+// panicMessage runs f and returns what it panicked with, or "" if it
+// returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+func TestFixedOrderRejectsNonPermutation(t *testing.T) {
+	for _, tt := range []struct {
+		perm []int
+		want string
+	}{
+		{[]int{0, 0, 1}, "sched: FixedOrder repeats pid 0"},
+		{[]int{2, 1, 2}, "sched: FixedOrder repeats pid 2"},
+		{[]int{0, 3, 1}, "sched: FixedOrder entry 3 out of range [0, 3)"},
+		{[]int{-1, 0}, "sched: FixedOrder entry -1 out of range [0, 2)"},
+	} {
+		if got := panicMessage(func() { NewFixedOrder(tt.perm) }); got != tt.want {
+			t.Errorf("NewFixedOrder(%v) panicked with %q, want %q", tt.perm, got, tt.want)
+		}
+	}
+}
+
+func TestPriorityRejectsWrongRankCount(t *testing.T) {
+	for _, tt := range []struct {
+		ranks []int
+		n     int
+		want  string
+	}{
+		{[]int{2, 1, 0}, 4, "sched: Priority has 3 ranks for n=4"},
+		{[]int{0, 1, 2}, 2, "sched: Priority has 3 ranks for n=2"},
+		{[]int{}, 1, "sched: Priority has 0 ranks for n=1"},
+		{[]int{1, 0}, 2, ""},
+		{nil, 3, ""},
+	} {
+		all := make([]int, tt.n)
+		for pid := range all {
+			all[pid] = pid
+		}
+		v := mkView(tt.n, all...)
+		if got := panicMessage(func() { NewPriority(tt.ranks).Next(v) }); got != tt.want {
+			t.Errorf("NewPriority(%v).Next at n=%d panicked with %q, want %q", tt.ranks, tt.n, got, tt.want)
+		}
+	}
 }
 
 func TestUniformRandomCoversAll(t *testing.T) {
@@ -405,24 +457,19 @@ func TestPowerAndOpKindStrings(t *testing.T) {
 	}
 }
 
-func TestViewHelpers(t *testing.T) {
-	v := mkView(3, 0, 2)
-	if !v.PendingOf(0).Valid || v.PendingOf(1).Valid {
-		t.Fatal("PendingOf wrong")
-	}
-	if v.PendingOf(-1).Valid || v.PendingOf(99).Valid {
-		t.Fatal("PendingOf out-of-range should be zero Op")
-	}
-	if v.AnyMemoryWritten() {
-		t.Fatal("AnyMemoryWritten true with nil memory")
-	}
-	v.Memory = []value.Value{value.None, value.None}
-	if v.AnyMemoryWritten() {
-		t.Fatal("AnyMemoryWritten true with all-⊥ memory")
-	}
-	v.Memory[1] = 3
-	v.Changed = Change{Valid: true, Reg: 1, Old: value.None}
-	if !v.AnyMemoryWritten() {
-		t.Fatal("AnyMemoryWritten false with written cell")
+func TestFirstWrittenValue(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		mem     []value.Value
+		want    value.Value
+		written bool
+	}{
+		{"nil memory", nil, value.None, false},
+		{"all ⊥", []value.Value{value.None, value.None}, value.None, false},
+		{"lowest written cell", []value.Value{value.None, 3, 5}, 3, true},
+	} {
+		if got, written := firstWrittenValue(tt.mem); got != tt.want || written != tt.written {
+			t.Errorf("%s: firstWrittenValue = %v, %v; want %v, %v", tt.name, got, written, tt.want, tt.written)
+		}
 	}
 }
