@@ -86,7 +86,8 @@ func NewRegisters() *Registers { return register.NewFile() }
 var (
 	// NewRoundRobin cycles through live processes (oblivious).
 	NewRoundRobin = sched.NewRoundRobin
-	// NewFixedOrder repeats a fixed permutation (oblivious).
+	// NewFixedOrder repeats a fixed permutation of the pids (oblivious);
+	// it panics on a perm that is not a permutation.
 	NewFixedOrder = sched.NewFixedOrder
 	// NewUniformRandom picks a uniformly random live process (oblivious).
 	NewUniformRandom = sched.NewUniformRandom
@@ -97,7 +98,8 @@ var (
 	// NewNoisy is the noisy scheduler of §4.2: planned step times with
 	// cumulative Gaussian jitter.
 	NewNoisy = sched.NewNoisy
-	// NewPriority always runs the highest-priority pending process (§4.2).
+	// NewPriority always runs the highest-priority pending process (§4.2);
+	// non-nil ranks must hold one rank per process.
 	NewPriority = sched.NewPriority
 	// NewFirstMoverAttack is the location-oblivious adversary from the
 	// Theorem 7 analysis, tuned against first-mover conciliators.
