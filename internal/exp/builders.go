@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
@@ -78,29 +80,55 @@ func mustSweep(err error) {
 	}
 }
 
-// consensusSweep runs protocol executions of spec on the parallel trial
-// engine, one per trial of s, under schedulers built by mk. Sessions are
-// pooled: the protocol, file, and scheduler are built once per worker and
-// replayed per trial; only the inputs vary with the trial index. fold runs
-// one trial at a time, in trial order, on the sweep's workers, and a panic
-// in it is raised again in the caller. Per-process deciding stages come
-// from run.DecidedStage. Any trial error (including step-limit exhaustion)
-// aborts the experiment; sweeps that must tolerate exec.ErrStepLimit call
-// harness.RunTrials directly.
-func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler, maxSteps int,
+// cell is spec's cell for a pooled protocol sweep. Build builds the
+// protocol once per session, on backend be (nil = sim), under a scheduler
+// from mk (nil on a backend without adversary control) and with step
+// budget maxSteps (0 = the backend's default). Each trial replays it with
+// inputs mixedInputs(N, M, trial index).
+func (s protoSpec) cell(be exec.Backend, mk func() sched.Scheduler, maxSteps int) harness.ProtocolSweep {
+	return harness.ProtocolSweep{
+		Build: func() (*core.Protocol, harness.ObjectConfig) {
+			file, proto := s.build()
+			oc := harness.ObjectConfig{
+				N: s.N, File: file, Inputs: mixedInputs(s.N, s.M, 0),
+				Backend: be, MaxSteps: maxSteps, Registers: s.registers,
+			}
+			if mk != nil {
+				oc.Scheduler = mk()
+			}
+			return proto, oc
+		},
+		Inputs: func(t harness.Trial) []value.Value { return mixedInputs(s.N, s.M, t.Index) },
+	}
+}
+
+// consensusSweep runs one execution of spec per trial of s, under
+// schedulers built by mk, on the strict engine: any trial error, step-limit
+// exhaustion included, aborts the experiment. fold runs one trial at a
+// time, in trial order, on the sweep's workers, and a panic in it is raised
+// again in the caller; per-process deciding stages come from
+// run.DecidedStage. Cells whose step budget is part of what they measure
+// run on budgetSweep instead. This one stays strict because the robust
+// engine starts a goroutine and a channel per trial.
+func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler,
 	fold func(t harness.Trial, run *harness.ProtocolRun)) {
-	mustSweep(harness.SweepProtocol(s,
-		harness.ProtocolSweep{
-			Build: func() (*core.Protocol, harness.ObjectConfig) {
-				file, proto := spec.build()
-				return proto, harness.ObjectConfig{
-					N: spec.N, File: file, Inputs: mixedInputs(spec.N, spec.M, 0),
-					Scheduler: mk(), MaxSteps: maxSteps,
-					Registers: spec.registers,
-				}
-			},
-			Inputs: func(t harness.Trial) []value.Value {
-				return mixedInputs(spec.N, spec.M, t.Index)
-			},
-		}, fold))
+	mustSweep(harness.SweepProtocol(s, spec.cell(nil, mk, 0), fold))
+}
+
+// budgetSweep runs one execution of cell per trial of s on the robust
+// engine, with no watchdog and no retries, so that a trial that exhausts
+// the cell's step budget reaches fold with limited set instead of failing
+// the sweep. A violated trial reaches fold too; a panicked, failed or
+// timed-out one aborts the experiment, as mustSweep does.
+func budgetSweep(s harness.Sweep, cell harness.ProtocolSweep,
+	fold func(t harness.Trial, run *harness.ProtocolRun, limited bool)) {
+	_, err := harness.SweepProtocolRobust(s, harness.Resilience{}, cell,
+		func(t harness.Trial, run *harness.ProtocolRun, rep harness.TrialReport) {
+			switch rep.Outcome {
+			case harness.OutcomePanicked, harness.OutcomeFailed, harness.OutcomeTimeout:
+				mustSweep(fmt.Errorf("trial %d: %w", t.Index, rep.Err))
+			}
+			fold(t, run, errors.Is(rep.Err, exec.ErrStepLimit))
+		})
+	mustSweep(err)
 }

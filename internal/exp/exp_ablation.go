@@ -137,7 +137,7 @@ func E15Ablations(cfg Config) *Table {
 			spec.Scheme = recipe.SchemeBitVector
 		}
 		consensusSweep(cfg.sweep(trials/2), spec,
-			func() sched.Scheduler { return sched.NewUniformRandom() }, 0,
+			func() sched.Scheduler { return sched.NewUniformRandom() },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				ind.AddInt(run.Result.MaxIndividualWork())
 				tot.AddInt(run.Result.TotalWork)

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -157,41 +156,22 @@ func E8BaselineComparison(cfg Config) *Table {
 	var ns, impY, constY []float64
 	// Solo execution: the conciliator is built for n processes but only one
 	// participates — the schedule an oblivious adversary produces by running
-	// one process to completion first. Both variants share the trial's seed
+	// one process to completion first. Both variants sweep the same trials,
 	// so they face identical random streams.
-	solo := func(ctx context.Context, obj core.Object, file *register.File, seed uint64) (int, error) {
-		run, err := harness.RunObject(obj, harness.ObjectConfig{
-			N: 1, File: file, Inputs: mixedInputs(1, 2, 0),
-			Scheduler: sched.NewRoundRobin(), Seed: seed, Context: ctx,
-			Meter: cfg.Meter,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return run.Result.TotalWork, nil
+	soloWork := func(n int, build func(register.Allocator, int, int) *conciliator.Impatient) float64 {
+		var works stats.Acc
+		mustSweep(harness.SweepObject(cfg.sweep(trials),
+			harness.ObjectSweep{Build: func() (core.Object, harness.ObjectConfig) {
+				file := register.NewFile()
+				return build(file, n, 1), harness.ObjectConfig{
+					N: 1, File: file, Inputs: mixedInputs(1, 2, 0), Scheduler: sched.NewRoundRobin(),
+				}
+			}},
+			func(_ harness.Trial, run *harness.ObjectRun) { works.AddInt(run.Result.TotalWork) }))
+		return works.Mean()
 	}
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
-		var imp, con stats.Acc
-		type pair struct{ imp, con int }
-		mustSweep(harness.RunTrials(cfg.sweep(trials),
-			func(ctx context.Context, tr harness.Trial) (pair, error) {
-				file := register.NewFile()
-				iw, err := solo(ctx, conciliator.NewImpatient(file, n, 1), file, tr.Seed)
-				if err != nil {
-					return pair{}, err
-				}
-				file2 := register.NewFile()
-				cw, err := solo(ctx, conciliator.NewConstantRate(file2, n, 1), file2, tr.Seed)
-				if err != nil {
-					return pair{}, err
-				}
-				return pair{imp: iw, con: cw}, nil
-			},
-			func(_ harness.Trial, p pair) {
-				imp.AddInt(p.imp)
-				con.AddInt(p.con)
-			}))
-		mi, mc := imp.Mean(), con.Mean()
+		mi, mc := soloWork(n, conciliator.NewImpatient), soloWork(n, conciliator.NewConstantRate)
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", mi), fmt.Sprintf("%.1f", mc),
 			fmt.Sprintf("%.1fx", mc/mi))
 		ns = append(ns, float64(n))

@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -31,7 +28,7 @@ func E6BinaryConsensus(cfg Config) *Table {
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256} {
 		for _, adv := range advs {
 			ind, tot := &obs.Hist{}, &obs.Hist{}
-			consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), adv.New, 0,
+			consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), adv.New,
 				func(tr harness.Trial, run *harness.ProtocolRun) {
 					if err := check.Consensus(mixedInputs(n, 2, tr.Index), run.DecidedOutputs()); err != nil {
 						panic(err)
@@ -74,7 +71,7 @@ func E7MValuedConsensus(cfg Config) *Table {
 	for _, m := range []int{2, 4, 16, 64, 256, 1024} {
 		ind, tot := &obs.Hist{}, &obs.Hist{}
 		consensusSweep(cfg.sweep(trials), cfg.spec(n, m),
-			func() sched.Scheduler { return sched.NewFirstMoverAttack() }, 0,
+			func() sched.Scheduler { return sched.NewFirstMoverAttack() },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				ind.AddInt(run.Result.MaxIndividualWork())
 				tot.AddInt(run.Result.TotalWork)
@@ -165,7 +162,7 @@ func E13BoundedConstruction(cfg Config) *Table {
 		deepSpec.Stages = 12
 		deepSpec.Fallback = true
 		var deepMax []int
-		consensusSweep(cfg.sweep(trials), deepSpec, adv.New, 0,
+		consensusSweep(cfg.sweep(trials), deepSpec, adv.New,
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				maxStage := 0
 				for pid := 0; pid < n; pid++ {
@@ -200,7 +197,7 @@ func E13BoundedConstruction(cfg Config) *Table {
 			// derives its trial seeds from a shifted root.
 			s := cfg.sweep(trials)
 			s.Seed = cfg.Seed + 1
-			consensusSweep(s, spec, adv.New, 0,
+			consensusSweep(s, spec, adv.New,
 				func(_ harness.Trial, run *harness.ProtocolRun) {
 					usedFallback := false
 					for pid := 0; pid < n; pid++ {
@@ -242,28 +239,10 @@ func E14TerminationTail(cfg Config) *Table {
 	for _, mult := range []int{8, 12, 16, 20, 24, 32, 48} {
 		var failed stats.Tally
 		// Step-limit exhaustion is the event being measured, not a trial
-		// failure, so the trial function absorbs exec.ErrStepLimit instead of
-		// letting it abort the sweep.
-		mustSweep(harness.RunTrials(cfg.sweep(trials),
-			func(ctx context.Context, tr harness.Trial) (bool, error) {
-				spec := cfg.spec(n, 2)
-				file, proto := spec.build()
-				_, err := harness.RunProtocol(proto, harness.ObjectConfig{
-					N: n, File: file, Inputs: mixedInputs(n, 2, tr.Index),
-					Scheduler: sched.NewFirstMoverAttack(), Seed: tr.Seed,
-					MaxSteps: mult * n, Context: ctx,
-					Registers: spec.registers, Meter: cfg.Meter,
-				})
-				switch {
-				case err == nil:
-					return false, nil
-				case errors.Is(err, exec.ErrStepLimit):
-					return true, nil
-				default:
-					return false, err
-				}
-			},
-			func(_ harness.Trial, timedOut bool) { failed.Add(timedOut) }))
+		// failure.
+		budgetSweep(cfg.sweep(trials),
+			cfg.spec(n, 2).cell(nil, func() sched.Scheduler { return sched.NewFirstMoverAttack() }, mult*n),
+			func(_ harness.Trial, _ *harness.ProtocolRun, limited bool) { failed.Add(limited) })
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", mult), failed.Proportion().String())
 	}
 	t.AddNote("decay is exponential in the budget multiplier (each Θ(n)-step stage succeeds with constant probability)")

@@ -27,7 +27,6 @@ func E16SetAgreement(cfg Config) *Table {
 	}
 	trials := cfg.trials(150)
 	n, m := 12, 12
-	type setResult struct{ distinct, ind int }
 	for _, k := range []int{1, 2, 3, 4, 6} {
 		for _, adv := range adversaryPortfolio() {
 			if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
@@ -35,34 +34,31 @@ func E16SetAgreement(cfg Config) *Table {
 			}
 			maxDistinct := 0
 			var distinct, indWork stats.Acc
-			mustSweep(harness.RunTrials(cfg.sweep(trials),
-				func(ctx context.Context, tr harness.Trial) (setResult, error) {
-					file := register.NewFile()
-					p, err := setagree.New(file, n, m, k)
-					if err != nil {
-						return setResult{}, err
-					}
-					inputs := mixedInputs(n, m, tr.Index)
-					res, err := harness.RunProgram(func(e core.Env) value.Value { return p.Run(e, inputs[e.PID()]) },
-						harness.ObjectConfig{
-							N: n, File: file, Scheduler: adv.New(), Seed: tr.Seed,
-							Context: ctx, Meter: cfg.Meter,
-						})
-					if err != nil {
-						return setResult{}, err
-					}
+			mustSweep(harness.SweepObject(cfg.sweep(trials),
+				harness.ObjectSweep{
+					Build: func() (core.Object, harness.ObjectConfig) {
+						file := register.NewFile()
+						p, err := setagree.New(file, n, m, k)
+						if err != nil {
+							panic(fmt.Sprintf("exp: bad set-agreement spec: %v", err))
+						}
+						obj := core.Func{Name: "setagree", F: func(e core.Env, v value.Value) value.Decision {
+							return value.Decide(p.Run(e, v))
+						}}
+						return obj, harness.ObjectConfig{
+							N: n, File: file, Inputs: mixedInputs(n, m, 0), Scheduler: adv.New(),
+						}
+					},
+					Inputs: func(tr harness.Trial) []value.Value { return mixedInputs(n, m, tr.Index) },
+				},
+				func(_ harness.Trial, run *harness.ObjectRun) {
 					seen := make(map[value.Value]bool)
-					for _, v := range res.HaltedOutputs() {
+					for _, v := range run.Outputs() {
 						seen[v] = true
 					}
-					return setResult{distinct: len(seen), ind: res.MaxIndividualWork()}, nil
-				},
-				func(_ harness.Trial, r setResult) {
-					if r.distinct > maxDistinct {
-						maxDistinct = r.distinct
-					}
-					distinct.AddInt(r.distinct)
-					indWork.AddInt(r.ind)
+					maxDistinct = max(maxDistinct, len(seen))
+					distinct.AddInt(len(seen))
+					indWork.AddInt(run.Result.MaxIndividualWork())
 				}))
 			verdict := fmt.Sprintf("%d", maxDistinct)
 			if maxDistinct > k {

@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
@@ -119,61 +116,37 @@ func E11NoisyRatifierOnly(cfg Config) *Table {
 	for _, n := range []int{4, 16} {
 		cells = append(cells, cell{n, 4, 0.5})
 	}
-	// A trial either hits the step limit (not an error: R has no termination
-	// guarantee without enough noise) or reports per-process stages.
-	type noisyResult struct {
-		limited  bool
-		allDone  bool
-		ind      int
-		stageSum float64
-		stages   int
-	}
 	for _, c := range cells {
 		n, m, sigma := c.n, c.m, c.sigma
 		done, stages := 0, 0
 		var indSum, stageSum float64
-		mustSweep(harness.RunTrials(cfg.sweep(trials),
-			func(ctx context.Context, tr harness.Trial) (noisyResult, error) {
-				spec := cfg.spec(n, m)
-				spec.Conciliator = recipe.ConciliatorNone
-				spec.FastPath = false
-				spec.Stages = 4096
-				file, proto := spec.build()
-				run, err := harness.RunProtocol(proto, harness.ObjectConfig{
-					N: n, File: file, Inputs: mixedInputs(n, m, tr.Index),
-					Scheduler: sched.NewNoisy(sigma), Seed: tr.Seed,
-					MaxSteps: 4_000_000, Context: ctx,
-					Registers: spec.registers, Meter: cfg.Meter,
-				})
-				if err != nil {
-					if errors.Is(err, exec.ErrStepLimit) {
-						return noisyResult{limited: true}, nil
-					}
-					return noisyResult{}, err
-				}
-				r := noisyResult{allDone: true, ind: run.Result.MaxIndividualWork()}
-				for pid := 0; pid < n; pid++ {
-					st, _ := proto.DecidedStage(pid)
-					if st < 0 {
-						r.allDone = false
-						continue
-					}
-					r.stageSum += float64(st)
-					r.stages++
-				}
-				return r, nil
-			},
-			func(_ harness.Trial, r noisyResult) {
-				if r.limited {
+		spec := cfg.spec(n, m)
+		spec.Conciliator = recipe.ConciliatorNone
+		spec.FastPath = false
+		spec.Stages = 4096
+		// A trial that hits the step limit is left out, not an error: R
+		// has no termination guarantee without enough noise.
+		budgetSweep(cfg.sweep(trials),
+			spec.cell(nil, func() sched.Scheduler { return sched.NewNoisy(sigma) }, 4_000_000),
+			func(_ harness.Trial, run *harness.ProtocolRun, limited bool) {
+				if limited {
 					return
 				}
-				stageSum += r.stageSum
-				stages += r.stages
-				if r.allDone {
-					done++
-					indSum += float64(r.ind)
+				allDone := true
+				for pid := 0; pid < n; pid++ {
+					st, _ := run.DecidedStage(pid)
+					if st < 0 {
+						allDone = false
+						continue
+					}
+					stageSum += float64(st)
+					stages++
 				}
-			}))
+				if allDone {
+					done++
+					indSum += float64(run.Result.MaxIndividualWork())
+				}
+			})
 		meanInd, meanStage := 0.0, 0.0
 		if done > 0 {
 			meanInd = indSum / float64(done)
@@ -210,7 +183,7 @@ func E12PriorityRatifierOnly(cfg Config) *Table {
 		spec.FastPath = false
 		spec.Stages = 64
 		consensusSweep(cfg.sweep(trials), spec,
-			func() sched.Scheduler { return sched.NewPriority(nil) }, 0,
+			func() sched.Scheduler { return sched.NewPriority(nil) },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				all := true
 				for pid := 0; pid < n; pid++ {

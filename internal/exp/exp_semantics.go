@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"github.com/modular-consensus/modcon/internal/check"
@@ -70,58 +68,27 @@ func e21Agreement(s harness.Sweep, model register.Semantics, be exec.Backend, mk
 	return agree, minority
 }
 
-// e21Out classifies one consensus trial.
-type e21Out struct {
-	limited bool // step budget exhausted (livelock under this adversary)
-	viol    bool // decided outputs disagreed or decided a non-input
-	work    int
-}
-
 // e21Consensus runs full binary-consensus trials under one register model,
 // absorbing step-limit exhaustion as a measured outcome.
-func e21Consensus(cfg Config, s harness.Sweep, model register.Semantics, be exec.Backend, mk func() sched.Scheduler) (term stats.Tally, work *obs.Hist, violations int) {
+func e21Consensus(s harness.Sweep, model register.Semantics, be exec.Backend, mk func() sched.Scheduler) (term stats.Tally, work *obs.Hist, violations int) {
 	work = &obs.Hist{}
 	maxSteps := e21MaxSteps
 	if be != nil {
 		maxSteps = 0 // no adversary on live: termination needs no watchdog here
 	}
-	mustSweep(harness.RunTrials(s,
-		func(ctx context.Context, tr harness.Trial) (e21Out, error) {
-			spec := defaultSpec(e21N, 2)
-			spec.registers = model
-			file, proto := spec.build()
-			inputs := mixedInputs(e21N, 2, tr.Index)
-			oc := harness.ObjectConfig{
-				N: e21N, File: file, Inputs: inputs,
-				Backend: be, Seed: tr.Seed, MaxSteps: maxSteps, Context: ctx,
-				Registers: spec.registers, Meter: cfg.Meter,
-			}
-			if mk != nil {
-				oc.Scheduler = mk()
-			}
-			run, err := harness.RunProtocol(proto, oc)
-			if err != nil {
-				if errors.Is(err, exec.ErrStepLimit) {
-					return e21Out{limited: true}, nil
-				}
-				return e21Out{}, err
-			}
-			out := e21Out{work: run.Result.TotalWork}
-			if err := check.Consensus(inputs, run.DecidedOutputs()); err != nil {
-				out.viol = true
-			}
-			return out, nil
-		},
-		func(_ harness.Trial, o e21Out) {
-			term.Add(!o.limited)
-			if o.limited {
+	spec := defaultSpec(e21N, 2)
+	spec.registers = model
+	budgetSweep(s, spec.cell(be, mk, maxSteps),
+		func(t harness.Trial, run *harness.ProtocolRun, limited bool) {
+			term.Add(!limited)
+			if limited {
 				return
 			}
-			work.AddInt(o.work)
-			if o.viol {
+			work.AddInt(run.Result.TotalWork)
+			if check.Consensus(mixedInputs(e21N, 2, t.Index), run.DecidedOutputs()) != nil {
 				violations++
 			}
-		}))
+		})
 	return term, work, violations
 }
 
@@ -166,7 +133,7 @@ func E21RegisterSemantics(cfg Config) *Table {
 	for _, model := range []register.Semantics{register.Atomic, register.Regular, register.Interposed} {
 		for _, adv := range advs {
 			agree, minority := e21Agreement(cfg.sweep(trials), model, nil, adv.New)
-			term, work, viol := e21Consensus(cfg, cfg.sweep(trials), model, nil, adv.New)
+			term, work, viol := e21Consensus(cfg.sweep(trials), model, nil, adv.New)
 			t.Violations += viol
 			p := stats.NewProportion(agree.Successes, agree.Trials)
 			if adv.Name == "adaptive-spoiler" {
@@ -187,7 +154,7 @@ func E21RegisterSemantics(cfg Config) *Table {
 	lt := min(trials, 24)
 	for _, model := range []register.Semantics{register.Atomic, register.Regular} {
 		agree, minority := e21Agreement(cfg.sweep(lt), model, live.Backend(), nil)
-		term, work, viol := e21Consensus(cfg, cfg.sweep(lt), model, live.Backend(), nil)
+		term, work, viol := e21Consensus(cfg.sweep(lt), model, live.Backend(), nil)
 		t.Violations += viol
 		t.AddRow("live", model.String(), "goroutine",
 			stats.NewProportion(agree.Successes, agree.Trials).String(),

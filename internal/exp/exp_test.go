@@ -157,20 +157,27 @@ func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExperimentCancellation checks that a cancelled context aborts an
-// experiment (surfaced as the documented panic from mustSweep).
+// experiment (surfaced as the documented panic from mustSweep) on each kind
+// of cell: E1's object sweeps, E8's two object sweeps over the same trials,
+// and E14's step-budget cells on the robust engine.
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected cancellation panic")
-		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "cancel") {
-			t.Fatalf("panic %q does not mention cancellation", msg)
-		}
-	}()
-	E1ConciliatorAgreement(Config{Trials: 50, Seed: 1, Ctx: ctx})
+	for _, id := range []string{"E1", "E8", "E14"} {
+		t.Run(id, func(t *testing.T) {
+			e, _ := ByID(id)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected cancellation panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "cancel") {
+					t.Fatalf("panic %q does not mention cancellation", msg)
+				}
+			}()
+			e.Run(Config{Trials: 50, Seed: 1, Ctx: ctx})
+		})
+	}
 }
 
 func TestConfigTrialsDefault(t *testing.T) {

@@ -76,7 +76,7 @@ func E23WorkloadSaturation(cfg Config) *Table {
 			spec.registers = model
 			demands := make([]int64, trials)
 			work := &obs.Hist{}
-			consensusSweep(cfg.sweep(trials), spec, adv.New, 0,
+			consensusSweep(cfg.sweep(trials), spec, adv.New,
 				func(tr harness.Trial, run *harness.ProtocolRun) {
 					if err := check.Consensus(mixedInputs(e23N, e23M, tr.Index), run.DecidedOutputs()); err != nil {
 						panic(err)

@@ -7,6 +7,7 @@ package harness
 // functions of (spec, seed) no matter which session executes them.
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -206,6 +207,51 @@ func TestSweepMatchesFreshRuns(t *testing.T) {
 			}
 			checkMeter(m, steps)
 		})
+	}
+}
+
+// TestRobustSweepAfterStepLimitMatchesFreshRuns: a pooled session whose
+// last trial ran out of steps, leaving its processes parked mid-protocol,
+// starts its next trial clean. Every trial of a robust protocol sweep under
+// a small step budget equals a fresh RunProtocol of the same cell at the
+// trial's seed and inputs: whether it hit the limit, its result, and which
+// processes decided at which index.
+func TestRobustSweepAfterStepLimitMatchesFreshRuns(t *testing.T) {
+	const n, trials = 4, 24
+	spec := cellProtocolSpec(t, n, func(cfg *ObjectConfig) { cfg.MaxSteps = 40 })
+	for _, workers := range []int{1, 3} {
+		limited, finished := 0, 0
+		_, err := SweepProtocolRobust(Sweep{Trials: trials, Workers: workers, Seed: 5}, Resilience{}, spec,
+			func(tr Trial, run *ProtocolRun, rep TrialReport) {
+				if run == nil {
+					t.Errorf("workers=%d trial %d: %s: %v", workers, tr.Index, rep.Outcome, rep.Err)
+					return
+				}
+				hit := errors.Is(rep.Err, exec.ErrStepLimit)
+				if hit {
+					limited++
+				} else {
+					finished++
+				}
+				proto, cfg := spec.Build()
+				cfg.Seed, cfg.Inputs = tr.Seed, spec.Inputs(tr)
+				want, err := RunProtocol(proto, cfg)
+				if freshHit := errors.Is(err, exec.ErrStepLimit); freshHit != hit || (err != nil && !freshHit) {
+					t.Errorf("workers=%d trial %d: pooled report %v, fresh run error %v", workers, tr.Index, rep.Err, err)
+					return
+				}
+				if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decided, want.Decided) ||
+					!reflect.DeepEqual(run.DecidedIdx, want.DecidedIdx) {
+					t.Errorf("workers=%d trial %d (step limit hit: %v): pooled trial diverged from a fresh run", workers, tr.Index, hit)
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("workers=%d: %d trials hit the step limit, %d finished", workers, limited, finished)
+		if limited == 0 || finished == 0 {
+			t.Fatal("want trials of each kind")
+		}
 	}
 }
 

@@ -463,16 +463,20 @@ func ParseParametric(s string) (ParamConfig, error) {
 	return cfg, nil
 }
 
-// parseParamSpec splits one "kind:key=value,..." spec into its kind and a
-// duplicate-checked parameter map.
-func parseParamSpec(spec string) (string, map[string]string, error) {
+// param is one key=value pair of a spec.
+type param struct{ key, val string }
+
+// parseParamSpec splits one "kind:key=value,..." spec into its kind and its
+// parameters, in text order and without duplicate keys, so the first bad
+// parameter in the text is the one reported.
+func parseParamSpec(spec string) (string, []param, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return "", nil, fmt.Errorf("sched: empty spec in parametric config")
 	}
 	kind, rest, _ := strings.Cut(spec, ":")
 	kind = strings.TrimSpace(kind)
-	params := make(map[string]string)
+	var params []param
 	rest = strings.TrimSpace(rest)
 	if rest == "" {
 		return kind, params, nil
@@ -483,17 +487,18 @@ func parseParamSpec(spec string) (string, map[string]string, error) {
 		if !ok || key == "" {
 			return "", nil, fmt.Errorf("sched: malformed parameter %q in %q", kv, spec)
 		}
-		if _, dup := params[key]; dup {
+		if slices.ContainsFunc(params, func(p param) bool { return p.key == key }) {
 			return "", nil, fmt.Errorf("sched: duplicate parameter %q in %q", key, spec)
 		}
-		params[key] = val
+		params = append(params, param{key, val})
 	}
 	return kind, params, nil
 }
 
 // parseHead fills the adv-spec fields of the config.
-func (c *ParamConfig) parseHead(params map[string]string) error {
-	for key, val := range params {
+func (c *ParamConfig) parseHead(params []param) error {
+	for _, kv := range params {
+		key, val := kv.key, kv.val
 		switch key {
 		case "power":
 			p, err := parsePowerName(val)
@@ -541,9 +546,10 @@ func (c *ParamConfig) parseHead(params map[string]string) error {
 }
 
 // parseParamRule parses one rule spec's parameters.
-func parseParamRule(params map[string]string) (ParamRule, error) {
+func parseParamRule(params []param) (ParamRule, error) {
 	var r ParamRule
-	for key, val := range params {
+	for _, kv := range params {
+		key, val := kv.key, kv.val
 		switch key {
 		case "when":
 			name, karg, hasK := strings.Cut(val, ":")

@@ -104,6 +104,23 @@ func TestParametricParseErrors(t *testing.T) {
 	}
 }
 
+// TestParametricParseErrorFollowsText: when a spec has two bad parameters,
+// the first one in the text is the one reported, on every parse.
+func TestParametricParseErrorFollowsText(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"adv:power=bogus,base=bogus2", `sched: unknown power class "bogus"`},
+		{"adv:base=rr;rule:when=bogus,do=bogus2", `sched: unknown rule condition "bogus"`},
+	}
+	for _, c := range cases {
+		for i := 0; i < 100; i++ {
+			_, err := ParseParametric(c.in)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("parse %d of %q: error %v, want %q", i, c.in, err, c.want)
+			}
+		}
+	}
+}
+
 func TestParametricRequiredPower(t *testing.T) {
 	cases := map[string]Power{
 		"adv:base=rr":             Oblivious,

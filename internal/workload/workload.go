@@ -20,8 +20,7 @@
 // simulated step count, scaled by the spec's per-step duration, is served
 // by a FIFO multi-server queue over the arrival schedule — so saturation
 // reports are bit-identical at any parallelism and CI can gate them with
-// cmp. Wall-clock pacing (harness.Sweep.Pace) only changes when trials
-// run, never what they compute.
+// cmp.
 //
 // The text grammar follows the fault.Plan pattern — segments of
 // kind:key=value pairs joined by ';', canonical String/Parse round trip
