@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -16,7 +17,9 @@ import (
 // object then so is the composition.
 type Composition struct {
 	objs []Object
-	name string
+
+	labelOnce sync.Once
+	label     string // "(label₁; label₂; …)", formatted on first use
 }
 
 // Compose builds the composition (objs[0]; objs[1]; …). Nested Compositions
@@ -30,11 +33,7 @@ func Compose(objs ...Object) *Composition {
 		}
 		flat = append(flat, o)
 	}
-	labels := make([]string, len(flat))
-	for i, o := range flat {
-		labels[i] = o.Label()
-	}
-	return &Composition{objs: flat, name: "(" + strings.Join(labels, "; ") + ")"}
+	return &Composition{objs: flat}
 }
 
 // Len returns the number of component objects.
@@ -65,5 +64,15 @@ func (c *Composition) InvokeIndexed(e Env, v value.Value) (value.Decision, int) 
 	return value.Continue(v), -1
 }
 
-// Label implements Object.
-func (c *Composition) Label() string { return c.name }
+// Label implements Object. It joins the components' labels on the first
+// call, so building a long chain formats no composite label.
+func (c *Composition) Label() string {
+	c.labelOnce.Do(func() {
+		labels := make([]string, len(c.objs))
+		for i, o := range c.objs {
+			labels[i] = o.Label()
+		}
+		c.label = "(" + strings.Join(labels, "; ") + ")"
+	})
+	return c.label
+}

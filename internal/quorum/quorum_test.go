@@ -301,3 +301,39 @@ func (brokenScheme) PoolSize() int                   { return 2 }
 func (brokenScheme) WriteQuorum(v value.Value) []int { return []int{0} }
 func (brokenScheme) ReadQuorum(v value.Value) []int  { return []int{0} }
 func (brokenScheme) Name() string                    { return "broken" }
+
+// TestVerifyOffDiagonal: both verifiers must check W_v against R_u for
+// u ≠ v, not only the diagonal. The two schemes below share a sound
+// diagonal and differ only in R_1: in the defective one W_0 misses R_1, so
+// a process that announced 0 goes unseen by a process reading R_1.
+func TestVerifyOffDiagonal(t *testing.T) {
+	sound := listScheme{pool: 3, w: [][]int{{0}, {1}}, r: [][]int{{1, 2}, {0, 2}}}
+	defective := listScheme{pool: 3, w: [][]int{{0}, {1}}, r: [][]int{{1, 2}, {2}}}
+	const want = "quorum list: W_0 misses R_1"
+	if err := Verify(sound); err != nil {
+		t.Errorf("Verify(sound): %v", err)
+	}
+	if err := VerifySample(sound, 100, 1); err != nil {
+		t.Errorf("VerifySample(sound): %v", err)
+	}
+	if err := Verify(defective); err == nil || err.Error() != want {
+		t.Errorf("Verify(defective) = %v, want %q", err, want)
+	}
+	// Each sampled pair is (0, 1) with probability 1/4; seed 1 draws it
+	// within the 100 pairs.
+	if err := VerifySample(defective, 100, 1); err == nil || err.Error() != want {
+		t.Errorf("VerifySample(defective) = %v, want %q", err, want)
+	}
+}
+
+// listScheme is a scheme given by its quorums: W_v is w[v] and R_v is r[v].
+type listScheme struct {
+	pool int
+	w, r [][]int
+}
+
+func (s listScheme) M() int                          { return len(s.w) }
+func (s listScheme) PoolSize() int                   { return s.pool }
+func (s listScheme) WriteQuorum(v value.Value) []int { return s.w[v] }
+func (s listScheme) ReadQuorum(v value.Value) []int  { return s.r[v] }
+func (s listScheme) Name() string                    { return "list" }

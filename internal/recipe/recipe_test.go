@@ -199,6 +199,35 @@ func TestRecipeLayoutGolden(t *testing.T) {
 	}
 }
 
+// TestBuildAllocsConstant: a build makes the same number of allocations at
+// every Stages, and few of them. Each family's objects fill one slab, the
+// ratifiers share one scheme, the names share one buffer and the file is
+// grown once; before that, a default 512-stage build made about 4,200.
+func TestBuildAllocsConstant(t *testing.T) {
+	specs := []recipe.Spec{
+		{N: 8, M: 2, FastPath: true},
+		{N: 256, M: 2, FastPath: true},
+		{N: 8, M: 16, FastPath: true, Conciliator: recipe.ConciliatorConstantRate, DetectWrites: true},
+		{N: 8, M: 16, Scheme: recipe.SchemeBitVector, Fallback: true, Base: 1000},
+		{N: 5, M: 3, Scheme: recipe.SchemePool, Conciliator: recipe.ConciliatorNone},
+	}
+	for _, spec := range specs {
+		var counts []float64
+		for _, stages := range []int{8, 64, 512} {
+			spec.Stages = stages
+			counts = append(counts, testing.AllocsPerRun(10, func() {
+				if _, err := spec.Build(register.NewFile()); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("%+v: %v allocs at stages 8, 64, 512", spec, counts)
+		if counts[0] != counts[1] || counts[0] != counts[2] || counts[0] > 100 {
+			t.Errorf("%+v: %v allocs at stages 8, 64, 512, want one count ≤ 100", spec, counts)
+		}
+	}
+}
+
 // TestSiteSpecs checks that multi.Run, setagree.New and tas.New allocate
 // exactly the registers of the specs the golden grid builds for them. The
 // sequence crashes every process before its first operation, so its file

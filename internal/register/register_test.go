@@ -1,6 +1,8 @@
 package register
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -169,5 +171,28 @@ func TestAllocationsAreContiguousAndFresh(t *testing.T) {
 	f.Store(a.At(2), 9)
 	if !f.Load(b.At(0)).IsNone() {
 		t.Fatal("blocks overlap")
+	}
+}
+
+// TestNamesFormat: Format spells a name as fmt does, NameLen gives its
+// length, and every name keeps its bytes while later names outgrow the
+// buffer's reservation.
+func TestNamesFormat(t *testing.T) {
+	var names Names
+	names.Grow(8)
+	var got, want []string
+	for _, i := range []int{0, 7, -1, 10, -45, 512, 1000, math.MaxInt64, math.MinInt64} {
+		for _, suffix := range []string{"", ".pool", ".proposal"} {
+			w := fmt.Sprintf("R%d%s", i, suffix)
+			got, want = append(got, names.Format("R", i, suffix)), append(want, w)
+			if n := NameLen("R", i, suffix); n != len(w) {
+				t.Errorf("NameLen(R, %d, %q) = %d, want %d", i, suffix, n, len(w))
+			}
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("name %d = %q, want %q", i, got[i], want[i])
+		}
 	}
 }

@@ -167,9 +167,9 @@ func TestSolveConcurrentCalls(t *testing.T) {
 
 // TestSolveAllocs: a warm Solve replays its instance's kept session, so it
 // pays for the outcome and the run's bookkeeping, not for building 512
-// stages (about 4,200 allocations at n=8) or opening an engine (n
-// coroutines, the register image, buffers and a fault compile: about 130
-// more). The first row is the solve-n8-attack benchmark cell, bounded by its
+// stages (13 allocations at any n, but about 1,000 objects in them) or
+// opening an engine (n coroutines, the register image, buffers and a fault
+// compile: about 130 allocations). The first row is the solve-n8-attack benchmark cell, bounded by its
 // gate of 30 allocations per decision less the 4 the benchmark makes
 // itself; the second is the trials-n32-faults cell.
 func TestSolveAllocs(t *testing.T) {
