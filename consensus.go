@@ -12,7 +12,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // RatifierScheme selects the quorum system of the protocol's ratifiers
@@ -420,7 +419,7 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	// and check it, before the instance goes back. A broadcast input is the
 	// same validity reference as one input per process.
 	out := newOutcome(pr).own()
-	err = check.Consensus(inputs, pr.DecidedOutputs())
+	err = check.Decisions(inputs, pr.Result.Outputs, func(pid int) bool { return pr.Decided[pid] && pr.Result.Halted[pid] })
 	c.put(in)
 	if err != nil {
 		if out.Violation == nil {
@@ -510,11 +509,5 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 // Verify re-checks an outcome against inputs (exported so examples and
 // external harnesses can assert safety themselves).
 func Verify(inputs []Value, o *Outcome) error {
-	var decided []value.Value
-	for pid, d := range o.Decided {
-		if d {
-			decided = append(decided, o.Outputs[pid])
-		}
-	}
-	return check.Consensus(inputs, decided)
+	return check.Decisions(inputs, o.Outputs, func(pid int) bool { return o.Decided[pid] })
 }

@@ -1,6 +1,7 @@
 package modcon
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -373,6 +374,19 @@ func TestVerifyHelper(t *testing.T) {
 	err := Verify([]Value{0, 1}, o)
 	if err == nil || !strings.Contains(err.Error(), "agreement") {
 		t.Fatalf("err = %v", err)
+	}
+	// Undecided processes are skipped, and the texts index the decided
+	// outputs in pid order.
+	for _, c := range []struct {
+		o    *Outcome
+		want string
+	}{
+		{&Outcome{Outputs: []Value{1, 5, 0}, Decided: []bool{true, false, true}}, "check: agreement violated: output[1]=0 but output[0]=1"},
+		{&Outcome{Outputs: []Value{7, 4, 4}, Decided: []bool{false, true, true}}, "check: validity violated: output[0]=4 is nobody's input [0 1]"},
+	} {
+		if got := fmt.Sprint(Verify([]Value{0, 1}, c.o)); got != c.want {
+			t.Errorf("Verify: got %q, want %q", got, c.want)
+		}
 	}
 }
 

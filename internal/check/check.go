@@ -11,6 +11,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/modular-consensus/modcon/internal/trace"
@@ -22,10 +23,10 @@ import (
 // offending decision is observed, even if the execution then livelocks,
 // crashes, or is cancelled before a post-hoc check could run. It is safe
 // for concurrent use — on the live backend decisions land from
-// free-running goroutines.
+// free-running goroutines. A session keeps one Monitor and resets it for
+// each execution; a Monitor must not be copied.
 type Monitor struct {
 	mu      sync.Mutex
-	inputs  map[value.Value]bool
 	ins     []value.Value
 	decided bool
 	first   value.Value
@@ -33,24 +34,29 @@ type Monitor struct {
 	err     error
 }
 
-// NewMonitor builds a monitor for an execution with the given per-process
-// inputs (the validity reference set).
-func NewMonitor(inputs []value.Value) *Monitor {
-	m := &Monitor{inputs: make(map[value.Value]bool, len(inputs)), ins: inputs}
-	for _, v := range inputs {
-		m.inputs[v] = true
-	}
-	return m
+// Reset readies the monitor for an execution with the given per-process
+// inputs (the validity reference set), forgetting every decision and
+// violation it observed before. The monitor reads inputs, not a copy, until
+// the next Reset.
+func (m *Monitor) Reset(inputs []value.Value) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ins, m.decided, m.first, m.pid, m.err = inputs, false, 0, 0, nil
 }
 
 // Observe records pid's decision v and checks it against the inputs
 // (validity) and every previously observed decision (agreement). The first
 // violation is retained and returned by Err; Observe returns it too so
-// callers may react immediately.
+// callers may react immediately. A decision equal to the first observed
+// one was checked with it, so only the first decision and a disagreeing one
+// are looked up among the inputs: O(n) per execution without violations.
 func (m *Monitor) Observe(pid int, v value.Value) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err == nil && !m.inputs[v] {
+	if m.decided && v == m.first {
+		return m.err
+	}
+	if m.err == nil && !slices.Contains(m.ins, v) {
 		m.err = fmt.Errorf("check: validity violated online: process %d decided %s, nobody's input %v", pid, v, m.ins)
 	}
 	if m.err == nil && m.decided && v != m.first {
@@ -74,21 +80,22 @@ func (m *Monitor) Err() error {
 func Agreement(outputs []value.Value) error {
 	for i := 1; i < len(outputs); i++ {
 		if outputs[i] != outputs[0] {
-			return fmt.Errorf("check: agreement violated: output[%d]=%s but output[0]=%s", i, outputs[i], outputs[0])
+			return errAgreement(i, outputs[i], outputs[0])
 		}
 	}
 	return nil
 }
 
-// Validity verifies that every output equals some process's input.
+// Validity verifies that every output equals some process's input. An
+// output equal to the one before it was checked with it, so a run of equal
+// outputs costs one scan of the inputs.
 func Validity(inputs, outputs []value.Value) error {
-	in := make(map[value.Value]bool, len(inputs))
-	for _, v := range inputs {
-		in[v] = true
-	}
 	for i, v := range outputs {
-		if !in[v] {
-			return fmt.Errorf("check: validity violated: output[%d]=%s is nobody's input %v", i, v, inputs)
+		if i > 0 && v == outputs[i-1] {
+			continue
+		}
+		if !slices.Contains(inputs, v) {
+			return errValidity(i, v, inputs)
 		}
 	}
 	return nil
@@ -97,10 +104,39 @@ func Validity(inputs, outputs []value.Value) error {
 // Consensus verifies agreement and validity together for the halted
 // processes of an execution.
 func Consensus(inputs, haltedOutputs []value.Value) error {
-	if err := Agreement(haltedOutputs); err != nil {
-		return err
+	return Decisions(inputs, haltedOutputs, func(int) bool { return true })
+}
+
+// Decisions is Consensus over outputs[pid] for the pids with decided(pid),
+// in pid order, without collecting those outputs: it allocates nothing
+// unless it fails, and its errors index the decided outputs as Consensus
+// indexes its argument. Once they all agree, only the first is looked up
+// among the inputs.
+func Decisions(inputs, outputs []value.Value, decided func(pid int) bool) error {
+	first, k := value.None, 0
+	for pid, v := range outputs {
+		if !decided(pid) {
+			continue
+		}
+		if k == 0 {
+			first = v
+		} else if v != first {
+			return errAgreement(k, v, first)
+		}
+		k++
 	}
-	return Validity(inputs, haltedOutputs)
+	if k > 0 && !slices.Contains(inputs, first) {
+		return errValidity(0, first, inputs)
+	}
+	return nil
+}
+
+func errAgreement(i int, v, first value.Value) error {
+	return fmt.Errorf("check: agreement violated: output[%d]=%s but output[0]=%s", i, v, first)
+}
+
+func errValidity(i int, v value.Value, inputs []value.Value) error {
+	return fmt.Errorf("check: validity violated: output[%d]=%s is nobody's input %v", i, v, inputs)
 }
 
 // objectRecord collects one object's observed interface from a trace.

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,6 +50,47 @@ func TestConsensus(t *testing.T) {
 	}
 	if err := Consensus(vals(0, 1), vals(2, 2)); err == nil {
 		t.Fatal("expected failure (invalid)")
+	}
+}
+
+// TestViolationTexts pins the text of every result-level and online
+// violation, on seeded violations, so that a check can change how it looks
+// values up without changing what it reports. Decisions over a mask reports
+// what Consensus reports over the outputs the mask selects.
+func TestViolationTexts(t *testing.T) {
+	observe := func(inputs []value.Value, decisions ...[2]int64) error {
+		var m Monitor
+		m.Reset(vals(9)) // a reused monitor forgets its last execution
+		m.Observe(0, 5)
+		m.Reset(inputs)
+		for _, d := range decisions {
+			m.Observe(int(d[0]), value.Value(d[1]))
+		}
+		return m.Err()
+	}
+	mask := func(bs ...bool) func(int) bool { return func(pid int) bool { return bs[pid] } }
+	cases := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"agreement", Agreement(vals(3, 3, 4)), "check: agreement violated: output[2]=4 but output[0]=3"},
+		{"validity", Validity(vals(1, 2), vals(2, 2, 5, 2)), "check: validity violated: output[2]=5 is nobody's input [1 2]"},
+		{"validity-none", Validity(vals(1, 2), []value.Value{value.None}), "check: validity violated: output[0]=⊥ is nobody's input [1 2]"},
+		{"consensus-agreement", Consensus(vals(0, 1), vals(1, 1, 0)), "check: agreement violated: output[2]=0 but output[0]=1"},
+		{"consensus-validity", Consensus(vals(0, 1), vals(2, 2)), "check: validity violated: output[0]=2 is nobody's input [0 1]"},
+		{"decisions-agreement", Decisions(vals(0, 1), vals(1, 9, 0), mask(true, false, true)), "check: agreement violated: output[1]=0 but output[0]=1"},
+		{"decisions-validity", Decisions(vals(0, 1), vals(1, 4, 4), mask(false, true, true)), "check: validity violated: output[0]=4 is nobody's input [0 1]"},
+		{"decisions-none-decided", Decisions(vals(0, 1), vals(7, 8), mask(false, false)), "<nil>"},
+		{"online-agreement", observe(vals(0, 1), [2]int64{3, 1}, [2]int64{5, 0}), "check: agreement violated online: process 5 decided 0 but process 3 decided 1"},
+		{"online-validity", observe(vals(0, 1), [2]int64{2, 7}), "check: validity violated online: process 2 decided 7, nobody's input [0 1]"},
+		{"online-first-violation-kept", observe(vals(0, 1), [2]int64{0, 7}, [2]int64{1, 0}), "check: validity violated online: process 0 decided 7, nobody's input [0 1]"},
+		{"online-clean", observe(vals(0, 1), [2]int64{0, 1}, [2]int64{1, 1}), "<nil>"},
+	}
+	for _, c := range cases {
+		if got := fmt.Sprint(c.err); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package fallback
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/register"
@@ -61,7 +62,9 @@ func New(file *register.File, n, index int) *CIL {
 	if n <= 0 {
 		panic(fmt.Sprintf("fallback: n=%d must be positive", n))
 	}
-	label := fmt.Sprintf("K%d", index)
+	// Not fmt.Sprintf: its printer pool makes the allocation count of a
+	// build vary under the race detector, which drops pooled items at random.
+	label := string(strconv.AppendInt([]byte{'K'}, int64(index), 10))
 	return &CIL{
 		regs:       file.Alloc(n, label+".race"),
 		n:          n,

@@ -332,7 +332,7 @@ type protocolSession struct {
 	in         sessionInputs
 	decided    []bool
 	decidedIdx []int32
-	mon        *check.Monitor // fresh per trial
+	mon        check.Monitor // reset per trial
 	stageOf    func(idx int) (stage int, fallback bool)
 	log        *trace.Log
 }
@@ -404,10 +404,10 @@ func (ps *protocolSession) run(ctx context.Context, seed uint64, inputs []value.
 		ps.decided[i] = false
 		ps.decidedIdx[i] = -1
 	}
-	// The monitor accumulates the first observed decision, so it must be
-	// fresh per trial, and built after the trial's inputs are in place (it
-	// checks validity against them).
-	ps.mon = check.NewMonitor(ps.in.live)
+	// The monitor accumulates the first observed decision, so it is reset
+	// per trial, after the trial's inputs are in place (it checks validity
+	// against them).
+	ps.mon.Reset(ps.in.live)
 	res, err := ps.sess.Run(ctx, seed)
 	return &ProtocolRun{
 		Result:     res,

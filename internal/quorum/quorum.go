@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/modular-consensus/modcon/internal/value"
 	"github.com/modular-consensus/modcon/internal/xrand"
@@ -81,6 +82,32 @@ func MinPoolSize(m int) int {
 			return k
 		}
 	}
+}
+
+// AppendWrite appends the pool indices of s's W_v to dst, ascending, and
+// returns the extended slice. For a Pool or a BitVector it unranks straight
+// into dst and allocates nothing while dst has room, so a caller can look
+// quorums up into a buffer on its own stack; other schemes copy
+// WriteQuorum's result.
+func AppendWrite(dst []int, s Scheme, v value.Value) []int {
+	switch s := s.(type) {
+	case *Pool:
+		return s.appendWrite(dst, v)
+	case *BitVector:
+		return s.appendQuorum(dst, v, 0)
+	}
+	return append(dst, s.WriteQuorum(v)...)
+}
+
+// AppendRead is AppendWrite for R_v.
+func AppendRead(dst []int, s Scheme, v value.Value) []int {
+	switch s := s.(type) {
+	case *Pool:
+		return s.appendRead(dst, v)
+	case *BitVector:
+		return s.appendQuorum(dst, v, 1)
+	}
+	return append(dst, s.ReadQuorum(v)...)
 }
 
 // checkValue validates an input of scheme s, which supports m values. It
@@ -154,27 +181,39 @@ func (p *Pool) M() int { return p.m }
 // PoolSize implements Scheme.
 func (p *Pool) PoolSize() int { return p.k }
 
-// WriteQuorum implements Scheme. It unranks v in the combinatorial number
-// system: the colex rank of {c_1 < c_2 < … < c_t} is Σ C(c_i, i).
-func (p *Pool) WriteQuorum(v value.Value) []int {
+// WriteQuorum implements Scheme.
+func (p *Pool) WriteQuorum(v value.Value) []int { return p.appendWrite(make([]int, 0, p.t), v) }
+
+// ReadQuorum implements Scheme: the complement of the write quorum.
+func (p *Pool) ReadQuorum(v value.Value) []int { return p.appendRead(make([]int, 0, p.k-p.t), v) }
+
+// appendWrite unranks v in the combinatorial number system, where the colex
+// rank of {c_1 < c_2 < … < c_t} is Σ C(c_i, i), and appends the t-subset to
+// dst.
+func (p *Pool) appendWrite(dst []int, v value.Value) []int {
 	rank := uint64(checkValue(v, p.m, p))
-	out := make([]int, p.t)
+	n := len(dst)
+	dst = slices.Grow(dst, p.t)[:n+p.t]
 	for i := p.t; i >= 1; i-- {
 		// Largest c with C(c, i) ≤ rank.
 		c := i - 1 // C(i-1, i) = 0 ≤ rank always
 		for p.choose(c+1, i) <= rank {
 			c++
 		}
-		out[i-1] = c
+		dst[n+i-1] = c
 		rank -= p.choose(c, i)
 	}
-	return out
+	return dst
 }
 
-// ReadQuorum implements Scheme: the complement of the write quorum.
-func (p *Pool) ReadQuorum(v value.Value) []int {
-	w := p.WriteQuorum(v)
-	out := make([]int, 0, p.k-p.t)
+// appendRead appends the complement of v's write quorum to dst. dst grows
+// by k: the write quorum is unranked into the last t of those slots, and
+// the complement fills the k−t before it.
+func (p *Pool) appendRead(dst []int, v value.Value) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, p.k)[:n+p.k]
+	w := p.appendWrite(dst[:n+p.k-p.t], v)[n+p.k-p.t:]
+	out := dst[:n]
 	wi := 0
 	for r := 0; r < p.k; r++ {
 		if wi < len(w) && w[wi] == r {
@@ -212,22 +251,22 @@ func (s *BitVector) PoolSize() int { return 2 * s.bitsN }
 
 // WriteQuorum implements Scheme.
 func (s *BitVector) WriteQuorum(v value.Value) []int {
-	x := checkValue(v, s.m, s)
-	out := make([]int, s.bitsN)
-	for i := 0; i < s.bitsN; i++ {
-		out[i] = 2*i + (x>>i)&1
-	}
-	return out
+	return s.appendQuorum(make([]int, 0, s.bitsN), v, 0)
 }
 
 // ReadQuorum implements Scheme.
 func (s *BitVector) ReadQuorum(v value.Value) []int {
+	return s.appendQuorum(make([]int, 0, s.bitsN), v, 1)
+}
+
+// appendQuorum appends W_v (flip 0) or R_v (flip 1) to dst: register 2i+j
+// for each bit i, where j is bit i of v, flipped for the read quorum.
+func (s *BitVector) appendQuorum(dst []int, v value.Value, flip int) []int {
 	x := checkValue(v, s.m, s)
-	out := make([]int, s.bitsN)
 	for i := 0; i < s.bitsN; i++ {
-		out[i] = 2*i + 1 - (x>>i)&1
+		dst = append(dst, 2*i+((x>>i)&1^flip))
 	}
-	return out
+	return dst
 }
 
 // Name implements Scheme.

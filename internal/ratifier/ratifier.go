@@ -112,8 +112,12 @@ func NewBitVector(file *register.File, m, index int) *Quorum {
 
 // Invoke implements core.Object.
 func (r *Quorum) Invoke(e core.Env, v value.Value) value.Decision {
+	// The quorums are looked up into a buffer on the invoking process's
+	// stack, so an invocation allocates nothing for quorums of up to 32
+	// registers (a Pool of m ≤ C(32,16) values; larger ones spill).
+	var buf [32]int
 	// Announce v.
-	for _, i := range r.scheme.WriteQuorum(v) {
+	for _, i := range quorum.AppendWrite(buf[:0], r.scheme, v) {
 		e.Write(r.pool.At(i), 1)
 	}
 	// Adopt or propose.
@@ -124,7 +128,7 @@ func (r *Quorum) Invoke(e core.Env, v value.Value) value.Decision {
 		e.Write(r.proposal, v)
 	}
 	// Look for conflicting announcements.
-	for _, i := range r.scheme.ReadQuorum(pref) {
+	for _, i := range quorum.AppendRead(buf[:0], r.scheme, pref) {
 		if e.Read(r.pool.At(i)) != 0 {
 			return value.Continue(pref)
 		}

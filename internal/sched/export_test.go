@@ -9,6 +9,10 @@ import (
 // the attacks' phase tracker over real simulator executions; package sim
 // imports sched, so those tests live in package sched_test.
 
+// SetOp makes op pid's entry of Pending the way a runtime writes one:
+// through SetPending, then in place.
+func (v *View) SetOp(pid int, op Op) { *v.SetPending(pid, op.Valid, op.Kind) = op }
+
 // ConcTracker is the attacks' phase tracker.
 type ConcTracker = concTracker
 

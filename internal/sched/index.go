@@ -40,33 +40,43 @@ func (s *pidSet) next(from int) int {
 	return i<<6 | bits.TrailingZeros64(w)
 }
 
-// SetPending records op as pid's pending operation and keeps the view's
-// index of pending operations by kind in step with it. It is the one
-// writer of Pending: the runtime calls it once per step, for the process
-// that moved, and once per process when it clears the view between
-// executions, so the index costs O(1) per step. A pid is indexed under
-// op.Kind while op is Valid; Oblivious views carry no kinds, so their
-// index stays empty. The first SetPending that indexes a pid allocates the
-// index, sized by len(Pending); later executions reuse it.
-func (v *View) SetPending(pid int, op Op) {
-	old := v.Pending[pid]
-	v.Pending[pid] = op
-	if old.Valid == op.Valid && old.Kind == op.Kind {
+// SetPending re-indexes pid under kind k while valid, makes pid's entry of
+// Pending valid (or not) with that kind, and returns the entry for the
+// caller to fill in its other fields in place. It is the one writer of
+// Pending: the runtime calls it once per step, for the process that moved
+// (on that process's own stack when it has just issued its request), and
+// once per process when it clears the view between executions, so the
+// index costs O(1) per step. The entry is written where it lies, so a step
+// copies no Op. A pid is indexed under k while valid; Oblivious views carry
+// no kinds (k is 0), so their index stays empty. The first SetPending that
+// indexes a pid allocates the index, sized by len(Pending); later
+// executions reuse it.
+func (v *View) SetPending(pid int, valid bool, k OpKind) *Op {
+	op := &v.Pending[pid]
+	if op.Valid != valid || op.Kind != k {
+		v.reindex(pid, op, valid, k)
+	}
+	return op
+}
+
+// reindex moves pid from its entry's old kind to k and writes the entry's
+// Valid and Kind.
+func (v *View) reindex(pid int, op *Op, valid bool, k OpKind) {
+	if op.Valid && op.Kind != 0 {
+		v.byKind[op.Kind-1].remove(pid)
+	}
+	op.Valid, op.Kind = valid, k
+	if !valid || k == 0 {
 		return
 	}
-	if old.Valid && old.Kind != 0 {
-		v.byKind[old.Kind-1].remove(pid)
-	}
-	if op.Valid && op.Kind != 0 {
-		if v.byKind[0].words == nil {
-			w := (len(v.Pending) + 63) >> 6
-			words := make([]uint64, opKinds*w)
-			for k := range v.byKind {
-				v.byKind[k].words = words[k*w : (k+1)*w : (k+1)*w]
-			}
+	if v.byKind[0].words == nil {
+		w := (len(v.Pending) + 63) >> 6
+		words := make([]uint64, opKinds*w)
+		for i := range v.byKind {
+			v.byKind[i].words = words[i*w : (i+1)*w : (i+1)*w]
 		}
-		v.byKind[op.Kind-1].add(pid)
 	}
+	v.byKind[k-1].add(pid)
 }
 
 // CountPending returns how many processes have a pending operation of kind

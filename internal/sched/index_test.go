@@ -7,7 +7,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
-// TestViewIndexWordBoundaries drives SetPending with random ops at process
+// TestViewIndexWordBoundaries drives SetPending (through SetOp) with random ops at process
 // counts on either side of a 64-pid word and checks, after every write,
 // each kind's count and NextPending from every start against a scan of
 // Pending.
@@ -32,11 +32,11 @@ func TestViewIndexWordBoundaries(t *testing.T) {
 				if kind := OpKind(src.Intn(opKinds + 1)); kind != 0 {
 					op = Op{Valid: true, Kind: kind, Reg: -1}
 				}
-				v.SetPending(pid, op)
+				v.SetOp(pid, op)
 				checkIndex(t, v, fmt.Sprintf("write %d (pid %d %+v)", i, pid, op))
 			}
 			for pid := range v.Pending {
-				v.SetPending(pid, Op{})
+				v.SetOp(pid, Op{})
 			}
 			checkIndex(t, v, "cleared")
 		})

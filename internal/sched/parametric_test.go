@@ -256,29 +256,29 @@ func TestParametricRulesFirstMoverShape(t *testing.T) {
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1, 2},
 		Pending: make([]Op, n), Memory: []value.Value{value.None}}
 	// Pool phase: hold back the probwrite, advance a reader.
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
-	v.SetPending(1, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
-	v.SetPending(2, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
+	v.SetOp(1, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(2, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	if pid := p.Next(v); pid != 1 {
 		t.Fatalf("pool phase chose %d, want reader 1", pid)
 	}
 	// Full pool: release the fewest-attempts probwrite.
-	v.SetPending(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 6, ProbNum: 1, ProbDen: 4})
-	v.SetPending(2, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 7, ProbNum: 1, ProbDen: 4})
+	v.SetOp(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 6, ProbNum: 1, ProbDen: 4})
+	v.SetOp(2, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 7, ProbNum: 1, ProbDen: 4})
 	if pid := p.Next(v); v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("full pool chose %d, want a probwrite", pid)
 	}
 	// Memory written: witness reader first.
 	v.Memory[0] = 5
 	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
-	v.SetPending(0, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(0, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	if pid := p.Next(v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
 	// No reader left: fire a conflicting write (value != 5), never the
 	// 5-valued attempt.
 	v.Changed = Change{}
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
 	if pid := p.Next(v); pid == 0 || v.Pending[pid].Val == 5 {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)
 	}
@@ -291,8 +291,8 @@ func TestParametricSeedResetsState(t *testing.T) {
 	}
 	n := 2
 	v := &View{Power: ValueOblivious, N: n, Runnable: []int{0, 1}, Pending: make([]Op, n)}
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite})
-	v.SetPending(1, Op{Valid: true, Kind: OpProbWrite})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite})
+	v.SetOp(1, Op{Valid: true, Kind: OpProbWrite})
 	run := func() []int {
 		p.Seed(xrand.New(9))
 		out := make([]int, 0, 4)

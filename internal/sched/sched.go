@@ -151,8 +151,8 @@ type Change struct {
 // wants history (e.g. what a register held when an attack armed) must copy
 // what it needs into its own state, as concTracker does with the Old value
 // of each Changed register. Whoever builds a View writes Pending only
-// through SetPending, which keeps the index in step; a copy of a View
-// shares its index.
+// through SetPending, which keeps the index in step and hands out the
+// entry to fill in place; a copy of a View shares its index.
 type View struct {
 	// Power is the information class this view was built for.
 	Power Power

@@ -13,7 +13,7 @@ import (
 func mkView(n int, runnable ...int) *View {
 	v := &View{Power: Oblivious, N: n, Pending: make([]Op, n)}
 	for _, pid := range runnable {
-		v.SetPending(pid, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+		v.SetOp(pid, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	}
 	v.Runnable = append([]int(nil), runnable...)
 	return v
@@ -269,15 +269,15 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 		Pending: make([]Op, n), Memory: []value.Value{value.None}}
 	// p0 poised to probwrite, p1/p2 poised to read: attack must advance a
 	// reader to grow the pending-write pool.
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
-	v.SetPending(1, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
-	v.SetPending(2, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
+	v.SetOp(1, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(2, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	if pid := s.Next(v); pid != 1 {
 		t.Fatalf("phase 1 chose %d, want reader 1", pid)
 	}
 	// All poised to probwrite: fire the fewest-attempts process.
-	v.SetPending(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 6, ProbNum: 1, ProbDen: 4})
-	v.SetPending(2, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 7, ProbNum: 1, ProbDen: 4})
+	v.SetOp(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 6, ProbNum: 1, ProbDen: 4})
+	v.SetOp(2, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 7, ProbNum: 1, ProbDen: 4})
 	first := s.Next(v)
 	if first < 0 || first > 2 {
 		t.Fatalf("phase 1 release chose %d", first)
@@ -285,14 +285,14 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	// Memory written: must first lock a witness reader on the current value.
 	v.Memory[0] = 5
 	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
-	v.SetPending(0, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(0, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
 	// Witness locked on value 5: must now fire a pending probwrite whose
 	// value differs from 5 (pid 2, value 7), never the 5-valued one.
 	v.Changed = Change{}
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4})
 	if pid := s.Next(v); pid == 0 || v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)
 	}
@@ -300,7 +300,7 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	// disagreement.
 	v.Memory[0] = 7
 	v.Changed = Change{Valid: true, Reg: 0, Old: 5}
-	v.SetPending(1, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(1, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	if pid := s.Next(v); pid != 1 {
 		t.Fatalf("post-flip chose %d, want reader 1", pid)
 	}
@@ -312,8 +312,8 @@ func TestEndgameWithoutReaders(t *testing.T) {
 	n := 2
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
 		Pending: make([]Op, n), Memory: []value.Value{value.None}}
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 4, ProbNum: 1, ProbDen: 2})
-	v.SetPending(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 2})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 4, ProbNum: 1, ProbDen: 2})
+	v.SetOp(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 2})
 	// The pool is full: the attack arms and releases pid 0's attempt.
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("pool release chose %d, want 0", pid)
@@ -332,8 +332,8 @@ func TestEagerWriteAttackOpeningIsRoundRobin(t *testing.T) {
 	n := 2
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
 		Pending: make([]Op, n), Memory: []value.Value{value.None}}
-	v.SetPending(0, Op{Valid: true, Kind: OpRead})
-	v.SetPending(1, Op{Valid: true, Kind: OpProbWrite, Val: 3})
+	v.SetOp(0, Op{Valid: true, Kind: OpRead})
+	v.SetOp(1, Op{Valid: true, Kind: OpProbWrite, Val: 3})
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("first pick %d, want 0", pid)
 	}
@@ -350,9 +350,9 @@ func TestEagerWriteAttackEndgame(t *testing.T) {
 	n := 3
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1, 2},
 		Pending: make([]Op, n), Memory: []value.Value{value.None}}
-	v.SetPending(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 9, ProbNum: 1, ProbDen: 2})
-	v.SetPending(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 9, ProbNum: 1, ProbDen: 2})
-	v.SetPending(2, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 3, ProbNum: 1, ProbDen: 2})
+	v.SetOp(0, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 9, ProbNum: 1, ProbDen: 2})
+	v.SetOp(1, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 9, ProbNum: 1, ProbDen: 2})
+	v.SetOp(2, Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 3, ProbNum: 1, ProbDen: 2})
 	// Pending probabilistic writes arm the attack; round-robin fires pid 0.
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("opening pick %d, want 0", pid)
@@ -361,7 +361,7 @@ func TestEagerWriteAttackEndgame(t *testing.T) {
 	// pick pid 1 next; the endgame locks pid 0 as the witness.
 	v.Memory[0] = 9
 	v.Changed = Change{Valid: true, Reg: 0, Old: value.None}
-	v.SetPending(0, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
+	v.SetOp(0, Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None})
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("witness pick %d, want reader 0", pid)
 	}
@@ -369,7 +369,7 @@ func TestEagerWriteAttackEndgame(t *testing.T) {
 	// register; pid 1 would rewrite 9, so it is never picked while memory
 	// holds 9, whichever attempts miss.
 	v.Changed = Change{}
-	v.SetPending(0, Op{})
+	v.SetOp(0, Op{})
 	v.Runnable = []int{1, 2}
 	for i := 0; i < 3; i++ {
 		if pid := s.Next(v); pid != 2 {
@@ -395,15 +395,15 @@ func TestAdaptiveSpoilerAlternatesVictimAndConflict(t *testing.T) {
 	n := 3
 	v := &View{Power: Adaptive, N: n, Runnable: []int{0, 1, 2},
 		Pending: make([]Op, n), Memory: []value.Value{7}}
-	v.SetPending(0, Op{Valid: true, Kind: OpRead, Reg: 0, Val: value.None})
-	v.SetPending(1, Op{Valid: true, Kind: OpWrite, Reg: 0, Val: 7}) // same value: no conflict
-	v.SetPending(2, Op{Valid: true, Kind: OpWrite, Reg: 0, Val: 9}) // conflict
+	v.SetOp(0, Op{Valid: true, Kind: OpRead, Reg: 0, Val: value.None})
+	v.SetOp(1, Op{Valid: true, Kind: OpWrite, Reg: 0, Val: 7}) // same value: no conflict
+	v.SetOp(2, Op{Valid: true, Kind: OpWrite, Reg: 0, Val: 9}) // conflict
 	// First commit a victim reader to the current value...
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("spoiler chose %d, want victim reader 0", pid)
 	}
 	// ...then fire the conflicting write (never the same-value one).
-	v.SetPending(0, Op{})
+	v.SetOp(0, Op{})
 	v.Runnable = []int{1, 2}
 	if pid := s.Next(v); pid != 2 {
 		t.Fatalf("spoiler chose %d, want conflicting writer 2", pid)

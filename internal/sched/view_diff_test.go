@@ -445,9 +445,9 @@ func newHandView(mem ...value.Value) *handView {
 func (h *handView) set(kinds ...sched.OpKind) {
 	h.Runnable = h.Runnable[:0]
 	for pid, k := range kinds {
-		h.SetPending(pid, sched.Op{})
+		h.SetOp(pid, sched.Op{})
 		if k != 0 {
-			h.SetPending(pid, sched.Op{Valid: true, Kind: k, Reg: -1, Val: value.None})
+			h.SetOp(pid, sched.Op{Valid: true, Kind: k, Reg: -1, Val: value.None})
 			h.Runnable = append(h.Runnable, pid)
 		}
 	}

@@ -287,7 +287,7 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 	// Clear every entry and set each runnable one: the view's index of
 	// pending operations by kind is rebuilt from nothing every step.
 	for pid := range view.Pending {
-		view.SetPending(pid, sched.Op{})
+		*view.SetPending(pid, false, 0) = sched.Op{}
 	}
 	for _, pid := range run {
 		req := rt.states[pid].pending
@@ -319,7 +319,7 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 		default:
 			panic(fmt.Sprintf("sim: unknown power %v", rt.power))
 		}
-		view.SetPending(pid, op)
+		*view.SetPending(pid, op.Valid, op.Kind) = op
 	}
 	switch rt.power {
 	case sched.LocationOblivious, sched.Adaptive:

@@ -28,7 +28,7 @@ import (
 // SetScheduler installs another for later trials.
 //
 // Process coroutines persist across trials: after its program returns, a
-// coroutine parks on a sentinel yield instead of exiting, and the next
+// coroutine parks on a parking yield instead of exiting, and the next
 // trial resumes it around the loop. Coroutines left suspended mid-trial
 // (step limit, cancellation, crash, stall) are unwound by the next reset
 // through an abort response that panics out of the pending Env call and is
@@ -45,6 +45,16 @@ type engine struct {
 	power    sched.Power
 	maxSteps int
 	procs    []proc
+	// seesMemory is set for the powers whose views carry Memory and
+	// Changed (LocationOblivious, Adaptive).
+	seesMemory bool
+	// live is set while the loop runs: a process that issues a request
+	// then takes the loop's next iteration on its own stack (turn).
+	live bool
+	// err is the stop check's verdict once it ends the trial; escaped is a
+	// panic value a step on a process's stack hands to the loop.
+	err     error
+	escaped any
 
 	// image is the register file's post-construction contents; reset
 	// restores it so trial k+1 sees exactly the memory trial k started
@@ -192,10 +202,11 @@ func (eng *engine) spawn(pid int, prog exec.Program) {
 		cheap: eng.cfg.CheapCollect,
 		coins: &eng.coinSrc[pid],
 		log:   eng.cfg.Trace,
-		resp:  &p.resp,
+		rt:    eng,
+		p:     p,
 	}
 	p.parked = true
-	p.next, p.stop = iter.Pull(func(yield func(request) bool) {
+	p.next, p.stop = iter.Pull(func(yield func(int) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if err, ok := r.(error); ok && errors.Is(err, errKilled) {
@@ -212,7 +223,7 @@ func (eng *engine) spawn(pid int, prog exec.Program) {
 			}
 			// Park until the engine starts the next trial; a false yield
 			// means Close is tearing the coroutine down while parked.
-			if !yield(request{park: true}) {
+			if !yield(parked) {
 				return
 			}
 		}
@@ -255,8 +266,7 @@ func (eng *engine) reset(seed uint64) error {
 			continue
 		}
 		p.resp = response{abort: true}
-		req, ok := p.next()
-		if !ok || !req.park {
+		if h, ok := p.next(); !ok || h != parked {
 			eng.poisoned = true
 			return fmt.Errorf("sim: process %d did not unwind cleanly on reset: %w", pid, exec.ErrSessionPoisoned)
 		}
@@ -286,6 +296,7 @@ func (eng *engine) reset(seed uint64) error {
 	// Views are built at the installed scheduler's power (see SetScheduler).
 	eng.power = eng.cfg.Scheduler.MinPower()
 	eng.view.Power = eng.power
+	eng.seesMemory = eng.power == sched.LocationOblivious || eng.power == sched.Adaptive
 	for pid := 0; pid < eng.cfg.N; pid++ {
 		exec.ProcCoinsInto(&eng.coinSrc[pid], &eng.root, pid)
 		exec.ProcProbInto(&eng.probSrc[pid], &eng.root, pid)
@@ -330,7 +341,7 @@ func (eng *engine) reset(seed uint64) error {
 	eng.steps = 0
 	eng.stalledN = 0
 	for pid := range eng.view.Pending {
-		eng.view.SetPending(pid, sched.Op{})
+		*eng.view.SetPending(pid, false, 0) = sched.Op{}
 	}
 	eng.view.Step = 0
 	eng.view.Memory = nil
@@ -393,10 +404,12 @@ func (eng *engine) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 		p := &eng.procs[pid]
 		if p.hasOp && !p.crashed && !p.halted {
 			eng.runnable = append(eng.runnable, pid)
-			eng.view.SetPending(pid, eng.restrictOp(p.pending))
+			eng.restrictOp(pid)
 		}
 	}
+	eng.live = true
 	err := eng.loop()
+	eng.live = false
 	eng.result.Steps = eng.steps
 	eng.ctx, eng.ctxDone = nil, nil // an idle engine keeps no caller's context
 	eng.poisoned = false
@@ -405,13 +418,15 @@ func (eng *engine) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 
 // Close implements exec.Session: it unwinds every coroutine and retires the
 // engine. Suspended or parked processes see their pending Env call or
-// parking yield fail and exit through the errKilled sentinel. Later calls
+// parking yield fail and exit through the errKilled sentinel; an Env call
+// in a program defer they run on the way out takes no step. Later calls
 // are no-ops.
 func (eng *engine) Close() error {
 	if eng.closed {
 		return nil
 	}
 	eng.closed = true
+	eng.live = false
 	for pid := range eng.procs {
 		p := &eng.procs[pid]
 		if p.stop != nil {
@@ -421,65 +436,143 @@ func (eng *engine) Close() error {
 	return nil
 }
 
+// Handoffs: what a process coroutine passes back to the loop when it
+// suspends, and what step returns. A pid (>= 0) is the adversary's pick,
+// which the loop applies next.
+const (
+	// again: the loop runs its stop check and asks the adversary itself
+	// (a process issued its first request before the loop started, or a
+	// step crashed, stalled or halted the process that took it).
+	again = -1 - iota
+	// stopped: the stop check ended the trial; rt.err holds why.
+	stopped
+	// parked: the program returned or unwound, and its coroutine parks
+	// until the next trial.
+	parked
+	// escaped: a step taken on the process's stack panicked; rt.escaped
+	// holds the value, which the loop raises again on its own stack.
+	escaped
+)
+
 // loop drives the trial Run started to completion or to the step limit.
+// Each iteration is the stop check and pick (next), then apply, then the
+// patch of the mover's view entry. The loop runs an iteration only where no
+// process can: at the start, and after a step ends its process's run.
+// Otherwise the process that just issued a request runs the next one on its
+// own stack (turn), and hands the loop only a pick of another process.
 func (rt *engine) loop() error {
-	seesMemory := rt.power == sched.LocationOblivious || rt.power == sched.Adaptive
 	for {
-		if len(rt.runnable) == 0 {
-			if rt.stalledN == 0 {
-				return nil // every process halted or crashed
-			}
-			// Only stalled processes remain: the execution can never finish
-			// on its own (the livelock a deadline watchdog exists to catch).
-			// Block until cancellation; Run validated that a context exists
-			// whenever stall faults do.
-			if rt.ctxDone == nil {
-				return fmt.Errorf("sim: %d process(es) stalled with no context to interrupt the execution", rt.stalledN)
-			}
-			<-rt.ctxDone
-			return fmt.Errorf("%w after %d steps (%d process(es) stalled): %w", exec.ErrCancelled, rt.steps, rt.stalledN, context.Cause(rt.ctx))
+		pid := rt.next()
+		for pid >= 0 {
+			pid = rt.step(pid)
 		}
-		if rt.steps >= rt.maxSteps {
-			return fmt.Errorf("%w (limit %d, scheduler %q)", exec.ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
-		}
-		if rt.ctxDone != nil {
-			select {
-			case <-rt.ctxDone:
-				return fmt.Errorf("%w after %d steps: %w", exec.ErrCancelled, rt.steps, context.Cause(rt.ctx))
-			default:
-			}
-		}
-		rt.view.Step = rt.steps
-		rt.view.Runnable = rt.runnable
-		if seesMemory {
-			// Fetched every step: a protocol that allocates registers
-			// mid-run (core.Unbounded) moves the cells.
-			rt.view.Memory = rt.cfg.File.Cells()
-		}
-		pid := rt.cfg.Scheduler.Next(&rt.view)
-		if pid < 0 || pid >= rt.cfg.N || !rt.procs[pid].hasOp || rt.procs[pid].crashed {
-			panic(fmt.Sprintf("sim: scheduler %q chose non-runnable pid %d", rt.cfg.Scheduler.Name(), pid))
-		}
-		if seesMemory {
-			rt.view.Changed = rt.executeSeen(pid)
-		} else {
-			rt.execute(pid)
-		}
-		// Patch the view entry of the one process that moved.
-		p := &rt.procs[pid]
-		if p.hasOp && !p.crashed && !p.halted {
-			rt.view.SetPending(pid, rt.restrictOp(p.pending))
-		} else {
-			rt.view.SetPending(pid, sched.Op{})
-			rt.dropRunnable(pid)
+		if pid == stopped {
+			err := rt.err
+			rt.err = nil
+			return err
 		}
 	}
 }
 
-// dropRunnable removes pid from the ascending runnable list (called only
-// when a process halts or crashes, so the O(n) shift is off the per-step
+// next is the loop's stop check and pick: it returns the pid whose pending
+// operation the adversary runs next, or stopped, with the error that ends
+// the trial in rt.err (nil once every process halted or crashed).
+func (rt *engine) next() int {
+	if len(rt.runnable) == 0 {
+		if rt.stalledN == 0 {
+			rt.err = nil // every process halted or crashed
+			return stopped
+		}
+		// Only stalled processes remain: the execution can never finish on
+		// its own (the livelock a deadline watchdog exists to catch). Block
+		// until cancellation; Run validated that a context exists whenever
+		// stall faults do.
+		if rt.ctxDone == nil {
+			rt.err = fmt.Errorf("sim: %d process(es) stalled with no context to interrupt the execution", rt.stalledN)
+			return stopped
+		}
+		<-rt.ctxDone
+		rt.err = fmt.Errorf("%w after %d steps (%d process(es) stalled): %w", exec.ErrCancelled, rt.steps, rt.stalledN, context.Cause(rt.ctx))
+		return stopped
+	}
+	if rt.steps >= rt.maxSteps {
+		rt.err = fmt.Errorf("%w (limit %d, scheduler %q)", exec.ErrStepLimit, rt.maxSteps, rt.cfg.Scheduler.Name())
+		return stopped
+	}
+	if rt.ctxDone != nil {
+		select {
+		case <-rt.ctxDone:
+			rt.err = fmt.Errorf("%w after %d steps: %w", exec.ErrCancelled, rt.steps, context.Cause(rt.ctx))
+			return stopped
+		default:
+		}
+	}
+	rt.view.Step = rt.steps
+	rt.view.Runnable = rt.runnable
+	if rt.seesMemory {
+		// Fetched every step: a protocol that allocates registers mid-run
+		// (core.Unbounded) moves the cells.
+		rt.view.Memory = rt.cfg.File.Cells()
+	}
+	pid := rt.cfg.Scheduler.Next(&rt.view)
+	if pid < 0 || pid >= rt.cfg.N || !rt.procs[pid].hasOp || rt.procs[pid].crashed {
+		panic(fmt.Sprintf("sim: scheduler %q chose non-runnable pid %d", rt.cfg.Scheduler.Name(), pid))
+	}
+	return pid
+}
+
+// step is the loop's half of a step: it applies pid's operation and, unless
+// that ends pid's run, resumes pid, which issues its next request and takes
+// the next iteration on its own stack (turn). It returns what pid hands
+// back: the next pick, again, or stopped.
+func (rt *engine) step(pid int) int {
+	if !rt.apply(pid) {
+		return again
+	}
+	h := rt.resume(pid)
+	if h == parked {
+		rt.retire(pid)
+		return again
+	}
+	return h
+}
+
+// turn is the process's half of a step, run on its own stack when its
+// program issues the request now in its pending slot. It records the
+// request (invoke) and, while the loop runs, takes the loop's next
+// iteration: it patches its view entry, runs the stop check and asks the
+// adversary. A pick of itself is applied right there, and turn returns pid
+// for the program to read its response with no coroutine switch; any other
+// outcome is the handoff the process yields to the loop. A panic in any of
+// it is caught before it can unwind the program and its defers, and handed
+// to the loop as escaped.
+func (rt *engine) turn(pid int) (h int) {
+	defer func() {
+		if r := recover(); r != nil {
+			rt.live = false
+			rt.escaped = r
+			h = escaped
+		}
+	}()
+	rt.invoke(pid)
+	if !rt.live {
+		return again
+	}
+	rt.restrictOp(pid)
+	if h = rt.next(); h != pid {
+		return h
+	}
+	if !rt.apply(pid) {
+		return again
+	}
+	return pid
+}
+
+// retire clears pid's view entry and drops it from the runnable list once
+// it halted, crashed or stalled (so the O(n) shift is off the per-step
 // path).
-func (rt *engine) dropRunnable(pid int) {
+func (rt *engine) retire(pid int) {
+	*rt.view.SetPending(pid, false, 0) = sched.Op{}
 	for i, p := range rt.runnable {
 		if p == pid {
 			rt.runnable = append(rt.runnable[:i], rt.runnable[i+1:]...)
@@ -488,78 +581,65 @@ func (rt *engine) dropRunnable(pid int) {
 	}
 }
 
-// executeSeen is execute for the adversaries that see memory: it also
-// returns the register pid's operation changed, with its old value, for the
-// next view's Changed. Only a write or a successful probabilistic write can
-// change a register, and only to a value it does not already hold.
-func (rt *engine) executeSeen(pid int) sched.Change {
-	req := rt.procs[pid].pending
-	if req.kind != sched.OpWrite && req.kind != sched.OpProbWrite {
-		rt.execute(pid)
-		return sched.Change{}
-	}
-	old := rt.cfg.File.Load(req.reg)
-	rt.execute(pid)
-	if rt.cfg.File.Load(req.reg) == old {
-		return sched.Change{}
-	}
-	return sched.Change{Valid: true, Reg: req.reg, Old: old}
-}
-
-// execute applies pid's pending operation, then resumes pid's coroutine to
-// obtain its next request (unless pid crashes at this step).
-func (rt *engine) execute(pid int) {
+// apply runs pid's pending operation on the register file, records and
+// counts it, and writes the response into pid's response slot. For an
+// adversary that sees memory it also sets the view's Changed. Then pid's
+// crash and stall thresholds are checked: apply reports whether pid goes on
+// to read its response, false once it crashed or stalled at this step (and
+// was retired).
+func (rt *engine) apply(pid int) bool {
 	p := &rt.procs[pid]
-	req := p.pending
+	req := &p.pending
 	p.hasOp = false
 	file := rt.cfg.File
-	traced := rt.cfg.Trace != nil
+	if rt.seesMemory {
+		rt.view.Changed = sched.Change{}
+	}
 
-	var resp response
 	switch req.kind {
 	case sched.OpRead:
-		resp.val = file.Load(req.reg)
-		if rt.sem == register.Regular && resp.val != rt.invVal[pid] {
+		p.resp.val = file.Load(req.reg)
+		if rt.sem == register.Regular && p.resp.val != rt.invVal[pid] {
 			// The register changed between this read's invocation and its
 			// execution: under regular semantics the read overlapped the
 			// write(s) and may legally return the old value. One coin from
 			// the shared schedule-ordered stream decides, so the outcome is
 			// a pure function of (schedule, seed).
 			if rt.semSrc.Bool() {
-				resp.val = rt.invVal[pid]
+				p.resp.val = rt.invVal[pid]
 			}
 		}
 	case sched.OpWrite:
-		file.Store(req.reg, req.val)
+		rt.store(req.reg, req.val)
 	case sched.OpProbWrite:
-		resp.ok = rt.probSrc[pid].Bernoulli(req.num, req.den)
+		p.resp.ok = rt.probSrc[pid].Bernoulli(req.num, req.den)
 		if rt.faulty && rt.inj.LoseCoin(pid) {
 			// The coin is lost in flight: the process's own coin stream was
 			// consumed exactly as in a fault-free run (so no-loss draws stay
 			// bit-identical), but the write is suppressed and reported
 			// failed. Safe degradation — it can only slow termination.
-			resp.ok = false
+			p.resp.ok = false
 		}
-		if resp.ok {
-			file.Store(req.reg, req.val)
+		if p.resp.ok {
+			rt.store(req.reg, req.val)
 		}
 	case sched.OpCollect:
 		rt.collectBuf = file.SnapshotAppend(rt.collectBuf[:0], req.arr)
-		resp.vals = rt.collectBuf
+		p.resp.vals = rt.collectBuf
 	default:
 		panic(fmt.Sprintf("sim: unknown op kind %v", req.kind))
 	}
-	if traced {
+	if rt.cfg.Trace != nil {
 		ev := trace.Event{Step: rt.steps, PID: pid, Reg: int(req.reg), Val: req.val}
 		switch req.kind {
 		case sched.OpRead:
 			ev.Kind = trace.Read
-			ev.Val = resp.val
+			ev.Val = p.resp.val
 		case sched.OpWrite:
 			ev.Kind = trace.Write
 		case sched.OpProbWrite:
 			ev.Kind = trace.ProbWrite
-			ev.Succeeded = resp.ok
+			ev.Succeeded = p.resp.ok
 			ev.ProbNum, ev.ProbDen = req.num, req.den
 		case sched.OpCollect:
 			ev.Kind = trace.Collect
@@ -591,15 +671,27 @@ func (rt *engine) execute(pid int) {
 	// compiled against.
 	if rt.result.Work[pid] >= rt.crashAt[pid] || (rt.faulty && rt.steps >= rt.stepCrashAt[pid]) {
 		rt.crash(pid)
-		return
+		rt.retire(pid)
+		return false
 	}
 	if rt.faulty && rt.result.Work[pid] >= rt.stallAt[pid] {
 		rt.stall(pid)
-		return
+		rt.retire(pid)
+		return false
 	}
+	return true
+}
 
-	p.resp = resp
-	rt.resume(pid)
+// store lands a write of v on r. Only a write can change a register, and
+// only to a value it does not already hold; for an adversary that sees
+// memory, store records that change as the view's Changed.
+func (rt *engine) store(r register.Reg, v value.Value) {
+	if rt.seesMemory {
+		if old := rt.cfg.File.Load(r); old != v {
+			rt.view.Changed = sched.Change{Valid: true, Reg: r, Old: old}
+		}
+	}
+	rt.cfg.File.Store(r, v)
 }
 
 // crash marks pid crashed. Called either after its last operation landed or
@@ -622,21 +714,23 @@ func (rt *engine) stall(pid int) {
 	rt.stalledN++
 }
 
-// resume transfers control into pid's coroutine and records what comes
-// back: the next pending operation, or the parking yield a program that
-// just returned leaves its coroutine on (recorded as the process's halt). A
-// program panic propagates out of p.next (and out of Run) with its original
-// value.
-func (rt *engine) resume(pid int) {
+// resume transfers control into pid's coroutine and returns its handoff.
+// The coroutine runs its program to the next Env call, which records the
+// request and, while the loop runs, takes steps on the process's stack
+// until a pick of another process (the handoff), or parks once the program
+// has returned (recorded here as the process's halt). A program panic
+// propagates out of p.next (and out of Run) with its original value, and so
+// does a panic a step on the process's stack handed back as escaped.
+func (rt *engine) resume(pid int) int {
 	p := &rt.procs[pid]
-	req, ok := p.next()
+	h, ok := p.next()
 	if !ok {
 		// The body can only return through Close's teardown, never while a
 		// trial is driving it.
 		panic(fmt.Sprintf("sim: process %d coroutine exited mid-trial", pid))
 	}
-	if req.park {
-		// The program returned and parked its coroutine for the next trial;
+	switch h {
+	case parked:
 		// p.halted and p.output were set by the coroutine before parking.
 		p.parked = true
 		if p.halted {
@@ -646,66 +740,74 @@ func (rt *engine) resume(pid int) {
 				rt.cfg.Trace.Append(trace.Event{Step: -1, PID: pid, Kind: trace.Halt, Val: p.output})
 			}
 		}
-		return
+	case escaped:
+		r := rt.escaped
+		rt.escaped = nil
+		panic(r)
 	}
-	p.pending = req
+	return h
+}
+
+// invoke records the request pid's program just wrote to its pending slot.
+func (rt *engine) invoke(pid int) {
+	p := &rt.procs[pid]
 	p.hasOp = true
 	p.parked = false
-	if rt.sem == register.Regular && req.kind == sched.OpRead {
+	if rt.sem == register.Regular && p.pending.kind == sched.OpRead {
 		// Snapshot the target at invocation time: the read's execution
 		// compares against this to detect an overlapping write.
-		rt.invVal[pid] = rt.cfg.File.Load(req.reg)
+		rt.invVal[pid] = rt.cfg.File.Load(p.pending.reg)
 	}
 }
 
-// restrictOp projects a pending request down to what rt.power permits the
-// adversary to observe (§2.1).
-func (rt *engine) restrictOp(req request) sched.Op {
-	op := sched.Op{Valid: true, Reg: -1, Val: value.None}
+// restrictOp writes pid's view entry: its pending request projected down to
+// what rt.power permits the adversary to observe (§2.1). The entry is
+// re-indexed from its old kind and written in place.
+func (rt *engine) restrictOp(pid int) {
+	req := &rt.procs[pid].pending
+	write := req.kind == sched.OpWrite || req.kind == sched.OpProbWrite
+	kind := req.kind
+	if rt.power == sched.Oblivious {
+		kind = 0 // liveness only
+	}
+	op := rt.view.SetPending(pid, true, kind)
+	op.Reg, op.Val = -1, value.None
+	op.ProbNum, op.ProbDen = 0, 0
 	switch rt.power {
 	case sched.Oblivious:
-		// Liveness only.
 	case sched.ValueOblivious:
-		op.Kind = req.kind
 		op.Reg = req.reg
 		if req.kind == sched.OpCollect {
 			op.Reg = req.arr.Base
 		}
 	case sched.LocationOblivious:
-		op.Kind = req.kind
-		if req.kind == sched.OpWrite || req.kind == sched.OpProbWrite {
+		if write {
 			op.Val = req.val
 		}
 		op.ProbNum, op.ProbDen = req.num, req.den
 	case sched.Adaptive:
-		op.Kind = req.kind
 		op.Reg = req.reg
 		if req.kind == sched.OpCollect {
 			op.Reg = req.arr.Base
 		}
-		if req.kind == sched.OpWrite || req.kind == sched.OpProbWrite {
+		if write {
 			op.Val = req.val
 		}
 		op.ProbNum, op.ProbDen = req.num, req.den
 	default:
 		panic(fmt.Sprintf("sim: unknown power %v", rt.power))
 	}
-	if rt.sem != register.Atomic {
-		// Non-atomic models surface the invocation/execution window to any
-		// adversary that may see operation kinds: a pending write is exactly
-		// the overlap a regular register lets a read exploit.
-		if rt.power != sched.Oblivious && (req.kind == sched.OpWrite || req.kind == sched.OpProbWrite) {
-			op.InFlight = true
-		}
-		if rt.sem == register.Interposed {
-			// The linearizable interposition blunts the adversary
-			// (Attiya–Enea–Welch): the contents of in-flight operations —
-			// pending write values and attempt probabilities — are hidden
-			// inside the implementation; only completed state (View.Memory)
-			// remains visible.
-			op.Val = value.None
-			op.ProbNum, op.ProbDen = 0, 0
-		}
+	// Non-atomic models surface the invocation/execution window to any
+	// adversary that may see operation kinds: a pending write is exactly
+	// the overlap a regular register lets a read exploit.
+	op.InFlight = rt.sem != register.Atomic && rt.power != sched.Oblivious && write
+	if rt.sem == register.Interposed {
+		// The linearizable interposition blunts the adversary
+		// (Attiya–Enea–Welch): the contents of in-flight operations —
+		// pending write values and attempt probabilities — are hidden
+		// inside the implementation; only completed state (View.Memory)
+		// remains visible.
+		op.Val = value.None
+		op.ProbNum, op.ProbDen = 0, 0
 	}
-	return op
 }

@@ -21,6 +21,7 @@ import (
 
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -220,6 +221,43 @@ func TestMemoryViewCostIndependentOfFileSize(t *testing.T) {
 		t.Logf("%s n=%d: %v/step bare, %v/step with %d padding registers (%.2fx)", power, n, bare, padded, pad, ratio)
 		if ratio > 1.5 {
 			t.Errorf("%s: padding the file by %d registers made a step %.2fx slower, want at most 1.5x", power, pad, ratio)
+		}
+	}
+}
+
+// BenchmarkConsensusTrial measures one pooled consensus trial (the §4
+// protocol at m=2, mixed inputs) under round-robin, whose picks never give a
+// process two steps in a row, and under the first-mover attack, whose picks
+// often do. b.N counts trials.
+func BenchmarkConsensusTrial(b *testing.B) {
+	for _, mk := range []func() sched.Scheduler{
+		func() sched.Scheduler { return sched.NewRoundRobin() },
+		func() sched.Scheduler { return sched.NewFirstMoverAttack() },
+	} {
+		for _, n := range []int{8, 256} {
+			s := mk()
+			b.Run(fmt.Sprintf("%s/n=%d", s.Name(), n), func(b *testing.B) {
+				file := register.NewFile()
+				proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sess, err := Backend().NewSession(exec.Config{N: n, File: file, Scheduler: s, MaxSteps: 1 << 24},
+					func(e core.Env) value.Value {
+						out, _ := proto.Run(e, value.Value(e.PID()%2))
+						return out
+					})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sess.Close()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sess.Run(nil, uint64(i)+1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

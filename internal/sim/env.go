@@ -9,9 +9,9 @@ import (
 )
 
 // env is a process's handle on the shared-memory world: the simulator's
-// core.Env. Every method that touches shared memory suspends the process's
-// coroutine until the adversary schedules the operation; coin methods are
-// local, free, and invisible to weak adversaries.
+// core.Env. Every method that touches shared memory returns only once the
+// adversary has scheduled the operation; coin methods are local, free, and
+// invisible to weak adversaries.
 //
 // An env belongs to exactly one process coroutine and must not be shared.
 type env struct {
@@ -20,12 +20,13 @@ type env struct {
 	cheap bool
 	coins *xrand.Source
 	log   *trace.Log
-	// yield publishes a pending operation and suspends the coroutine; it
-	// returns false when the engine is tearing the process down.
-	yield func(request) bool
-	// resp points at the engine-side response slot for this process; it is
-	// valid exactly when yield has just returned true.
-	resp *response
+	rt    *engine
+	// p is the engine-side state of this process: an Env call writes its
+	// request to p.pending and reads the response from p.resp.
+	p *proc
+	// yield suspends the coroutine with a handoff for the loop; it returns
+	// false when the engine is tearing the process down.
+	yield func(int) bool
 	// collectBuf backs non-cheap Collect results; see Collect's contract.
 	collectBuf []value.Value
 }
@@ -41,13 +42,14 @@ func (e *env) CheapCollect() bool { return e.cheap }
 
 // Read performs an atomic read of r. Cost: 1 operation.
 func (e *env) Read(r register.Reg) value.Value {
-	resp := e.do(request{kind: sched.OpRead, reg: r})
-	return resp.val
+	e.p.pending = request{kind: sched.OpRead, reg: r}
+	return e.do().val
 }
 
 // Write performs an atomic write of v to r. Cost: 1 operation.
 func (e *env) Write(r register.Reg, v value.Value) {
-	e.do(request{kind: sched.OpWrite, reg: r, val: v})
+	e.p.pending = request{kind: sched.OpWrite, reg: r, val: v}
+	e.do()
 }
 
 // ProbWrite attempts to write v to r; the write takes effect with
@@ -60,8 +62,8 @@ func (e *env) Write(r register.Reg, v value.Value) {
 // it is a modeling choice (footnote 2 of the paper); the paper's default
 // protocols ignore it, and the detection ablation measures the difference.
 func (e *env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
-	resp := e.do(request{kind: sched.OpProbWrite, reg: r, val: v, num: num, den: den})
-	return resp.ok
+	e.p.pending = request{kind: sched.OpProbWrite, reg: r, val: v, num: num, den: den}
+	return e.do().ok
 }
 
 // Collect atomically reads a register array. Under the cheap-collect model
@@ -77,8 +79,8 @@ func (e *env) ProbWrite(r register.Reg, v value.Value, num, den uint64) bool {
 // Collect must copy it first.
 func (e *env) Collect(arr register.Array) []value.Value {
 	if e.cheap {
-		resp := e.do(request{kind: sched.OpCollect, arr: arr})
-		return resp.vals
+		e.p.pending = request{kind: sched.OpCollect, arr: arr}
+		return e.do().vals
 	}
 	e.collectBuf = e.collectBuf[:0]
 	for i := 0; i < arr.Len; i++ {
@@ -137,18 +139,26 @@ func (e *env) MarkReturn(label string, d value.Decision) {
 	}
 }
 
-// do publishes a pending operation, suspends the coroutine until the
-// runtime executes the operation, and returns the runtime's response. A
-// false yield means the runtime is unwinding this process for good
+// do hands the request in the process's pending slot to the engine and
+// returns the engine's response, in the process's response slot. While a
+// trial runs, the process takes the step loop's next iteration itself
+// (engine.turn); when the adversary picks this same process, the response
+// is ready on return and no coroutine switch happens. Otherwise the
+// coroutine suspends with its handoff until the loop resumes it. A false
+// yield means the runtime is unwinding this process for good
 // (engine.Close); an abort response means engine.reset is unwinding just
 // the current trial, recovered at the trial boundary so the coroutine can
 // park and serve the next one.
-func (e *env) do(req request) response {
-	if !e.yield(req) {
+func (e *env) do() *response {
+	h := e.rt.turn(e.pid)
+	if h == e.pid {
+		return &e.p.resp
+	}
+	if !e.yield(h) {
 		panic(errKilled)
 	}
-	if e.resp.abort {
+	if e.p.resp.abort {
 		panic(errTrialAbort)
 	}
-	return *e.resp
+	return &e.p.resp
 }

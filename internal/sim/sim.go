@@ -2,24 +2,33 @@
 // shared-memory model (§2).
 //
 // Each of the n processes runs its exec.Program as a same-thread resumable
-// coroutine (an iter.Pull iterator over its pending operations). A process's
-// call into the core.Env (Read, Write, ProbWrite, Collect) publishes exactly
-// one pending operation and suspends; the runtime asks the adversary
-// Scheduler which pending operation executes next, applies it atomically to
-// the register file, and resumes that coroutine in place — a direct context
-// switch with no goroutine scheduler round-trip and no channel traffic.
+// coroutine (an iter.Pull iterator). A process's call into the core.Env
+// (Read, Write, ProbWrite, Collect) writes exactly one pending operation,
+// and then the process itself runs the step loop's next iteration on its
+// own stack: it patches its entry in the adversary's view, runs the stop
+// check and asks the adversary Scheduler which pending operation executes
+// next. When the adversary picks the same process, the operation is
+// applied atomically to the register file right there and the call returns
+// with no coroutine switch at all; otherwise the process suspends, and the
+// runtime applies the chosen operation and resumes that process in place —
+// one round trip of direct same-thread context switches, with no goroutine
+// scheduler and no channel traffic. Either way the loop runs the same stop
+// check, pick, apply and patch, in the same order, so where a step runs
+// never shows in a result or a trace.
 // Asynchrony is therefore modeled by interleaving, exactly as in the paper,
 // and the runtime counts total and per-process (individual) work as defined
 // there: every shared-memory operation costs 1 (probabilistic writes cost 1
 // whether or not they take effect), local coin flips cost 0.
 //
-// The step path is allocation-free in the steady state: scheduler views and
-// collect snapshots are served from buffers owned by the engine and reused
-// every step, and adversaries that see memory read the live register file
-// plus the one register the previous step changed, so a step costs the same
-// whatever the file's size (see the copy-on-escape contracts on sched.View
-// and core.Env.Collect). Trace events are not even constructed when tracing
-// is off.
+// The step path is allocation-free in the steady state, and copies no
+// struct: a process writes its request into its engine-side slot, the
+// engine writes the view entry and the response in place, and scheduler
+// views and collect snapshots are served from buffers owned by the engine
+// and reused every step. Adversaries that see memory read the live register
+// file plus the one register the previous step changed, so a step costs the
+// same whatever the file's size (see the copy-on-escape contracts on
+// sched.View and core.Env.Collect). Trace events are not even constructed
+// when tracing is off.
 //
 // The same contract extends from steps to whole trials. The package's one
 // entry point is Backend, an exec.Backend whose sessions are engines: a
@@ -54,9 +63,6 @@ type request struct {
 	val  value.Value
 	num  uint64
 	den  uint64
-	// park marks the between-trials parking yield of a persistent process
-	// coroutine; it is never a schedulable operation.
-	park bool
 }
 
 type response struct {
@@ -72,19 +78,22 @@ type response struct {
 // proc is the engine-side state of one process coroutine. The resume
 // protocol replaces the old four-channel handoff: the engine writes resp,
 // calls next() to transfer control into the coroutine, and the coroutine
-// either yields its next request (suspending itself) or parks between
-// trials. Control transfer is a same-thread coroutine switch (runtime coro
-// under iter.Pull), so resp/pending need no synchronization.
+// writes its next request to pending and takes steps on its own stack
+// until it yields a handoff (a pick of another process, or a reason for
+// the loop to pick), or parks between trials. Control transfer is a
+// same-thread coroutine switch (runtime coro under iter.Pull), so
+// resp/pending need no synchronization.
 type proc struct {
-	// next resumes the coroutine; it returns the process's next pending
-	// operation (or the parking sentinel), or ok=false once the coroutine
-	// body has returned at teardown.
-	next func() (request, bool)
+	// next resumes the coroutine; it returns the process's handoff (or
+	// parked), or ok=false once the coroutine body has returned at
+	// teardown.
+	next func() (int, bool)
 	// stop unwinds a suspended coroutine (its pending Env call panics with
 	// errKilled, which the coroutine wrapper swallows).
 	stop func()
-	// resp is the engine's answer to the coroutine's previous request; the
-	// coroutine reads it immediately after its yield returns.
+	// resp is the engine's answer to the process's request; the process
+	// reads it as soon as its step is applied. pending is the request the
+	// process's program wrote last.
 	resp    response
 	pending request
 	hasOp   bool

@@ -211,6 +211,33 @@ func TestSolveAllocs(t *testing.T) {
 	}
 }
 
+// TestSolveAllocsIndependentOfM: a ratifier looks its quorums up into a
+// buffer on the invoking process's stack, so a warm m-valued Solve, whose
+// Pool ratifiers unrank a quorum on every invocation, allocates exactly what
+// a binary one does.
+func TestSolveAllocsIndependentOfM(t *testing.T) {
+	allocs := func(m int) float64 {
+		c, err := New(8, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := mixedInputs(8, m, 0)
+		seed := uint64(0)
+		solve := func() {
+			seed++
+			if _, err := c.Solve(inputs, NewFirstMoverAttack(), seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve() // warm up: build the instance,
+		solve() // then open the session it keeps
+		return testing.AllocsPerRun(20, solve)
+	}
+	if binary, pool := allocs(2), allocs(16); pool != binary {
+		t.Errorf("warm Solve: %v allocs at m=16, %v at m=2; want the same", pool, binary)
+	}
+}
+
 // snapshotOutcome deep-copies an outcome, trace included.
 func snapshotOutcome(o *Outcome) *Outcome {
 	cp := *o
