@@ -29,24 +29,12 @@ import (
 )
 
 // recordTrace records the workload trace of global trials [lo, hi) from
-// their measured demands, in the tracev1 text encoding. An open workload's
-// arrivals are its schedule's slice; a closed cohort, necessarily
-// unsharded, takes its issue times from the virtual service model over the
-// full demand vector.
+// their measured demands, in the tracev1 text encoding, with the arrivals
+// workload.Spec.RecordedArrivals derives.
 func (j sweepJob) recordTrace(lo, hi int, demands []int64) (string, error) {
-	var arrivals []int64
-	if j.Spec.Open() {
-		sched, err := j.Spec.Schedule(j.Seed, j.Trials)
-		if err != nil {
-			return "", fmt.Errorf("-workload: %w", err)
-		}
-		arrivals = sched[lo:hi]
-	} else {
-		served, err := j.Spec.Serve(nil, demands)
-		if err != nil {
-			return "", err
-		}
-		arrivals = served.Arrivals
+	arrivals, err := j.Spec.RecordedArrivals(j.Seed, j.Trials, lo, hi, demands)
+	if err != nil {
+		return "", fmt.Errorf("-workload: %w", err)
 	}
 	trace, err := workload.Record(j.Spec, j.Seed, j.Trials, lo, hi, arrivals, demands)
 	if err != nil {

@@ -419,7 +419,7 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	// and check it, before the instance goes back. A broadcast input is the
 	// same validity reference as one input per process.
 	out := newOutcome(pr).own()
-	err = check.Decisions(inputs, pr.Result.Outputs, func(pid int) bool { return pr.Decided[pid] && pr.Result.Halted[pid] })
+	err = pr.CheckDecisions(inputs)
 	c.put(in)
 	if err != nil {
 		if out.Violation == nil {

@@ -14,15 +14,16 @@ import (
 )
 
 // protoSpec is a protocol recipe for the experiments, with the register
-// model its sweeps run under.
+// model its sweeps run under and the input table its trials read.
 type protoSpec struct {
 	recipe.Spec
 	registers register.Semantics
+	inputs    inputTable
 }
 
-// defaultSpec is the paper's recommended assembly.
+// defaultSpec is the paper's recommended assembly, with mixed inputs.
 func defaultSpec(n, m int) protoSpec {
-	return protoSpec{Spec: recipe.Spec{N: n, M: m, FastPath: true}}
+	return protoSpec{Spec: recipe.Spec{N: n, M: m, FastPath: true}, inputs: newInputTable(n, m)}
 }
 
 // spec is defaultSpec carrying the config's register model, so every
@@ -52,6 +53,26 @@ func mixedInputs(n, m, shift int) []value.Value {
 	return in
 }
 
+// inputTable is a cell's inputs, built once with the cell and shared
+// read-only by its sessions and checks: row k is mixedInputs(n, m, k), and
+// trial i reads row i mod m, which is mixedInputs(n, m, i). A one-row table
+// (m = 1) gives every process input 0 in every trial.
+type inputTable [][]value.Value
+
+func newInputTable(n, m int) inputTable {
+	in := make(inputTable, m)
+	for k := range in {
+		in[k] = mixedInputs(n, m, k)
+	}
+	return in
+}
+
+// row returns the inputs of trial i.
+func (in inputTable) row(i int) []value.Value { return in[i%len(in)] }
+
+// of is row as a sweep's per-trial Inputs hook.
+func (in inputTable) of(t harness.Trial) []value.Value { return in.row(t.Index) }
+
 // adversary is one named entry of an experiment's adversary axis, with a
 // constructor that builds a fresh scheduler per pooled session.
 type adversary struct {
@@ -80,17 +101,30 @@ func mustSweep(err error) {
 	}
 }
 
+// objectCell is the cell of a pooled object sweep over n processes: Build
+// makes a register file, the object build lays out in it and a scheduler
+// from mk, once per session, and trial i runs with inputs in.row(i).
+func objectCell(n int, in inputTable, mk func() sched.Scheduler, build func(*register.File) core.Object) harness.ObjectSweep {
+	return harness.ObjectSweep{
+		Build: func() (core.Object, harness.ObjectConfig) {
+			file := register.NewFile()
+			return build(file), harness.ObjectConfig{N: n, File: file, Inputs: in.row(0), Scheduler: mk()}
+		},
+		Inputs: in.of,
+	}
+}
+
 // cell is spec's cell for a pooled protocol sweep. Build builds the
 // protocol once per session, on backend be (nil = sim), under a scheduler
 // from mk (nil on a backend without adversary control) and with step
-// budget maxSteps (0 = the backend's default). Each trial replays it with
-// inputs mixedInputs(N, M, trial index).
+// budget maxSteps (0 = the backend's default). Trial i runs with inputs
+// s.inputs.row(i).
 func (s protoSpec) cell(be exec.Backend, mk func() sched.Scheduler, maxSteps int) harness.ProtocolSweep {
 	return harness.ProtocolSweep{
 		Build: func() (*core.Protocol, harness.ObjectConfig) {
 			file, proto := s.build()
 			oc := harness.ObjectConfig{
-				N: s.N, File: file, Inputs: mixedInputs(s.N, s.M, 0),
+				N: s.N, File: file, Inputs: s.inputs.row(0),
 				Backend: be, MaxSteps: maxSteps, Registers: s.registers,
 			}
 			if mk != nil {
@@ -98,21 +132,27 @@ func (s protoSpec) cell(be exec.Backend, mk func() sched.Scheduler, maxSteps int
 			}
 			return proto, oc
 		},
-		Inputs: func(t harness.Trial) []value.Value { return mixedInputs(s.N, s.M, t.Index) },
+		Inputs: s.inputs.of,
 	}
 }
 
 // consensusSweep runs one execution of spec per trial of s, under
 // schedulers built by mk, on the strict engine: any trial error, step-limit
-// exhaustion included, aborts the experiment. fold runs one trial at a
-// time, in trial order, on the sweep's workers, and a panic in it is raised
-// again in the caller; per-process deciding stages come from
-// run.DecidedStage. Cells whose step budget is part of what they measure
-// run on budgetSweep instead. This one stays strict because the robust
-// engine starts a goroutine and a channel per trial.
+// exhaustion included, aborts the experiment, and so does a trial whose
+// decisions break agreement or validity against its inputs. fold then runs
+// one trial at a time, in trial order, on the sweep's workers, and a panic
+// in it is raised again in the caller; per-process deciding stages come
+// from run.DecidedStage. Cells whose step budget is part of what they
+// measure run on budgetSweep instead. This one stays strict because the
+// robust engine starts a goroutine and a channel per trial.
 func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler,
 	fold func(t harness.Trial, run *harness.ProtocolRun)) {
-	mustSweep(harness.SweepProtocol(s, spec.cell(nil, mk, 0), fold))
+	mustSweep(harness.SweepProtocol(s, spec.cell(nil, mk, 0), func(t harness.Trial, run *harness.ProtocolRun) {
+		if err := run.CheckDecisions(spec.inputs.row(t.Index)); err != nil {
+			panic(err)
+		}
+		fold(t, run)
+	}))
 }
 
 // budgetSweep runs one execution of cell per trial of s on the robust

@@ -11,7 +11,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/stats"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // E15Ablations isolates the paper's individual design choices: write-success
@@ -64,24 +63,13 @@ func E15Ablations(cfg Config) *Table {
 		var ind, tot stats.Acc
 		spec := cfg.spec(n, 2)
 		spec.FastPath = fp
-		mustSweep(harness.SweepProtocol(cfg.sweep(trials/2),
-			harness.ProtocolSweep{
-				Build: func() (*core.Protocol, harness.ObjectConfig) {
-					file, proto := spec.build()
-					return proto, harness.ObjectConfig{
-						N: n, File: file, Inputs: mixedInputs(n, 1, 0),
-						Scheduler: sched.NewUniformRandom(),
-						Registers: spec.registers,
-					}
-				},
-			},
+		spec.inputs = newInputTable(n, 1) // all zeros
+		consensusSweep(cfg.sweep(trials/2), spec,
+			func() sched.Scheduler { return sched.NewUniformRandom() },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
-				if err := check.Consensus(mixedInputs(n, 1, 0), run.DecidedOutputs()); err != nil {
-					panic(err)
-				}
 				ind.AddInt(run.Result.MaxIndividualWork())
 				tot.AddInt(run.Result.TotalWork)
-			}))
+			})
 		t.AddRow("fast path (unanimous inputs)", fmt.Sprintf("fastpath=%v", fp),
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%.0f", tot.Mean()),
@@ -98,22 +86,14 @@ func E15Ablations(cfg Config) *Table {
 		var agree stats.Tally
 		var tot stats.Acc
 		mustSweep(harness.SweepObject(cfg.sweep(trials),
-			harness.ObjectSweep{
-				Build: func() (core.Object, harness.ObjectConfig) {
-					file := register.NewFile()
-					var obj core.Object
+			objectCell(8, newInputTable(8, 8),
+				func() sched.Scheduler { return sched.NewAdaptiveSpoiler() },
+				func(file *register.File) core.Object {
 					if naive {
-						obj = conciliator.NewNaiveFirstMover(file, 1)
-					} else {
-						obj = conciliator.NewImpatient(file, n, 1)
+						return conciliator.NewNaiveFirstMover(file, 1)
 					}
-					return obj, harness.ObjectConfig{
-						N: 8, File: file, Inputs: mixedInputs(8, 8, 0),
-						Scheduler: sched.NewAdaptiveSpoiler(),
-					}
-				},
-				Inputs: func(tr harness.Trial) []value.Value { return mixedInputs(8, 8, tr.Index) },
-			},
+					return conciliator.NewImpatient(file, n, 1)
+				}),
 			func(_ harness.Trial, run *harness.ObjectRun) {
 				agree.Add(check.Unanimous(run.Outputs()))
 				tot.AddInt(run.Result.TotalWork)

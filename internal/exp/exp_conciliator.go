@@ -12,7 +12,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/stats"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // thm7Delta is the paper's lower bound on the impatient conciliator's
@@ -25,18 +24,12 @@ var thm7Delta = (1 - math.Exp(-0.25)) / 4
 func conciliatorSweep(s harness.Sweep, n int, growth conciliator.Growth, detect bool,
 	mk func() sched.Scheduler, fold func(agreed bool, total, individual int)) {
 	mustSweep(harness.SweepObject(s,
-		harness.ObjectSweep{
-			Build: func() (core.Object, harness.ObjectConfig) {
-				file := register.NewFile()
-				c := conciliator.NewImpatient(file, n, 1)
-				c.Growth = growth
-				c.DetectSuccess = detect
-				return c, harness.ObjectConfig{
-					N: n, File: file, Inputs: mixedInputs(n, n, 0), Scheduler: mk(),
-				}
-			},
-			Inputs: func(t harness.Trial) []value.Value { return mixedInputs(n, n, t.Index) },
-		},
+		objectCell(n, newInputTable(n, n), mk, func(file *register.File) core.Object {
+			c := conciliator.NewImpatient(file, n, 1)
+			c.Growth = growth
+			c.DetectSuccess = detect
+			return c
+		}),
 		func(_ harness.Trial, run *harness.ObjectRun) {
 			fold(check.Unanimous(run.Outputs()), run.Result.TotalWork, run.Result.MaxIndividualWork())
 		}))
@@ -158,15 +151,12 @@ func E8BaselineComparison(cfg Config) *Table {
 	// participates — the schedule an oblivious adversary produces by running
 	// one process to completion first. Both variants sweep the same trials,
 	// so they face identical random streams.
+	solo := newInputTable(1, 1)
 	soloWork := func(n int, build func(register.Allocator, int, int) *conciliator.Impatient) float64 {
 		var works stats.Acc
 		mustSweep(harness.SweepObject(cfg.sweep(trials),
-			harness.ObjectSweep{Build: func() (core.Object, harness.ObjectConfig) {
-				file := register.NewFile()
-				return build(file, n, 1), harness.ObjectConfig{
-					N: 1, File: file, Inputs: mixedInputs(1, 2, 0), Scheduler: sched.NewRoundRobin(),
-				}
-			}},
+			objectCell(1, solo, func() sched.Scheduler { return sched.NewRoundRobin() },
+				func(file *register.File) core.Object { return build(file, n, 1) }),
 			func(_ harness.Trial, run *harness.ObjectRun) { works.AddInt(run.Result.TotalWork) }))
 		return works.Mean()
 	}

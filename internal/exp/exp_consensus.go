@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/modular-consensus/modcon/internal/check"
-	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -29,10 +27,7 @@ func E6BinaryConsensus(cfg Config) *Table {
 		for _, adv := range advs {
 			ind, tot := &obs.Hist{}, &obs.Hist{}
 			consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), adv.New,
-				func(tr harness.Trial, run *harness.ProtocolRun) {
-					if err := check.Consensus(mixedInputs(n, 2, tr.Index), run.DecidedOutputs()); err != nil {
-						panic(err)
-					}
+				func(_ harness.Trial, run *harness.ProtocolRun) {
 					ind.AddInt(run.Result.MaxIndividualWork())
 					tot.AddInt(run.Result.TotalWork)
 				})
@@ -104,17 +99,9 @@ func E9FastPath(cfg Config) *Table {
 		var ind stats.Acc
 		fastDecisions, total := 0, 0
 		spec := cfg.spec(n, 2)
-		mustSweep(harness.SweepProtocol(cfg.sweep(trials),
-			harness.ProtocolSweep{
-				Build: func() (*core.Protocol, harness.ObjectConfig) {
-					file, proto := spec.build()
-					return proto, harness.ObjectConfig{
-						N: n, File: file, Inputs: mixedInputs(n, 1, 0), // all zeros
-						Scheduler: sched.NewUniformRandom(),
-						Registers: spec.registers,
-					}
-				},
-			},
+		spec.inputs = newInputTable(n, 1) // all zeros
+		consensusSweep(cfg.sweep(trials), spec,
+			func() sched.Scheduler { return sched.NewUniformRandom() },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				ind.AddInt(run.Result.MaxIndividualWork())
 				if w := run.Result.MaxIndividualWork(); w > maxInd {
@@ -126,7 +113,7 @@ func E9FastPath(cfg Config) *Table {
 						fastDecisions++
 					}
 				}
-			}))
+			})
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%d", maxInd),

@@ -27,6 +27,7 @@ func E16SetAgreement(cfg Config) *Table {
 	}
 	trials := cfg.trials(150)
 	n, m := 12, 12
+	in := newInputTable(n, m)
 	for _, k := range []int{1, 2, 3, 4, 6} {
 		for _, adv := range adversaryPortfolio() {
 			if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
@@ -35,22 +36,15 @@ func E16SetAgreement(cfg Config) *Table {
 			maxDistinct := 0
 			var distinct, indWork stats.Acc
 			mustSweep(harness.SweepObject(cfg.sweep(trials),
-				harness.ObjectSweep{
-					Build: func() (core.Object, harness.ObjectConfig) {
-						file := register.NewFile()
-						p, err := setagree.New(file, n, m, k)
-						if err != nil {
-							panic(fmt.Sprintf("exp: bad set-agreement spec: %v", err))
-						}
-						obj := core.Func{Name: "setagree", F: func(e core.Env, v value.Value) value.Decision {
-							return value.Decide(p.Run(e, v))
-						}}
-						return obj, harness.ObjectConfig{
-							N: n, File: file, Inputs: mixedInputs(n, m, 0), Scheduler: adv.New(),
-						}
-					},
-					Inputs: func(tr harness.Trial) []value.Value { return mixedInputs(n, m, tr.Index) },
-				},
+				objectCell(n, in, adv.New, func(file *register.File) core.Object {
+					p, err := setagree.New(file, n, m, k)
+					if err != nil {
+						panic(fmt.Sprintf("exp: bad set-agreement spec: %v", err))
+					}
+					return core.Func{Name: "setagree", F: func(e core.Env, v value.Value) value.Decision {
+						return value.Decide(p.Run(e, v))
+					}}
+				}),
 				func(_ harness.Trial, run *harness.ObjectRun) {
 					seen := make(map[value.Value]bool)
 					for _, v := range run.Outputs() {
@@ -85,6 +79,7 @@ func E17Sequences(cfg Config) *Table {
 	}
 	trials := cfg.trials(60)
 	n, m := 8, 4
+	in := newInputTable(n, m)
 	type seqResult struct{ work, decided int }
 	for _, slots := range []int{1, 4, 16} {
 		for _, adv := range adversaryPortfolio() {
@@ -97,7 +92,7 @@ func E17Sequences(cfg Config) *Table {
 				func(ctx context.Context, tr harness.Trial) (seqResult, error) {
 					proposals := make([][]value.Value, slots)
 					for s := range proposals {
-						proposals[s] = mixedInputs(n, m, s+tr.Index)
+						proposals[s] = in.row(s + tr.Index)
 					}
 					res, err := multi.Run(multi.Config{
 						ObjectConfig: harness.ObjectConfig{

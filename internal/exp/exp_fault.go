@@ -11,7 +11,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/stats"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // E20 fault-intensity sweep parameters. The stall row livelocks every
@@ -70,6 +69,8 @@ func E20FaultIntensity(cfg Config) *Table {
 		Columns: []string{"backend", "faults", "trials", "outcomes", "decided/trial", "ok work mean/p99"},
 	}
 	trials := cfg.trials(20)
+	spec := cfg.spec(e20N, e20M)
+	spec.Fallback = true
 
 	backends := []struct {
 		name string
@@ -99,18 +100,14 @@ func E20FaultIntensity(cfg Config) *Table {
 			report, err := harness.SweepProtocolRobust(cfg.sweep(ct), rz,
 				harness.ProtocolSweep{
 					Build: func() (*core.Protocol, harness.ObjectConfig) {
-						spec := cfg.spec(e20N, e20M)
-						spec.Fallback = true
 						file, proto := spec.build()
 						return proto, be.cfg(harness.ObjectConfig{
-							N: e20N, File: file, Inputs: mixedInputs(e20N, e20M, 0),
-							MaxSteps: e20MaxSteps, Faults: sc.plan, Meter: cfg.Meter,
+							N: e20N, File: file, Inputs: spec.inputs.row(0),
+							MaxSteps: e20MaxSteps, Faults: sc.plan,
 							Registers: spec.registers,
 						})
 					},
-					Inputs: func(tr harness.Trial) []value.Value {
-						return mixedInputs(e20N, e20M, tr.Index)
-					},
+					Inputs: spec.inputs.of,
 				},
 				func(tr harness.Trial, run *harness.ProtocolRun, rep harness.TrialReport) {
 					if run == nil || rep.Outcome != harness.OutcomeOK {

@@ -69,7 +69,7 @@ func crossBackendCatalog() []struct {
 // Part 2 — live safety. With n > 1 outputs may differ run to run, but
 // agreement and validity are safety properties: they must hold under
 // *every* interleaving, including whatever the Go scheduler produces.
-// Each execution is checked with check.Consensus, and the work accounting
+// Each execution is checked with run.CheckDecisions, and the work accounting
 // is audited with check.WorkAccounting.
 func E18CrossBackend(cfg Config) *Table {
 	t := &Table{
@@ -130,11 +130,11 @@ func E18CrossBackend(cfg Config) *Table {
 		for _, m := range []int{2, 4} {
 			violations := 0
 			var tot stats.Acc
+			spec := cfg.spec(n, m)
+			spec.Fallback = true
 			for i := 0; i < trials; i++ {
-				spec := cfg.spec(n, m)
-				spec.Fallback = true
 				file, proto := spec.build()
-				inputs := mixedInputs(n, m, i)
+				inputs := spec.inputs.row(i)
 				run, err := harness.RunProtocol(proto, harness.ObjectConfig{
 					N: n, File: file, Inputs: inputs,
 					Backend:   live.Backend(),
@@ -145,7 +145,7 @@ func E18CrossBackend(cfg Config) *Table {
 				if err != nil {
 					panic(fmt.Sprintf("exp: E18 live consensus n=%d m=%d: %v", n, m, err))
 				}
-				if err := check.Consensus(inputs, run.DecidedOutputs()); err != nil {
+				if err := run.CheckDecisions(inputs); err != nil {
 					violations++
 				}
 				if err := check.WorkAccounting(run.Result.Work, run.Result.TotalWork); err != nil {
@@ -182,11 +182,11 @@ func E19LiveWallClock(cfg Config) *Table {
 	for _, n := range []int{2, 8, 32} {
 		var tot stats.Acc
 		var elapsed time.Duration
+		spec := cfg.spec(n, 2)
+		spec.Fallback = true
 		for i := 0; i < trials; i++ {
-			spec := cfg.spec(n, 2)
-			spec.Fallback = true
 			file, proto := spec.build()
-			inputs := mixedInputs(n, 2, i)
+			inputs := spec.inputs.row(i)
 			start := time.Now()
 			run, err := harness.RunProtocol(proto, harness.ObjectConfig{
 				N: n, File: file, Inputs: inputs,
@@ -199,7 +199,7 @@ func E19LiveWallClock(cfg Config) *Table {
 			if err != nil {
 				panic(fmt.Sprintf("exp: E19 n=%d: %v", n, err))
 			}
-			if err := check.Consensus(inputs, run.DecidedOutputs()); err != nil {
+			if err := run.CheckDecisions(inputs); err != nil {
 				panic(fmt.Sprintf("exp: E19 n=%d: %v", n, err))
 			}
 			tot.AddInt(run.Result.TotalWork)

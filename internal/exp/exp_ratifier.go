@@ -11,7 +11,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // E4RatifierSpaceWork tabulates ratifier space/work per scheme against the
@@ -68,16 +67,17 @@ func E4RatifierSpaceWork(cfg Config) *Table {
 			maxOps := 0
 			n := 5
 			if props == "ok" {
+				in := newInputTable(n, m)
 				mustSweep(harness.SweepObject(cfg.sweep(trials),
 					harness.ObjectSweep{
 						Build: func() (core.Object, harness.ObjectConfig) {
 							f2 := register.NewFile()
 							return e.build(f2), harness.ObjectConfig{
-								N: n, File: f2, Inputs: mixedInputs(n, m, 0),
+								N: n, File: f2, Inputs: in.row(0),
 								Scheduler: sched.NewUniformRandom(), Traced: true,
 							}
 						},
-						Inputs: func(tr harness.Trial) []value.Value { return mixedInputs(n, m, tr.Index) },
+						Inputs: in.of,
 					},
 					func(_ harness.Trial, run *harness.ObjectRun) {
 						if w := run.Result.MaxIndividualWork(); w > maxOps {

@@ -36,18 +36,13 @@ func E10CoinConciliator(cfg Config) *Table {
 		Columns:    []string{"n", "coin δ̂ (each side ≥)", "conciliator δ̂ (mixed inputs)", "wrapper ops/process"},
 	}
 	trials := cfg.trials(250)
+	uniform := func() sched.Scheduler { return sched.NewUniformRandom() }
 	for _, n := range []int{2, 4, 8} {
 		all0, all1 := 0, 0
 		mustSweep(harness.SweepObject(cfg.sweep(trials),
-			harness.ObjectSweep{
-				Build: func() (core.Object, harness.ObjectConfig) {
-					file := register.NewFile()
-					return coinObject{sharedcoin.NewVoting(file, n, 1)}, harness.ObjectConfig{
-						N: n, File: file, Inputs: mixedInputs(n, 1, 0),
-						Scheduler: sched.NewUniformRandom(),
-					}
-				},
-			},
+			objectCell(n, newInputTable(n, 1), uniform, func(file *register.File) core.Object {
+				return coinObject{sharedcoin.NewVoting(file, n, 1)}
+			}),
 			func(_ harness.Trial, run *harness.ObjectRun) {
 				outs := run.Outputs()
 				if check.Unanimous(outs) {
@@ -65,17 +60,9 @@ func E10CoinConciliator(cfg Config) *Table {
 
 		var wrapped stats.Tally
 		mustSweep(harness.SweepObject(cfg.sweep(trials),
-			harness.ObjectSweep{
-				Build: func() (core.Object, harness.ObjectConfig) {
-					file := register.NewFile()
-					coin := sharedcoin.NewVoting(file, n, 1)
-					return conciliator.NewFromCoin(file, coin, 1), harness.ObjectConfig{
-						N: n, File: file, Inputs: mixedInputs(n, 2, 0),
-						Scheduler: sched.NewUniformRandom(),
-					}
-				},
-				Inputs: func(tr harness.Trial) []value.Value { return mixedInputs(n, 2, tr.Index) },
-			},
+			objectCell(n, newInputTable(n, 2), uniform, func(file *register.File) core.Object {
+				return conciliator.NewFromCoin(file, sharedcoin.NewVoting(file, n, 1), 1)
+			}),
 			func(_ harness.Trial, run *harness.ObjectRun) {
 				wrapped.Add(check.Unanimous(run.Outputs()))
 			}))

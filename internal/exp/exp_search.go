@@ -16,7 +16,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 const (
@@ -44,9 +43,7 @@ func e22Target(cfg Config) advsearch.Target {
 			file, proto := spec.build()
 			return proto, file
 		},
-		Inputs: func(tr harness.Trial) []value.Value {
-			return mixedInputs(e22N, e22M, tr.Index)
-		},
+		Inputs: spec.inputs.of,
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/stats"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // E21 cell size and step budget. The budget is a guard: a trial that
@@ -38,13 +37,14 @@ const (
 func e21Agreement(s harness.Sweep, model register.Semantics, be exec.Backend, mk func() sched.Scheduler) (stats.Tally, *stats.Acc) {
 	var agree stats.Tally
 	minority := &stats.Acc{}
+	in := newInputTable(e21N, 2)
 	mustSweep(harness.SweepObject(s,
 		harness.ObjectSweep{
 			Build: func() (core.Object, harness.ObjectConfig) {
 				file := register.NewFile()
 				c := conciliator.NewImpatient(file, e21N, 1)
 				oc := harness.ObjectConfig{
-					N: e21N, File: file, Inputs: mixedInputs(e21N, 2, 0),
+					N: e21N, File: file, Inputs: in.row(0),
 					Registers: model, Backend: be,
 				}
 				if mk != nil {
@@ -52,7 +52,7 @@ func e21Agreement(s harness.Sweep, model register.Semantics, be exec.Backend, mk
 				}
 				return c, oc
 			},
-			Inputs: func(t harness.Trial) []value.Value { return mixedInputs(e21N, 2, t.Index) },
+			Inputs: in.of,
 		},
 		func(_ harness.Trial, run *harness.ObjectRun) {
 			outs := run.Outputs()
@@ -85,7 +85,7 @@ func e21Consensus(s harness.Sweep, model register.Semantics, be exec.Backend, mk
 				return
 			}
 			work.AddInt(run.Result.TotalWork)
-			if check.Consensus(mixedInputs(e21N, 2, t.Index), run.DecidedOutputs()) != nil {
+			if run.CheckDecisions(spec.inputs.row(t.Index)) != nil {
 				violations++
 			}
 		})

@@ -3,9 +3,11 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
 )
 
@@ -195,6 +197,25 @@ func TestMixedInputs(t *testing.T) {
 	for i, v := range in {
 		if int64(v) != want[i] {
 			t.Fatalf("mixedInputs = %v", in)
+		}
+	}
+	// A cell's input table: row k is mixedInputs(n, m, k), and trial i
+	// reads row i mod m, whose inputs are mixedInputs(n, m, i).
+	for _, c := range []struct{ n, m int }{{4, 2}, {5, 1}, {3, 7}, {12, 12}} {
+		table := newInputTable(c.n, c.m)
+		if len(table) != c.m {
+			t.Fatalf("n=%d m=%d: %d rows", c.n, c.m, len(table))
+		}
+		for k, row := range table {
+			if !slices.Equal(row, mixedInputs(c.n, c.m, k)) {
+				t.Fatalf("n=%d m=%d: row %d = %v, want %v", c.n, c.m, k, row, mixedInputs(c.n, c.m, k))
+			}
+		}
+		for i := 0; i < 3*c.m+2; i++ {
+			got := table.of(harness.Trial{Index: i})
+			if &got[0] != &table[i%c.m][0] || !slices.Equal(got, mixedInputs(c.n, c.m, i)) {
+				t.Fatalf("n=%d m=%d: trial %d reads %v, want row %d", c.n, c.m, i, got, i%c.m)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
@@ -247,6 +248,14 @@ func (r *ProtocolRun) DecidedOutputs() []value.Value {
 		}
 	}
 	return out
+}
+
+// CheckDecisions verifies agreement and validity of the genuine decisions
+// against inputs (one per process, or one broadcast value): it returns what
+// check.Consensus(inputs, r.DecidedOutputs()) returns, without collecting
+// the outputs.
+func (r *ProtocolRun) CheckDecisions(inputs []value.Value) error {
+	return check.Decisions(inputs, r.Result.Outputs, func(pid int) bool { return r.Decided[pid] && r.Result.Halted[pid] })
 }
 
 // RunProtocol executes a consensus protocol built by core.NewProtocol, as

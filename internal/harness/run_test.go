@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
+	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -135,5 +137,55 @@ func TestRunProtocolUndecidedExcluded(t *testing.T) {
 	}
 	if len(run.DecidedOutputs()) != 0 {
 		t.Fatalf("lockstep ratifier-only run decided: %v", run.DecidedOutputs())
+	}
+}
+
+// TestCheckDecisions seeds violations into hand-made runs: CheckDecisions
+// judges exactly the processes that decided and halted, and its error text
+// is check.Consensus's over DecidedOutputs in every case.
+func TestCheckDecisions(t *testing.T) {
+	vs := func(xs ...int64) []value.Value {
+		out := make([]value.Value, len(xs))
+		for i, x := range xs {
+			out[i] = value.Value(x)
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		inputs  []value.Value
+		outputs []value.Value
+		decided []bool
+		halted  []bool
+		want    string // error substring; "" for none
+	}{
+		{"safe", vs(0, 1, 0), vs(1, 1, 1), []bool{true, true, true}, []bool{true, true, true}, ""},
+		{"agreement", vs(0, 1, 0), vs(0, 1, 0), []bool{true, true, true}, []bool{true, true, true}, "agreement violated: output[1]=1"},
+		{"agreement past an excluded process", vs(0, 1, 0), vs(0, 0, 1), []bool{true, false, true}, []bool{true, true, true}, "agreement violated: output[1]=1"},
+		{"validity", vs(0, 0, 0), vs(1, 1, 1), []bool{true, true, true}, []bool{true, true, true}, "validity violated: output[0]=1"},
+		{"decided but crashed before halting", vs(0, 1, 0), vs(0, 1, 0), []bool{true, true, true}, []bool{true, false, true}, ""},
+		{"halted undecided", vs(0, 1, 0), vs(1, 0, 1), []bool{true, false, true}, []bool{true, true, true}, ""},
+		{"nobody decided", vs(0, 1), vs(2, 3), []bool{false, false}, []bool{true, false}, ""},
+		{"broadcast input", vs(1), vs(1, 1, 1), []bool{true, true, true}, []bool{true, true, true}, ""},
+		{"broadcast input, validity", vs(0), vs(1, 1, 1), []bool{true, true, true}, []bool{true, true, true}, "validity violated: output[0]=1 is nobody's input [0]"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := &ProtocolRun{
+				Result:  &exec.Result{Outputs: c.outputs, Halted: c.halted},
+				Decided: c.decided,
+			}
+			got := run.CheckDecisions(c.inputs)
+			want := check.Consensus(c.inputs, run.DecidedOutputs())
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("CheckDecisions = %v, check.Consensus = %v", got, want)
+			}
+			if c.want == "" && got != nil {
+				t.Fatalf("unexpected violation: %v", got)
+			}
+			if c.want != "" && (got == nil || !strings.Contains(got.Error(), c.want)) {
+				t.Fatalf("CheckDecisions = %v, want a violation containing %q", got, c.want)
+			}
+		})
 	}
 }

@@ -57,17 +57,6 @@ type Served struct {
 // times); values are packed by the caller when a tie-break key is needed.
 type minHeap []int64
 
-func (h minHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
 func (h minHeap) down(i int) {
 	for {
 		l, r, m := 2*i+1, 2*i+2, i

@@ -135,6 +135,30 @@ func Record(spec *Spec, seed uint64, trials, lo, hi int, arrivals, demands []int
 	return t, nil
 }
 
+// RecordedArrivals returns the arrival times a recording of global trials
+// [lo, hi) of a run carries, for the run's root seed and trial count. An
+// open spec's are its schedule's slice, drawn up front without reading
+// demands. A closed cohort's, necessarily for the whole run, are the issue
+// times the virtual service model assigns from the trials' measured
+// demands, so they are nil while demands is nil.
+func (s *Spec) RecordedArrivals(seed uint64, trials, lo, hi int, demands []int64) ([]int64, error) {
+	if s.Open() {
+		sched, err := s.Schedule(seed, trials)
+		if err != nil {
+			return nil, err
+		}
+		return sched[lo:hi], nil
+	}
+	if demands == nil {
+		return nil, nil
+	}
+	served, err := s.Serve(nil, demands)
+	if err != nil {
+		return nil, err
+	}
+	return served.Arrivals, nil
+}
+
 // Encode writes the trace in the tracev1 text format. Two equal traces
 // encode to identical bytes, which is what the CI record-vs-replay and
 // shard-merge gates compare with cmp.

@@ -185,6 +185,36 @@ func TestTraceServeClosed(t *testing.T) {
 	}
 }
 
+// TestRecordedArrivals: an open spec records its schedule's slice whatever
+// the demands, and a closed cohort the service model's issue times, which
+// wait for the demands.
+func TestRecordedArrivals(t *testing.T) {
+	open := mustParse(t, "poisson:rate=100000")
+	sched, err := open.Schedule(21, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, demands := range [][]int64{nil, make([]int64, 16)} {
+		got, err := open.RecordedArrivals(21, 64, 16, 32, demands)
+		if err != nil || !reflect.DeepEqual(got, sched[16:32]) {
+			t.Fatalf("open, demands %v: %v, %v; want the schedule's slice %v", demands, got, err, sched[16:32])
+		}
+	}
+	closed := mustParse(t, "closed:clients=3,think=5µs")
+	demands := []int64{9, 4, 7, 2, 8, 1}
+	if got, err := closed.RecordedArrivals(4, len(demands), 0, len(demands), nil); got != nil || err != nil {
+		t.Fatalf("closed before the run: %v, %v; want nil, nil", got, err)
+	}
+	served, err := closed.Serve(nil, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := closed.RecordedArrivals(4, len(demands), 0, len(demands), demands)
+	if err != nil || !reflect.DeepEqual(got, served.Arrivals) {
+		t.Fatalf("closed: %v, %v; want the service model's %v", got, err, served.Arrivals)
+	}
+}
+
 // TestDecodeRejects: malformed headers and bodies fail cleanly.
 func TestDecodeRejects(t *testing.T) {
 	cases := []string{

@@ -116,7 +116,7 @@ type workloadPlan struct {
 	spec     *workload.Spec
 	seed     uint64
 	trials   int
-	arrivals []int64 // arrival schedule to record (nil unless recording an open spec)
+	arrivals []int64 // arrivals to record (nil unless recording, and for a closed spec until finish)
 	demands  []int64 // per-trial measured steps, filled by the merge hook
 	record   *workload.Trace
 	replay   *workload.Trace
@@ -160,8 +160,8 @@ func (c *runConfig) workloadPlan(trials int) (*workloadPlan, error) {
 			return nil, fmt.Errorf("WithWorkload: %v: %w", err, ErrBadOption)
 		}
 		p.spec, p.seed, p.trials = c.workloadSpec, c.seed, trials
-		if p.spec.Open() && p.record != nil {
-			arrivals, err := p.spec.Schedule(p.seed, trials)
+		if p.record != nil {
+			arrivals, err := p.spec.RecordedArrivals(p.seed, trials, 0, trials, nil)
 			if err != nil {
 				return nil, fmt.Errorf("WithWorkload: %v: %w", err, ErrBadOption)
 			}
@@ -204,16 +204,14 @@ func (p *workloadPlan) finish(report *SweepReport) error {
 		}
 		return nil
 	}
-	arrivals := p.arrivals
-	if !p.spec.Open() {
-		// Closed cohort: issue times come from the virtual service model.
-		served, err := p.spec.Serve(nil, p.demands)
+	if p.arrivals == nil {
+		arrivals, err := p.spec.RecordedArrivals(p.seed, p.trials, 0, p.trials, p.demands)
 		if err != nil {
 			return fmt.Errorf("modcon: workload trace: %v: %w", err, ErrBadOption)
 		}
-		arrivals = served.Arrivals
+		p.arrivals = arrivals
 	}
-	tr, err := workload.Record(p.spec, p.seed, p.trials, 0, p.trials, arrivals[:p.trials], p.demands)
+	tr, err := workload.Record(p.spec, p.seed, p.trials, 0, p.trials, p.arrivals, p.demands)
 	if err != nil {
 		return fmt.Errorf("modcon: workload trace: %v: %w", err, ErrBadOption)
 	}
