@@ -123,16 +123,16 @@ type sweepTally struct {
 }
 
 // run sweeps the scaling workload on regs registers under s and folds
-// every trial into the tally, in trial order. It is the one consensus
-// sweep of this command: the scaling cells, the shard slices, and the
-// workload recordings and replays all run through it.
+// every trial into the tally, in trial order; the histograms are the
+// sweep's own. It is the one consensus sweep of this command: the scaling
+// cells, the shard slices, and the workload recordings and replays all run
+// through it.
 func (t *sweepTally) run(s harness.Sweep, regs register.Semantics) error {
+	s.StepsHist, s.WorkHist = &t.steps, &t.work
 	return harness.SweepProtocol(s, scalingSweep(regs), func(tr harness.Trial, run *harness.ProtocolRun) {
 		if t.demands != nil {
 			t.demands[tr.Index-s.Offset] = int64(run.Result.TotalWork)
 		}
-		t.steps.AddInt(run.Result.TotalWork)
-		t.work.AddInt(run.Result.MaxIndividualWork())
 		if len(run.DecidedOutputs()) == scalingN {
 			t.decided++
 		}

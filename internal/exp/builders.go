@@ -7,6 +7,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/harness"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -139,20 +140,26 @@ func (s protoSpec) cell(be exec.Backend, mk func() sched.Scheduler, maxSteps int
 // consensusSweep runs one execution of spec per trial of s, under
 // schedulers built by mk, on the strict engine: any trial error, step-limit
 // exhaustion included, aborts the experiment, and so does a trial whose
-// decisions break agreement or validity against its inputs. fold then runs
-// one trial at a time, in trial order, on the sweep's workers, and a panic
-// in it is raised again in the caller; per-process deciding stages come
-// from run.DecidedStage. Cells whose step budget is part of what they
-// measure run on budgetSweep instead. This one stays strict because the
-// robust engine starts a goroutine and a channel per trial.
+// decisions break agreement or validity against its inputs. It returns the
+// sweep's histograms of total work (steps) and maximum individual work
+// (work) over all its trials. fold, which may be nil, runs one trial at a
+// time, in trial order, on the sweep's workers, and a panic in it is
+// raised again in the caller; per-process deciding stages come from
+// run.DecidedStage. Cells whose step budget is part of what they measure
+// run on budgetSweep instead. This one stays strict because the robust
+// engine starts a goroutine and a channel per trial.
 func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler,
-	fold func(t harness.Trial, run *harness.ProtocolRun)) {
+	fold func(t harness.Trial, run *harness.ProtocolRun)) (steps, work *obs.Hist) {
+	s.StepsHist, s.WorkHist = &obs.Hist{}, &obs.Hist{}
 	mustSweep(harness.SweepProtocol(s, spec.cell(nil, mk, 0), func(t harness.Trial, run *harness.ProtocolRun) {
 		if err := run.CheckDecisions(spec.inputs.row(t.Index)); err != nil {
 			panic(err)
 		}
-		fold(t, run)
+		if fold != nil {
+			fold(t, run)
+		}
 	}))
+	return s.StepsHist, s.WorkHist
 }
 
 // budgetSweep runs one execution of cell per trial of s on the robust

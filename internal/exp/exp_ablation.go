@@ -7,6 +7,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -29,14 +30,8 @@ func E15Ablations(cfg Config) *Table {
 	// 1. Impatience growth schedule, conciliator alone under attack.
 	for _, g := range []conciliator.Growth{conciliator.GrowthDoubling, conciliator.GrowthLinear, conciliator.GrowthConstant} {
 		var agree stats.Tally
-		var ind, tot stats.Acc
-		conciliatorSweep(cfg.sweep(trials), n, g, false,
-			func() sched.Scheduler { return sched.NewFirstMoverAttack() },
-			func(ok bool, total, individual int) {
-				agree.Add(ok)
-				ind.AddInt(individual)
-				tot.AddInt(total)
-			})
+		tot, ind := conciliatorSweep(cfg.sweep(trials), n, g, false,
+			func() sched.Scheduler { return sched.NewFirstMoverAttack() }, agree.Add)
 		t.AddRow("impatience growth", g.String(),
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%.0f", tot.Mean()),
@@ -45,13 +40,8 @@ func E15Ablations(cfg Config) *Table {
 
 	// 2. Write-success detection, conciliator alone under round-robin.
 	for _, detect := range []bool{false, true} {
-		var ind, tot stats.Acc
-		conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, detect,
-			func() sched.Scheduler { return sched.NewRoundRobin() },
-			func(_ bool, total, individual int) {
-				ind.AddInt(individual)
-				tot.AddInt(total)
-			})
+		tot, ind := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, detect,
+			func() sched.Scheduler { return sched.NewRoundRobin() }, nil)
 		t.AddRow("write detection", fmt.Sprintf("detect=%v", detect),
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%.0f", tot.Mean()),
@@ -60,16 +50,11 @@ func E15Ablations(cfg Config) *Table {
 
 	// 3. Fast path on agreeing inputs, full protocol.
 	for _, fp := range []bool{true, false} {
-		var ind, tot stats.Acc
 		spec := cfg.spec(n, 2)
 		spec.FastPath = fp
 		spec.inputs = newInputTable(n, 1) // all zeros
-		consensusSweep(cfg.sweep(trials/2), spec,
-			func() sched.Scheduler { return sched.NewUniformRandom() },
-			func(_ harness.Trial, run *harness.ProtocolRun) {
-				ind.AddInt(run.Result.MaxIndividualWork())
-				tot.AddInt(run.Result.TotalWork)
-			})
+		tot, ind := consensusSweep(cfg.sweep(trials/2), spec,
+			func() sched.Scheduler { return sched.NewUniformRandom() }, nil)
 		t.AddRow("fast path (unanimous inputs)", fmt.Sprintf("fastpath=%v", fp),
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%.0f", tot.Mean()),
@@ -84,8 +69,9 @@ func E15Ablations(cfg Config) *Table {
 			name = "deterministic (naive)"
 		}
 		var agree stats.Tally
-		var tot stats.Acc
-		mustSweep(harness.SweepObject(cfg.sweep(trials),
+		s := cfg.sweep(trials)
+		s.StepsHist = &obs.Hist{}
+		mustSweep(harness.SweepObject(s,
 			objectCell(8, newInputTable(8, 8),
 				func() sched.Scheduler { return sched.NewAdaptiveSpoiler() },
 				func(file *register.File) core.Object {
@@ -96,11 +82,10 @@ func E15Ablations(cfg Config) *Table {
 				}),
 			func(_ harness.Trial, run *harness.ObjectRun) {
 				agree.Add(check.Unanimous(run.Outputs()))
-				tot.AddInt(run.Result.TotalWork)
 			}))
 		t.AddRow("write model (adaptive spoiler)", name,
 			"-",
-			fmt.Sprintf("%.0f", tot.Mean()),
+			fmt.Sprintf("%.0f", s.StepsHist.Mean()),
 			fmt.Sprintf("δ̂=%s", agree.Proportion().String()))
 	}
 
@@ -111,17 +96,12 @@ func E15Ablations(cfg Config) *Table {
 		if bv {
 			name = "bitvector"
 		}
-		var ind, tot stats.Acc
 		spec := cfg.spec(n, m)
 		if bv {
 			spec.Scheme = recipe.SchemeBitVector
 		}
-		consensusSweep(cfg.sweep(trials/2), spec,
-			func() sched.Scheduler { return sched.NewUniformRandom() },
-			func(_ harness.Trial, run *harness.ProtocolRun) {
-				ind.AddInt(run.Result.MaxIndividualWork())
-				tot.AddInt(run.Result.TotalWork)
-			})
+		tot, ind := consensusSweep(cfg.sweep(trials/2), spec,
+			func() sched.Scheduler { return sched.NewUniformRandom() }, nil)
 		t.AddRow(fmt.Sprintf("quorum scheme (m=%d)", m), name,
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%.0f", tot.Mean()),

@@ -19,10 +19,12 @@ import (
 var thm7Delta = (1 - math.Exp(-0.25)) / 4
 
 // conciliatorSweep runs fresh impatient-conciliator executions with mixed
-// inputs on the parallel trial engine, folding each trial's agreement flag
-// and work measures in trial order.
+// inputs on the parallel trial engine and returns the sweep's histograms
+// of total and maximum individual work. fold, which may be nil, receives
+// each trial's agreement flag in trial order.
 func conciliatorSweep(s harness.Sweep, n int, growth conciliator.Growth, detect bool,
-	mk func() sched.Scheduler, fold func(agreed bool, total, individual int)) {
+	mk func() sched.Scheduler, fold func(agreed bool)) (steps, work *obs.Hist) {
+	s.StepsHist, s.WorkHist = &obs.Hist{}, &obs.Hist{}
 	mustSweep(harness.SweepObject(s,
 		objectCell(n, newInputTable(n, n), mk, func(file *register.File) core.Object {
 			c := conciliator.NewImpatient(file, n, 1)
@@ -31,8 +33,11 @@ func conciliatorSweep(s harness.Sweep, n int, growth conciliator.Growth, detect 
 			return c
 		}),
 		func(_ harness.Trial, run *harness.ObjectRun) {
-			fold(check.Unanimous(run.Outputs()), run.Result.TotalWork, run.Result.MaxIndividualWork())
+			if fold != nil {
+				fold(check.Unanimous(run.Outputs()))
+			}
 		}))
+	return s.StepsHist, s.WorkHist
 }
 
 // E1ConciliatorAgreement estimates the impatient conciliator's agreement
@@ -49,8 +54,7 @@ func E1ConciliatorAgreement(cfg Config) *Table {
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
 		for _, adv := range adversaryPortfolio() {
 			var agree stats.Tally
-			conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New,
-				func(ok bool, _, _ int) { agree.Add(ok) })
+			conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New, agree.Add)
 			p := agree.Proportion()
 			verdict := "yes"
 			if p.P < thm7Delta {
@@ -79,9 +83,7 @@ func E2ConciliatorTotalWork(cfg Config) *Table {
 	var ns, ys []float64
 	for _, n := range []int{4, 8, 16, 32, 64, 128} {
 		for _, adv := range adversaryPortfolio() {
-			works := &obs.Hist{}
-			conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New,
-				func(_ bool, total, _ int) { works.AddInt(total) })
+			works, _ := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New, nil)
 			t.AddRow(fmt.Sprintf("%d", n), adv.Name,
 				fmt.Sprintf("%.1f ± %.1f", works.Mean(), works.SE()),
 				fmt.Sprintf("%d/%d/%d", works.P50(), works.P90(), works.P99()),
@@ -113,8 +115,8 @@ func E3ConciliatorIndividualWork(cfg Config) *Table {
 	for _, n := range []int{2, 4, 8, 16, 32, 64, 128, 256} {
 		ind := &obs.Hist{}
 		for _, adv := range adversaryPortfolio() {
-			conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New,
-				func(_ bool, _, iw int) { ind.AddInt(iw) })
+			_, work := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New, nil)
+			ind.Merge(work)
 		}
 		maxObs := int(ind.Max())
 		bound := 2*int(math.Ceil(math.Log2(float64(n)))) + 5
@@ -153,12 +155,13 @@ func E8BaselineComparison(cfg Config) *Table {
 	// so they face identical random streams.
 	solo := newInputTable(1, 1)
 	soloWork := func(n int, build func(register.Allocator, int, int) *conciliator.Impatient) float64 {
-		var works stats.Acc
-		mustSweep(harness.SweepObject(cfg.sweep(trials),
+		s := cfg.sweep(trials)
+		s.StepsHist = &obs.Hist{}
+		mustSweep(harness.SweepObject(s,
 			objectCell(1, solo, func() sched.Scheduler { return sched.NewRoundRobin() },
 				func(file *register.File) core.Object { return build(file, n, 1) }),
-			func(_ harness.Trial, run *harness.ObjectRun) { works.AddInt(run.Result.TotalWork) }))
-		return works.Mean()
+			nil))
+		return s.StepsHist.Mean()
 	}
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
 		mi, mc := soloWork(n, conciliator.NewImpatient), soloWork(n, conciliator.NewConstantRate)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/stats"
 )
@@ -25,12 +24,7 @@ func E6BinaryConsensus(cfg Config) *Table {
 	var ns, indY, totY []float64
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256} {
 		for _, adv := range advs {
-			ind, tot := &obs.Hist{}, &obs.Hist{}
-			consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), adv.New,
-				func(_ harness.Trial, run *harness.ProtocolRun) {
-					ind.AddInt(run.Result.MaxIndividualWork())
-					tot.AddInt(run.Result.TotalWork)
-				})
+			tot, ind := consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), adv.New, nil)
 			t.AddRow(fmt.Sprintf("%d", n), adv.Name,
 				fmt.Sprintf("%.1f ± %.1f", ind.Mean(), ind.SE()),
 				fmt.Sprintf("%d/%d/%d", ind.P50(), ind.P90(), ind.P99()),
@@ -64,13 +58,8 @@ func E7MValuedConsensus(cfg Config) *Table {
 	n := 32
 	var ms, totY []float64
 	for _, m := range []int{2, 4, 16, 64, 256, 1024} {
-		ind, tot := &obs.Hist{}, &obs.Hist{}
-		consensusSweep(cfg.sweep(trials), cfg.spec(n, m),
-			func() sched.Scheduler { return sched.NewFirstMoverAttack() },
-			func(_ harness.Trial, run *harness.ProtocolRun) {
-				ind.AddInt(run.Result.MaxIndividualWork())
-				tot.AddInt(run.Result.TotalWork)
-			})
+		tot, ind := consensusSweep(cfg.sweep(trials), cfg.spec(n, m),
+			func() sched.Scheduler { return sched.NewFirstMoverAttack() }, nil)
 		t.AddRow(fmt.Sprintf("%d", m), fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", ind.Mean()),
 			fmt.Sprintf("%.0f", tot.Mean()),
@@ -95,18 +84,12 @@ func E9FastPath(cfg Config) *Table {
 	}
 	trials := cfg.trials(100)
 	for _, n := range []int{4, 16, 64, 256} {
-		maxInd := 0
-		var ind stats.Acc
 		fastDecisions, total := 0, 0
 		spec := cfg.spec(n, 2)
 		spec.inputs = newInputTable(n, 1) // all zeros
-		consensusSweep(cfg.sweep(trials), spec,
+		_, ind := consensusSweep(cfg.sweep(trials), spec,
 			func() sched.Scheduler { return sched.NewUniformRandom() },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
-				ind.AddInt(run.Result.MaxIndividualWork())
-				if w := run.Result.MaxIndividualWork(); w > maxInd {
-					maxInd = w
-				}
 				for pid := 0; pid < n; pid++ {
 					total++
 					if st, _ := run.DecidedStage(pid); st == 0 {
@@ -116,7 +99,7 @@ func E9FastPath(cfg Config) *Table {
 			})
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", ind.Mean()),
-			fmt.Sprintf("%d", maxInd),
+			fmt.Sprintf("%d", ind.Max()),
 			fmt.Sprintf("%d/%d", fastDecisions, total),
 			"0")
 	}

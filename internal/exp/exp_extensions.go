@@ -7,9 +7,9 @@ import (
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/multi"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/setagree"
-	"github.com/modular-consensus/modcon/internal/stats"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -33,9 +33,10 @@ func E16SetAgreement(cfg Config) *Table {
 			if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
 				continue
 			}
-			maxDistinct := 0
-			var distinct, indWork stats.Acc
-			mustSweep(harness.SweepObject(cfg.sweep(trials),
+			var distinct obs.Hist
+			s := cfg.sweep(trials)
+			s.WorkHist = &obs.Hist{}
+			mustSweep(harness.SweepObject(s,
 				objectCell(n, in, adv.New, func(file *register.File) core.Object {
 					p, err := setagree.New(file, n, m, k)
 					if err != nil {
@@ -50,18 +51,16 @@ func E16SetAgreement(cfg Config) *Table {
 					for _, v := range run.Outputs() {
 						seen[v] = true
 					}
-					maxDistinct = max(maxDistinct, len(seen))
 					distinct.AddInt(len(seen))
-					indWork.AddInt(run.Result.MaxIndividualWork())
 				}))
-			verdict := fmt.Sprintf("%d", maxDistinct)
-			if maxDistinct > k {
+			verdict := fmt.Sprintf("%d", distinct.Max())
+			if distinct.Max() > int64(k) {
 				verdict += " VIOLATION"
 			}
 			t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), adv.Name,
 				verdict,
 				fmt.Sprintf("%.2f", distinct.Mean()),
-				fmt.Sprintf("%.1f", indWork.Mean()))
+				fmt.Sprintf("%.1f", s.WorkHist.Mean()))
 		}
 	}
 	t.AddNote("with all-distinct inputs each group keeps one value, so mean distinct = k exactly; the safety property is the max column never exceeding k")
@@ -86,7 +85,7 @@ func E17Sequences(cfg Config) *Table {
 			if adv.Name != "uniform-random" && adv.Name != "first-mover-attack" {
 				continue
 			}
-			var works stats.Acc
+			var works obs.Hist
 			decided := 0
 			mustSweep(harness.RunTrials(cfg.sweep(trials),
 				func(ctx context.Context, tr harness.Trial) (seqResult, error) {
@@ -116,10 +115,9 @@ func E17Sequences(cfg Config) *Table {
 					works.AddInt(r.work)
 					decided += r.decided
 				}))
-			s := works.Summary()
 			t.AddRow(fmt.Sprintf("%d", slots), fmt.Sprintf("%d", n), adv.Name,
-				fmt.Sprintf("%.0f ± %.0f", s.Mean, s.StandardErrorOfM),
-				fmt.Sprintf("%.1f", s.Mean/float64(slots)),
+				fmt.Sprintf("%.0f ± %.0f", works.Mean(), works.SE()),
+				fmt.Sprintf("%.1f", works.Mean()/float64(slots)),
 				fmt.Sprintf("%d/%d", decided, trials*slots))
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/live"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/stats"
 )
 
 // E20 fault-intensity sweep parameters. The stall row livelocks every
@@ -93,11 +92,10 @@ func E20FaultIntensity(cfg Config) *Table {
 				ct, deadline = min(trials, e20StallTrials), e20StallDeadline
 			}
 			rz := harness.Resilience{Deadline: deadline, Retries: 1, FailFast: cfg.FailFast}
-			var (
-				okWork  obs.Hist
-				decided stats.Acc
-			)
-			report, err := harness.SweepProtocolRobust(cfg.sweep(ct), rz,
+			var decided obs.Hist
+			s := cfg.sweep(ct)
+			s.StepsHist = &obs.Hist{} // the robust engine meters only OK trials
+			report, err := harness.SweepProtocolRobust(s, rz,
 				harness.ProtocolSweep{
 					Build: func() (*core.Protocol, harness.ObjectConfig) {
 						file, proto := spec.build()
@@ -113,7 +111,6 @@ func E20FaultIntensity(cfg Config) *Table {
 					if run == nil || rep.Outcome != harness.OutcomeOK {
 						return
 					}
-					okWork.AddInt(run.Result.TotalWork)
 					n := 0
 					for _, d := range run.Decided {
 						if d {
@@ -126,8 +123,8 @@ func E20FaultIntensity(cfg Config) *Table {
 			t.Violations += report.Violations()
 
 			workCell, decidedCell := "-", "-"
-			if okWork.N() > 0 {
-				workCell = fmt.Sprintf("%.0f/%d", okWork.Mean(), okWork.P99())
+			if s.StepsHist.N() > 0 {
+				workCell = fmt.Sprintf("%.0f/%d", s.StepsHist.Mean(), s.StepsHist.P99())
 				decidedCell = fmt.Sprintf("%.1f", decided.Mean())
 			}
 			t.AddRow(be.name, sc.name, fmt.Sprintf("%d", report.Trials), report.String(), decidedCell, workCell)

@@ -19,10 +19,10 @@ import (
 	"github.com/modular-consensus/modcon/internal/fallback"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/live"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/stats"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -129,7 +129,7 @@ func E18CrossBackend(cfg Config) *Table {
 	for _, n := range []int{2, 8, 32} {
 		for _, m := range []int{2, 4} {
 			violations := 0
-			var tot stats.Acc
+			var tot obs.Hist
 			spec := cfg.spec(n, m)
 			spec.Fallback = true
 			for i := 0; i < trials; i++ {
@@ -180,7 +180,7 @@ func E19LiveWallClock(cfg Config) *Table {
 	}
 	trials := cfg.trials(30)
 	for _, n := range []int{2, 8, 32} {
-		var tot stats.Acc
+		var tot obs.Hist
 		var elapsed time.Duration
 		spec := cfg.spec(n, 2)
 		spec.Fallback = true

@@ -7,6 +7,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/harness"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/quorum"
 	"github.com/modular-consensus/modcon/internal/ratifier"
 	"github.com/modular-consensus/modcon/internal/register"
@@ -64,11 +65,13 @@ func E4RatifierSpaceWork(cfg Config) *Table {
 			if err := verify(r.Scheme()); err != nil {
 				props = err.Error()
 			}
-			maxOps := 0
+			ops := &obs.Hist{}
 			n := 5
 			if props == "ok" {
 				in := newInputTable(n, m)
-				mustSweep(harness.SweepObject(cfg.sweep(trials),
+				s := cfg.sweep(trials)
+				s.WorkHist = ops
+				mustSweep(harness.SweepObject(s,
 					harness.ObjectSweep{
 						Build: func() (core.Object, harness.ObjectConfig) {
 							f2 := register.NewFile()
@@ -80,9 +83,6 @@ func E4RatifierSpaceWork(cfg Config) *Table {
 						Inputs: in.of,
 					},
 					func(_ harness.Trial, run *harness.ObjectRun) {
-						if w := run.Result.MaxIndividualWork(); w > maxOps {
-							maxOps = w
-						}
 						if err := check.Objects(run.Trace, "R"); err != nil {
 							props = err.Error()
 						}
@@ -90,7 +90,7 @@ func E4RatifierSpaceWork(cfg Config) *Table {
 			}
 			t.AddRow(fmt.Sprintf("%d", m), e.name,
 				fmt.Sprintf("%d", r.Registers()), fmt.Sprintf("%d", e.paperRegs),
-				fmt.Sprintf("%d", maxOps), fmt.Sprintf("≤%d", e.paperOps), props)
+				fmt.Sprintf("%d", ops.Max()), fmt.Sprintf("≤%d", e.paperOps), props)
 		}
 	}
 	t.AddNote("properties = validity + coherence + acceptance checked on traced executions")

@@ -164,12 +164,12 @@ func E12PriorityRatifierOnly(cfg Config) *Table {
 	}
 	trials := cfg.trials(60)
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		done, maxInd, topWork := 0, 0, 0
+		done, topWork := 0, 0
 		spec := cfg.spec(n, 2)
 		spec.Conciliator = recipe.ConciliatorNone
 		spec.FastPath = false
 		spec.Stages = 64
-		consensusSweep(cfg.sweep(trials), spec,
+		_, ind := consensusSweep(cfg.sweep(trials), spec,
 			func() sched.Scheduler { return sched.NewPriority(nil) },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				all := true
@@ -181,15 +181,12 @@ func E12PriorityRatifierOnly(cfg Config) *Table {
 				if all {
 					done++
 				}
-				if w := run.Result.MaxIndividualWork(); w > maxInd {
-					maxInd = w
-				}
 				if run.Result.Work[0] > topWork {
 					topWork = run.Result.Work[0]
 				}
 			})
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d/%d", done, trials),
-			fmt.Sprintf("%d", maxInd), fmt.Sprintf("%d", topWork), "6")
+			fmt.Sprintf("%d", ind.Max()), fmt.Sprintf("%d", topWork), "6")
 	}
 	t.AddNote("the top-priority process completes R1 solo: 4 ops (binary ratifier), then decides")
 	return t

@@ -34,9 +34,8 @@ const (
 // writes and splits the outputs near-evenly, while the interposed mask
 // reduces it to guessing and the split collapses toward unanimity even when
 // strict agreement still fails.
-func e21Agreement(s harness.Sweep, model register.Semantics, be exec.Backend, mk func() sched.Scheduler) (stats.Tally, *stats.Acc) {
-	var agree stats.Tally
-	minority := &stats.Acc{}
+func e21Agreement(s harness.Sweep, model register.Semantics, be exec.Backend, mk func() sched.Scheduler) (agree stats.Tally, minority float64) {
+	var sum float64
 	in := newInputTable(e21N, 2)
 	mustSweep(harness.SweepObject(s,
 		harness.ObjectSweep{
@@ -63,9 +62,9 @@ func e21Agreement(s harness.Sweep, model register.Semantics, be exec.Backend, mk
 					ones++
 				}
 			}
-			minority.Add(float64(min(ones, len(outs)-ones)) / float64(len(outs)))
+			sum += float64(min(ones, len(outs)-ones)) / float64(len(outs))
 		}))
-	return agree, minority
+	return agree, sum / float64(agree.Trials)
 }
 
 // e21Consensus runs full binary-consensus trials under one register model,
@@ -139,13 +138,13 @@ func E21RegisterSemantics(cfg Config) *Table {
 			t.Violations += viol
 			p := stats.NewProportion(agree.Successes, agree.Trials)
 			if adv.Name == "adaptive-spoiler" {
-				spoilerSplit[model] = minority.Mean()
+				spoilerSplit[model] = minority
 			}
 			if adv.Name == "adaptive-spoiler" || adv.Name == "stale-read-attack" {
 				t.AddDist(fmt.Sprintf("consensus total work sim/%s/%s", model, adv.Name), work)
 			}
 			t.AddRow("sim", model.String(), adv.Name, p.String(),
-				fmt.Sprintf("%.3f", minority.Mean()),
+				fmt.Sprintf("%.3f", minority),
 				fmt.Sprintf("%d/%d", term.Successes, term.Trials), workCell(work))
 		}
 	}
@@ -160,7 +159,7 @@ func E21RegisterSemantics(cfg Config) *Table {
 		t.Violations += viol
 		t.AddRow("live", model.String(), "goroutine",
 			stats.NewProportion(agree.Successes, agree.Trials).String(),
-			fmt.Sprintf("%.3f", minority.Mean()),
+			fmt.Sprintf("%.3f", minority),
 			fmt.Sprintf("%d/%d", term.Successes, term.Trials), workCell(work))
 	}
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"github.com/modular-consensus/modcon/internal/harness"
-	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/workload"
@@ -74,11 +73,9 @@ func E23WorkloadSaturation(cfg Config) *Table {
 			spec := defaultSpec(e23N, e23M)
 			spec.registers = model
 			demands := make([]int64, trials)
-			work := &obs.Hist{}
-			consensusSweep(cfg.sweep(trials), spec, adv.New,
+			work, _ := consensusSweep(cfg.sweep(trials), spec, adv.New,
 				func(tr harness.Trial, run *harness.ProtocolRun) {
 					demands[tr.Index] = int64(run.Result.TotalWork)
-					work.AddInt(run.Result.TotalWork)
 				})
 			capacity := float64(e23Servers) * 1e9 / (work.Mean() * float64(stepNs))
 			t.AddDist(fmt.Sprintf("service demand steps %s %s", model, adv.Name), work)

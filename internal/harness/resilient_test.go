@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/live"
+	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/recipe"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
@@ -488,5 +490,131 @@ func TestSweepReportString(t *testing.T) {
 	empty := &SweepReport{Counts: map[TrialOutcome]int{}}
 	if got := empty.String(); got != "empty" {
 		t.Fatalf("empty String() = %q", got)
+	}
+}
+
+// TestRobustAbandonsUnresponsiveTrial drives the watchdog's last resort: a
+// trial that ignores cancellation past Resilience.Grace is classified
+// timeout after one attempt and its goroutine abandoned, so the sweep
+// returns without waiting for it. The abandoned goroutine exits once its
+// trial finally returns.
+func TestRobustAbandonsUnresponsiveTrial(t *testing.T) {
+	settle := func() int {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		return runtime.NumGoroutine()
+	}
+	base := runtime.NumGoroutine()
+	for prev := -1; base != prev; {
+		prev, base = base, settle()
+	}
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		close(release)
+		got := settle()
+		for deadline := time.Now().Add(5 * time.Second); got > base && time.Now().Before(deadline); {
+			got = settle()
+		}
+		if got > base {
+			t.Errorf("%d goroutines after the abandoned trial returned, want at most the %d before", got, base)
+		}
+	})
+
+	start := time.Now()
+	report, err := RunTrialsRobust(Sweep{Trials: 4, Workers: 2, Seed: 3},
+		Resilience{Deadline: 20 * time.Millisecond, Grace: 20 * time.Millisecond},
+		func(ctx context.Context, tr Trial) (int, error) {
+			if tr.Index == 1 {
+				<-release // deaf to ctx
+			}
+			return tr.Index, nil
+		}, nil)
+	// Deadline plus Grace is 40ms; a watchdog that ignored Grace would
+	// wait out the 1s default.
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Errorf("sweep returned after %v, want well under the 1s default grace", elapsed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Trials != 4 {
+		t.Fatalf("classified %d trials, want 4: %s", report.Trials, report)
+	}
+	for _, rep := range report.Reports {
+		if rep.Trial.Index != 1 {
+			if rep.Outcome != OutcomeOK {
+				t.Errorf("trial %d classified %s, want ok", rep.Trial.Index, rep.Outcome)
+			}
+			continue
+		}
+		if rep.Outcome != OutcomeTimeout || rep.Attempts != 1 {
+			t.Errorf("unresponsive trial: outcome %s after %d attempts, want timeout after 1", rep.Outcome, rep.Attempts)
+		}
+		if !errors.Is(rep.Err, ErrTrialDeadline) || !strings.Contains(fmt.Sprint(rep.Err), "goroutine abandoned") {
+			t.Errorf("unresponsive trial error %v, want ErrTrialDeadline and \"goroutine abandoned\"", rep.Err)
+		}
+	}
+}
+
+// costedTrial is a Metered trial result that may report a violation.
+type costedTrial struct {
+	fakeViolator
+	steps, work int
+}
+
+func (c costedTrial) SweepCost() (steps, work int) { return c.steps, c.work }
+
+// TestRobustHistogramsFoldOnlyOKTrials: a robust sweep's StepsHist and
+// WorkHist meter the trials classified OK and no others, even when a
+// violated or step-limited trial's result carries a cost.
+func TestRobustHistogramsFoldOnlyOKTrials(t *testing.T) {
+	violation := errors.New("agreement violated")
+	s := Sweep{Trials: 12, Workers: 3, Seed: 5, StepsHist: &obs.Hist{}, WorkHist: &obs.Hist{}}
+	var wantSteps, wantWork obs.Hist
+	report, err := RunTrialsRobust(s, Resilience{},
+		func(ctx context.Context, tr Trial) (costedTrial, error) {
+			c := costedTrial{steps: 100 + 7*tr.Index, work: 3 + tr.Index}
+			switch tr.Index % 4 {
+			case 1:
+				c.v = violation
+			case 2:
+				return c, exec.ErrStepLimit
+			case 3:
+				panic("resilient_test: injected trial panic")
+			}
+			return c, nil
+		},
+		func(tr Trial, c costedTrial, rep TrialReport) {
+			if rep.Outcome == OutcomeOK {
+				wantSteps.AddInt(c.steps)
+				wantWork.AddInt(c.work)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []TrialOutcome{OutcomeOK, OutcomeViolated, OutcomeCrashedShort, OutcomePanicked} {
+		if report.Count(o) != 3 {
+			t.Fatalf("outcomes %s, want 3 of each of ok, violated, crashed-short and panicked", report)
+		}
+	}
+	for _, h := range []struct {
+		name      string
+		got, want *obs.Hist
+	}{{"steps", s.StepsHist, &wantSteps}, {"work", s.WorkHist, &wantWork}} {
+		if h.got.N() != int64(report.Count(OutcomeOK)) {
+			t.Errorf("%s histogram holds %d trials, want the %d ok ones", h.name, h.got.N(), report.Count(OutcomeOK))
+		}
+		got, err := json.Marshal(h.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(h.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s histogram differs from the ok trials' fold:\n%s\n%s", h.name, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package harness
 // functions of (spec, seed) no matter which session executes them.
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -380,5 +381,29 @@ func TestPoolClosesPanickedSessions(t *testing.T) {
 	}
 	if got > base {
 		t.Errorf("%d goroutines after 10 rounds of panicking sweeps, want at most the %d before", got, base)
+	}
+}
+
+// countingCell is a pooled session that only counts its closes.
+type countingCell struct{ closes int }
+
+func (c *countingCell) runTrial(context.Context, Trial) (*ObjectRun, error) { return nil, nil }
+func (c *countingCell) close()                                              { c.closes++ }
+
+// TestPoolLatePutClosesSession: closeAll closes the free sessions, and a
+// session put back after it — by an attempt that outlived its sweep — is
+// closed instead of returning to the free list.
+func TestPoolLatePutClosesSession(t *testing.T) {
+	p := newSessionPool[*ObjectRun](func() (*countingCell, error) { return &countingCell{}, nil })
+	idle, _ := p.get()
+	late, _ := p.get()
+	p.put(idle)
+	p.closeAll()
+	if idle.closes != 1 || late.closes != 0 {
+		t.Fatalf("closeAll: free session closed %d times, checked-out one %d; want 1 and 0", idle.closes, late.closes)
+	}
+	p.put(late)
+	if late.closes != 1 || len(p.free) != 0 {
+		t.Fatalf("late put: session closed %d times with %d free; want 1 and 0", late.closes, len(p.free))
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -38,25 +39,29 @@ func TestTrialSeedDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-// consensusAggregate folds one sweep of full consensus executions and
-// returns the aggregate statistics, exactly as the experiment drivers do.
-func consensusAggregate(t *testing.T, workers int) (stats.Summary, stats.Summary, stats.Tally) {
+// consensusAggregate runs one pooled sweep of full consensus executions,
+// exactly as the experiment drivers do, and returns the JSON of its total-
+// and individual-work histograms (every bucket, so comparison is
+// bit-level) and its decision tally.
+func consensusAggregate(t *testing.T, workers int) (total, individual string, decided stats.Tally) {
 	t.Helper()
 	const n, trials = 8, 48
-	var total, individual stats.Acc
-	var decided stats.Tally
-	err := SweepProtocol(
-		Sweep{Trials: trials, Workers: workers, Seed: 99},
-		poolConsensusSpec(t, n, nil),
-		func(tr Trial, run *ProtocolRun) {
-			total.AddInt(run.Result.TotalWork)
-			individual.AddInt(run.Result.MaxIndividualWork())
-			decided.Add(len(run.DecidedOutputs()) == n)
-		})
+	s := Sweep{Trials: trials, Workers: workers, Seed: 99, StepsHist: &obs.Hist{}, WorkHist: &obs.Hist{}}
+	err := SweepProtocol(s, poolConsensusSpec(t, n, nil), func(tr Trial, run *ProtocolRun) {
+		decided.Add(len(run.DecidedOutputs()) == n)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return total.Summary(), individual.Summary(), decided
+	tj, err := json.Marshal(s.StepsHist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ij, err := json.Marshal(s.WorkHist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(tj), string(ij), decided
 }
 
 // TestSweepDeterministicAcrossWorkerCounts is the contract the experiments
@@ -67,10 +72,10 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{4, 16} {
 		total, ind, dec := consensusAggregate(t, workers)
 		if total != refTotal {
-			t.Errorf("workers=%d total-work summary diverged: %+v != %+v", workers, total, refTotal)
+			t.Errorf("workers=%d total-work histogram diverged:\n%s\n%s", workers, total, refTotal)
 		}
 		if ind != refInd {
-			t.Errorf("workers=%d individual-work summary diverged: %+v != %+v", workers, ind, refInd)
+			t.Errorf("workers=%d individual-work histogram diverged:\n%s\n%s", workers, ind, refInd)
 		}
 		if dec != refDec {
 			t.Errorf("workers=%d decision tally diverged: %+v != %+v", workers, dec, refDec)

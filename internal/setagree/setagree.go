@@ -88,9 +88,6 @@ func (p *Protocol) Run(e core.Env, v value.Value) value.Value {
 	return out
 }
 
-// K returns the agreement bound.
-func (p *Protocol) K() int { return p.k }
-
 // groupEnv renumbers the process id into the group-local dense range and
 // reports the group size as the process count. All other operations pass
 // through.

@@ -1,79 +1,31 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: summary statistics, binomial confidence intervals for
-// agreement probabilities, and least-squares fits against the growth shapes
-// the paper's theorems predict (constant, log n, n, n log n).
+// harness uses: binomial confidence intervals for agreement probabilities,
+// and least-squares fits against the growth shapes the paper's theorems
+// predict (constant, log n, n, n log n). Means and quantiles of work come
+// from obs.Hist.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Summary holds the moments and quantiles of a sample.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Max         float64
-	P50, P90, P99    float64
-	StandardErrorOfM float64
+// Tally counts successes over trials for a binomial estimate.
+type Tally struct {
+	Successes, Trials int
 }
 
-// Summarize computes summary statistics of xs; it panics on empty input
-// (an experiment with zero trials is a harness bug).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		panic("stats: Summarize of empty sample")
+// Add records one trial.
+func (t *Tally) Add(ok bool) {
+	t.Trials++
+	if ok {
+		t.Successes++
 	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-		s.StandardErrorOfM = s.Std / math.Sqrt(float64(s.N))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = quantile(sorted, 0.50)
-	s.P90 = quantile(sorted, 0.90)
-	s.P99 = quantile(sorted, 0.99)
-	return s
 }
 
-// SummarizeInts converts and summarizes integer samples.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
-// quantile returns the q-quantile of a sorted sample by linear
-// interpolation.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
+// Proportion returns the Wilson 95% interval of the tally; like
+// NewProportion it panics when no trials were recorded.
+func (t Tally) Proportion() Proportion { return NewProportion(t.Successes, t.Trials) }
 
 // Proportion is a binomial estimate with a Wilson score interval.
 type Proportion struct {

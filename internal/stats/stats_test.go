@@ -3,75 +3,18 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("summary %+v", s)
+func TestTally(t *testing.T) {
+	var a Tally
+	a.Add(true)
+	a.Add(false)
+	a.Add(true)
+	if a.Successes != 2 || a.Trials != 3 {
+		t.Fatalf("tally %+v", a)
 	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("std %v", s.Std)
-	}
-	if s.P50 != 3 {
-		t.Fatalf("median %v", s.P50)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Std != 0 || s.P50 != 7 || s.P99 != 7 {
-		t.Fatalf("summary %+v", s)
-	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{2, 4, 6})
-	if s.Mean != 4 {
-		t.Fatalf("mean %v", s.Mean)
-	}
-}
-
-func TestSummarizePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Summarize(nil)
-}
-
-func TestQuantiles(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	s := Summarize(xs)
-	if s.P50 != 50 || s.P90 != 90 || s.P99 != 99 {
-		t.Fatalf("quantiles %v %v %v", s.P50, s.P90, s.P99)
-	}
-}
-
-func TestSummaryBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for i := range raw {
-			if math.IsNaN(raw[i]) || math.IsInf(raw[i], 0) {
-				raw[i] = 0
-			}
-			// Clamp to avoid overflow in the sum — the harness only ever
-			// summarizes op counts and probabilities.
-			raw[i] = math.Mod(raw[i], 1e9)
-		}
-		s := Summarize(raw)
-		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if got, want := a.Proportion(), NewProportion(2, 3); got != want {
+		t.Fatalf("proportion %+v != %+v", got, want)
 	}
 }
 

@@ -227,11 +227,6 @@ func (l *Log) Filter(keep func(Event) bool) []Event {
 	return out
 }
 
-// ByPID returns the events of a single process, in order.
-func (l *Log) ByPID(pid int) []Event {
-	return l.Filter(func(e Event) bool { return e.PID == pid })
-}
-
 // String renders the whole log, one event per line.
 func (l *Log) String() string {
 	var b strings.Builder

@@ -17,29 +17,3 @@ func (s *Source) NormFloat64() float64 {
 		return r * math.Cos(2*math.Pi*v)
 	}
 }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
-// Geometric returns the number of failures before the first success of a
-// Bernoulli(num/den) process, i.e. a Geometric(p) variate supported on
-// {0, 1, 2, ...}. It panics if num == 0 (the wait would be infinite) or
-// den == 0.
-func (s *Source) Geometric(num, den uint64) int {
-	if num == 0 {
-		panic("xrand: Geometric with zero success probability")
-	}
-	n := 0
-	for !s.Bernoulli(num, den) {
-		n++
-	}
-	return n
-}

@@ -149,11 +149,3 @@ func (s *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes xs uniformly in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -221,19 +221,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestShuffleMatchesPermContract(t *testing.T) {
-	s := New(11)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("Shuffle lost elements: %v", xs)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(13)
 	const n = 200000
@@ -251,44 +238,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	if math.Abs(variance-1) > 0.03 {
 		t.Errorf("normal variance %v, want ~1", variance)
 	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(14)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean %v, want ~1", mean)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	s := New(15)
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += s.Geometric(1, 4)
-	}
-	// Mean of failures-before-success with p=1/4 is (1-p)/p = 3.
-	if mean := float64(sum) / n; math.Abs(mean-3) > 0.1 {
-		t.Errorf("geometric mean %v, want ~3", mean)
-	}
-}
-
-func TestGeometricPanicsOnZeroNum(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0,1) did not panic")
-		}
-	}()
-	New(1).Geometric(0, 1)
 }
 
 func BenchmarkUint64(b *testing.B) {
