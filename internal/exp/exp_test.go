@@ -2,13 +2,17 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/modular-consensus/modcon/internal/conciliator"
 	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
+	"github.com/modular-consensus/modcon/internal/sched"
+	"github.com/modular-consensus/modcon/internal/stats"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -218,4 +222,72 @@ func TestMixedInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameHist fails t unless got and want marshal to the same JSON, which
+// holds every bucket, so the comparison is exact.
+func sameHist(t *testing.T, name string, got, want *obs.Hist) {
+	t.Helper()
+	gj, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gj) != string(wj) {
+		t.Errorf("%s histogram differs:\n%s\n%s", name, gj, wj)
+	}
+}
+
+// TestConsensusSweepReturnsWorkHistograms pins the histograms that
+// consensusSweep returns: fresh ones per call, holding every trial's total
+// work and maximum individual work, equal to a hand fold of the same
+// trials, whether the fold is nil or not.
+func TestConsensusSweepReturnsWorkHistograms(t *testing.T) {
+	const n, trials = 8, 20
+	cfg := Config{Seed: 5, Workers: 2}
+	mk := func() sched.Scheduler { return sched.NewUniformRandom() }
+	steps, work := consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), mk, nil)
+	var wantSteps, wantWork obs.Hist
+	steps2, work2 := consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), mk,
+		func(_ harness.Trial, run *harness.ProtocolRun) {
+			wantSteps.AddInt(run.Result.TotalWork)
+			wantWork.AddInt(slices.Max(run.Result.Work))
+		})
+	if steps == steps2 || work == work2 {
+		t.Fatal("consensusSweep returned the same histograms from two calls")
+	}
+	if steps.N() != trials || work.N() != trials {
+		t.Fatalf("histograms hold %d and %d trials, want %d", steps.N(), work.N(), trials)
+	}
+	sameHist(t, "steps", steps, &wantSteps)
+	sameHist(t, "work", work, &wantWork)
+	sameHist(t, "folded sweep's steps", steps2, &wantSteps)
+	sameHist(t, "folded sweep's work", work2, &wantWork)
+}
+
+// TestConciliatorSweepReturnsWorkHistograms pins conciliatorSweep's
+// histograms: one observation per trial, individual work never above
+// total work, and the same bytes whether a fold takes the agreement flags
+// or the fold is nil.
+func TestConciliatorSweepReturnsWorkHistograms(t *testing.T) {
+	const n, trials = 8, 20
+	cfg := Config{Seed: 9, Workers: 2}
+	mk := func() sched.Scheduler { return sched.NewUniformRandom() }
+	var agree stats.Tally
+	steps, work := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, mk, agree.Add)
+	if agree.Trials != trials {
+		t.Fatalf("fold saw %d trials, want %d", agree.Trials, trials)
+	}
+	if steps.N() != trials || work.N() != trials {
+		t.Fatalf("histograms hold %d and %d trials, want %d", steps.N(), work.N(), trials)
+	}
+	if work.Max() > steps.Max() || work.Sum() > steps.Sum() || work.Min() < 1 {
+		t.Fatalf("individual work %s against total work %s", work, steps)
+	}
+	steps2, work2 := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, mk, nil)
+	sameHist(t, "steps", steps2, steps)
+	sameHist(t, "work", work2, work)
 }

@@ -177,3 +177,48 @@ func TestRobustProgressViolations(t *testing.T) {
 		t.Fatalf("final snapshot = %+v", last)
 	}
 }
+
+// TestObjectSweepHistogramsMatchHandFold pins the object-sweep histograms
+// that the experiments read their work columns from: SweepObject folds
+// every trial's total work into StepsHist and its maximum individual work
+// into WorkHist, equal to a hand fold of the same runs, and a sweep with
+// only StepsHist attached folds the same steps at another worker count.
+func TestObjectSweepHistogramsMatchHandFold(t *testing.T) {
+	const n, trials = 4, 24
+	s := Sweep{Trials: trials, Workers: 3, Seed: 17, StepsHist: &obs.Hist{}, WorkHist: &obs.Hist{}}
+	var wantSteps, wantWork obs.Hist
+	err := SweepObject(s, cellObjectSpec(n, nil), func(_ Trial, run *ObjectRun) {
+		wantSteps.AddInt(run.Result.TotalWork)
+		wantWork.AddInt(run.Result.MaxIndividualWork())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepsOnly := Sweep{Trials: trials, Workers: 2, Seed: 17, StepsHist: &obs.Hist{}}
+	if err := SweepObject(stepsOnly, cellObjectSpec(n, nil), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *obs.Hist
+	}{
+		{"steps", s.StepsHist, &wantSteps},
+		{"work", s.WorkHist, &wantWork},
+		{"steps-only sweep", stepsOnly.StepsHist, &wantSteps},
+	} {
+		if c.got.N() != trials {
+			t.Errorf("%s: N = %d, want %d", c.name, c.got.N(), trials)
+		}
+		gj, err := json.Marshal(c.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, err := json.Marshal(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gj) != string(wj) {
+			t.Errorf("%s histogram differs from the hand fold:\n%s\n%s", c.name, gj, wj)
+		}
+	}
+}

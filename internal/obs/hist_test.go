@@ -2,10 +2,13 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 )
 
 // TestHistExactSmallValues pins that every statistic is exact when all
@@ -177,5 +180,109 @@ func TestHistJSONRoundTrip(t *testing.T) {
 	}
 	if string(b) != string(b2) {
 		t.Fatalf("re-marshal differs:\n%s\n%s", b, b2)
+	}
+}
+
+// TestHistSingleObservation pins that one observation is every statistic,
+// in the unit-bucket region and in the log2 region alike.
+func TestHistSingleObservation(t *testing.T) {
+	for _, v := range []int64{0, 7, denseSize - 1, denseSize, 70000} {
+		t.Run(fmt.Sprintf("v=%d", v), func(t *testing.T) {
+			var h Hist
+			h.Add(v)
+			if h.Mean() != float64(v) || h.Std() != 0 || h.SE() != 0 {
+				t.Fatalf("mean/std/se = %v/%v/%v, want %d/0/0", h.Mean(), h.Std(), h.SE(), v)
+			}
+			for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+				if got := h.Quantile(q); got != v {
+					t.Errorf("Quantile(%v) = %d, want %d", q, got, v)
+				}
+			}
+		})
+	}
+}
+
+// TestHistNearestRankQuantiles pins the nearest-rank rule on the sample
+// 0..100, fed in descending order: the q-quantile is the ceil(q*101)-th
+// smallest value.
+func TestHistNearestRankQuantiles(t *testing.T) {
+	var h Hist
+	for v := int64(100); v >= 0; v-- {
+		h.Add(v)
+	}
+	if h.P50() != 50 || h.P90() != 90 || h.P99() != 99 {
+		t.Fatalf("P50/P90/P99 = %d/%d/%d, want 50/90/99", h.P50(), h.P90(), h.P99())
+	}
+}
+
+// TestHistMeanMatchesFloatFold pins what lets the experiment tables take
+// their means from a Hist: over integer samples whose sum is exact in a
+// float64, the mean equals a float64 fold of the samples divided by their
+// count, bit for bit.
+func TestHistMeanMatchesFloatFold(t *testing.T) {
+	f := func(raw []uint32) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h Hist
+		sum := 0.0
+		for _, r := range raw {
+			v := int64(r >> 8) // both bucket regions; sums stay below 2^53
+			h.Add(v)
+			sum += float64(v)
+		}
+		return h.Mean() == sum/float64(len(raw))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHistSEMatchesTwoPass checks SE, which the experiment tables print as
+// their "± SE" columns, against the two-pass sample formula.
+func TestHistSEMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for _, n := range []int{2, 3, 37, 500} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			var h Hist
+			vals := make([]float64, n)
+			mean := 0.0
+			for i := range vals {
+				v := int64(1 + rng.IntN(2*denseSize)) // both bucket regions
+				h.Add(v)
+				vals[i] = float64(v)
+				mean += vals[i]
+			}
+			mean /= float64(n)
+			ss := 0.0
+			for _, x := range vals {
+				ss += (x - mean) * (x - mean)
+			}
+			want := math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
+			if math.Abs(h.SE()-want) > 1e-9*want {
+				t.Fatalf("SE = %v, want %v", h.SE(), want)
+			}
+		})
+	}
+}
+
+// TestHistSummaryOrdering checks on random samples that the summary
+// statistics are ordered: min <= p50 <= p90 <= p99 <= max, and the mean
+// lies within [min, max].
+func TestHistSummaryOrdering(t *testing.T) {
+	f := func(raw []uint32) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h Hist
+		for _, r := range raw {
+			h.Add(int64(r >> 12)) // both bucket regions
+		}
+		m := h.Mean()
+		return h.Min() <= h.P50() && h.P50() <= h.P90() && h.P90() <= h.P99() && h.P99() <= h.Max() &&
+			float64(h.Min()) <= m && m <= float64(h.Max())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
