@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/modular-consensus/modcon/internal/core"
@@ -91,11 +92,7 @@ func scalingWorkerCounts() []int {
 func scalingSweep(regs register.Semantics) harness.ProtocolSweep {
 	return harness.ProtocolSweep{
 		Build: func() (*core.Protocol, harness.ObjectConfig) {
-			file := register.NewFile()
-			proto, err := scalingSpec.Build(file)
-			if err != nil {
-				panic(err) // unreachable: scalingSpec is valid
-			}
+			proto, file := scalingBuild()
 			return proto, harness.ObjectConfig{
 				N: scalingN, File: file,
 				Inputs:    []value.Value{0},
@@ -103,15 +100,36 @@ func scalingSweep(regs register.Semantics) harness.ProtocolSweep {
 				Registers: regs,
 			}
 		},
-		Inputs: func(tr harness.Trial) []value.Value {
-			inputs := make([]value.Value, scalingN)
-			for p := range inputs {
-				inputs[p] = value.Value((p + tr.Index) % 2)
-			}
-			return inputs
-		},
+		Inputs: scalingInputs,
 	}
 }
+
+// scalingBuild builds the scaling workload's protocol on a fresh register
+// file: the one build of every sweep and search of this command.
+func scalingBuild() (*core.Protocol, *register.File) {
+	file := register.NewFile()
+	proto, err := scalingSpec.Build(file)
+	if err != nil {
+		panic(err) // unreachable: scalingSpec is valid
+	}
+	return proto, file
+}
+
+// scalingRows are the scaling workload's two input rows, built once and
+// shared read-only: row k gives process p the input (p+k) mod 2.
+var scalingRows = func() (rows [2][]value.Value) {
+	for k := range rows {
+		rows[k] = make([]value.Value, scalingN)
+		for p := range rows[k] {
+			rows[k][p] = value.Value((p + k) % 2)
+		}
+	}
+	return rows
+}()
+
+// scalingInputs is the scaling workload's per-trial input hook: trial i
+// reads row i mod 2, the mixed pattern the experiments use.
+func scalingInputs(tr harness.Trial) []value.Value { return scalingRows[tr.Index%2] }
 
 // sweepTally is the consensus sweep's fold: the aggregate step and work
 // histograms, the decision tally and, when demands is non-nil, each
@@ -133,8 +151,8 @@ func (t *sweepTally) run(s harness.Sweep, regs register.Semantics) error {
 		if t.demands != nil {
 			t.demands[tr.Index-s.Offset] = int64(run.Result.TotalWork)
 		}
-		if len(run.DecidedOutputs()) == scalingN {
-			t.decided++
+		if !slices.Contains(run.Decided, false) && !slices.Contains(run.Result.Halted, false) {
+			t.decided++ // every process decided and halted
 		}
 	})
 }

@@ -24,12 +24,9 @@ import (
 	"os"
 
 	"github.com/modular-consensus/modcon/internal/advsearch"
-	"github.com/modular-consensus/modcon/internal/core"
-	"github.com/modular-consensus/modcon/internal/harness"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
-	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // searchDefaultEvals sizes the default budget in evaluations when
@@ -66,21 +63,8 @@ func searchTarget(regs register.Semantics) advsearch.Target {
 		Name:      fmt.Sprintf("binary-consensus/n=%d", scalingN),
 		N:         scalingN,
 		Registers: regs,
-		Build: func() (*core.Protocol, *register.File) {
-			file := register.NewFile()
-			proto, err := scalingSpec.Build(file)
-			if err != nil {
-				panic(err) // unreachable: scalingSpec is valid
-			}
-			return proto, file
-		},
-		Inputs: func(tr harness.Trial) []value.Value {
-			inputs := make([]value.Value, scalingN)
-			for p := range inputs {
-				inputs[p] = value.Value((p + tr.Index) % 2)
-			}
-			return inputs
-		},
+		Build:     scalingBuild,
+		Inputs:    scalingInputs,
 	}
 }
 

@@ -10,6 +10,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -119,6 +121,33 @@ func TestShardMergeRejectsBadTilings(t *testing.T) {
 		if _, err := mergeShardReports(tc.reports); err == nil {
 			t.Errorf("%s: merge accepted a bad partition", tc.name)
 		}
+	}
+}
+
+// TestMergeShardsRejectsForeignBucket: a saved shard artifact whose steps
+// histogram lists a bucket outside obs.Hist's layout fails -merge-shards
+// with an error naming the file, instead of crashing the merge.
+func TestMergeShardsRejectsForeignBucket(t *testing.T) {
+	b, err := json.Marshal(synthShard(t, 0, 10, 10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatal(err)
+	}
+	steps := raw["steps"].(map[string]any)
+	steps["buckets"] = append(steps["buckets"].([]any), map[string]any{"lo": -1, "hi": -1, "count": 1})
+	if b, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runSweepMode(sweepFlags{MergeShards: path})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a bucket of the layout") {
+		t.Fatalf("-merge-shards of a foreign bucket: err = %v, want a bucket-layout error naming %s", err, path)
 	}
 }
 

@@ -170,9 +170,6 @@ func (c *Impatient) probNum(k int) uint64 {
 	}
 }
 
-// Register returns the conciliator's register (tests and attacks watch it).
-func (c *Impatient) Register() register.Reg { return c.r }
-
 // MaxIndividualWork bounds the operations any single process can perform:
 // the attempt probability reaches 1 after kMax attempts, the next read must
 // observe a non-⊥ value, and each attempt costs 2 operations plus the final

@@ -131,7 +131,8 @@ func E13BoundedConstruction(cfg Config) *Table {
 		deepSpec.FastPath = false
 		deepSpec.Stages = 12
 		deepSpec.Fallback = true
-		var deepMax []int
+		ks := [...]int{1, 2, 4, 8}
+		var above [len(ks)]int // deep runs whose maximum deciding stage exceeds ks[i]
 		consensusSweep(cfg.sweep(trials), deepSpec, adv.New,
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				maxStage := 0
@@ -144,18 +145,13 @@ func E13BoundedConstruction(cfg Config) *Table {
 						maxStage = st
 					}
 				}
-				deepMax = append(deepMax, maxStage)
-			})
-		tailAbove := func(k int) float64 {
-			cnt := 0
-			for _, ms := range deepMax {
-				if ms > k {
-					cnt++
+				for i, k := range ks {
+					if maxStage > k {
+						above[i]++
+					}
 				}
-			}
-			return float64(cnt) / float64(len(deepMax))
-		}
-		for _, k := range []int{1, 2, 4, 8} {
+			})
+		for i, k := range ks {
 			spec := cfg.spec(n, 2)
 			spec.FastPath = false
 			spec.Stages = k
@@ -187,7 +183,7 @@ func E13BoundedConstruction(cfg Config) *Table {
 				meanStage = sumStage / float64(decided)
 			}
 			t.AddRow(fmt.Sprintf("%d", k), adv.Name, p.String(),
-				fmt.Sprintf("%.4f", tailAbove(k)),
+				fmt.Sprintf("%.4f", float64(above[i])/float64(trials)),
 				fmt.Sprintf("%.2f", meanStage))
 		}
 	}

@@ -28,32 +28,63 @@ import (
 	"strings"
 )
 
-// denseSize is the width of the exact-count region of a Hist. Observations in
-// [0, denseSize) each get their own unit bucket, so quantiles over typical
-// per-trial step and work counts (hundreds to a few thousand) are exact.
-// Observations >= denseSize fall into log2 buckets.
-const denseSize = 4096
+// denseSize = 2^denseBits is the width of the exact-count region of a Hist.
+// Observations in [0, denseSize) each get their own unit bucket, so
+// quantiles over typical per-trial step and work counts (hundreds to a few
+// thousand) are exact. Observations >= denseSize fall into log2 buckets.
+const (
+	denseBits = 12
+	denseSize = 1 << denseBits
+)
+
+// bucketOf returns the index of the bucket holding v >= 0. The whole bucket
+// layout lives here and in bucketBounds: bucket v for v < denseSize, then
+// one bucket per bit length, bucket denseSize+k-denseBits-1 holding the
+// values of bit length k, [2^(k-1), 2^k - 1].
+func bucketOf(v int64) int {
+	if v < denseSize {
+		return int(v)
+	}
+	return denseSize + bits.Len64(uint64(v)) - denseBits - 1
+}
+
+// bucketBounds returns the inclusive value range [lo, hi] of bucket b.
+func bucketBounds(b int) (lo, hi int64) {
+	if b < denseSize {
+		return int64(b), int64(b)
+	}
+	lo = int64(1) << (b - denseSize + denseBits)
+	return lo, lo<<1 - 1
+}
 
 // Hist is a fixed-bucket streaming histogram of non-negative integer
 // observations (step counts, per-process work, decisions per trial).
 //
 // Values in [0, 4096) are counted exactly in unit buckets; larger values land
-// in log2 buckets [2^(k-1), 2^k). Min, max, count, sum, and sum of squares
-// are tracked exactly as integers, so Mean and Std are exact up to one final
-// float conversion and Merge is order-independent: merging per-worker
-// histograms yields bit-identical results at any worker count.
+// in log2 buckets [2^(k-1), 2^k). The bucket counts are one array, grown to
+// the largest bucket observed, so a histogram of small values stays small.
+// Min, max, count, sum, and sum of squares are tracked exactly as integers,
+// so Mean and Std are exact up to one final float conversion and Merge is
+// order-independent: merging per-worker histograms yields bit-identical
+// results at any worker count.
 //
 // The zero value is an empty histogram ready for use. Hist is not safe for
 // concurrent use; the harness feeds it under its sweep's fold lock, one
 // trial at a time, in trial order.
 type Hist struct {
-	n     int64
-	sum   int64
-	sumSq int64
-	min   int64
-	max   int64
-	dense []int64       // lazily allocated unit buckets for [0, denseSize)
-	log2  map[int]int64 // log2 buckets for values >= denseSize, keyed by bits.Len64(v)
+	n      int64
+	sum    int64
+	sumSq  int64
+	min    int64
+	max    int64
+	counts []int64 // counts[b] observations in bucket b (bucketOf), up to the largest bucket seen
+}
+
+// grow extends the bucket array to hold bucket b.
+func (h *Hist) grow(b int) {
+	if b >= len(h.counts) {
+		h.counts = append(h.counts, make([]int64, b+1-len(h.counts))...)
+	}
 }
 
 // Add records one observation. Negative values are clamped to zero (the
@@ -72,17 +103,9 @@ func (h *Hist) Add(v int64) {
 	h.n++
 	h.sum += v
 	h.sumSq += v * v
-	if v < denseSize {
-		if h.dense == nil {
-			h.dense = make([]int64, denseSize)
-		}
-		h.dense[v]++
-		return
-	}
-	if h.log2 == nil {
-		h.log2 = make(map[int]int64)
-	}
-	h.log2[bits.Len64(uint64(v))]++
+	b := bucketOf(v)
+	h.grow(b)
+	h.counts[b]++
 }
 
 // AddInt records one int observation.
@@ -104,19 +127,9 @@ func (h *Hist) Merge(other *Hist) {
 	h.n += other.n
 	h.sum += other.sum
 	h.sumSq += other.sumSq
-	if other.dense != nil {
-		if h.dense == nil {
-			h.dense = make([]int64, denseSize)
-		}
-		for v, c := range other.dense {
-			h.dense[v] += c
-		}
-	}
-	for k, c := range other.log2 {
-		if h.log2 == nil {
-			h.log2 = make(map[int]int64)
-		}
-		h.log2[k] += c
+	h.grow(len(other.counts) - 1)
+	for b, c := range other.counts {
+		h.counts[b] += c
 	}
 }
 
@@ -168,7 +181,8 @@ func (h *Hist) SE() float64 {
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest rank: the value
 // whose cumulative count first reaches ceil(q*n). Within the exact region
 // ([0, 4096)) the result is the exact order statistic; in the log2 region it
-// is the midpoint of the matching bucket. Returns 0 for an empty histogram.
+// is the midpoint of the matching bucket, clamped to the observed min and
+// max. Returns 0 for an empty histogram.
 func (h *Hist) Quantile(q float64) int64 {
 	if h.n == 0 {
 		return 0
@@ -184,29 +198,11 @@ func (h *Hist) Quantile(q float64) int64 {
 		rank = 1
 	}
 	var cum int64
-	for v, c := range h.dense {
+	for b, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			return int64(v)
-		}
-	}
-	// Walk log2 buckets in increasing value order: key k covers
-	// [2^(k-1), 2^k - 1].
-	for k := bits.Len64(denseSize); k <= 64; k++ {
-		c, ok := h.log2[k]
-		if !ok {
-			continue
-		}
-		cum += c
-		if cum >= rank {
-			lo := int64(1) << (k - 1)
-			hi := lo<<1 - 1
-			if lo < h.min {
-				lo = h.min
-			}
-			if hi > h.max {
-				hi = h.max
-			}
+			lo, hi := bucketBounds(b)
+			lo, hi = max(lo, h.min), min(hi, h.max)
 			return lo + (hi-lo)/2
 		}
 	}
@@ -234,15 +230,10 @@ type Bucket struct {
 // buckets from the exact region followed by log2 buckets.
 func (h *Hist) Buckets() []Bucket {
 	var bs []Bucket
-	for v, c := range h.dense {
+	for b, c := range h.counts {
 		if c > 0 {
-			bs = append(bs, Bucket{Lo: int64(v), Hi: int64(v), Count: c})
-		}
-	}
-	for k := bits.Len64(denseSize); k <= 64; k++ {
-		if c := h.log2[k]; c > 0 {
-			lo := int64(1) << (k - 1)
-			bs = append(bs, Bucket{Lo: lo, Hi: lo<<1 - 1, Count: c})
+			lo, hi := bucketBounds(b)
+			bs = append(bs, Bucket{Lo: lo, Hi: hi, Count: c})
 		}
 	}
 	return bs
@@ -290,25 +281,21 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON restores the state emitted by MarshalJSON. Sum, sum of
 // squares, min, max, and unit-bucket counts survive exactly; only the
 // positions of observations inside a log2 bucket are lost (which is all the
-// bucket ever knew).
+// bucket ever knew). A bucket whose range is not exactly one bucket of the
+// layout, or whose count is negative, is an error.
 func (h *Hist) UnmarshalJSON(data []byte) error {
 	var raw histJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
 	*h = Hist{n: raw.N, sum: raw.Sum, sumSq: raw.SumSq, min: raw.Min, max: raw.Max}
-	for _, b := range raw.Buckets {
-		if b.Lo == b.Hi && b.Lo < denseSize {
-			if h.dense == nil {
-				h.dense = make([]int64, denseSize)
-			}
-			h.dense[b.Lo] += b.Count
-		} else {
-			if h.log2 == nil {
-				h.log2 = make(map[int]int64)
-			}
-			h.log2[bits.Len64(uint64(b.Lo))] += b.Count
+	for _, bk := range raw.Buckets {
+		b := bucketOf(bk.Lo)
+		if lo, hi := bucketBounds(b); bk.Lo < 0 || bk.Count < 0 || lo != bk.Lo || hi != bk.Hi {
+			return fmt.Errorf("obs: histogram bucket [%d, %d] count %d is not a bucket of the layout", bk.Lo, bk.Hi, bk.Count)
 		}
+		h.grow(b)
+		h.counts[b] += bk.Count
 	}
 	return nil
 }
