@@ -124,10 +124,10 @@ func TestShardMergeRejectsBadTilings(t *testing.T) {
 	}
 }
 
-// TestMergeShardsRejectsForeignBucket: a saved shard artifact whose steps
-// histogram lists a bucket outside obs.Hist's layout fails -merge-shards
-// with an error naming the file, instead of crashing the merge.
-func TestMergeShardsRejectsForeignBucket(t *testing.T) {
+// editedShard saves a synthetic shard artifact whose steps histogram edit
+// has rewritten, and returns its path.
+func editedShard(t *testing.T, edit func(steps map[string]any)) string {
+	t.Helper()
 	b, err := json.Marshal(synthShard(t, 0, 10, 10, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +136,7 @@ func TestMergeShardsRejectsForeignBucket(t *testing.T) {
 	if err := json.Unmarshal(b, &raw); err != nil {
 		t.Fatal(err)
 	}
-	steps := raw["steps"].(map[string]any)
-	steps["buckets"] = append(steps["buckets"].([]any), map[string]any{"lo": -1, "hi": -1, "count": 1})
+	edit(raw["steps"].(map[string]any))
 	if b, err = json.Marshal(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +144,33 @@ func TestMergeShardsRejectsForeignBucket(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = runSweepMode(sweepFlags{MergeShards: path})
+	return path
+}
+
+// TestMergeShardsRejectsForeignBucket: a saved shard artifact whose steps
+// histogram lists a bucket outside obs.Hist's layout fails -merge-shards
+// with an error naming the file, instead of crashing the merge.
+func TestMergeShardsRejectsForeignBucket(t *testing.T) {
+	path := editedShard(t, func(steps map[string]any) {
+		steps["buckets"] = append(steps["buckets"].([]any), map[string]any{"lo": -1, "hi": -1, "count": 1})
+	})
+	err := runSweepMode(sweepFlags{MergeShards: path})
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a bucket of the layout") {
 		t.Fatalf("-merge-shards of a foreign bucket: err = %v, want a bucket-layout error naming %s", err, path)
+	}
+}
+
+// TestMergeShardsRejectsInconsistentSummary: a saved shard artifact whose
+// steps histogram claims an n and a min its buckets do not hold (n 999 and
+// min -7 over 10 observations) fails -merge-shards with an error naming the
+// file, instead of merging into an artifact that reports them.
+func TestMergeShardsRejectsInconsistentSummary(t *testing.T) {
+	path := editedShard(t, func(steps map[string]any) {
+		steps["n"], steps["min"] = 999, -7
+	})
+	err := runSweepMode(sweepFlags{MergeShards: path})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "hold 10 observations, not n=999") {
+		t.Fatalf("-merge-shards of an edited summary: err = %v, want a summary error naming %s", err, path)
 	}
 }
 

@@ -321,21 +321,27 @@ func (c *Consensus) checkInputs(inputs []Value) error {
 	return nil
 }
 
-// newOutcome assembles the public Outcome of one protocol run; Solve and
-// Sweep share it. The outcome aliases the run's slices (see own).
-func newOutcome(run *harness.ProtocolRun) *Outcome {
+// newOutcome copies what the public Outcome keeps of one protocol run into
+// storage of its own, so the outcome stays valid when the session the run
+// came from runs again; Solve and Sweep share it. tr is the trace the
+// outcome keeps: a copy of a session-owned trace, or the run's own when the
+// caller already owns it.
+func newOutcome(run *harness.ProtocolRun, tr *Trace) *Outcome {
 	n := len(run.Decided)
+	flags, ints := make([]bool, 2*n), make([]int, 2*n)
 	out := &Outcome{
-		Outputs:   run.Result.Outputs,
-		Decided:   run.Decided,
-		Stage:     make([]int, n),
-		FellBack:  make([]bool, n),
+		Outputs:   slices.Clone(run.Result.Outputs),
+		Decided:   flags[:n:n],
+		Stage:     ints[:n:n],
+		FellBack:  flags[n:],
 		TotalWork: run.Result.TotalWork,
-		Work:      run.Result.Work,
+		Work:      ints[n:],
 		Violation: run.Violation,
-		Trace:     run.Trace,
+		Trace:     tr,
 		Value:     None,
 	}
+	copy(out.Decided, run.Decided)
+	copy(out.Work, run.Result.Work)
 	for pid := range out.Stage {
 		out.Stage[pid], out.FellBack[pid] = run.DecidedStage(pid)
 	}
@@ -348,16 +354,6 @@ func newOutcome(run *harness.ProtocolRun) *Outcome {
 		}
 	}
 	return out
-}
-
-// own replaces the slices o aliases with copies, for a run whose buffers
-// belong to a session that runs again. The trace is already the run's own
-// (ProtocolInstance.Run hands it over).
-func (o *Outcome) own() *Outcome {
-	o.Outputs = slices.Clone(o.Outputs)
-	o.Decided = slices.Clone(o.Decided)
-	o.Work = slices.Clone(o.Work)
-	return o
 }
 
 // lower is objectConfig for the entry points that take at most one
@@ -415,10 +411,11 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 		c.put(in)
 		return nil, err
 	}
-	// The run aliases the instance's session: copy what the outcome keeps,
-	// and check it, before the instance goes back. A broadcast input is the
+	// The run is the instance's session's own: copy what the outcome keeps,
+	// and check it, before the instance goes back. The trace is already the
+	// caller's (ProtocolInstance.Run hands it over). A broadcast input is the
 	// same validity reference as one input per process.
-	out := newOutcome(pr).own()
+	out := newOutcome(pr, pr.Trace)
 	err = pr.CheckDecisions(inputs)
 	c.put(in)
 	if err != nil {
@@ -494,7 +491,7 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 			violation, violationAt = run.Violation, t.Index
 		}
 		if merge != nil {
-			merge(t, newOutcome(run))
+			merge(t, newOutcome(run, run.Trace.Clone()))
 		}
 	})
 	if err != nil {

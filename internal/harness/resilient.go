@@ -320,10 +320,17 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func
 // The returned error is nil unless the sweep's own context was cancelled
 // externally; violations and timeouts are reported, not returned.
 func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, r T, rep TrialReport)) (*SweepReport, error) {
+	return runRobust(s, rz, run, merge, nil)
+}
+
+// runRobust is RunTrialsRobust whose run, when pk is non-nil, returns
+// results already parked in pk's buffers, which the fold hands back once
+// consumed.
+func runRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, r T, rep TrialReport), pk parker[T]) (*SweepReport, error) {
 	report := &SweepReport{Counts: make(map[TrialOutcome]int)}
-	err := dispatch(s, func(ctx context.Context, t Trial) outcome[T] {
+	err := dispatch(s, func(ctx context.Context, t Trial, fold func(outcome[T])) {
 		r, rep, dropped := runRobustTrial(ctx, rz, t, run)
-		return outcome[T]{trial: t, result: r, report: rep, dropped: dropped}
+		fold(outcome[T]{trial: t, result: r, report: rep, dropped: dropped, parked: pk != nil})
 	}, func(oc outcome[T], prog *tally) bool {
 		report.Trials++
 		report.Counts[oc.report.Outcome]++
@@ -336,7 +343,7 @@ func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context
 		}
 		prog.violations = report.Counts[OutcomeViolated]
 		return !rz.FailFast || oc.report.Outcome != OutcomeViolated
-	})
+	}, pk)
 	if report.Trials < s.Trials {
 		report.StoppedEarly = true
 	}

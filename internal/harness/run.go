@@ -183,9 +183,9 @@ type ProtocolRun struct {
 	Decided []bool
 	// DecidedIdx holds, per process, the chain index at which it decided
 	// (-1 if it did not). Unlike the protocol's own DecidedIndex
-	// instrumentation this is a per-run snapshot, safe to read while the
-	// protocol instance is already executing a later pooled trial;
-	// DecidedStage translates it to the paper's stage numbering.
+	// instrumentation it belongs to the run, so a parked copy keeps it
+	// while the protocol instance is already executing a later pooled
+	// trial; DecidedStage translates it to the paper's stage numbering.
 	DecidedIdx []int32
 	// Violation is the first safety violation (agreement or validity) the
 	// run's online monitor observed as decisions landed; nil if the run was

@@ -9,8 +9,16 @@
 // zero allocations per trial below the harness. RunObject and RunProtocol
 // are one trial of a fresh session; the sweeps pool sessions per worker, and
 // a ProtocolInstance keeps one open across single executions of one shape.
-// A trial's run aliases its session's buffers, so only the pooled paths,
-// whose sessions move on to other trials, copy it.
+//
+// Each session owns its run (ObjectRun or ProtocolRun) and every buffer the
+// run points to, and returns it by pointer, rewritten by the session's next
+// trial. So a pooled sweep's run is valid only during the merge call that
+// receives it. A strict sweep folds the run that is next by trial index in
+// place, while its worker still holds the session, and only a run that has
+// to wait for a trial below it is copied: into a snapshot buffer from the
+// pool's free list, which goes back to the list once the fold has consumed
+// the run. A robust attempt, whose session goes back before the fold,
+// copies every run into the same buffers.
 //
 // A sim session holds its processes' parked coroutines, and the runtime
 // aborts the program when a goroutine resumes or stops a coroutine in a
@@ -19,11 +27,12 @@
 // goroutines the harness starts, which never lock their thread: a caller
 // that has called runtime.LockOSThread never touches them.
 //
-// The pool hands each worker a session for the duration of one trial.
-// Sessions return to the pool only on normal return: a trial that panics
-// never executes the put, so a session whose engine may be mid-unwind
+// The pool hands each worker a session for the duration of one trial and
+// its fold. Sessions return to the pool only on normal return: a trial that
+// panics never reaches the put, so a session whose engine may be mid-unwind
 // (poisoned) is closed as the panic leaves the trial rather than recycled,
-// and a session that reports exec.ErrSessionPoisoned is closed on the spot.
+// and a session that reports exec.ErrSessionPoisoned is closed instead of
+// put back.
 // The robust trial engine's abandoned attempts (deadline overruns that never
 // came back) keep their session checked out forever — leaking one session
 // is the price of never reusing state a runaway goroutine might still be
@@ -32,8 +41,9 @@
 // Determinism: a trial's outcome is a pure function of (cell, seed, inputs).
 // A sim session's Run restores registers, scheduler state, and RNG streams
 // from the seed alone before the trial, so which pooled session runs a trial
-// — and how many trials it ran before — cannot affect the result. Sweep aggregates therefore stay
-// bit-identical at any worker count, pooled or not.
+// — and how many trials it ran before — cannot affect the result. Sweep
+// aggregates therefore stay bit-identical at any worker count, pooled or
+// not.
 package harness
 
 import (
@@ -84,28 +94,38 @@ type ProtocolSweep struct {
 
 // cell is one pooled session of a sweep: *objectSession or *protocolSession.
 type cell[R any] interface {
-	// runTrial executes one trial. The run it returns aliases the session's
-	// buffers until the session's next trial.
+	// runTrial executes one trial. The run it returns is the session's own,
+	// rewritten by the session's next trial.
 	runTrial(ctx context.Context, t Trial) (R, error)
 	close()
 }
 
-// detacher is a trial run that can take ownership of the session buffers it
-// aliases: *ObjectRun or *ProtocolRun.
-type detacher interface{ detach() }
+// snapshot is a trial run that can copy itself out of its session:
+// *ObjectRun or *ProtocolRun.
+type snapshot[R any] interface {
+	comparable
+	// copyTo copies the run into dst's storage, allocating a zero dst, and
+	// returns dst.
+	copyTo(dst R) R
+}
 
 // sessionPool hands out sessions to workers, one per in-flight trial. make
 // is called when the free list is empty, so a sweep creates at most
-// workers-many sessions (plus replacements for discarded ones).
-type sessionPool[R detacher, S cell[R]] struct {
+// workers-many sessions (plus replacements for discarded ones). The pool
+// also keeps the buffers that parked runs are copied into (see park).
+// Both free lists are plain slices, not sync.Pools, for the reason the
+// root package's Solve list is: a sync.Pool is cleared at GC, so a sweep's
+// allocation count would vary from run to run.
+type sessionPool[R snapshot[R], S cell[R]] struct {
 	make func() (S, error)
 
 	mu     sync.Mutex
 	free   []S
+	snaps  []R // snapshot buffers no parked run holds
 	closed bool
 }
 
-func newSessionPool[R detacher, S cell[R]](mk func() (S, error)) *sessionPool[R, S] {
+func newSessionPool[R snapshot[R], S cell[R]](mk func() (S, error)) *sessionPool[R, S] {
 	return &sessionPool[R, S]{make: mk}
 }
 
@@ -166,57 +186,105 @@ func onHarnessGoroutine(f func()) {
 	<-done
 }
 
-// trial runs one trial on a pooled session: check a session out, run,
-// detach the run from the session's buffers, and return the session only on
-// a clean, unpoisoned return. A session whose runTrial does not return (a
-// panic, or Goexit) is closed on the way out, which stops its parked
+// foldTrial runs trial t on a pooled session and hands the outcome to
+// fold while the session is still checked out, so the fold can consume the
+// session's own run in place (or park a copy of it); the session goes back
+// to the pool only after the fold. A session whose runTrial does not return
+// (a panic, or Goexit) is closed on the way out, which stops its parked
 // processes, and the panic goes on to the dispatcher's recover; a session
-// that reports itself poisoned is closed too. Either way it is never
-// reused. trial runs on a harness worker or attempt goroutine, so the close
+// that reports itself poisoned is closed before the fold, and one whose
+// fold does not return (a callback's Goexit) after it. None is reused.
+// foldTrial runs on a harness worker or attempt goroutine, so the close
 // keeps the thread-lock rule of the file comment.
-func (p *sessionPool[R, S]) trial(ctx context.Context, t Trial) (R, error) {
+func (p *sessionPool[R, S]) foldTrial(ctx context.Context, t Trial, fold func(outcome[R])) {
 	sess, err := p.get()
 	if err != nil {
-		var zero R
-		return zero, err
+		fold(outcome[R]{trial: t, err: err})
+		return
 	}
-	returned := false
+	held := true // checked out, neither closed nor put back
 	defer func() {
-		if !returned {
+		if held {
 			sess.close()
 		}
 	}()
 	run, err := sess.runTrial(ctx, t)
-	returned = true
-	// Detach before the put: back in the pool, the session may start its
-	// next trial over the buffers run aliases.
-	run.detach()
 	if errors.Is(err, exec.ErrSessionPoisoned) {
+		held = false
 		sess.close()
-	} else {
+	}
+	fold(outcome[R]{trial: t, result: run, err: err})
+	if held {
+		held = false
 		p.put(sess)
 	}
+}
+
+// parkedTrial runs trial t like foldTrial but returns a parked copy of the
+// run instead of folding it: the robust policy's attempts run on goroutines
+// of their own and may be abandoned, so their sessions go back to the pool
+// before the fold sees the run.
+func (p *sessionPool[R, S]) parkedTrial(ctx context.Context, t Trial) (run R, err error) {
+	p.foldTrial(ctx, t, func(oc outcome[R]) { run, err = p.park(oc.result), oc.err })
 	return run, err
 }
 
-// cloneResult deep-copies a session-owned Result, attaching the caller's
-// trace snapshot tr, so what the fold hands to merge (and anything merge
-// retains) stays valid while the session's buffers are overwritten by its
-// next trial.
-func cloneResult(r *exec.Result, tr *trace.Log) *exec.Result {
-	if r == nil {
+// park copies a session's run into a snapshot buffer from the free list,
+// allocating one only when the list is empty, so the copy stays valid after
+// the session runs its next trial. A zero run parks as itself.
+func (p *sessionPool[R, S]) park(run R) R {
+	var buf R
+	if run == buf {
+		return run
+	}
+	p.mu.Lock()
+	if n := len(p.snaps); n > 0 {
+		buf = p.snaps[n-1]
+		p.snaps = p.snaps[:n-1]
+	}
+	p.mu.Unlock()
+	return run.copyTo(buf)
+}
+
+// unpark returns a parked run's buffer to the free list once the fold has
+// consumed the run.
+func (p *sessionPool[R, S]) unpark(snap R) {
+	var zero R
+	if snap == zero {
+		return
+	}
+	p.mu.Lock()
+	p.snaps = append(p.snaps, snap)
+	p.mu.Unlock()
+}
+
+// copyResult copies a session-owned Result into dst's storage (allocating a
+// nil dst), attaching the trace copy tr. A nil src copies to nil.
+func copyResult(dst, src *exec.Result, tr *trace.Log) *exec.Result {
+	if src == nil {
 		return nil
 	}
-	cp := *r
-	cp.Outputs = append([]value.Value(nil), r.Outputs...)
-	cp.Halted = append([]bool(nil), r.Halted...)
-	cp.Crashed = append([]bool(nil), r.Crashed...)
-	if r.Stalled != nil {
-		cp.Stalled = append([]bool(nil), r.Stalled...)
+	if dst == nil {
+		dst = new(exec.Result)
 	}
-	cp.Work = append([]int(nil), r.Work...)
-	cp.Trace = tr
-	return &cp
+	outputs, halted, crashed, stalled, work := dst.Outputs, dst.Halted, dst.Crashed, dst.Stalled, dst.Work
+	*dst = *src
+	dst.Outputs = refill(outputs, src.Outputs)
+	dst.Halted = refill(halted, src.Halted)
+	dst.Crashed = refill(crashed, src.Crashed)
+	dst.Stalled = refill(stalled, src.Stalled)
+	dst.Work = refill(work, src.Work)
+	dst.Trace = tr
+	return dst
+}
+
+// refill copies src into dst's storage, growing it as needed. A nil src
+// refills to nil, as Result.Stalled is nil without stall faults.
+func refill[E any](dst, src []E) []E {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
 }
 
 // sessionInputs owns the per-trial input resolution shared by both session
@@ -255,13 +323,13 @@ func (si *sessionInputs) set(src []value.Value) error {
 }
 
 // objectSession is one object cell: a built object, its backend session,
-// and the buffers its program closure writes into. RunObject runs one trial
-// of a fresh session; SweepObject pools them.
+// and the run its program closure writes into. RunObject runs one trial of
+// a fresh session; SweepObject pools them.
 type objectSession struct {
-	sess      exec.Session
-	in        sessionInputs
-	decisions []value.Decision
-	log       *trace.Log // session-owned; reset by the engine each trial
+	sess exec.Session
+	in   sessionInputs
+	out  ObjectRun  // the latest trial's run; Decisions is written in place
+	log  *trace.Log // session-owned; reset by the engine each trial
 }
 
 // newObjectSession builds obj's program closure — the one every execution
@@ -274,8 +342,8 @@ func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []valu
 		return nil, err
 	}
 	os := &objectSession{
-		in:        sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
-		decisions: make([]value.Decision, cfg.N),
+		in:  sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
+		out: ObjectRun{Decisions: make([]value.Decision, cfg.N)},
 	}
 	if cfg.Traced {
 		os.log = trace.New()
@@ -287,7 +355,7 @@ func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []valu
 		e.MarkInvoke(obj.Label(), v)
 		d := obj.Invoke(e, v)
 		e.MarkReturn(obj.Label(), d)
-		os.decisions[e.PID()] = d
+		os.out.Decisions[e.PID()] = d
 		return d.V
 	}
 	os.sess, err = cfg.backend().NewSession(cfg.execConfig(os.log), prog)
@@ -297,44 +365,43 @@ func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []valu
 	return os, nil
 }
 
-// runTrial executes one trial. The run's Result, Decisions, and Trace are
-// the session's own buffers, valid until its next trial.
+// runTrial executes one trial. The run, its Result, Decisions, and Trace
+// are the session's own, valid until its next trial.
 func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, error) {
 	if err := os.in.set(os.in.of(t)); err != nil {
 		return nil, err
 	}
-	for i := range os.decisions {
-		os.decisions[i] = value.Decision{V: value.None}
+	for i := range os.out.Decisions {
+		os.out.Decisions[i] = value.Decision{V: value.None}
 	}
 	res, err := os.sess.Run(ctx, t.Seed)
-	return &ObjectRun{Result: res, Decisions: os.decisions, Trace: os.log}, err
+	os.out.Result, os.out.Trace = res, os.log
+	return &os.out, err
 }
 
 func (os *objectSession) close() { _ = os.sess.Close() }
 
-// detach replaces every session-owned part of r with a deep snapshot, safe
-// to retain while the session moves on to its next trial. Nil-safe.
-func (r *ObjectRun) detach() {
-	if r == nil {
-		return
+// copyTo implements snapshot.
+func (r *ObjectRun) copyTo(dst *ObjectRun) *ObjectRun {
+	if dst == nil {
+		dst = new(ObjectRun)
 	}
-	r.Trace = r.Trace.Clone()
-	r.Result = cloneResult(r.Result, r.Trace)
-	r.Decisions = append([]value.Decision(nil), r.Decisions...)
+	dst.Trace = r.Trace.Clone()
+	dst.Result = copyResult(dst.Result, r.Result, dst.Trace)
+	dst.Decisions = refill(dst.Decisions, r.Decisions)
+	return dst
 }
 
 // protocolSession is one protocol cell, mirroring objectSession. The program
 // snapshots each process's deciding index from the protocol's own
-// instrumentation into the session's buffers, so a pooled run detaches it
-// with the rest while the protocol instance moves on to the next trial.
+// instrumentation into the session's run, so the run keeps it while the
+// protocol instance moves on to the next trial.
 type protocolSession struct {
-	sess       exec.Session
-	in         sessionInputs
-	decided    []bool
-	decidedIdx []int32
-	mon        check.Monitor // reset per trial
-	stageOf    func(idx int) (stage int, fallback bool)
-	log        *trace.Log
+	sess exec.Session
+	in   sessionInputs
+	out  ProtocolRun   // the latest trial's run; Decided and DecidedIdx are written in place
+	mon  check.Monitor // reset per trial
+	log  *trace.Log
 }
 
 // newProtocolSession builds proto's program closure and a backend session
@@ -345,10 +412,12 @@ func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial)
 		return nil, err
 	}
 	ps := &protocolSession{
-		in:         sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
-		decided:    make([]bool, cfg.N),
-		decidedIdx: make([]int32, cfg.N),
-		stageOf:    proto.StageOfIndex,
+		in: sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
+		out: ProtocolRun{
+			Decided:    make([]bool, cfg.N),
+			DecidedIdx: make([]int32, cfg.N),
+			stageOf:    proto.StageOfIndex,
+		},
 	}
 	if cfg.Traced {
 		ps.log = trace.New()
@@ -359,8 +428,8 @@ func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial)
 	prog := func(e core.Env) value.Value {
 		pid := e.PID()
 		out, ok := proto.Run(e, ps.in.live[pid])
-		ps.decided[pid] = ok
-		ps.decidedIdx[pid] = int32(proto.DecidedIndex(pid))
+		ps.out.Decided[pid] = ok
+		ps.out.DecidedIdx[pid] = int32(proto.DecidedIndex(pid))
 		if ok {
 			ps.mon.Observe(pid, out)
 		}
@@ -373,8 +442,8 @@ func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial)
 	return ps, nil
 }
 
-// runTrial executes one trial; like objectSession.runTrial, the run aliases
-// the session's buffers until its next trial.
+// runTrial executes one trial; like objectSession.runTrial, the run is the
+// session's own until its next trial.
 func (ps *protocolSession) runTrial(ctx context.Context, t Trial) (*ProtocolRun, error) {
 	return ps.run(ctx, t.Seed, ps.in.of(t), nil)
 }
@@ -400,37 +469,32 @@ func (ps *protocolSession) run(ctx context.Context, seed uint64, inputs []value.
 		rs.SetScheduler(s)
 		defer rs.SetScheduler(nil)
 	}
-	for i := range ps.decided {
-		ps.decided[i] = false
-		ps.decidedIdx[i] = -1
+	for i := range ps.out.Decided {
+		ps.out.Decided[i] = false
+		ps.out.DecidedIdx[i] = -1
 	}
 	// The monitor accumulates the first observed decision, so it is reset
 	// per trial, after the trial's inputs are in place (it checks validity
 	// against them).
 	ps.mon.Reset(ps.in.live)
 	res, err := ps.sess.Run(ctx, seed)
-	return &ProtocolRun{
-		Result:     res,
-		Decided:    ps.decided,
-		DecidedIdx: ps.decidedIdx,
-		Violation:  ps.mon.Err(),
-		Trace:      ps.log,
-		stageOf:    ps.stageOf,
-	}, err
+	ps.out.Result, ps.out.Violation, ps.out.Trace = res, ps.mon.Err(), ps.log
+	return &ps.out, err
 }
 
 func (ps *protocolSession) close() { _ = ps.sess.Close() }
 
-// detach replaces every session-owned part of r with a deep snapshot, like
-// ObjectRun.detach. Nil-safe.
-func (r *ProtocolRun) detach() {
-	if r == nil {
-		return
+// copyTo implements snapshot.
+func (r *ProtocolRun) copyTo(dst *ProtocolRun) *ProtocolRun {
+	if dst == nil {
+		dst = new(ProtocolRun)
 	}
-	r.Trace = r.Trace.Clone()
-	r.Result = cloneResult(r.Result, r.Trace)
-	r.Decided = append([]bool(nil), r.Decided...)
-	r.DecidedIdx = append([]int32(nil), r.DecidedIdx...)
+	dst.Trace = r.Trace.Clone()
+	dst.Result = copyResult(dst.Result, r.Result, dst.Trace)
+	dst.Decided = refill(dst.Decided, r.Decided)
+	dst.DecidedIdx = refill(dst.DecidedIdx, r.DecidedIdx)
+	dst.Violation, dst.stageOf = r.Violation, r.stageOf
+	return dst
 }
 
 // shape is what fixes a session when it is opened, as opposed to the
@@ -502,10 +566,10 @@ func NewProtocolInstance(file *register.File, proto *core.Protocol) *ProtocolIns
 func (in *ProtocolInstance) File() *register.File { return in.file }
 
 // Run executes the protocol once under cfg, like RunProtocol, whose
-// cfg.File must be the instance's file. A run on the kept session aliases
-// its buffers until the instance's next Run or Close, except its Trace,
-// which is the caller's: the session records its next execution into new
-// storage. A panic inside a run on the kept session closes the session and
+// cfg.File must be the instance's file. A run on the kept session is the
+// session's own, valid until the instance's next Run or Close, except its
+// Trace, which is the caller's: the session records its next execution into
+// new storage. A panic inside a run on the kept session closes the session and
 // is raised again on the caller's goroutine with its original value; the
 // traceback then starts at Run, without the frames that panicked.
 func (in *ProtocolInstance) Run(cfg ObjectConfig) (*ProtocolRun, error) {

@@ -98,6 +98,57 @@ func sameResult(got, want *exec.Result) bool {
 	return reflect.DeepEqual(g, w)
 }
 
+// checkObjectRun fails t unless run, trial tr of a sweep of spec, equals a
+// fresh RunObject of the cell at the trial's seed and inputs under ctx: the
+// result, decisions and trace events.
+func checkObjectRun(t *testing.T, ctx context.Context, spec ObjectSweep, tr Trial, run *ObjectRun) {
+	t.Helper()
+	obj, cfg := spec.Build()
+	cfg.Seed, cfg.Inputs, cfg.Context = tr.Seed, spec.Inputs(tr), ctx
+	want, err := RunObject(obj, cfg)
+	if err != nil && ctx == nil {
+		t.Errorf("trial %d: fresh object run: %v", tr.Index, err)
+		return
+	}
+	if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decisions, want.Decisions) ||
+		!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
+		t.Errorf("trial %d: pooled object trial diverged from a fresh run", tr.Index)
+	}
+	if (run.Trace.Len() > 0) != cfg.Traced {
+		t.Errorf("trial %d: object trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)
+	}
+}
+
+// checkProtocolRun is checkObjectRun for a protocol sweep: it compares the
+// result, the deciders and their indices, the violation and the trace
+// events, and checks that after the fresh RunProtocol the protocol's own
+// DecidedStage agrees with the run's.
+func checkProtocolRun(t *testing.T, ctx context.Context, spec ProtocolSweep, tr Trial, run *ProtocolRun) {
+	t.Helper()
+	proto, cfg := spec.Build()
+	cfg.Seed, cfg.Inputs, cfg.Context = tr.Seed, spec.Inputs(tr), ctx
+	want, err := RunProtocol(proto, cfg)
+	if err != nil && ctx == nil {
+		t.Errorf("trial %d: fresh protocol run: %v", tr.Index, err)
+		return
+	}
+	if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decided, want.Decided) ||
+		!reflect.DeepEqual(run.DecidedIdx, want.DecidedIdx) || run.Violation != nil || want.Violation != nil ||
+		!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
+		t.Errorf("trial %d: pooled protocol trial diverged from a fresh run", tr.Index)
+	}
+	for pid := 0; pid < cfg.N; pid++ {
+		ps, pf := proto.DecidedStage(pid)
+		if rs, rf := run.DecidedStage(pid); ps != rs || pf != rf {
+			t.Errorf("trial %d pid %d: protocol DecidedStage (%d, %v), run DecidedStage (%d, %v)",
+				tr.Index, pid, ps, pf, rs, rf)
+		}
+	}
+	if (run.Trace.Len() > 0) != cfg.Traced {
+		t.Errorf("trial %d: protocol trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)
+	}
+}
+
 // TestSweepMatchesFreshRuns pins pooling as invisible for every knob that
 // reaches a pooled session: under tracing, metering, either fault form, each
 // register model, and a shard offset, every trial of a multi-worker object
@@ -146,20 +197,7 @@ func TestSweepMatchesFreshRuns(t *testing.T) {
 			err := SweepObject(s, ospec, func(tr Trial, run *ObjectRun) {
 				folded++
 				steps += int64(run.Result.TotalWork)
-				obj, cfg := ospec.Build()
-				cfg.Seed, cfg.Inputs = tr.Seed, ospec.Inputs(tr)
-				want, err := RunObject(obj, cfg)
-				if err != nil {
-					t.Errorf("trial %d: fresh object run: %v", tr.Index, err)
-					return
-				}
-				if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decisions, want.Decisions) ||
-					!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
-					t.Errorf("trial %d: pooled object trial diverged from a fresh run", tr.Index)
-				}
-				if (run.Trace.Len() > 0) != cfg.Traced {
-					t.Errorf("trial %d: object trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)
-				}
+				checkObjectRun(t, nil, ospec, tr, run)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -175,30 +213,7 @@ func TestSweepMatchesFreshRuns(t *testing.T) {
 			err = SweepProtocol(s, pspec, func(tr Trial, run *ProtocolRun) {
 				folded++
 				steps += int64(run.Result.TotalWork)
-				proto, cfg := pspec.Build()
-				cfg.Seed, cfg.Inputs = tr.Seed, pspec.Inputs(tr)
-				want, err := RunProtocol(proto, cfg)
-				if err != nil {
-					t.Errorf("trial %d: fresh protocol run: %v", tr.Index, err)
-					return
-				}
-				if !sameResult(run.Result, want.Result) || !reflect.DeepEqual(run.Decided, want.Decided) ||
-					!reflect.DeepEqual(run.DecidedIdx, want.DecidedIdx) || run.Violation != nil || want.Violation != nil ||
-					!reflect.DeepEqual(run.Trace.Events(), want.Trace.Events()) {
-					t.Errorf("trial %d: pooled protocol trial diverged from a fresh run", tr.Index)
-				}
-				// RunProtocol leaves the protocol's own instrumentation
-				// agreeing with the run's per-trial snapshot.
-				for pid := 0; pid < n; pid++ {
-					ps, pf := proto.DecidedStage(pid)
-					if rs, rf := run.DecidedStage(pid); ps != rs || pf != rf {
-						t.Errorf("trial %d pid %d: protocol DecidedStage (%d, %v), run DecidedStage (%d, %v)",
-							tr.Index, pid, ps, pf, rs, rf)
-					}
-				}
-				if (run.Trace.Len() > 0) != cfg.Traced {
-					t.Errorf("trial %d: protocol trace has %d events with Traced=%v", tr.Index, run.Trace.Len(), cfg.Traced)
-				}
+				checkProtocolRun(t, nil, pspec, tr, run)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -209,6 +224,147 @@ func TestSweepMatchesFreshRuns(t *testing.T) {
 			checkMeter(m, steps)
 		})
 	}
+}
+
+// mixedRows are the two mixed input rows of n processes, built once: row k
+// gives process p the input (p+k) mod 2.
+func mixedRows(n int) (rows [2][]value.Value) {
+	for k := range rows {
+		rows[k] = make([]value.Value, n)
+		for p := range rows[k] {
+			rows[k][p] = value.Value((p + k) % 2)
+		}
+	}
+	return rows
+}
+
+// TestPooledTrialsAllocateNothing: at one worker every trial is next when
+// it ends, so its run is folded in its session's own buffers and never
+// copied. A sweep of 200 trials therefore allocates exactly what one of 100
+// does, for protocol and object sweeps alike: the sessions, the pool and
+// the dispatcher, once per sweep. The inputs hook returns rows built once
+// (cellProtocolSpec's makes a slice per trial).
+func TestPooledTrialsAllocateNothing(t *testing.T) {
+	const n = 8
+	rows := mixedRows(n)
+	inputs := func(tr Trial) []value.Value { return rows[tr.Index%2] }
+	pspec := cellProtocolSpec(t, n, nil)
+	pspec.Inputs = inputs
+	ospec := cellObjectSpec(n, nil)
+	ospec.Inputs = inputs
+	for _, c := range []struct {
+		name  string
+		sweep func(s Sweep) error
+	}{
+		{"protocol", func(s Sweep) error { return SweepProtocol(s, pspec, func(Trial, *ProtocolRun) {}) }},
+		{"object", func(s Sweep) error { return SweepObject(s, ospec, func(Trial, *ObjectRun) {}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(trials int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if err := c.sweep(Sweep{Trials: trials, Workers: 1, Seed: 3}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			a100, a200 := allocs(100), allocs(200)
+			t.Logf("%v allocations for 100 trials, %v for 200", a100, a200)
+			if a200 != a100 {
+				t.Errorf("a sweep of 200 trials allocates %v times, one of 100 %v: want the same", a200, a100)
+			}
+		})
+	}
+}
+
+// countingParker is a pool that counts the parked runs its sweep's fold
+// consumed.
+type countingParker[R snapshot[R], S cell[R]] struct {
+	*sessionPool[R, S]
+	unparked int // written under the fold's lock
+}
+
+func (c *countingParker[R, S]) unpark(snap R) {
+	c.unparked++
+	c.sessionPool.unpark(snap)
+}
+
+// TestSweepParksLateRuns: a pooled run that ends before a trial below it is
+// parked as a copy, which must stay the trial's run while its session runs
+// later trials and until the fold consumes it. At 4 workers, with every
+// third trial delayed so trials end out of order, every run an object or
+// protocol sweep merges equals a fresh RunObject/RunProtocol of its trial,
+// traced or not, and at least one run was parked. The crash + stall cell
+// runs on the robust policy (a stalled trial ends only at its watchdog's
+// deadline), which parks every run into the same buffers.
+func TestSweepParksLateRuns(t *testing.T) {
+	const n, trials, workers = 4, 30, 4
+	rows := mixedRows(n)
+	inputs := func(tr Trial) []value.Value {
+		if tr.Index%3 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return rows[tr.Index%2]
+	}
+	s := Sweep{Trials: trials, Workers: workers, Seed: 13}
+	for _, c := range []struct {
+		name string
+		mut  func(cfg *ObjectConfig)
+	}{
+		{name: "plain"},
+		{name: "traced", mut: func(cfg *ObjectConfig) { cfg.Traced = true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ospec := cellObjectSpec(n, c.mut)
+			ospec.Inputs = inputs
+			opk := &countingParker[*ObjectRun, *objectSession]{sessionPool: ospec.pool(s)}
+			defer opk.closeAll()
+			err := runStrict(s, opk.foldTrial, func(tr Trial, run *ObjectRun) {
+				checkObjectRun(t, nil, ospec, tr, run)
+			}, opk)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			pspec := cellProtocolSpec(t, n, c.mut)
+			pspec.Inputs = inputs
+			ppk := &countingParker[*ProtocolRun, *protocolSession]{sessionPool: pspec.pool(s)}
+			defer ppk.closeAll()
+			err = runStrict(s, ppk.foldTrial, func(tr Trial, run *ProtocolRun) {
+				checkProtocolRun(t, nil, pspec, tr, run)
+			}, ppk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("parked %d of %d object runs, %d of %d protocol runs", opk.unparked, trials, ppk.unparked, trials)
+			if opk.unparked == 0 || ppk.unparked == 0 {
+				t.Errorf("parked %d object and %d protocol runs, want at least one of each", opk.unparked, ppk.unparked)
+			}
+		})
+	}
+	t.Run("crash-stall", func(t *testing.T) {
+		pspec := cellProtocolSpec(t, n, func(cfg *ObjectConfig) {
+			cfg.Faults = fault.New(fault.Crash(0, 5), fault.Stall(1, 3))
+		})
+		pspec.Inputs = inputs
+		pk := &countingParker[*ProtocolRun, *protocolSession]{sessionPool: pspec.pool(s)}
+		defer pk.closeAll()
+		report, err := runRobust(s, Resilience{Deadline: 50 * time.Millisecond}, pk.parkedTrial,
+			func(tr Trial, run *ProtocolRun, rep TrialReport) {
+				if run == nil || run.Result.Stalled == nil || !run.Result.Stalled[1] {
+					t.Errorf("trial %d: %s run %+v, want process 1 stalled", tr.Index, rep.Outcome, run)
+					return
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				defer cancel()
+				checkProtocolRun(t, ctx, pspec, tr, run)
+			}, pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Trials != trials || pk.unparked != trials {
+			t.Errorf("robust sweep classified %d trials and parked %d, want %d of each: %s", report.Trials, pk.unparked, trials, report)
+		}
+	})
 }
 
 // TestRobustSweepAfterStepLimitMatchesFreshRuns: a pooled session whose

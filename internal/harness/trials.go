@@ -166,7 +166,7 @@ func (s Sweep) trial(i int) Trial {
 	return Trial{Index: s.Offset + i, Seed: TrialSeed(s.Seed, s.Offset+i)}
 }
 
-// outcome is one finished trial, parked until the fold reaches it.
+// outcome is one finished trial, as the fold receives it.
 type outcome[T any] struct {
 	trial  Trial
 	result T
@@ -177,6 +177,18 @@ type outcome[T any] struct {
 	// dropped marks a trial the sweep's cancellation cut off before it
 	// reached a verdict (the robust policy).
 	dropped bool
+	// parked marks a result copied into a buffer of the sweep's parker,
+	// which gets the buffer back once the fold has consumed the result.
+	parked bool
+}
+
+// parker keeps the session-owned results of a pooled sweep that must wait
+// for the fold: park copies one into a buffer of its own, and unpark takes
+// the buffer back after the fold has consumed the copy. *sessionPool
+// implements it.
+type parker[T any] interface {
+	park(T) T
+	unpark(T)
 }
 
 // errGoexit is the error of a trial whose function called runtime.Goexit
@@ -187,31 +199,40 @@ var errGoexit = errors.New("trial called runtime.Goexit")
 // It starts no goroutine but the sweep's workers (a robust attempt starts
 // its own), and returns only after they have all exited. Workers take
 // trial indices from a single claim counter and run each trial inline
-// through attempt. The worker that finishes a trial parks its outcome in a
-// reorder buffer and, holding the fold's lock, passes consume every
-// outcome that is now next in trial-index order. consume and the Reporter
-// therefore run one at a time and in trial order, so everything they
-// accumulate is bit-identical at any worker count. They run under that
-// lock, so a callback must not wait for another trial of its own sweep.
+// through attempt, which hands its outcome to fold exactly once and does
+// nothing after that fold that could panic. Holding the fold's lock, fold
+// passes consume the outcome if it is next in trial-index order, and then
+// every parked outcome that is now next; an outcome that is not next is
+// parked in a reorder buffer. consume and the Reporter therefore run one
+// at a time and in trial order, so everything they accumulate is
+// bit-identical at any worker count. They run under that lock, so a
+// callback must not wait for another trial of its own sweep.
+//
+// A pooled sweep's attempt calls fold while its session is still checked
+// out, so the run that is next is consumed in place, in the session's own
+// buffers. A run that has to wait is parked as a copy: pk, when non-nil,
+// copies it into a buffer and takes the buffer back once the run is
+// consumed. Results that arrive already parked (the robust pooled sweep's)
+// are kept as they are.
 //
 // The fold stops at the first outcome that failed (err) or was dropped, or
 // when consume returns false. Stopping cancels the in-flight trials, whose
 // outcomes are then discarded unread, so a sweep cut short has folded a
 // gap-free prefix of its trials. A failed outcome also stops the claiming
-// of new trials the moment its trial ends, while the trials below it run
-// on to their own verdicts: the failure reported is the earliest by trial
+// of new trials the moment it is folded, while the trials below it run on
+// to their own verdicts: the failure reported is the earliest by trial
 // index, whatever the timing.
 //
-// An attempt that calls runtime.Goexit ends its worker, which first folds
-// the trial as failed with errGoexit, so the fold never waits for it. A
-// callback under the fold that panics or calls runtime.Goexit stops the
-// fold in the same way. Once every worker has exited, dispatch raises that
-// panic again, or calls Goexit, on the caller's goroutine, with no final
-// report.
+// An attempt that panics or calls runtime.Goexit before its fold ends its
+// worker, which first folds the trial as failed with the panic or
+// errGoexit, so the fold never waits for it. A callback under the fold
+// that panics or calls runtime.Goexit stops the fold in the same way. Once
+// every worker has exited, dispatch raises that panic again, or calls
+// Goexit, on the caller's goroutine, with no final report.
 //
 // The returned error is the failed trial's, wrapped with its index, or else
 // the sweep context's error (nil unless it was cancelled).
-func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome[T], consume func(oc outcome[T], prog *tally) bool) error {
+func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial, fold func(outcome[T])), consume func(oc outcome[T], prog *tally) bool, pk parker[T]) error {
 	if s.Trials <= 0 {
 		return nil
 	}
@@ -237,16 +258,26 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 		raised   bool // a callback panicked or called Goexit
 		pan      any  // the panic's value; nil for Goexit
 	)
-	// fold parks oc and folds every outcome now next in trial order. A
-	// callback that does not return stops the fold before the lock is
-	// released, so no later trial reaches consume.
+	// fold consumes oc if it is next, then every parked outcome now next in
+	// trial order; an oc that is not next is parked. A callback that does
+	// not return stops the fold before the lock is released, so no later
+	// trial reaches consume.
 	fold := func(oc outcome[T]) {
+		if oc.err != nil {
+			next.Store(int64(s.Trials)) // claim nothing more
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if stopped {
 			return
 		}
-		pending[oc.trial.Index] = oc
+		if oc.trial.Index != nextFold {
+			if pk != nil && !oc.parked {
+				oc.result, oc.parked = pk.park(oc.result), true
+			}
+			pending[oc.trial.Index] = oc
+			return
+		}
 		returned := false
 		defer func() {
 			if !returned {
@@ -256,11 +287,7 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 				cancel() // stop dispatch and in-flight executions
 			}
 		}()
-		for !stopped {
-			oc, ok := pending[nextFold]
-			if !ok {
-				break
-			}
+		for ok := true; ok && !stopped; oc, ok = pending[nextFold] {
 			delete(pending, nextFold)
 			nextFold++
 			switch {
@@ -274,6 +301,9 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 				stopped = !consume(oc, &prog)
 				s.observe(&prog, start, false)
 			}
+			if oc.parked {
+				pk.unpark(oc.result)
+			}
 		}
 		returned = true
 	}
@@ -283,10 +313,17 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 			defer wg.Done()
 			var t Trial
 			attempting := false
+			// An attempt that panics or calls Goexit is folded here as
+			// failed. One that ends that way after its fold did so
+			// because a callback under the fold called Goexit, which
+			// stopped the fold: folding the trial again does nothing.
 			defer func() {
-				if attempting { // attempt called Goexit
-					next.Store(int64(s.Trials))
-					fold(outcome[T]{trial: t, err: errGoexit})
+				if attempting {
+					err := errGoexit
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+					fold(outcome[T]{trial: t, err: err})
 				}
 			}()
 			for ctx.Err() == nil {
@@ -295,12 +332,8 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 					return
 				}
 				t, attempting = s.trial(i), true
-				oc := attempt(ctx, t)
+				attempt(ctx, t, fold)
 				attempting = false
-				if oc.err != nil {
-					next.Store(int64(s.Trials)) // claim nothing more
-				}
-				fold(oc)
 			}
 		}()
 	}
@@ -336,39 +369,47 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial) outcome
 // unaffected. When the sweep's context is cancelled the context's error is
 // returned.
 func RunTrials[T any](s Sweep, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, r T)) error {
-	return dispatch(s, func(ctx context.Context, t Trial) (oc outcome[T]) {
-		oc.trial = t
-		defer func() {
-			if p := recover(); p != nil {
-				oc.err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		oc.result, oc.err = run(ctx, t)
-		return oc
-	}, func(oc outcome[T], prog *tally) bool {
+	return runStrict(s, func(ctx context.Context, t Trial, fold func(outcome[T])) {
+		r, err := run(ctx, t)
+		fold(outcome[T]{trial: t, result: r, err: err})
+	}, merge, nil)
+}
+
+// runStrict is the strict policy on dispatch: trial hands each outcome to
+// its fold, and merge receives every trial's result in order.
+func runStrict[T any](s Sweep, trial func(ctx context.Context, t Trial, fold func(outcome[T])), merge func(t Trial, r T), pk parker[T]) error {
+	return dispatch(s, trial, func(oc outcome[T], prog *tally) bool {
 		if merge != nil {
 			merge(oc.trial, oc.result)
 		}
 		s.meterCost(prog, any(oc.result))
 		return true
-	})
+	}, pk)
 }
 
 // SweepObject runs one object execution per trial on a pool of reusable
 // sessions: spec.Build constructs the cell once per pooled session (at most
 // once per worker), and each trial replays it with its own seed — on sim an
-// in-place engine reset, allocation-free below the harness. Results are
-// deep per-trial snapshots, merged in trial order; each trial equals a
-// RunObject of the same cell at the trial's seed and inputs, at any worker
-// count.
+// in-place engine reset, allocation-free below the harness. Runs are merged
+// in trial order; each trial equals a RunObject of the same cell at the
+// trial's seed and inputs, at any worker count. A run merge receives is
+// valid only during that merge call: the trial that is next is merged in
+// its session's own buffers, and a trial that finished early is merged
+// from a copy whose buffer the sweep reuses. A merge that keeps anything
+// of a run copies it.
 func SweepObject(s Sweep, spec ObjectSweep, merge func(t Trial, run *ObjectRun)) error {
-	pool := newSessionPool[*ObjectRun](func() (*objectSession, error) {
+	pool := spec.pool(s)
+	defer pool.closeAll()
+	return runStrict(s, pool.foldTrial, merge, pool)
+}
+
+// pool builds the session pool of an object sweep.
+func (spec ObjectSweep) pool(s Sweep) *sessionPool[*ObjectRun, *objectSession] {
+	return newSessionPool[*ObjectRun](func() (*objectSession, error) {
 		obj, cfg := spec.Build()
 		cfg.Meter = s.Meter
 		return newObjectSession(obj, cfg, spec.Inputs)
 	})
-	defer pool.closeAll()
-	return RunTrials(s, pool.trial, merge)
 }
 
 // pool builds the session pool of a protocol sweep.
@@ -381,23 +422,26 @@ func (spec ProtocolSweep) pool(s Sweep) *sessionPool[*ProtocolRun, *protocolSess
 }
 
 // SweepProtocol runs one protocol execution per trial on a pool of reusable
-// sessions, like SweepObject. Per-process deciding stages are read from the
-// run (ProtocolRun.DecidedStage), which snapshots them per trial; the pooled
+// sessions, like SweepObject, and a run is likewise valid only during its
+// merge call. Per-process deciding stages are read from the run
+// (ProtocolRun.DecidedStage), which records them per trial; the pooled
 // protocol instance's own DecidedStage follows whichever trial its session
 // ran last.
 func SweepProtocol(s Sweep, spec ProtocolSweep, merge func(t Trial, run *ProtocolRun)) error {
 	pool := spec.pool(s)
 	defer pool.closeAll()
-	return RunTrials(s, pool.trial, merge)
+	return runStrict(s, pool.foldTrial, merge, pool)
 }
 
 // SweepProtocolRobust is SweepProtocol on the resilient trial engine
 // (RunTrialsRobust): trials are classified instead of failing the sweep, and
 // panic containment composes with pooling — a panicked attempt closes its
 // session and a timed-out one abandons it, rather than returning it to the
-// pool, so poisoned engine state is never reused.
+// pool, so poisoned engine state is never reused. Each attempt parks a copy
+// of its run before its session goes back, and merge sees that copy, valid
+// only during the merge call as under SweepProtocol.
 func SweepProtocolRobust(s Sweep, rz Resilience, spec ProtocolSweep, merge func(t Trial, run *ProtocolRun, rep TrialReport)) (*SweepReport, error) {
 	pool := spec.pool(s)
 	defer pool.closeAll()
-	return RunTrialsRobust(s, rz, pool.trial, merge)
+	return runRobust(s, rz, pool.parkedTrial, merge, pool)
 }

@@ -22,6 +22,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -282,20 +283,49 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 // squares, min, max, and unit-bucket counts survive exactly; only the
 // positions of observations inside a log2 bucket are lost (which is all the
 // bucket ever knew). A bucket whose range is not exactly one bucket of the
-// layout, or whose count is negative, is an error.
+// layout, or whose count is negative, is an error. So is a summary that
+// disagrees with the buckets: the counts must sum to n; an empty histogram
+// lists no buckets; otherwise min <= max, min lies in the first non-empty
+// bucket and max in the last.
 func (h *Hist) UnmarshalJSON(data []byte) error {
 	var raw histJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
 	*h = Hist{n: raw.N, sum: raw.Sum, sumSq: raw.SumSq, min: raw.Min, max: raw.Max}
+	var total int64
 	for _, bk := range raw.Buckets {
 		b := bucketOf(bk.Lo)
 		if lo, hi := bucketBounds(b); bk.Lo < 0 || bk.Count < 0 || lo != bk.Lo || hi != bk.Hi {
 			return fmt.Errorf("obs: histogram bucket [%d, %d] count %d is not a bucket of the layout", bk.Lo, bk.Hi, bk.Count)
 		}
+		if total += bk.Count; total < 0 {
+			return errors.New("obs: histogram bucket counts overflow")
+		}
 		h.grow(b)
 		h.counts[b] += bk.Count
+	}
+	if total != h.n {
+		return fmt.Errorf("obs: histogram buckets hold %d observations, not n=%d", total, h.n)
+	}
+	if h.n == 0 {
+		if len(raw.Buckets) > 0 {
+			return fmt.Errorf("obs: empty histogram lists %d buckets", len(raw.Buckets))
+		}
+		return nil
+	}
+	first, last := 0, len(h.counts)-1
+	for h.counts[first] == 0 {
+		first++
+	}
+	for h.counts[last] == 0 {
+		last--
+	}
+	if lo, hi := bucketBounds(first); h.min > h.max || h.min < lo || h.min > hi {
+		return fmt.Errorf("obs: histogram min %d is not in its first non-empty bucket [%d, %d] (max %d)", h.min, lo, hi, h.max)
+	}
+	if lo, hi := bucketBounds(last); h.max < lo || h.max > hi {
+		return fmt.Errorf("obs: histogram max %d is not in its last non-empty bucket [%d, %d]", h.max, lo, hi)
 	}
 	return nil
 }

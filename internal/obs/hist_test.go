@@ -429,13 +429,81 @@ func TestHistUnmarshalRejectsForeignBuckets(t *testing.T) {
 		{"log2 bucket off a power of two", `{"lo":5000,"hi":8191,"count":1}`, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var bk Bucket
+			if err := json.Unmarshal([]byte(tc.bucket), &bk); err != nil {
+				t.Fatal(err)
+			}
+			// The summary agrees with the bucket plus one observation of 0,
+			// so only the bucket's layout is under test.
+			top := int64(0)
+			if bk.Count > 0 {
+				top = bk.Lo
+			}
 			var h Hist
-			err := json.Unmarshal([]byte(`{"n":1,"min":0,"max":0,"buckets":[`+tc.bucket+`]}`), &h)
+			err := json.Unmarshal([]byte(fmt.Sprintf(`{"n":%d,"min":0,"max":%d,"buckets":[{"lo":0,"hi":0,"count":1},%s]}`,
+				bk.Count+1, top, tc.bucket)), &h)
 			switch {
 			case tc.ok && err != nil:
 				t.Fatalf("rejected a bucket of the layout: %v", err)
 			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "is not a bucket of the layout")):
 				t.Fatalf("err = %v, want a bucket-layout error", err)
+			}
+		})
+	}
+}
+
+// TestHistUnmarshalRejectsInconsistentSummary pins that UnmarshalJSON
+// accepts a summary only when it agrees with the buckets: the counts sum to
+// n, an empty histogram lists no buckets, and otherwise min <= max with min
+// in the first non-empty bucket and max in the last. Each accepted case
+// round-trips to the same JSON.
+func TestHistUnmarshalRejectsInconsistentSummary(t *testing.T) {
+	const (
+		small = `{"lo":5,"hi":5,"count":2},{"lo":9,"hi":9,"count":1}`
+		log2  = `{"lo":4096,"hi":8191,"count":2}`
+	)
+	for _, tc := range []struct {
+		name, hist, err string
+	}{
+		{"consistent", `{"n":3,"min":5,"max":9,"buckets":[` + small + `]}`, ""},
+		{"empty", `{"n":0,"min":0,"max":0}`, ""},
+		{"one log2 bucket", `{"n":2,"min":4100,"max":8000,"buckets":[` + log2 + `]}`, ""},
+		{"empty bucket inside", `{"n":3,"min":5,"max":9,"buckets":[{"lo":5,"hi":5,"count":2},{"lo":7,"hi":7,"count":0},{"lo":9,"hi":9,"count":1}]}`, ""},
+		{"n above the counts", `{"n":999,"min":5,"max":9,"buckets":[` + small + `]}`, "hold 3 observations, not n=999"},
+		{"n below the counts", `{"n":2,"min":5,"max":9,"buckets":[` + small + `]}`, "hold 3 observations, not n=2"},
+		{"negative n", `{"n":-1,"min":0,"max":0}`, "hold 0 observations, not n=-1"},
+		{"n without buckets", `{"n":1,"min":0,"max":0}`, "hold 0 observations, not n=1"},
+		{"empty with a bucket", `{"n":0,"min":0,"max":0,"buckets":[{"lo":3,"hi":3,"count":0}]}`, "empty histogram lists 1 buckets"},
+		{"negative min", `{"n":3,"min":-7,"max":9,"buckets":[` + small + `]}`, "min -7 is not in its first non-empty bucket [5, 5]"},
+		{"min past the first bucket", `{"n":3,"min":6,"max":9,"buckets":[` + small + `]}`, "min 6 is not in its first non-empty bucket"},
+		{"min in the last bucket", `{"n":3,"min":9,"max":9,"buckets":[` + small + `]}`, "min 9 is not in its first non-empty bucket"},
+		{"max short of the last bucket", `{"n":3,"min":5,"max":8,"buckets":[` + small + `]}`, "max 8 is not in its last non-empty bucket [9, 9]"},
+		{"max past the last bucket", `{"n":3,"min":5,"max":10,"buckets":[` + small + `]}`, "max 10 is not in its last non-empty bucket"},
+		{"min above max in one bucket", `{"n":2,"min":8000,"max":4100,"buckets":[` + log2 + `]}`, "min 8000 is not in its first non-empty bucket [4096, 8191] (max 4100)"},
+		{"counts overflow", `{"n":1,"min":0,"max":0,"buckets":[{"lo":0,"hi":0,"count":9223372036854775807},{"lo":1,"hi":1,"count":2}]}`, "bucket counts overflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h Hist
+			err := json.Unmarshal([]byte(tc.hist), &h)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("rejected a consistent histogram: %v", err)
+			}
+			b, err := json.Marshal(&h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again Hist
+			if err := json.Unmarshal(b, &again); err != nil {
+				t.Fatalf("rejected its own encoding %s: %v", b, err)
+			}
+			if b2, _ := json.Marshal(&again); string(b2) != string(b) {
+				t.Errorf("round trip changed the encoding:\n%s\n%s", b, b2)
 			}
 		})
 	}

@@ -96,8 +96,10 @@ func TestConsensusSweepOptionValidation(t *testing.T) {
 
 // TestConsensusSweepTrialMatchesSolve pins the one execution path: trial i
 // of a Sweep with root seed r is the execution Solve runs at
-// harness.TrialSeed(r, i), outcome for outcome — with and without faults
-// and under regular registers.
+// harness.TrialSeed(r, i), outcome for outcome — with and without faults,
+// under regular registers, and traced. The outcomes are kept until the
+// sweep ends, so each must own what it holds, its trace included: the
+// session records its next trial over the one it ran before.
 func TestConsensusSweepTrialMatchesSolve(t *testing.T) {
 	const n, trials, root = 8, 12, 77
 	c, err := NewBinary(n)
@@ -114,6 +116,7 @@ func TestConsensusSweepTrialMatchesSolve(t *testing.T) {
 		{name: "faults", rc: RunConfig{Faults: plan}, opts: []RunOption{WithFaultPlan(plan)}},
 		// Sweep builds its own register files; only the model applies.
 		{name: "regular", rc: RunConfig{Registers: Regular}, opts: []RunOption{WithRegisters(nil, Regular)}},
+		{name: "traced", rc: RunConfig{Traced: true}, opts: []RunOption{WithTrace(true)}},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
