@@ -97,6 +97,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 	"strings"
@@ -430,6 +431,9 @@ func startProfiles(cpu, mem, traceOut string) (func(), error) {
 				return
 			}
 			defer f.Close()
+			// The allocs profile is as of the last completed GC; collect
+			// once so it includes the allocations made since.
+			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 				fmt.Fprintln(os.Stderr, "modcon-bench: memprofile:", err)
 			}

@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/exec"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/modular-consensus/modcon/internal/harness"
@@ -352,7 +353,10 @@ func emitShardReport(r *shardReport, traceOut string) error {
 
 // parseShardRef parses the -shard-run "i/M" form.
 func parseShardRef(s string) (index, of int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &index, &of); err != nil {
+	i, m, ok := strings.Cut(s, "/")
+	index, err1 := strconv.Atoi(i)
+	of, err2 := strconv.Atoi(m)
+	if !ok || err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("-shard-run: want i/M, got %q", s)
 	}
 	if of < 1 || index < 0 || index >= of {

@@ -290,6 +290,8 @@ func TestWorkloadModeFlagConflicts(t *testing.T) {
 		{"trace-out without workload", []string{"-shard-run", "0/2", "-trials", "8", "-trace-out", filepath.Join(dir, "x.trace")}, []string{"-trace-out"}},
 		{"bad spec", []string{"-workload", "warble:rate=1", "-trials", "1"}, []string{"-workload"}},
 		{"bad shard ref", []string{"-workload", "poisson:rate=1", "-shard-run", "9/4", "-trials", "1"}, []string{"-shard-run"}},
+		{"bad shard ref, trailing input", []string{"-workload", "poisson:rate=1", "-shard-run", "1/4x", "-trials", "1"}, []string{"-shard-run"}},
+		{"bad shard ref, three parts", []string{"-workload", "poisson:rate=1", "-shard-run", "1/4/9", "-trials", "1"}, []string{"-shard-run"}},
 	} {
 		_, err := capture(t, func() error { return run(tc.args) })
 		if err == nil {

@@ -440,7 +440,8 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 // factory where Solve takes an instance (WithScheduler is rejected here).
 // inputs, if non-nil, supplies each trial's per-process inputs (one per
 // process or a single broadcast value), overriding WithInputs; inputs and
-// WithInputs must not both be absent.
+// WithInputs must not both be absent. A nil return from inputs means "use
+// WithInputs", and without WithInputs it fails the sweep at that trial.
 //
 // Like Solve, Sweep verifies agreement and validity: the first trial (by
 // index) whose execution violates safety turns into an error after the
@@ -460,9 +461,6 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	// in the lowering.
 	if newSched != nil {
 		rc.scheduler = newSched()
-	}
-	if len(rc.inputs) == 0 {
-		rc.inputs = []Value{0} // placeholder; the per-trial hook overrides it
 	}
 	rc.n, rc.file, rc.sweeping = c.spec.N, register.NewFile(), true
 	base, err := rc.objectConfig()

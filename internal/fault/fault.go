@@ -51,6 +51,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/modular-consensus/modcon/internal/textspec"
 )
 
 // AllProcs is the PID wildcard: the fault applies to every process.
@@ -296,10 +298,9 @@ func (p *Plan) String() string {
 	return strings.Join(specs, ";")
 }
 
-// Parse reads a plan from its textual form:
+// Parse reads a plan from its textual form, one spec per segment of the
+// textspec grammar (blank segments are skipped):
 //
-//	spec[;spec...]
-//	spec     = kind ":" key=value[,key=value...]
 //	kind     = crash | crashround | stall | delay | losecoin
 //	pid      = integer process id, or "*" for all processes
 //
@@ -313,19 +314,18 @@ func (p *Plan) String() string {
 // in [0, 1] (converted to a rational with a 2^32 denominator). The empty
 // string parses to a nil plan.
 func Parse(s string) (*Plan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
+	segs, err := textspec.Split(s)
+	if err != nil {
+		return nil, fmt.Errorf("fault: %w", err)
 	}
 	var p Plan
-	for _, spec := range strings.Split(s, ";") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
+	for _, seg := range segs {
+		if seg.Kind == "" {
 			continue
 		}
-		f, err := parseSpec(spec)
+		f, err := parseSpec(seg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fault: spec %q: %w", seg.Text, err)
 		}
 		p.Faults = append(p.Faults, f)
 	}
@@ -339,48 +339,19 @@ func Parse(s string) (*Plan, error) {
 }
 
 // parseSpec reads one kind:k=v,... directive.
-func parseSpec(spec string) (Fault, error) {
-	kindStr, params, ok := strings.Cut(spec, ":")
+func parseSpec(seg textspec.Segment) (Fault, error) {
+	kind, ok := textspec.Lookup(seg.Kind, KindCrash, KindLoseCoin)
 	if !ok {
-		return Fault{}, fmt.Errorf("fault: spec %q: missing ':' (want kind:key=value,...)", spec)
+		return Fault{}, fmt.Errorf("unknown kind %q", seg.Kind)
 	}
-	var f Fault
-	switch strings.TrimSpace(kindStr) {
-	case "crash":
-		f.Kind = KindCrash
-	case "crashround":
-		f.Kind = KindCrashOnRound
-	case "stall":
-		f.Kind = KindStall
-	case "delay":
-		f.Kind = KindDelay
-	case "losecoin":
-		f.Kind = KindLoseCoin
-	default:
-		return Fault{}, fmt.Errorf("fault: spec %q: unknown kind %q", spec, strings.TrimSpace(kindStr))
-	}
-	f.PID = AllProcs // pid defaults to every process
-	seen := map[string]bool{}
-	for _, kv := range strings.Split(params, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Fault{}, fmt.Errorf("fault: spec %q: parameter %q is not key=value", spec, kv)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if seen[key] {
-			return Fault{}, fmt.Errorf("fault: spec %q: duplicate key %q", spec, key)
-		}
-		seen[key] = true
-		if err := f.setParam(key, val); err != nil {
-			return Fault{}, fmt.Errorf("fault: spec %q: %w", spec, err)
+	f := Fault{Kind: kind, PID: AllProcs} // pid defaults to every process
+	for _, p := range seg.Params {
+		if err := f.setParam(p.Key, p.Val); err != nil {
+			return Fault{}, err
 		}
 	}
-	if err := f.requireParams(seen); err != nil {
-		return Fault{}, fmt.Errorf("fault: spec %q: %w", spec, err)
+	if err := f.requireParams(seg); err != nil {
+		return Fault{}, err
 	}
 	return f, nil
 }
@@ -441,22 +412,22 @@ func (f *Fault) setParam(key, val string) error {
 }
 
 // requireParams checks that the kind's mandatory parameter was supplied.
-func (f *Fault) requireParams(seen map[string]bool) error {
+func (f *Fault) requireParams(seg textspec.Segment) error {
 	switch f.Kind {
 	case KindCrash, KindStall:
-		if !seen["after"] {
+		if !seg.Has("after") {
 			return errors.New("missing after=")
 		}
 	case KindCrashOnRound:
-		if !seen["round"] {
+		if !seg.Has("round") {
 			return errors.New("missing round=")
 		}
 	case KindDelay:
-		if !seen["max"] {
+		if !seg.Has("max") {
 			return errors.New("missing max=")
 		}
 	case KindLoseCoin:
-		if !seen["p"] {
+		if !seg.Has("p") {
 			return errors.New("missing p=")
 		}
 	}

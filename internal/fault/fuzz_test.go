@@ -28,6 +28,9 @@ func FuzzParse(f *testing.F) {
 		"losecoin:p=1/0",
 		"kind:pid=*",
 		"crash:pid=1,after=1,after=2",
+		"crash:pid=1,,after=2",
+		"crash:after=2;",
+		"crash",
 	} {
 		f.Add(seed)
 	}

@@ -120,8 +120,9 @@ func (cfg *ObjectConfig) faults() *fault.Plan {
 // For N == 1 the two rules coincide — a one-element slice is that process's
 // input, used as given (pinned by TestInputsSingleProcessSingleInput) — so
 // the resolution is written as explicit guards rather than a switch whose
-// `case cfg.N` and `case 1` arms would silently collide.
-func (cfg *ObjectConfig) inputs() ([]value.Value, error) {
+// `case cfg.N` and `case 1` arms would silently collide. With no inputs and
+// a per-trial hook it returns nil: the hook supplies every trial's inputs.
+func (cfg *ObjectConfig) inputs(hook func(Trial) []value.Value) ([]value.Value, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("harness: N=%d must be positive", cfg.N)
 	}
@@ -134,6 +135,9 @@ func (cfg *ObjectConfig) inputs() ([]value.Value, error) {
 			in[i] = cfg.Inputs[0]
 		}
 		return in, nil
+	}
+	if len(cfg.Inputs) == 0 && hook != nil {
+		return nil, nil
 	}
 	return nil, fmt.Errorf("harness: %d inputs for %d processes", len(cfg.Inputs), cfg.N)
 }

@@ -77,7 +77,8 @@ type ObjectSweep struct {
 	// Inputs, if non-nil, overrides the configuration's inputs per trial
 	// (same resolution rule: one value per process, or a single value
 	// broadcast to all). Returning nil keeps the config's inputs for that
-	// trial.
+	// trial. A config without inputs takes every trial's inputs from Inputs,
+	// and a nil return is then that trial's error.
 	Inputs func(t Trial) []value.Value
 }
 
@@ -307,7 +308,9 @@ func (si *sessionInputs) of(t Trial) []value.Value {
 	return si.base
 }
 
-// set resolves src (one value per process, or one for all) into live.
+// set resolves src (one value per process, or one for all) into live. A
+// nil src comes from a session without a base assignment whose hook
+// returned nil.
 func (si *sessionInputs) set(src []value.Value) error {
 	switch len(src) {
 	case si.n:
@@ -317,6 +320,9 @@ func (si *sessionInputs) set(src []value.Value) error {
 			si.live[i] = src[0]
 		}
 	default:
+		if src == nil {
+			return errors.New("harness: the inputs func returned nil, and the config has no inputs")
+		}
 		return fmt.Errorf("harness: %d inputs for %d processes", len(src), si.n)
 	}
 	return nil
@@ -337,7 +343,7 @@ type objectSession struct {
 // overrides cfg.Inputs per trial; cfg.Seed and cfg.Context are per-trial
 // and ignored here.
 func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(Trial) []value.Value) (*objectSession, error) {
-	base, err := cfg.inputs()
+	base, err := cfg.inputs(hook)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +413,7 @@ type protocolSession struct {
 // newProtocolSession builds proto's program closure and a backend session
 // over it, like newObjectSession.
 func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(Trial) []value.Value) (*protocolSession, error) {
-	base, err := cfg.inputs()
+	base, err := cfg.inputs(hook)
 	if err != nil {
 		return nil, err
 	}

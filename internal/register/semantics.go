@@ -3,6 +3,7 @@ package register
 import (
 	"fmt"
 
+	"github.com/modular-consensus/modcon/internal/textspec"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -50,18 +51,17 @@ func (s Semantics) String() string {
 	}
 }
 
-// ParseSemantics maps a flag/manifest string back to its model.
+// ParseSemantics maps a flag/manifest string back to its model; the empty
+// string is Atomic.
 func ParseSemantics(s string) (Semantics, error) {
-	switch s {
-	case "", "atomic":
+	if s == "" {
 		return Atomic, nil
-	case "regular":
-		return Regular, nil
-	case "interposed":
-		return Interposed, nil
-	default:
+	}
+	m, ok := textspec.Lookup(s, Atomic, Interposed)
+	if !ok {
 		return Atomic, fmt.Errorf("register: unknown semantics %q (atomic, regular, or interposed)", s)
 	}
+	return m, nil
 }
 
 // SemanticsSet is a bitmask of supported register models, reported by each

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/modular-consensus/modcon/internal/textspec"
 	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
@@ -15,9 +16,9 @@ import (
 // hand-written attack catalog, plus a canonical text codec so any point in
 // the family is a named, reproducible config.
 //
-// Grammar (mirrors fault.Plan): a config is ";"-separated specs, each
-// "kind:key=value,key=value". The first spec must be kind "adv" (the family
-// head); every following spec is a "rule":
+// Grammar: a config is a text in the internal/textspec grammar, one spec
+// per segment, and blank segments are errors. The first spec must be kind
+// "adv" (the family head); every following spec is a "rule":
 //
 //	adv:power=<class>,base=<policy>[,w=W0:W1:...][,phase=P/B/F]
 //	rule:when=<cond>[:K],do=<act>
@@ -67,15 +68,6 @@ func (b BasePolicy) String() string {
 	default:
 		return fmt.Sprintf("base(%d)", int(b))
 	}
-}
-
-func parseBasePolicy(s string) (BasePolicy, error) {
-	for b := BaseRoundRobin; b <= BaseWeighted; b++ {
-		if b.String() == s {
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown base policy %q", s)
 }
 
 // Cond is a rule trigger condition over the adversary's view.
@@ -129,15 +121,6 @@ func (c Cond) String() string {
 	default:
 		return fmt.Sprintf("cond(%d)", int(c))
 	}
-}
-
-func parseCond(s string) (Cond, error) {
-	for c := CondAlways; c <= CondConflict; c++ {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown rule condition %q", s)
 }
 
 // condPower returns the weakest class that may evaluate the condition.
@@ -203,15 +186,6 @@ func (a Act) String() string {
 	default:
 		return fmt.Sprintf("act(%d)", int(a))
 	}
-}
-
-func parseAct(s string) (Act, error) {
-	for a := ActLowest; a <= ActFireConflict; a++ {
-		if a.String() == s {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown rule action %q", s)
 }
 
 // actPower returns the weakest class that may perform the action.
@@ -427,31 +401,32 @@ func ParseParametric(s string) (ParamConfig, error) {
 	if strings.TrimSpace(s) == "" {
 		return cfg, fmt.Errorf("sched: empty parametric config")
 	}
-	specs := strings.Split(s, ";")
-	for i, spec := range specs {
-		kind, params, err := parseParamSpec(spec)
-		if err != nil {
-			return ParamConfig{}, err
-		}
-		switch kind {
+	segs, err := textspec.Split(s)
+	if err != nil {
+		return ParamConfig{}, fmt.Errorf("sched: %w", err)
+	}
+	for i, seg := range segs {
+		switch seg.Kind {
+		case "":
+			return ParamConfig{}, fmt.Errorf("sched: empty spec in parametric config")
 		case "adv":
 			if i != 0 {
 				return ParamConfig{}, fmt.Errorf("sched: adv spec must come first in parametric config")
 			}
-			if err := cfg.parseHead(params); err != nil {
+			if err := cfg.parseHead(seg.Params); err != nil {
 				return ParamConfig{}, err
 			}
 		case "rule":
 			if i == 0 {
 				return ParamConfig{}, fmt.Errorf("sched: parametric config must start with an adv spec")
 			}
-			r, err := parseParamRule(params)
+			r, err := parseParamRule(seg.Params)
 			if err != nil {
 				return ParamConfig{}, err
 			}
 			cfg.Rules = append(cfg.Rules, r)
 		default:
-			return ParamConfig{}, fmt.Errorf("sched: unknown spec kind %q in parametric config", kind)
+			return ParamConfig{}, fmt.Errorf("sched: unknown spec kind %q in parametric config", seg.Kind)
 		}
 	}
 	if cfg.Power == 0 {
@@ -463,53 +438,21 @@ func ParseParametric(s string) (ParamConfig, error) {
 	return cfg, nil
 }
 
-// param is one key=value pair of a spec.
-type param struct{ key, val string }
-
-// parseParamSpec splits one "kind:key=value,..." spec into its kind and its
-// parameters, in text order and without duplicate keys, so the first bad
-// parameter in the text is the one reported.
-func parseParamSpec(spec string) (string, []param, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return "", nil, fmt.Errorf("sched: empty spec in parametric config")
-	}
-	kind, rest, _ := strings.Cut(spec, ":")
-	kind = strings.TrimSpace(kind)
-	var params []param
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return kind, params, nil
-	}
-	for _, kv := range strings.Split(rest, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || key == "" {
-			return "", nil, fmt.Errorf("sched: malformed parameter %q in %q", kv, spec)
-		}
-		if slices.ContainsFunc(params, func(p param) bool { return p.key == key }) {
-			return "", nil, fmt.Errorf("sched: duplicate parameter %q in %q", key, spec)
-		}
-		params = append(params, param{key, val})
-	}
-	return kind, params, nil
-}
-
 // parseHead fills the adv-spec fields of the config.
-func (c *ParamConfig) parseHead(params []param) error {
+func (c *ParamConfig) parseHead(params []textspec.Param) error {
 	for _, kv := range params {
-		key, val := kv.key, kv.val
+		key, val := kv.Key, kv.Val
 		switch key {
 		case "power":
-			p, err := parsePowerName(val)
+			p, err := ParsePower(val)
 			if err != nil {
 				return err
 			}
 			c.Power = p
 		case "base":
-			b, err := parseBasePolicy(val)
-			if err != nil {
-				return err
+			b, ok := textspec.Lookup(val, BaseRoundRobin, BaseWeighted)
+			if !ok {
+				return fmt.Errorf("sched: unknown base policy %q", val)
 			}
 			c.Base = b
 		case "w":
@@ -546,16 +489,17 @@ func (c *ParamConfig) parseHead(params []param) error {
 }
 
 // parseParamRule parses one rule spec's parameters.
-func parseParamRule(params []param) (ParamRule, error) {
+func parseParamRule(params []textspec.Param) (ParamRule, error) {
 	var r ParamRule
 	for _, kv := range params {
-		key, val := kv.key, kv.val
+		key, val := kv.Key, kv.Val
 		switch key {
 		case "when":
 			name, karg, hasK := strings.Cut(val, ":")
-			cond, err := parseCond(strings.TrimSpace(name))
-			if err != nil {
-				return ParamRule{}, err
+			name = strings.TrimSpace(name)
+			cond, ok := textspec.Lookup(name, CondAlways, CondConflict)
+			if !ok {
+				return ParamRule{}, fmt.Errorf("sched: unknown rule condition %q", name)
 			}
 			r.When = cond
 			stepCond := cond == CondStepGE || cond == CondStepLT
@@ -570,9 +514,9 @@ func parseParamRule(params []param) (ParamRule, error) {
 				r.K = k
 			}
 		case "do":
-			act, err := parseAct(val)
-			if err != nil {
-				return ParamRule{}, err
+			act, ok := textspec.Lookup(val, ActLowest, ActFireConflict)
+			if !ok {
+				return ParamRule{}, fmt.Errorf("sched: unknown rule action %q", val)
 			}
 			r.Do = act
 		default:
@@ -588,16 +532,12 @@ func parseParamRule(params []param) (ParamRule, error) {
 // ParsePower parses a power-class name as spelled by Power.String
 // ("oblivious", "value-oblivious", "location-oblivious", "adaptive") — the
 // form CLI flags and config texts use.
-func ParsePower(s string) (Power, error) { return parsePowerName(s) }
-
-// parsePowerName parses a power-class name as spelled by Power.String.
-func parsePowerName(s string) (Power, error) {
-	for p := Oblivious; p <= Adaptive; p++ {
-		if p.String() == s {
-			return p, nil
-		}
+func ParsePower(s string) (Power, error) {
+	p, ok := textspec.Lookup(s, Oblivious, Adaptive)
+	if !ok {
+		return 0, fmt.Errorf("sched: unknown power class %q", s)
 	}
-	return 0, fmt.Errorf("sched: unknown power class %q", s)
+	return p, nil
 }
 
 // Parametric is the configurable adversary defined by a ParamConfig. It is

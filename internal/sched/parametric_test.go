@@ -342,6 +342,9 @@ func FuzzParseParametric(f *testing.F) {
 	f.Add("rule:when=always,do=lowest")
 	f.Add("adv:base=rr,w=-1")
 	f.Add(";;;")
+	f.Add("adv:base=rr,")
+	f.Add("adv:base=rr;")
+	f.Add("adv")
 	f.Fuzz(func(t *testing.T, s string) {
 		cfg, err := ParseParametric(s)
 		if err != nil {

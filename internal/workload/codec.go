@@ -1,8 +1,7 @@
 package workload
 
-// Text and JSON codec for Spec, following the fault.Plan grammar pattern:
-// ';'-joined segments of kind:key=value pairs, duplicate keys rejected,
-// canonical String/Parse round trip pinned by FuzzParseSpec. The JSON form
+// Text and JSON codec for Spec. The text is in the textspec grammar, with
+// a canonical String/Parse round trip pinned by FuzzParseSpec. The JSON form
 // is the same canonical text embedded as a JSON string, so every transport
 // carries one unambiguous representation.
 
@@ -12,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/modular-consensus/modcon/internal/textspec"
 )
 
 // formatRate renders an arrival rate in the shortest form that parses back
@@ -57,10 +58,10 @@ func (s *Spec) String() string {
 	return b.String()
 }
 
-// Parse reads a spec from its textual form:
+// Parse reads a spec from its textual form, one segment of the textspec
+// grammar per arrival process or service model (blank segments are
+// skipped):
 //
-//	segment[;segment]
-//	segment  = kind ":" key=value[,key=value...]
 //	kind     = poisson | burst | steady | periods | closed | serve
 //
 //	poisson:rate=500                    Poisson arrivals, 500/sec
@@ -73,57 +74,45 @@ func (s *Spec) String() string {
 // Exactly one arrival segment is required; the serve segment is optional
 // and may appear at most once. Rates accept any strconv.ParseFloat form;
 // durations any time.ParseDuration form. The empty string parses to a nil
-// spec (no workload), mirroring fault.Parse.
+// spec (no workload).
 func Parse(text string) (*Spec, error) {
 	text = strings.TrimSpace(text)
 	if text == "" {
 		return nil, nil
+	}
+	segs, err := textspec.Split(text)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	var (
 		spec     Spec
 		haveKind bool
 		haveSrv  bool
 	)
-	for _, seg := range strings.Split(text, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
+	for _, seg := range segs {
+		if seg.Kind == "" {
 			continue
 		}
-		kindStr, params, ok := strings.Cut(seg, ":")
-		if !ok {
-			return nil, fmt.Errorf("workload: segment %q: missing ':' (want kind:key=value,...)", seg)
-		}
-		kindStr = strings.TrimSpace(kindStr)
-		if kindStr == "serve" {
+		set := spec.setArrival
+		if seg.Kind == "serve" {
 			if haveSrv {
 				return nil, fmt.Errorf("workload: duplicate serve segment")
 			}
-			haveSrv = true
-			if err := spec.parseServe(seg, params); err != nil {
-				return nil, err
+			haveSrv, set = true, spec.setServe
+		} else {
+			if haveKind {
+				return nil, fmt.Errorf("workload: segment %q: spec already has a %s arrival segment", seg.Text, spec.Kind)
 			}
-			continue
+			kind, ok := textspec.Lookup(seg.Kind, Poisson, Closed)
+			if !ok {
+				return nil, fmt.Errorf("workload: segment %q: unknown kind %q", seg.Text, seg.Kind)
+			}
+			spec.Kind, haveKind = kind, true
 		}
-		if haveKind {
-			return nil, fmt.Errorf("workload: segment %q: spec already has a %s arrival segment", seg, spec.Kind)
-		}
-		haveKind = true
-		switch kindStr {
-		case "poisson":
-			spec.Kind = Poisson
-		case "burst":
-			spec.Kind = Burst
-		case "steady":
-			spec.Kind = Steady
-		case "periods":
-			spec.Kind = Periods
-		case "closed":
-			spec.Kind = Closed
-		default:
-			return nil, fmt.Errorf("workload: segment %q: unknown kind %q", seg, kindStr)
-		}
-		if err := spec.parseArrival(seg, params); err != nil {
-			return nil, err
+		for _, p := range seg.Params {
+			if err := set(p.Key, p.Val); err != nil {
+				return nil, fmt.Errorf("workload: segment %q: %w", seg.Text, err)
+			}
 		}
 	}
 	if !haveKind {
@@ -135,109 +124,80 @@ func Parse(text string) (*Spec, error) {
 	return &spec, nil
 }
 
-// splitParams walks one segment's key=value list, rejecting duplicates and
-// malformed pairs, and hands each pair to set.
-func splitParams(seg, params string, set func(key, val string) error) error {
-	seen := map[string]bool{}
-	for _, kv := range strings.Split(params, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
+// setArrival applies one parameter of the arrival segment to the spec.
+func (s *Spec) setArrival(key, val string) error {
+	switch {
+	case key == "rate" && (s.Kind == Poisson || s.Kind == Burst || s.Kind == Steady):
+		r, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			return fmt.Errorf("rate=%q: %v", val, err)
 		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return fmt.Errorf("workload: segment %q: parameter %q is not key=value", seg, kv)
+		s.Rate = r
+	case key == "on" && s.Kind == Burst:
+		d, err := time.ParseDuration(val)
+		if err != nil {
+			return fmt.Errorf("on=%q: %v", val, err)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if seen[key] {
-			return fmt.Errorf("workload: segment %q: duplicate key %q", seg, key)
+		s.On = d
+	case key == "off" && s.Kind == Burst:
+		d, err := time.ParseDuration(val)
+		if err != nil {
+			return fmt.Errorf("off=%q: %v", val, err)
 		}
-		seen[key] = true
-		if err := set(key, val); err != nil {
-			return fmt.Errorf("workload: segment %q: %w", seg, err)
+		s.Off = d
+	case key == "pattern" && s.Kind == Periods:
+		for _, item := range strings.Split(val, "/") {
+			rateStr, spanStr, ok := strings.Cut(item, "x")
+			if !ok {
+				return fmt.Errorf("pattern item %q is not RATExSPAN", item)
+			}
+			r, err := strconv.ParseFloat(rateStr, 64)
+			if err != nil {
+				return fmt.Errorf("pattern item %q: %v", item, err)
+			}
+			d, err := time.ParseDuration(spanStr)
+			if err != nil {
+				return fmt.Errorf("pattern item %q: %v", item, err)
+			}
+			s.Periods = append(s.Periods, Period{Rate: r, Span: d})
 		}
+	case key == "clients" && s.Kind == Closed:
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			return fmt.Errorf("clients=%q: want an integer", val)
+		}
+		s.Clients = n
+	case key == "think" && s.Kind == Closed:
+		d, err := time.ParseDuration(val)
+		if err != nil {
+			return fmt.Errorf("think=%q: %v", val, err)
+		}
+		s.Think = d
+	default:
+		return fmt.Errorf("key %q not valid for %s", key, s.Kind)
 	}
 	return nil
 }
 
-// parseArrival applies one arrival segment's parameters to the spec.
-func (s *Spec) parseArrival(seg, params string) error {
-	return splitParams(seg, params, func(key, val string) error {
-		switch {
-		case key == "rate" && (s.Kind == Poisson || s.Kind == Burst || s.Kind == Steady):
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("rate=%q: %v", val, err)
-			}
-			s.Rate = r
-		case key == "on" && s.Kind == Burst:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return fmt.Errorf("on=%q: %v", val, err)
-			}
-			s.On = d
-		case key == "off" && s.Kind == Burst:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return fmt.Errorf("off=%q: %v", val, err)
-			}
-			s.Off = d
-		case key == "pattern" && s.Kind == Periods:
-			for _, item := range strings.Split(val, "/") {
-				rateStr, spanStr, ok := strings.Cut(item, "x")
-				if !ok {
-					return fmt.Errorf("pattern item %q is not RATExSPAN", item)
-				}
-				r, err := strconv.ParseFloat(rateStr, 64)
-				if err != nil {
-					return fmt.Errorf("pattern item %q: %v", item, err)
-				}
-				d, err := time.ParseDuration(spanStr)
-				if err != nil {
-					return fmt.Errorf("pattern item %q: %v", item, err)
-				}
-				s.Periods = append(s.Periods, Period{Rate: r, Span: d})
-			}
-		case key == "clients" && s.Kind == Closed:
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("clients=%q: want an integer", val)
-			}
-			s.Clients = n
-		case key == "think" && s.Kind == Closed:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return fmt.Errorf("think=%q: %v", val, err)
-			}
-			s.Think = d
-		default:
-			return fmt.Errorf("key %q not valid for %s", key, s.Kind)
+// setServe applies one parameter of the optional serve segment to the spec.
+func (s *Spec) setServe(key, val string) error {
+	switch key {
+	case "servers":
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			return fmt.Errorf("servers=%q: want an integer", val)
 		}
-		return nil
-	})
-}
-
-// parseServe applies the optional serve segment's parameters to the spec.
-func (s *Spec) parseServe(seg, params string) error {
-	return splitParams(seg, params, func(key, val string) error {
-		switch key {
-		case "servers":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("servers=%q: want an integer", val)
-			}
-			s.Servers = n
-		case "step":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return fmt.Errorf("step=%q: %v", val, err)
-			}
-			s.Step = d
-		default:
-			return fmt.Errorf("unknown key %q", key)
+		s.Servers = n
+	case "step":
+		d, err := time.ParseDuration(val)
+		if err != nil {
+			return fmt.Errorf("step=%q: %v", val, err)
 		}
-		return nil
-	})
+		s.Step = d
+	default:
+		return fmt.Errorf("unknown key %q", key)
+	}
+	return nil
 }
 
 // MarshalJSON encodes the spec as its canonical text form in a JSON

@@ -25,6 +25,9 @@ func FuzzParseSpec(f *testing.F) {
 		"warble:rate=1",
 		"poisson:rate=1,rate=2",
 		";;",
+		"poisson:rate=1,",
+		"poisson:rate=1;",
+		"poisson",
 	} {
 		f.Add(seed)
 	}

@@ -22,9 +22,9 @@
 // reports are bit-identical at any parallelism and CI can gate them with
 // cmp.
 //
-// The text grammar follows the fault.Plan pattern — segments of
-// kind:key=value pairs joined by ';', canonical String/Parse round trip
-// pinned by a fuzz target — and the JSON codec is the same canonical text
+// The text grammar is internal/textspec's — segments of kind:key=value
+// pairs joined by ';' — with a canonical String/Parse round trip pinned by
+// a fuzz target, and the JSON codec is the same canonical text
 // embedded as a JSON string, so an artifact carries one unambiguous form:
 //
 //	poisson:rate=500                        500 arrivals/sec, exponential gaps

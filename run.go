@@ -342,6 +342,8 @@ func (c *runConfig) objectConfig() (harness.ObjectConfig, error) {
 	}
 	switch {
 	case c.program:
+	case c.sweeping && len(c.inputs) == 0:
+		// Sweep has checked that its per-trial inputs func stands in.
 	case len(c.inputs) == 0:
 		return harness.ObjectConfig{}, fmt.Errorf("inputs are required (WithInputs): %w", ErrBadOption)
 	case len(c.inputs) != 1 && len(c.inputs) != c.n:

@@ -177,6 +177,42 @@ func TestConsensusSweepRejectsOutOfDomainInputs(t *testing.T) {
 	}
 }
 
+// TestConsensusSweepNilTrialInputs: a nil return from the per-trial inputs
+// func means "use WithInputs"; without WithInputs it fails the sweep at
+// that trial instead of running the trial on inputs nobody chose.
+func TestConsensusSweepNilTrialInputs(t *testing.T) {
+	c, err := NewBinary(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 2
+	mk := func() Scheduler { return NewRoundRobin() }
+	inputs := func(tr Trial) []Value {
+		if tr.Index == victim {
+			return nil
+		}
+		return []Value{1, 1, 1, 1}
+	}
+	folded := 0
+	err = c.Sweep(4, mk, inputs, func(Trial, *Outcome) { folded++ })
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("trial %d:", victim)) ||
+		!strings.Contains(err.Error(), "inputs func returned nil") {
+		t.Errorf("nil inputs without WithInputs: got %v, want trial %d's error", err, victim)
+	}
+	if folded != victim {
+		t.Errorf("folded %d trials before the failure, want %d", folded, victim)
+	}
+
+	values := make([]Value, 4)
+	err = c.Sweep(4, mk, inputs, func(tr Trial, o *Outcome) { values[tr.Index] = o.Value }, WithInputs(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Value{1, 1, 0, 1}; !reflect.DeepEqual(values, want) {
+		t.Errorf("decided values %v, want %v (trial %d on WithInputs)", values, want, victim)
+	}
+}
+
 // TestSweepFromLockedThread: a sweep called from a thread-locked goroutine
 // finishes. Its workers create the pooled sessions' coroutines on their own
 // goroutines, so the sessions must also be closed on a goroutine the
