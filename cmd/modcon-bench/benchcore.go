@@ -225,18 +225,16 @@ func intsCSV(ns []int) string {
 	return strings.Join(parts, ",")
 }
 
-// parseBenchNs parses the -bench-n csv.
-func parseBenchNs(s string) ([]int, error) {
+// parseBenchNs parses the csv of positive counts given to -flag (-bench-n,
+// -scaling-workers).
+func parseBenchNs(flag, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -bench-n entry %q", part)
+			return nil, fmt.Errorf("-%s: bad entry %q (want a count ≥ 1)", flag, part)
 		}
 		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, errors.New("-bench-n is empty")
 	}
 	return out, nil
 }

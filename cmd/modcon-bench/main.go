@@ -162,6 +162,22 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A count of 0 picks the default its flag names; no mode can honour a
+	// negative count, and -bench-scaling divides by its trial count.
+	for _, c := range []struct {
+		flag     string
+		got, min int
+	}{
+		{"trials", *trials, 0},
+		{"workers", *workers, 0},
+		{"scaling-trials", *scalingTrials, 1},
+		{"search-budget", *searchBudget, 0},
+		{"search-trials", *searchTrials, 0},
+	} {
+		if c.got < c.min {
+			return fmt.Errorf("-%s: want ≥ %d, got %d", c.flag, c.min, c.got)
+		}
+	}
 	// Every mode below — experiments, shard fan-out, bench baselines —
 	// honors -registers, parsed once so the manifests all attribute the
 	// same effective model.
@@ -219,14 +235,14 @@ func run(args []string) error {
 	}
 
 	if *benchCore || *benchScaling {
-		ns, err := parseBenchNs(*benchN)
+		ns, err := parseBenchNs("bench-n", *benchN)
 		if err != nil {
 			return err
 		}
 		var sw []int
 		if *scalingWorkers != "" {
-			if sw, err = parseBenchNs(*scalingWorkers); err != nil {
-				return fmt.Errorf("-scaling-workers: %w", err)
+			if sw, err = parseBenchNs("scaling-workers", *scalingWorkers); err != nil {
+				return err
 			}
 		}
 		return runBench(benchOpts{

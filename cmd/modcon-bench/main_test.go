@@ -38,6 +38,41 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestCountFlagsRejected: a count flag that no mode can honour is an
+// error naming the flag, before anything runs or is written. Unchecked, a
+// zero -scaling-trials divides by zero, a negative one writes a BENCH
+// artifact with negative rates, and negative -trials and -workers run at
+// the defaults while the manifest records the negative values.
+func TestCountFlagsRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "bench.json")
+	for _, tc := range []struct {
+		name string
+		args []string
+		flag string // the flag the error must name
+	}{
+		{"zero scaling trials", []string{"-bench-scaling", "-scaling-trials", "0", "-scaling-workers", "1"}, "-scaling-trials"},
+		{"negative scaling trials", []string{"-bench-scaling", "-scaling-trials", "-5", "-scaling-workers", "1"}, "-scaling-trials"},
+		{"zero scaling workers", []string{"-bench-scaling", "-scaling-trials", "4", "-scaling-workers", "1,0"}, "-scaling-workers"},
+		{"zero bench n", []string{"-bench-core", "-bench-n", "0"}, "-bench-n"},
+		{"negative trials", []string{"-run", "E6", "-trials", "-3", "-json"}, "-trials"},
+		{"negative workers", []string{"-run", "E6", "-workers", "-2", "-json"}, "-workers"},
+		{"negative trials with shards", []string{"-shard-run", "0/1", "-trials", "-3"}, "-trials"},
+		{"negative search trials", []string{"-search", "-search-trials", "-1"}, "-search-trials"},
+		{"negative search budget", []string{"-search", "-search-budget", "-1"}, "-search-budget"},
+	} {
+		printed, err := capture(t, func() error { return run(append(tc.args, "-bench-out", out)) })
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.flag)
+		}
+		if printed != "" {
+			t.Errorf("%s: printed %q", tc.name, printed)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%s: wrote %s", tc.name, out)
+		}
+	}
+}
+
 // capture runs fn with os.Stdout redirected and returns what it printed.
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
