@@ -76,6 +76,9 @@ func (in inputTable) of(t harness.Trial) []value.Value { return in.row(t.Index) 
 
 // adversary is one named entry of an experiment's adversary axis, with a
 // constructor that builds a fresh scheduler per pooled session.
+// Experiments that sweep a cell under every adversary keep the cell's
+// session pool across them, so each sweep installs one of these on each
+// session it runs on.
 type adversary struct {
 	Name string
 	New  func() sched.Scheduler
@@ -104,12 +107,17 @@ func mustSweep(err error) {
 
 // objectCell is the cell of a pooled object sweep over n processes: Build
 // makes a register file, the object build lays out in it and a scheduler
-// from mk, once per session, and trial i runs with inputs in.row(i).
+// from mk (none when mk is nil: each sweep of the cell's pool then brings
+// its own), once per session, and trial i runs with inputs in.row(i).
 func objectCell(n int, in inputTable, mk func() sched.Scheduler, build func(*register.File) core.Object) harness.ObjectSweep {
 	return harness.ObjectSweep{
 		Build: func() (core.Object, harness.ObjectConfig) {
 			file := register.NewFile()
-			return build(file), harness.ObjectConfig{N: n, File: file, Inputs: in.row(0), Scheduler: mk()}
+			oc := harness.ObjectConfig{N: n, File: file, Inputs: in.row(0)}
+			if mk != nil {
+				oc.Scheduler = mk()
+			}
+			return build(file), oc
 		},
 		Inputs: in.of,
 	}
@@ -137,22 +145,38 @@ func (s protoSpec) cell(be exec.Backend, mk func() sched.Scheduler, maxSteps int
 	}
 }
 
-// consensusSweep runs one execution of spec per trial of s, under
-// schedulers built by mk, on the strict engine: any trial error, step-limit
-// exhaustion included, aborts the experiment, and so does a trial whose
-// decisions break agreement or validity against its inputs. It returns the
-// sweep's histograms of total work (steps) and maximum individual work
-// (work) over all its trials. fold, which may be nil, runs one trial at a
-// time, in trial order, on the sweep's workers, and a panic in it is
-// raised again in the caller; per-process deciding stages come from
-// run.DecidedStage. Cells whose step budget is part of what they measure
-// run on budgetSweep instead. This one stays strict because the robust
-// engine starts a goroutine and a channel per trial.
-func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler,
+// protoPool is a protocol spec's session pool on the simulator, with the
+// input table its trials read. It serves every sweep of the spec that
+// differs only in its adversary: each worker builds the protocol and spawns
+// its processes once for all of them. Its opener closes it when the last
+// of those sweeps returns.
+type protoPool struct {
+	*harness.ProtocolPool
+	inputs inputTable
+}
+
+// pool opens spec's session pool.
+func (s protoSpec) pool() protoPool {
+	return protoPool{harness.NewProtocolPool(s.cell(nil, nil, 0)), s.inputs}
+}
+
+// consensusSweep runs one execution of pool's spec per trial of s, on the
+// pool's sessions under schedulers built by mk, on the strict engine: any
+// trial error, step-limit exhaustion included, aborts the experiment, and
+// so does a trial whose decisions break agreement or validity against its
+// inputs. It returns the sweep's histograms of total work (steps) and
+// maximum individual work (work) over all its trials. fold, which may be
+// nil, runs one trial at a time, in trial order, on the sweep's workers,
+// and a panic in it is raised again in the caller; per-process deciding
+// stages come from run.DecidedStage, and run is valid only during the fold
+// call. Cells whose step budget is part of what they measure run on
+// budgetSweep instead. This one stays strict because the robust engine
+// starts a goroutine and a channel per trial.
+func consensusSweep(s harness.Sweep, pool protoPool, mk func() sched.Scheduler,
 	fold func(t harness.Trial, run *harness.ProtocolRun)) (steps, work *obs.Hist) {
 	s.StepsHist, s.WorkHist = &obs.Hist{}, &obs.Hist{}
-	mustSweep(harness.SweepProtocol(s, spec.cell(nil, mk, 0), func(t harness.Trial, run *harness.ProtocolRun) {
-		if err := run.CheckDecisions(spec.inputs.row(t.Index)); err != nil {
+	mustSweep(pool.Sweep(s, mk, func(t harness.Trial, run *harness.ProtocolRun) {
+		if err := run.CheckDecisions(pool.inputs.row(t.Index)); err != nil {
 			panic(err)
 		}
 		if fold != nil {
@@ -160,6 +184,15 @@ func consensusSweep(s harness.Sweep, spec protoSpec, mk func() sched.Scheduler,
 		}
 	}))
 	return s.StepsHist, s.WorkHist
+}
+
+// sweepOnce is consensusSweep on a pool of spec's own, closed when the
+// sweep returns or panics: the sweep of a spec that serves one adversary.
+func (spec protoSpec) sweepOnce(s harness.Sweep, mk func() sched.Scheduler,
+	fold func(t harness.Trial, run *harness.ProtocolRun)) (steps, work *obs.Hist) {
+	pool := spec.pool()
+	defer pool.Close()
+	return consensusSweep(s, pool, mk, fold)
 }
 
 // budgetSweep runs one execution of cell per trial of s on the robust

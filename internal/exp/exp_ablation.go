@@ -28,24 +28,33 @@ func E15Ablations(cfg Config) *Table {
 	n := 64
 
 	// 1. Impatience growth schedule, conciliator alone under attack.
+	// Each variant is a cell of its own, swept once.
 	for _, g := range []conciliator.Growth{conciliator.GrowthDoubling, conciliator.GrowthLinear, conciliator.GrowthConstant} {
-		var agree stats.Tally
-		tot, ind := conciliatorSweep(cfg.sweep(trials), n, g, false,
-			func() sched.Scheduler { return sched.NewFirstMoverAttack() }, agree.Add)
-		t.AddRow("impatience growth", g.String(),
-			fmt.Sprintf("%.1f", ind.Mean()),
-			fmt.Sprintf("%.0f", tot.Mean()),
-			fmt.Sprintf("δ̂=%s", agree.Proportion().String()))
+		func() {
+			pool := conciliatorPool(n, g, false)
+			defer pool.Close()
+			var agree stats.Tally
+			tot, ind := conciliatorSweep(cfg.sweep(trials), pool,
+				func() sched.Scheduler { return sched.NewFirstMoverAttack() }, agree.Add)
+			t.AddRow("impatience growth", g.String(),
+				fmt.Sprintf("%.1f", ind.Mean()),
+				fmt.Sprintf("%.0f", tot.Mean()),
+				fmt.Sprintf("δ̂=%s", agree.Proportion().String()))
+		}()
 	}
 
 	// 2. Write-success detection, conciliator alone under round-robin.
 	for _, detect := range []bool{false, true} {
-		tot, ind := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, detect,
-			func() sched.Scheduler { return sched.NewRoundRobin() }, nil)
-		t.AddRow("write detection", fmt.Sprintf("detect=%v", detect),
-			fmt.Sprintf("%.1f", ind.Mean()),
-			fmt.Sprintf("%.0f", tot.Mean()),
-			"footnote 2: ≤2 ops saved")
+		func() {
+			pool := conciliatorPool(n, conciliator.GrowthDoubling, detect)
+			defer pool.Close()
+			tot, ind := conciliatorSweep(cfg.sweep(trials), pool,
+				func() sched.Scheduler { return sched.NewRoundRobin() }, nil)
+			t.AddRow("write detection", fmt.Sprintf("detect=%v", detect),
+				fmt.Sprintf("%.1f", ind.Mean()),
+				fmt.Sprintf("%.0f", tot.Mean()),
+				"footnote 2: ≤2 ops saved")
+		}()
 	}
 
 	// 3. Fast path on agreeing inputs, full protocol.
@@ -53,7 +62,7 @@ func E15Ablations(cfg Config) *Table {
 		spec := cfg.spec(n, 2)
 		spec.FastPath = fp
 		spec.inputs = newInputTable(n, 1) // all zeros
-		tot, ind := consensusSweep(cfg.sweep(trials/2), spec,
+		tot, ind := spec.sweepOnce(cfg.sweep(trials/2),
 			func() sched.Scheduler { return sched.NewUniformRandom() }, nil)
 		t.AddRow("fast path (unanimous inputs)", fmt.Sprintf("fastpath=%v", fp),
 			fmt.Sprintf("%.1f", ind.Mean()),
@@ -100,7 +109,7 @@ func E15Ablations(cfg Config) *Table {
 		if bv {
 			spec.Scheme = recipe.SchemeBitVector
 		}
-		tot, ind := consensusSweep(cfg.sweep(trials/2), spec,
+		tot, ind := spec.sweepOnce(cfg.sweep(trials/2),
 			func() sched.Scheduler { return sched.NewUniformRandom() }, nil)
 		t.AddRow(fmt.Sprintf("quorum scheme (m=%d)", m), name,
 			fmt.Sprintf("%.1f", ind.Mean()),

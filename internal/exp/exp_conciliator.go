@@ -18,25 +18,31 @@ import (
 // agreement probability: (1 - e^{-1/4})/4.
 var thm7Delta = (1 - math.Exp(-0.25)) / 4
 
-// conciliatorSweep runs fresh impatient-conciliator executions with mixed
-// inputs on the parallel trial engine and returns the sweep's histograms
-// of total and maximum individual work. fold, which may be nil, receives
-// each trial's agreement flag in trial order.
-func conciliatorSweep(s harness.Sweep, n int, growth conciliator.Growth, detect bool,
-	mk func() sched.Scheduler, fold func(agreed bool)) (steps, work *obs.Hist) {
+// conciliatorPool opens the session pool of an impatient conciliator over
+// n processes with mixed inputs, which every adversary of one n sweeps.
+// Its opener closes it when the last of those sweeps returns.
+func conciliatorPool(n int, growth conciliator.Growth, detect bool) *harness.ObjectPool {
+	return harness.NewObjectPool(objectCell(n, newInputTable(n, n), nil, func(file *register.File) core.Object {
+		c := conciliator.NewImpatient(file, n, 1)
+		c.Growth = growth
+		c.DetectSuccess = detect
+		return c
+	}))
+}
+
+// conciliatorSweep runs impatient-conciliator executions on pool's
+// sessions, under schedulers built by mk, on the parallel trial engine and
+// returns the sweep's histograms of total and maximum individual work.
+// fold, which may be nil, receives each trial's agreement flag in trial
+// order.
+func conciliatorSweep(s harness.Sweep, pool *harness.ObjectPool, mk func() sched.Scheduler,
+	fold func(agreed bool)) (steps, work *obs.Hist) {
 	s.StepsHist, s.WorkHist = &obs.Hist{}, &obs.Hist{}
-	mustSweep(harness.SweepObject(s,
-		objectCell(n, newInputTable(n, n), mk, func(file *register.File) core.Object {
-			c := conciliator.NewImpatient(file, n, 1)
-			c.Growth = growth
-			c.DetectSuccess = detect
-			return c
-		}),
-		func(_ harness.Trial, run *harness.ObjectRun) {
-			if fold != nil {
-				fold(check.Unanimous(run.Outputs()))
-			}
-		}))
+	mustSweep(pool.Sweep(s, mk, func(_ harness.Trial, run *harness.ObjectRun) {
+		if fold != nil {
+			fold(check.Unanimous(run.Outputs()))
+		}
+	}))
 	return s.StepsHist, s.WorkHist
 }
 
@@ -52,19 +58,23 @@ func E1ConciliatorAgreement(cfg Config) *Table {
 	trials := cfg.trials(400)
 	minDelta := 1.0
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		for _, adv := range adversaryPortfolio() {
-			var agree stats.Tally
-			conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New, agree.Add)
-			p := agree.Proportion()
-			verdict := "yes"
-			if p.P < thm7Delta {
-				verdict = "NO"
+		func() {
+			pool := conciliatorPool(n, conciliator.GrowthDoubling, false)
+			defer pool.Close()
+			for _, adv := range adversaryPortfolio() {
+				var agree stats.Tally
+				conciliatorSweep(cfg.sweep(trials), pool, adv.New, agree.Add)
+				p := agree.Proportion()
+				verdict := "yes"
+				if p.P < thm7Delta {
+					verdict = "NO"
+				}
+				if p.P < minDelta {
+					minDelta = p.P
+				}
+				t.AddRow(fmt.Sprintf("%d", n), adv.Name, p.String(), verdict)
 			}
-			if p.P < minDelta {
-				minDelta = p.P
-			}
-			t.AddRow(fmt.Sprintf("%d", n), adv.Name, p.String(), verdict)
-		}
+		}()
 	}
 	t.AddNote("minimum empirical δ over the portfolio: %.4f (paper lower bound %.4f)", minDelta, thm7Delta)
 	return t
@@ -82,19 +92,23 @@ func E2ConciliatorTotalWork(cfg Config) *Table {
 	trials := cfg.trials(300)
 	var ns, ys []float64
 	for _, n := range []int{4, 8, 16, 32, 64, 128} {
-		for _, adv := range adversaryPortfolio() {
-			works, _ := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New, nil)
-			t.AddRow(fmt.Sprintf("%d", n), adv.Name,
-				fmt.Sprintf("%.1f ± %.1f", works.Mean(), works.SE()),
-				fmt.Sprintf("%d/%d/%d", works.P50(), works.P90(), works.P99()),
-				fmt.Sprintf("%d", 6*n),
-				fmt.Sprintf("%.2f", works.Mean()/float64(6*n)))
-			if adv.Name == "first-mover-attack" {
-				ns = append(ns, float64(n))
-				ys = append(ys, works.Mean())
-				t.AddDist(fmt.Sprintf("total work n=%d first-mover-attack", n), works)
+		func() {
+			pool := conciliatorPool(n, conciliator.GrowthDoubling, false)
+			defer pool.Close()
+			for _, adv := range adversaryPortfolio() {
+				works, _ := conciliatorSweep(cfg.sweep(trials), pool, adv.New, nil)
+				t.AddRow(fmt.Sprintf("%d", n), adv.Name,
+					fmt.Sprintf("%.1f ± %.1f", works.Mean(), works.SE()),
+					fmt.Sprintf("%d/%d/%d", works.P50(), works.P90(), works.P99()),
+					fmt.Sprintf("%d", 6*n),
+					fmt.Sprintf("%.2f", works.Mean()/float64(6*n)))
+				if adv.Name == "first-mover-attack" {
+					ns = append(ns, float64(n))
+					ys = append(ys, works.Mean())
+					t.AddDist(fmt.Sprintf("total work n=%d first-mover-attack", n), works)
+				}
 			}
-		}
+		}()
 	}
 	fit := stats.BestShape(ns, ys, stats.ShapeLog, stats.ShapeLinear, stats.ShapeNLogN)
 	t.AddNote("total work growth under attack: best fit %s", fit)
@@ -114,10 +128,14 @@ func E3ConciliatorIndividualWork(cfg Config) *Table {
 	var ns, ys []float64
 	for _, n := range []int{2, 4, 8, 16, 32, 64, 128, 256} {
 		ind := &obs.Hist{}
-		for _, adv := range adversaryPortfolio() {
-			_, work := conciliatorSweep(cfg.sweep(trials), n, conciliator.GrowthDoubling, false, adv.New, nil)
-			ind.Merge(work)
-		}
+		func() {
+			pool := conciliatorPool(n, conciliator.GrowthDoubling, false)
+			defer pool.Close()
+			for _, adv := range adversaryPortfolio() {
+				_, work := conciliatorSweep(cfg.sweep(trials), pool, adv.New, nil)
+				ind.Merge(work)
+			}
+		}()
 		maxObs := int(ind.Max())
 		bound := 2*int(math.Ceil(math.Log2(float64(n)))) + 5
 		verdict := "yes"

@@ -23,22 +23,28 @@ func E6BinaryConsensus(cfg Config) *Table {
 	advs := adversaryPortfolio()
 	var ns, indY, totY []float64
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256} {
-		for _, adv := range advs {
-			tot, ind := consensusSweep(cfg.sweep(trials), cfg.spec(n, 2), adv.New, nil)
-			t.AddRow(fmt.Sprintf("%d", n), adv.Name,
-				fmt.Sprintf("%.1f ± %.1f", ind.Mean(), ind.SE()),
-				fmt.Sprintf("%d/%d/%d", ind.P50(), ind.P90(), ind.P99()),
-				fmt.Sprintf("%.0f ± %.0f", tot.Mean(), tot.SE()),
-				fmt.Sprintf("%d", tot.P99()),
-				fmt.Sprintf("%.2f", tot.Mean()/float64(n)))
-			if adv.Name == "first-mover-attack" {
-				ns = append(ns, float64(n))
-				indY = append(indY, ind.Mean())
-				totY = append(totY, tot.Mean())
-				t.AddDist(fmt.Sprintf("individual work n=%d first-mover-attack", n), ind)
-				t.AddDist(fmt.Sprintf("total work n=%d first-mover-attack", n), tot)
+		// The cells of one n differ only in their adversary, so they share
+		// one session pool: one build and one set of processes per worker.
+		func() {
+			pool := cfg.spec(n, 2).pool()
+			defer pool.Close()
+			for _, adv := range advs {
+				tot, ind := consensusSweep(cfg.sweep(trials), pool, adv.New, nil)
+				t.AddRow(fmt.Sprintf("%d", n), adv.Name,
+					fmt.Sprintf("%.1f ± %.1f", ind.Mean(), ind.SE()),
+					fmt.Sprintf("%d/%d/%d", ind.P50(), ind.P90(), ind.P99()),
+					fmt.Sprintf("%.0f ± %.0f", tot.Mean(), tot.SE()),
+					fmt.Sprintf("%d", tot.P99()),
+					fmt.Sprintf("%.2f", tot.Mean()/float64(n)))
+				if adv.Name == "first-mover-attack" {
+					ns = append(ns, float64(n))
+					indY = append(indY, ind.Mean())
+					totY = append(totY, tot.Mean())
+					t.AddDist(fmt.Sprintf("individual work n=%d first-mover-attack", n), ind)
+					t.AddDist(fmt.Sprintf("total work n=%d first-mover-attack", n), tot)
+				}
 			}
-		}
+		}()
 	}
 	t.AddNote("individual work under attack: %s", stats.BestShape(ns, indY, stats.ShapeLog, stats.ShapeLinear))
 	t.AddNote("total work under attack: %s", stats.BestShape(ns, totY, stats.ShapeLog, stats.ShapeLinear, stats.ShapeNLogN))
@@ -58,7 +64,7 @@ func E7MValuedConsensus(cfg Config) *Table {
 	n := 32
 	var ms, totY []float64
 	for _, m := range []int{2, 4, 16, 64, 256, 1024} {
-		tot, ind := consensusSweep(cfg.sweep(trials), cfg.spec(n, m),
+		tot, ind := cfg.spec(n, m).sweepOnce(cfg.sweep(trials),
 			func() sched.Scheduler { return sched.NewFirstMoverAttack() }, nil)
 		t.AddRow(fmt.Sprintf("%d", m), fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", ind.Mean()),
@@ -87,7 +93,7 @@ func E9FastPath(cfg Config) *Table {
 		fastDecisions, total := 0, 0
 		spec := cfg.spec(n, 2)
 		spec.inputs = newInputTable(n, 1) // all zeros
-		_, ind := consensusSweep(cfg.sweep(trials), spec,
+		_, ind := spec.sweepOnce(cfg.sweep(trials),
 			func() sched.Scheduler { return sched.NewUniformRandom() },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				for pid := 0; pid < n; pid++ {
@@ -118,22 +124,24 @@ func E13BoundedConstruction(cfg Config) *Table {
 	}
 	trials := cfg.trials(400)
 	n := 16
+	// Calibrate from deep (k=12) runs, where truncation is negligible: an
+	// execution of the k-truncated chain reaches the fallback exactly when
+	// the corresponding untruncated execution's maximum deciding stage
+	// exceeds k, so the deep-run tail Pr[maxStage > k] predicts the fallback
+	// rate directly. The deep runs of every adversary share one pool.
+	deepSpec := cfg.spec(n, 2)
+	deepSpec.FastPath = false
+	deepSpec.Stages = 12
+	deepSpec.Fallback = true
+	deep := deepSpec.pool()
+	defer deep.Close()
 	for _, adv := range adversaryPortfolio() {
 		if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
 			continue // keep the table focused
 		}
-		// Calibrate from deep (k=12) runs, where truncation is negligible:
-		// an execution of the k-truncated chain reaches the fallback
-		// exactly when the corresponding untruncated execution's maximum
-		// deciding stage exceeds k, so the deep-run tail Pr[maxStage > k]
-		// predicts the fallback rate directly.
-		deepSpec := cfg.spec(n, 2)
-		deepSpec.FastPath = false
-		deepSpec.Stages = 12
-		deepSpec.Fallback = true
 		ks := [...]int{1, 2, 4, 8}
 		var above [len(ks)]int // deep runs whose maximum deciding stage exceeds ks[i]
-		consensusSweep(cfg.sweep(trials), deepSpec, adv.New,
+		consensusSweep(cfg.sweep(trials), deep, adv.New,
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				maxStage := 0
 				for pid := 0; pid < n; pid++ {
@@ -163,7 +171,7 @@ func E13BoundedConstruction(cfg Config) *Table {
 			// derives its trial seeds from a shifted root.
 			s := cfg.sweep(trials)
 			s.Seed = cfg.Seed + 1
-			consensusSweep(s, spec, adv.New,
+			spec.sweepOnce(s, adv.New,
 				func(_ harness.Trial, run *harness.ProtocolRun) {
 					usedFallback := false
 					for pid := 0; pid < n; pid++ {

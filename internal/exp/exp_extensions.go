@@ -29,39 +29,43 @@ func E16SetAgreement(cfg Config) *Table {
 	n, m := 12, 12
 	in := newInputTable(n, m)
 	for _, k := range []int{1, 2, 3, 4, 6} {
-		for _, adv := range adversaryPortfolio() {
-			if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
-				continue
-			}
-			var distinct obs.Hist
-			s := cfg.sweep(trials)
-			s.WorkHist = &obs.Hist{}
-			mustSweep(harness.SweepObject(s,
-				objectCell(n, in, adv.New, func(file *register.File) core.Object {
-					p, err := setagree.New(file, n, m, k)
-					if err != nil {
-						panic(fmt.Sprintf("exp: bad set-agreement spec: %v", err))
-					}
-					return core.Func{Name: "setagree", F: func(e core.Env, v value.Value) value.Decision {
-						return value.Decide(p.Run(e, v))
-					}}
-				}),
-				func(_ harness.Trial, run *harness.ObjectRun) {
+		// The cells of one k differ only in their adversary, so they share
+		// one session pool.
+		func() {
+			pool := harness.NewObjectPool(objectCell(n, in, nil, func(file *register.File) core.Object {
+				p, err := setagree.New(file, n, m, k)
+				if err != nil {
+					panic(fmt.Sprintf("exp: bad set-agreement spec: %v", err))
+				}
+				return core.Func{Name: "setagree", F: func(e core.Env, v value.Value) value.Decision {
+					return value.Decide(p.Run(e, v))
+				}}
+			}))
+			defer pool.Close()
+			for _, adv := range adversaryPortfolio() {
+				if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
+					continue
+				}
+				var distinct obs.Hist
+				s := cfg.sweep(trials)
+				s.WorkHist = &obs.Hist{}
+				mustSweep(pool.Sweep(s, adv.New, func(_ harness.Trial, run *harness.ObjectRun) {
 					seen := make(map[value.Value]bool)
 					for _, v := range run.Outputs() {
 						seen[v] = true
 					}
 					distinct.AddInt(len(seen))
 				}))
-			verdict := fmt.Sprintf("%d", distinct.Max())
-			if distinct.Max() > int64(k) {
-				verdict += " VIOLATION"
+				verdict := fmt.Sprintf("%d", distinct.Max())
+				if distinct.Max() > int64(k) {
+					verdict += " VIOLATION"
+				}
+				t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), adv.Name,
+					verdict,
+					fmt.Sprintf("%.2f", distinct.Mean()),
+					fmt.Sprintf("%.1f", s.WorkHist.Mean()))
 			}
-			t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", k), adv.Name,
-				verdict,
-				fmt.Sprintf("%.2f", distinct.Mean()),
-				fmt.Sprintf("%.1f", s.WorkHist.Mean()))
-		}
+		}()
 	}
 	t.AddNote("with all-distinct inputs each group keeps one value, so mean distinct = k exactly; the safety property is the max column never exceeding k")
 	return t

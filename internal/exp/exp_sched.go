@@ -169,7 +169,7 @@ func E12PriorityRatifierOnly(cfg Config) *Table {
 		spec.Conciliator = recipe.ConciliatorNone
 		spec.FastPath = false
 		spec.Stages = 64
-		_, ind := consensusSweep(cfg.sweep(trials), spec,
+		_, ind := spec.sweepOnce(cfg.sweep(trials),
 			func() sched.Scheduler { return sched.NewPriority(nil) },
 			func(_ harness.Trial, run *harness.ProtocolRun) {
 				all := true

@@ -73,7 +73,7 @@ func E23WorkloadSaturation(cfg Config) *Table {
 			spec := defaultSpec(e23N, e23M)
 			spec.registers = model
 			demands := make([]int64, trials)
-			work, _ := consensusSweep(cfg.sweep(trials), spec, adv.New,
+			work, _ := spec.sweepOnce(cfg.sweep(trials), adv.New,
 				func(tr harness.Trial, run *harness.ProtocolRun) {
 					demands[tr.Index] = int64(run.Result.TotalWork)
 				})

@@ -7,8 +7,9 @@
 // closure, and an exec.Session over it — and replay it per trial through
 // exec.Session.Run(ctx, seed), which on sim rewinds the engine in place:
 // zero allocations per trial below the harness. RunObject and RunProtocol
-// are one trial of a fresh session; the sweeps pool sessions per worker, and
-// a ProtocolInstance keeps one open across single executions of one shape.
+// are one trial of a fresh session; a Pool keeps one session per worker
+// across the sweeps of cells that differ only in their adversary, and a
+// ProtocolInstance keeps one open across single executions of one shape.
 //
 // Each session owns its run (ObjectRun or ProtocolRun) and every buffer the
 // run points to, and returns it by pointer, rewritten by the session's next
@@ -39,11 +40,11 @@
 // touching.
 //
 // Determinism: a trial's outcome is a pure function of (cell, seed, inputs).
-// A sim session's Run restores registers, scheduler state, and RNG streams
-// from the seed alone before the trial, so which pooled session runs a trial
-// — and how many trials it ran before — cannot affect the result. Sweep
-// aggregates therefore stay bit-identical at any worker count, pooled or
-// not.
+// A sim session's Run restores registers, scheduler state (it seeds the
+// installed scheduler), and RNG streams from the seed alone before the
+// trial, so which pooled session runs a trial — and how many trials of
+// which sweeps it ran before — cannot affect the result. Sweep aggregates
+// therefore stay bit-identical at any worker count, pooled or not.
 package harness
 
 import (
@@ -68,11 +69,14 @@ import (
 // ObjectSweep describes one object cell of a sweep.
 type ObjectSweep struct {
 	// Build constructs the cell: a fresh object and its configuration
-	// (register file, scheduler, faults, …). It is called once per pooled
-	// session — at most once per worker, not once per trial — so everything
-	// it builds is reused across that session's trials. Config.Seed and
-	// Config.Context are ignored (each trial's seed and context are supplied
-	// by the engine); Config.Inputs is the default input assignment.
+	// (register file, scheduler, faults, …). It is called once per session
+	// of a pool — at most once per worker across all the pool's sweeps, not
+	// once per trial — so everything it builds is reused across that
+	// session's trials. Config.Seed and Config.Context are ignored (each
+	// trial's seed and context are supplied by the engine), and so is
+	// Config.Meter (the pool's sweeps supply it); Config.Scheduler is the
+	// session's adversary until a sweep installs its own (see Pool.Sweep),
+	// and Config.Inputs is the default input assignment.
 	Build func() (core.Object, ObjectConfig)
 	// Inputs, if non-nil, overrides the configuration's inputs per trial
 	// (same resolution rule: one value per process, or a single value
@@ -86,7 +90,8 @@ type ObjectSweep struct {
 // ObjectSweep.
 type ProtocolSweep struct {
 	// Build constructs the cell's protocol and configuration; see
-	// ObjectSweep.Build for the once-per-session contract.
+	// ObjectSweep.Build for the once-per-session contract and the fields
+	// the pool overrides.
 	Build func() (*core.Protocol, ObjectConfig)
 	// Inputs optionally overrides the configuration's inputs per trial; see
 	// ObjectSweep.Inputs.
@@ -98,6 +103,9 @@ type cell[R any] interface {
 	// runTrial executes one trial. The run it returns is the session's own,
 	// rewritten by the session's next trial.
 	runTrial(ctx context.Context, t Trial) (R, error)
+	// session is the backend session, on which a sweep installs its
+	// adversary.
+	session() exec.Session
 	close()
 }
 
@@ -110,67 +118,187 @@ type snapshot[R any] interface {
 	copyTo(dst R) R
 }
 
-// sessionPool hands out sessions to workers, one per in-flight trial. make
-// is called when the free list is empty, so a sweep creates at most
-// workers-many sessions (plus replacements for discarded ones). The pool
-// also keeps the buffers that parked runs are copied into (see park).
-// Both free lists are plain slices, not sync.Pools, for the reason the
-// root package's Solve list is: a sync.Pool is cleared at GC, so a sweep's
-// allocation count would vary from run to run.
-type sessionPool[R snapshot[R], S cell[R]] struct {
-	make func() (S, error)
+// Pool is a pool of sessions of one cell, kept across sweeps: a caller
+// that runs several sweeps of one cell shape — an experiment's adversary
+// axis, where the cells differ only in their adversary — keeps one pool
+// for all of them, so each worker builds the cell and spawns its processes
+// once rather than once per sweep. ProtocolPool and ObjectPool are its two
+// kinds, opened by NewProtocolPool and NewObjectPool; SweepProtocol,
+// SweepObject and SweepProtocolRobust each run one sweep on a fresh pool
+// and close it.
+//
+// The pool hands each worker a session for the duration of one trial and
+// its fold, building one from the cell when the free list is empty, so it
+// holds at most as many sessions as its widest sweep had workers (plus
+// replacements for discarded ones). It also keeps the buffers that parked
+// runs are copied into (see park). Both free lists are plain slices, not
+// sync.Pools, for the reason the root package's Solve list is: a sync.Pool
+// is cleared at GC, so a sweep's allocation count would vary from run to
+// run.
+//
+// The caller that opens a pool owns it: it runs one sweep at a time on it
+// and closes it with Close once its last sweep has returned.
+type Pool[R snapshot[R], S cell[R]] struct {
+	// make builds a session that counts its steps into meter and, when adv
+	// is non-nil, runs under adv instead of its cell's own adversary.
+	make func(meter *obs.Meter, adv sched.Scheduler) (S, error)
 
 	mu     sync.Mutex
-	free   []S
+	free   []pooled[S]
 	snaps  []R // snapshot buffers no parked run holds
 	closed bool
+	// sweeps counts the sweeps begun; newSched is the running sweep's
+	// adversary, installs records that a sweep has brought one, and meter
+	// is the Meter of the pool's first sweep.
+	sweeps   int
+	newSched func() sched.Scheduler
+	installs bool
+	meter    *obs.Meter
 }
 
-func newSessionPool[R snapshot[R], S cell[R]](mk func() (S, error)) *sessionPool[R, S] {
-	return &sessionPool[R, S]{make: mk}
+// pooled is a pool's session with the sweep it last served (see Pool.get).
+type pooled[S any] struct {
+	sess  S
+	sweep int
 }
 
-func (p *sessionPool[R, S]) get() (S, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return s, nil
+// ProtocolPool is the Pool of a protocol cell.
+type ProtocolPool = Pool[*ProtocolRun, *protocolSession]
+
+// ObjectPool is the Pool of an object cell.
+type ObjectPool = Pool[*ObjectRun, *objectSession]
+
+// NewProtocolPool opens a pool of spec's sessions. spec.Build runs once per
+// session, on the worker that first needs it.
+func NewProtocolPool(spec ProtocolSweep) *ProtocolPool {
+	return &ProtocolPool{make: func(meter *obs.Meter, adv sched.Scheduler) (*protocolSession, error) {
+		proto, cfg := spec.Build()
+		cfg.Meter = meter
+		if adv != nil {
+			cfg.Scheduler = adv
+		}
+		return newProtocolSession(proto, cfg, spec.Inputs)
+	}}
+}
+
+// NewObjectPool opens a pool of spec's sessions, like NewProtocolPool.
+func NewObjectPool(spec ObjectSweep) *ObjectPool {
+	return &ObjectPool{make: func(meter *obs.Meter, adv sched.Scheduler) (*objectSession, error) {
+		obj, cfg := spec.Build()
+		cfg.Meter = meter
+		if adv != nil {
+			cfg.Scheduler = adv
+		}
+		return newObjectSession(obj, cfg, spec.Inputs)
+	}}
+}
+
+// Sweep runs one execution of the pool's cell per trial of s and merges
+// the runs in trial order, on the strict policy (RunTrials): at any worker
+// count, and whatever the pool's earlier sweeps ran, each trial equals a
+// RunObject or RunProtocol of the cell at the trial's seed and inputs,
+// under the sweep's adversary. A run merge receives is valid only during
+// that merge call: the trial that is next is merged in its session's own
+// buffers, and a trial that finished early from a copy whose buffer the
+// pool reuses. A merge that keeps anything of a run copies it.
+//
+// newSched, if non-nil, is the sweep's adversary. A session that the sweep
+// builds takes newSched() at construction; a kept session takes one through
+// its backend session's SetScheduler the first time it serves the sweep
+// (the sim backend's can; a backend without adversary control fails the
+// trial). The engine seeds the installed scheduler before every trial, so a
+// trial on a kept session is the trial on a fresh one. A nil newSched runs
+// each session under the adversary its Build made.
+//
+// A pool's sessions count their steps into the Meter of its first sweep; a
+// later sweep whose Meter differs is an error and runs no trial. So are a
+// sweep with a nil newSched on a pool that an earlier sweep brought an
+// adversary to (its sessions no longer hold their Build's), and a sweep on
+// a closed pool.
+func (p *Pool[R, S]) Sweep(s Sweep, newSched func() sched.Scheduler, merge func(t Trial, run R)) error {
+	if err := p.begin(s, newSched); err != nil {
+		return err
 	}
-	p.mu.Unlock()
-	return p.make()
+	return runStrict(s, p.foldTrial, merge, p)
 }
 
-// put returns a session to the free list. After closeAll (a late put from an
-// attempt that outlived the sweep) the session is closed instead — the pool
+// begin makes s, under the adversary newSched, the pool's running sweep.
+func (p *Pool[R, S]) begin(s Sweep, newSched func() sched.Scheduler) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.closed:
+		return errors.New("harness: sweep on a closed pool")
+	case p.sweeps > 0 && s.Meter != p.meter:
+		return errors.New("harness: a sweep's Meter differs from the one its pool's sessions count into")
+	case newSched == nil && p.installs:
+		return errors.New("harness: a sweep without an adversary on a pool whose sessions run an earlier sweep's")
+	}
+	p.sweeps++
+	p.newSched, p.meter = newSched, s.Meter
+	p.installs = p.installs || newSched != nil
+	return nil
+}
+
+// get checks out a session for the running sweep: a free one, or a new one
+// when the free list is empty. A free session that has not served this
+// sweep yet takes the sweep's adversary first; if it cannot, it goes back
+// to the free list and get returns the error.
+func (p *Pool[R, S]) get() (pooled[S], error) {
+	p.mu.Lock()
+	sweep, newSched, meter := p.sweeps, p.newSched, p.meter
+	n := len(p.free)
+	if n == 0 {
+		p.mu.Unlock()
+		var adv sched.Scheduler
+		if newSched != nil {
+			adv = newSched()
+		}
+		s, err := p.make(meter, adv)
+		return pooled[S]{s, sweep}, err
+	}
+	m := p.free[n-1]
+	p.free = p.free[:n-1]
+	p.mu.Unlock()
+	if m.sweep != sweep && newSched != nil {
+		if err := schedule(m.sess.session(), newSched()); err != nil {
+			p.put(m)
+			return m, err
+		}
+	}
+	m.sweep = sweep
+	return m, nil
+}
+
+// put returns a session to the free list. After Close (a late put from an
+// attempt that outlived its sweep) the session is closed instead — the pool
 // never resurrects.
-func (p *sessionPool[R, S]) put(s S) {
+func (p *Pool[R, S]) put(m pooled[S]) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		s.close()
+		m.sess.close()
 		return
 	}
-	p.free = append(p.free, s)
+	p.free = append(p.free, m)
 	p.mu.Unlock()
 }
 
-// closeAll closes every free session and marks the pool closed. Sessions
-// still checked out by abandoned attempts are not touched — their goroutines
-// may be live inside Run — and are closed (or leaked, if the attempt never
-// returns) via the late-put path. The sweep's caller runs closeAll, but the
-// workers created the sessions, so the closing happens on a harness
-// goroutine.
-func (p *sessionPool[R, S]) closeAll() {
+// Close closes every free session and ends the pool. Sessions still checked
+// out by abandoned robust attempts are not touched — their goroutines may
+// be live inside Run — and are closed (or leaked, if the attempt never
+// returns) via the late-put path. The workers that created the sessions
+// were harness goroutines, so the closing happens on one too. Closing a
+// closed pool does nothing.
+func (p *Pool[R, S]) Close() {
 	p.mu.Lock()
 	free := p.free
-	p.free = nil
+	p.free, p.snaps, p.newSched = nil, nil, nil
 	p.closed = true
 	p.mu.Unlock()
 	onHarnessGoroutine(func() {
-		for _, s := range free {
-			s.close()
+		for _, m := range free {
+			m.sess.close()
 		}
 	})
 }
@@ -197,8 +325,8 @@ func onHarnessGoroutine(f func()) {
 // fold does not return (a callback's Goexit) after it. None is reused.
 // foldTrial runs on a harness worker or attempt goroutine, so the close
 // keeps the thread-lock rule of the file comment.
-func (p *sessionPool[R, S]) foldTrial(ctx context.Context, t Trial, fold func(outcome[R])) {
-	sess, err := p.get()
+func (p *Pool[R, S]) foldTrial(ctx context.Context, t Trial, fold func(outcome[R])) {
+	m, err := p.get()
 	if err != nil {
 		fold(outcome[R]{trial: t, err: err})
 		return
@@ -206,18 +334,18 @@ func (p *sessionPool[R, S]) foldTrial(ctx context.Context, t Trial, fold func(ou
 	held := true // checked out, neither closed nor put back
 	defer func() {
 		if held {
-			sess.close()
+			m.sess.close()
 		}
 	}()
-	run, err := sess.runTrial(ctx, t)
+	run, err := m.sess.runTrial(ctx, t)
 	if errors.Is(err, exec.ErrSessionPoisoned) {
 		held = false
-		sess.close()
+		m.sess.close()
 	}
 	fold(outcome[R]{trial: t, result: run, err: err})
 	if held {
 		held = false
-		p.put(sess)
+		p.put(m)
 	}
 }
 
@@ -225,7 +353,7 @@ func (p *sessionPool[R, S]) foldTrial(ctx context.Context, t Trial, fold func(ou
 // run instead of folding it: the robust policy's attempts run on goroutines
 // of their own and may be abandoned, so their sessions go back to the pool
 // before the fold sees the run.
-func (p *sessionPool[R, S]) parkedTrial(ctx context.Context, t Trial) (run R, err error) {
+func (p *Pool[R, S]) parkedTrial(ctx context.Context, t Trial) (run R, err error) {
 	p.foldTrial(ctx, t, func(oc outcome[R]) { run, err = p.park(oc.result), oc.err })
 	return run, err
 }
@@ -233,7 +361,7 @@ func (p *sessionPool[R, S]) parkedTrial(ctx context.Context, t Trial) (run R, er
 // park copies a session's run into a snapshot buffer from the free list,
 // allocating one only when the list is empty, so the copy stays valid after
 // the session runs its next trial. A zero run parks as itself.
-func (p *sessionPool[R, S]) park(run R) R {
+func (p *Pool[R, S]) park(run R) R {
 	var buf R
 	if run == buf {
 		return run
@@ -249,7 +377,7 @@ func (p *sessionPool[R, S]) park(run R) R {
 
 // unpark returns a parked run's buffer to the free list once the fold has
 // consumed the run.
-func (p *sessionPool[R, S]) unpark(snap R) {
+func (p *Pool[R, S]) unpark(snap R) {
 	var zero R
 	if snap == zero {
 		return
@@ -385,7 +513,8 @@ func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, err
 	return &os.out, err
 }
 
-func (os *objectSession) close() { _ = os.sess.Close() }
+func (os *objectSession) session() exec.Session { return os.sess }
+func (os *objectSession) close()                { _ = os.sess.Close() }
 
 // copyTo implements snapshot.
 func (r *ObjectRun) copyTo(dst *ObjectRun) *ObjectRun {
@@ -460,6 +589,16 @@ type rescheduler interface {
 	SetScheduler(s sched.Scheduler)
 }
 
+// schedule installs s as the adversary of sess's later trials.
+func schedule(sess exec.Session, s sched.Scheduler) error {
+	rs, ok := sess.(rescheduler)
+	if !ok {
+		return errors.New("harness: the backend's session cannot take a scheduler per trial")
+	}
+	rs.SetScheduler(s)
+	return nil
+}
+
 // run executes one trial with the given seed and inputs and, when s is
 // non-nil, s as the adversary for this trial only: the session drops it
 // afterwards, so an idle session keeps no caller's scheduler.
@@ -468,12 +607,10 @@ func (ps *protocolSession) run(ctx context.Context, seed uint64, inputs []value.
 		return nil, err
 	}
 	if s != nil {
-		rs, ok := ps.sess.(rescheduler)
-		if !ok {
-			return nil, errors.New("harness: the backend's session cannot take a scheduler per trial")
+		if err := schedule(ps.sess, s); err != nil {
+			return nil, err
 		}
-		rs.SetScheduler(s)
-		defer rs.SetScheduler(nil)
+		defer schedule(ps.sess, nil)
 	}
 	for i := range ps.out.Decided {
 		ps.out.Decided[i] = false
@@ -488,7 +625,8 @@ func (ps *protocolSession) run(ctx context.Context, seed uint64, inputs []value.
 	return &ps.out, err
 }
 
-func (ps *protocolSession) close() { _ = ps.sess.Close() }
+func (ps *protocolSession) session() exec.Session { return ps.sess }
+func (ps *protocolSession) close()                { _ = ps.sess.Close() }
 
 // copyTo implements snapshot.
 func (r *ProtocolRun) copyTo(dst *ProtocolRun) *ProtocolRun {

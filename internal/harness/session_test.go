@@ -280,13 +280,13 @@ func TestPooledTrialsAllocateNothing(t *testing.T) {
 // countingParker is a pool that counts the parked runs its sweep's fold
 // consumed.
 type countingParker[R snapshot[R], S cell[R]] struct {
-	*sessionPool[R, S]
+	*Pool[R, S]
 	unparked int // written under the fold's lock
 }
 
 func (c *countingParker[R, S]) unpark(snap R) {
 	c.unparked++
-	c.sessionPool.unpark(snap)
+	c.Pool.unpark(snap)
 }
 
 // TestSweepParksLateRuns: a pooled run that ends before a trial below it is
@@ -317,8 +317,8 @@ func TestSweepParksLateRuns(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ospec := cellObjectSpec(n, c.mut)
 			ospec.Inputs = inputs
-			opk := &countingParker[*ObjectRun, *objectSession]{sessionPool: ospec.pool(s)}
-			defer opk.closeAll()
+			opk := &countingParker[*ObjectRun, *objectSession]{Pool: NewObjectPool(ospec)}
+			defer opk.Close()
 			err := runStrict(s, opk.foldTrial, func(tr Trial, run *ObjectRun) {
 				checkObjectRun(t, nil, ospec, tr, run)
 			}, opk)
@@ -328,8 +328,8 @@ func TestSweepParksLateRuns(t *testing.T) {
 
 			pspec := cellProtocolSpec(t, n, c.mut)
 			pspec.Inputs = inputs
-			ppk := &countingParker[*ProtocolRun, *protocolSession]{sessionPool: pspec.pool(s)}
-			defer ppk.closeAll()
+			ppk := &countingParker[*ProtocolRun, *protocolSession]{Pool: NewProtocolPool(pspec)}
+			defer ppk.Close()
 			err = runStrict(s, ppk.foldTrial, func(tr Trial, run *ProtocolRun) {
 				checkProtocolRun(t, nil, pspec, tr, run)
 			}, ppk)
@@ -347,8 +347,8 @@ func TestSweepParksLateRuns(t *testing.T) {
 			cfg.Faults = fault.New(fault.Crash(0, 5), fault.Stall(1, 3))
 		})
 		pspec.Inputs = inputs
-		pk := &countingParker[*ProtocolRun, *protocolSession]{sessionPool: pspec.pool(s)}
-		defer pk.closeAll()
+		pk := &countingParker[*ProtocolRun, *protocolSession]{Pool: NewProtocolPool(pspec)}
+		defer pk.Close()
 		report, err := runRobust(s, Resilience{Deadline: 50 * time.Millisecond}, pk.parkedTrial,
 			func(tr Trial, run *ProtocolRun, rep TrialReport) {
 				if run == nil || run.Result.Stalled == nil || !run.Result.Stalled[1] {
@@ -545,22 +545,23 @@ func TestPoolClosesPanickedSessions(t *testing.T) {
 type countingCell struct{ closes int }
 
 func (c *countingCell) runTrial(context.Context, Trial) (*ObjectRun, error) { return nil, nil }
+func (c *countingCell) session() exec.Session                               { return nil }
 func (c *countingCell) close()                                              { c.closes++ }
 
-// TestPoolLatePutClosesSession: closeAll closes the free sessions, and a
+// TestPoolLatePutClosesSession: Close closes the free sessions, and a
 // session put back after it — by an attempt that outlived its sweep — is
 // closed instead of returning to the free list.
 func TestPoolLatePutClosesSession(t *testing.T) {
-	p := newSessionPool[*ObjectRun](func() (*countingCell, error) { return &countingCell{}, nil })
+	p := &Pool[*ObjectRun, *countingCell]{make: func(*obs.Meter, sched.Scheduler) (*countingCell, error) { return &countingCell{}, nil }}
 	idle, _ := p.get()
 	late, _ := p.get()
 	p.put(idle)
-	p.closeAll()
-	if idle.closes != 1 || late.closes != 0 {
-		t.Fatalf("closeAll: free session closed %d times, checked-out one %d; want 1 and 0", idle.closes, late.closes)
+	p.Close()
+	if idle.sess.closes != 1 || late.sess.closes != 0 {
+		t.Fatalf("Close: free session closed %d times, checked-out one %d; want 1 and 0", idle.sess.closes, late.sess.closes)
 	}
 	p.put(late)
-	if late.closes != 1 || len(p.free) != 0 {
-		t.Fatalf("late put: session closed %d times with %d free; want 1 and 0", late.closes, len(p.free))
+	if late.sess.closes != 1 || len(p.free) != 0 {
+		t.Fatalf("late put: session closed %d times with %d free; want 1 and 0", late.sess.closes, len(p.free))
 	}
 }
