@@ -108,10 +108,11 @@ func WithCoinThreshold(votes int) Option {
 //
 // A Consensus is safe for concurrent use. Each concurrent Solve takes its
 // own instance, so the spec retains at most as many instances as it has
-// had concurrent Solve calls. An instance is the built protocol (about half
-// a megabyte at n=8 with the default 512 stages) and, once two consecutive
+// had concurrent Solve calls. An instance is the built protocol (about
+// 170 KB with the default 512 stages, at any n) and, once two consecutive
 // Solves on it share a RunConfig shape (see Solve), the session the later
-// one ran on, which on the Sim backend holds n parked coroutines. They are
+// one ran on, which on the Sim backend holds n parked coroutines, and the
+// goroutine that runs the instance's Solves on that session. They are
 // released when the spec is garbage collected.
 type Consensus struct {
 	spec recipe.Spec
@@ -385,14 +386,16 @@ func (c runConfig) lower(run []RunConfig) (harness.ObjectConfig, error) {
 // instance's previous run (its shape), the instance keeps the session the
 // run used and replays it for the next run of that shape. A run of another
 // shape, or the instance's first, opens a session and closes it at the
-// end. A kept session is used only on goroutines the library starts, so a
-// caller that has locked its OS thread is safe. The outcome
+// end. A kept session is used only on a goroutine the library starts with
+// it and keeps beside it, so a caller that has locked its OS thread is
+// safe and a Solve on a kept session starts no goroutine. The outcome
 // does not depend on which instance or session ran it: it equals a Solve
 // on a freshly constructed spec at the same inputs, scheduler state and
 // seed. A run that panics (a custom Scheduler's bug, say) closes its
-// session, abandons its instance and panics again in Solve with the
-// original value. When the run replayed a kept session, that traceback
-// starts at Solve and no longer shows the frames that panicked.
+// session, stops that goroutine, abandons its instance and panics again in
+// Solve with the original value. When the run replayed a kept session,
+// that traceback starts at Solve and no longer shows the frames that
+// panicked.
 func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunConfig) (*Outcome, error) {
 	if err := c.checkInputs(inputs); err != nil {
 		return nil, err

@@ -170,8 +170,9 @@ func (s protoSpec) pool() protoPool {
 // and a panic in it is raised again in the caller; per-process deciding
 // stages come from run.DecidedStage, and run is valid only during the fold
 // call. Cells whose step budget is part of what they measure run on
-// budgetSweep instead. This one stays strict because the robust engine
-// starts a goroutine and a channel per trial.
+// budgetSweep instead. This one stays strict because the strict fold
+// merges the run that is next in place, while a robust attempt copies
+// every run before its session goes back.
 func consensusSweep(s harness.Sweep, pool protoPool, mk func() sched.Scheduler,
 	fold func(t harness.Trial, run *harness.ProtocolRun)) (steps, work *obs.Hist) {
 	s.StepsHist, s.WorkHist = &obs.Hist{}, &obs.Hist{}

@@ -135,11 +135,22 @@ func E13BoundedConstruction(cfg Config) *Table {
 	deepSpec.Fallback = true
 	deep := deepSpec.pool()
 	defer deep.Close()
+	// The k-truncated chain of each k serves every adversary from one pool
+	// too.
+	ks := [...]int{1, 2, 4, 8}
+	var truncated [len(ks)]protoPool
+	for i, k := range ks {
+		spec := cfg.spec(n, 2)
+		spec.FastPath = false
+		spec.Stages = k
+		spec.Fallback = true
+		truncated[i] = spec.pool()
+		defer truncated[i].Close()
+	}
 	for _, adv := range adversaryPortfolio() {
 		if adv.Name == "lockstep" || adv.Name == "eager-write-attack" {
 			continue // keep the table focused
 		}
-		ks := [...]int{1, 2, 4, 8}
 		var above [len(ks)]int // deep runs whose maximum deciding stage exceeds ks[i]
 		consensusSweep(cfg.sweep(trials), deep, adv.New,
 			func(_ harness.Trial, run *harness.ProtocolRun) {
@@ -160,10 +171,6 @@ func E13BoundedConstruction(cfg Config) *Table {
 				}
 			})
 		for i, k := range ks {
-			spec := cfg.spec(n, 2)
-			spec.FastPath = false
-			spec.Stages = k
-			spec.Fallback = true
 			var fell stats.Tally
 			sumStage, decided := 0.0, 0
 			// The truncated runs must be independent of the deep calibration
@@ -171,7 +178,7 @@ func E13BoundedConstruction(cfg Config) *Table {
 			// derives its trial seeds from a shifted root.
 			s := cfg.sweep(trials)
 			s.Seed = cfg.Seed + 1
-			spec.sweepOnce(s, adv.New,
+			consensusSweep(s, truncated[i], adv.New,
 				func(_ harness.Trial, run *harness.ProtocolRun) {
 					usedFallback := false
 					for pid := 0; pid < n; pid++ {

@@ -65,64 +65,70 @@ func E23WorkloadSaturation(cfg Config) *Table {
 
 	for _, model := range []register.Semantics{register.Atomic, register.Regular, register.Interposed} {
 		kneeRate[model] = map[string]float64{}
-		for _, adv := range e23Adversaries() {
-			// One demand sweep per cell: the offered rate never changes
-			// what a trial computes (arrivals live only in virtual time and
-			// never reach the simulator), so every ladder point below
-			// serves the same measured demands.
-			spec := defaultSpec(e23N, e23M)
-			spec.registers = model
-			demands := make([]int64, trials)
-			work, _ := spec.sweepOnce(cfg.sweep(trials), adv.New,
-				func(tr harness.Trial, run *harness.ProtocolRun) {
-					demands[tr.Index] = int64(run.Result.TotalWork)
-				})
-			capacity := float64(e23Servers) * 1e9 / (work.Mean() * float64(stepNs))
-			t.AddDist(fmt.Sprintf("service demand steps %s %s", model, adv.Name), work)
+		// The cells of one register model differ only in their adversary,
+		// so they share one session pool.
+		spec := defaultSpec(e23N, e23M)
+		spec.registers = model
+		func() {
+			pool := spec.pool()
+			defer pool.Close()
+			for _, adv := range e23Adversaries() {
+				// One demand sweep per cell: the offered rate never changes
+				// what a trial computes (arrivals live only in virtual time and
+				// never reach the simulator), so every ladder point below
+				// serves the same measured demands.
+				demands := make([]int64, trials)
+				work, _ := consensusSweep(cfg.sweep(trials), pool, adv.New,
+					func(tr harness.Trial, run *harness.ProtocolRun) {
+						demands[tr.Index] = int64(run.Result.TotalWork)
+					})
+				capacity := float64(e23Servers) * 1e9 / (work.Mean() * float64(stepNs))
+				t.AddDist(fmt.Sprintf("service demand steps %s %s", model, adv.Name), work)
 
-			var offered, achieved []float64
-			for _, frac := range e23Ladder {
-				ws := &workload.Spec{Kind: workload.Poisson, Rate: frac * capacity, Servers: e23Servers}
-				arrivals, err := ws.Schedule(cfg.Seed, trials)
-				mustSweep(err)
-				served, err := ws.Serve(arrivals, demands)
-				mustSweep(err)
-				m := served.Metrics
-				offered = append(offered, m.OfferedPerSec)
-				achieved = append(achieved, m.AchievedPerSec)
-				t.AddRow(model.String(), adv.Name, fmt.Sprintf("%.2f×cap", frac),
-					fmt.Sprintf("%.0f", m.OfferedPerSec),
-					fmt.Sprintf("%.0f", m.AchievedPerSec),
-					fmt.Sprint(m.LatencyUs.P50()), fmt.Sprint(m.LatencyUs.P99()))
-				if frac == 1.00 && adv.Name == "first-mover-attack" {
-					t.AddDist(fmt.Sprintf("latency µs at 1.00×cap %s %s", model, adv.Name), m.LatencyUs)
+				var offered, achieved []float64
+				for _, frac := range e23Ladder {
+					ws := &workload.Spec{Kind: workload.Poisson, Rate: frac * capacity, Servers: e23Servers}
+					arrivals, err := ws.Schedule(cfg.Seed, trials)
+					mustSweep(err)
+					served, err := ws.Serve(arrivals, demands)
+					mustSweep(err)
+					m := served.Metrics
+					offered = append(offered, m.OfferedPerSec)
+					achieved = append(achieved, m.AchievedPerSec)
+					t.AddRow(model.String(), adv.Name, fmt.Sprintf("%.2f×cap", frac),
+						fmt.Sprintf("%.0f", m.OfferedPerSec),
+						fmt.Sprintf("%.0f", m.AchievedPerSec),
+						fmt.Sprint(m.LatencyUs.P50()), fmt.Sprint(m.LatencyUs.P99()))
+					if frac == 1.00 && adv.Name == "first-mover-attack" {
+						t.AddDist(fmt.Sprintf("latency µs at 1.00×cap %s %s", model, adv.Name), m.LatencyUs)
+					}
+					if frac == 1.00 && model == register.Atomic && adv.Name == "first-mover-attack" {
+						t.AddNote("reproduce this curve point: modcon-bench -workload '%s' -trials %d -seed %d (byte-identical at any -workers/-shards)",
+							ws.String(), trials, cfg.Seed)
+					}
 				}
-				if frac == 1.00 && model == register.Atomic && adv.Name == "first-mover-attack" {
-					t.AddNote("reproduce this curve point: modcon-bench -workload '%s' -trials %d -seed %d (byte-identical at any -workers/-shards)",
-						ws.String(), trials, cfg.Seed)
-				}
-			}
 
-			knee := workload.Knee(offered, achieved, 0)
-			if knee < 0 {
-				t.AddNote("%s/%s: no knee located — even %.2f×cap ran below %.0f%% efficiency (the last job's tail dominates short runs; grow -trials)",
-					model, adv.Name, e23Ladder[0], workload.DefaultKneeFraction*100)
-			} else {
-				kneeRate[model][adv.Name] = offered[knee]
-				t.AddNote("%s/%s: knee at %.2f×cap (offered %.0f/s still served at ≥%.0f%% efficiency); est. capacity %.0f/s from mean demand %.0f steps",
-					model, adv.Name, e23Ladder[knee], offered[knee], workload.DefaultKneeFraction*100, capacity, work.Mean())
+				knee := workload.Knee(offered, achieved, 0)
+				if knee < 0 {
+					t.AddNote("%s/%s: no knee located — even %.2f×cap ran below %.0f%% efficiency (the last job's tail dominates short runs; grow -trials)",
+						model, adv.Name, e23Ladder[0], workload.DefaultKneeFraction*100)
+				} else {
+					kneeRate[model][adv.Name] = offered[knee]
+					t.AddNote("%s/%s: knee at %.2f×cap (offered %.0f/s still served at ≥%.0f%% efficiency); est. capacity %.0f/s from mean demand %.0f steps",
+						model, adv.Name, e23Ladder[knee], offered[knee], workload.DefaultKneeFraction*100, capacity, work.Mean())
+				}
+				if model == register.Atomic && adv.Name == "round-robin" {
+					// Closed-loop ceiling reference: the same demands driven by
+					// a think-free cohort of one client per server — the
+					// throughput an open curve plateaus toward past its knee.
+					closed := &workload.Spec{Kind: workload.Closed, Clients: e23Servers, Servers: e23Servers}
+					ceiling, err := closed.Serve(nil, demands)
+					mustSweep(err)
+					t.AddNote("closed-loop ceiling for %s/%s (clients=%d, think=0): %.0f/s",
+						model, adv.Name, e23Servers, ceiling.Metrics.AchievedPerSec)
+				}
 			}
-			if model == register.Atomic && adv.Name == "round-robin" {
-				// Closed-loop ceiling reference: the same demands driven by
-				// a think-free cohort of one client per server — the
-				// throughput an open curve plateaus toward past its knee.
-				closed := &workload.Spec{Kind: workload.Closed, Clients: e23Servers, Servers: e23Servers}
-				ceiling, err := closed.Serve(nil, demands)
-				mustSweep(err)
-				t.AddNote("closed-loop ceiling for %s/%s (clients=%d, think=0): %.0f/s",
-					model, adv.Name, e23Servers, ceiling.Metrics.AchievedPerSec)
-			}
-		}
+		}()
 	}
 
 	// Blunting verdict: under the strongest attack, an interposed file hides

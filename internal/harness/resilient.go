@@ -69,7 +69,7 @@ type Resilience struct {
 	// OutcomeTimeout. 0 disables the watchdog.
 	Deadline time.Duration
 	// Grace bounds how long the watchdog waits, after cancelling, for the
-	// trial to acknowledge before abandoning its goroutine (a backend
+	// trial to acknowledge before abandoning its runner (a backend
 	// honoring the Context contract acknowledges at its next operation
 	// boundary). 0 means 1s.
 	Grace time.Duration
@@ -187,13 +187,58 @@ func classify[T any](r T, err error) (TrialOutcome, error) {
 	return "", err
 }
 
-// runAttempt executes one attempt of a trial under the watchdog, containing
-// panics to the attempt's goroutine; a run that calls runtime.Goexit
-// reports pan = errGoexit. abandoned reports the pathological
-// case of a trial that ignored cancellation past the grace period — its
-// goroutine is leaked by design (there is no way to kill it), counted as a
-// timeout, and the leak is bounded by one goroutine per abandoned trial.
-func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(context.Context, Trial) (T, error)) (result T, err error, pan any, abandoned bool) {
+// attempts is a robust sweep's free list of idle attempt runners. An
+// attempt takes one and puts it back once its run has returned, so the
+// sweep keeps one runner per worker, plus a replacement for each runner
+// whose run panicked, called Goexit or was abandoned, rather than starting
+// a goroutine and a channel per attempt.
+type attempts[T any] struct {
+	run  func(context.Context, Trial) (T, error)
+	idle chan *attempt[T] // one slot per worker: a worker holds one runner at a time
+}
+
+// attempt is a runner of a robust sweep with the attempt it runs.
+type attempt[T any] struct {
+	*runner
+	do     func() // a.runTrial, bound once
+	run    func(context.Context, Trial) (T, error)
+	ctx    context.Context
+	t      Trial
+	result T
+	err    error
+}
+
+func (a *attempt[T]) runTrial() { a.result, a.err = a.run(a.ctx, a.t) }
+
+// get takes an idle runner, or starts one when none is idle.
+func (as *attempts[T]) get() *attempt[T] {
+	select {
+	case a := <-as.idle:
+		return a
+	default:
+		a := &attempt[T]{runner: newRunner(), run: as.run}
+		a.do = a.runTrial
+		return a
+	}
+}
+
+// stop stops the idle runners. runRobust calls it once every worker has
+// exited, so no runner comes back after it.
+func (as *attempts[T]) stop() {
+	close(as.idle)
+	for a := range as.idle {
+		a.stop()
+	}
+}
+
+// runAttempt executes one attempt of a trial under the watchdog, on an idle
+// runner of as, containing panics to the runner; a run that calls
+// runtime.Goexit reports pan = errGoexit. abandoned reports the
+// pathological case of a trial that ignored cancellation past the grace
+// period — its runner is abandoned by design (there is no way to kill it),
+// counted as a timeout, and exits once the trial returns, if ever: the leak
+// is bounded by one goroutine per abandoned trial.
+func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, as *attempts[T]) (result T, err error, pan any, abandoned bool) {
 	attemptCtx := ctx
 	cancel := context.CancelFunc(func() {})
 	if rz.Deadline > 0 {
@@ -201,33 +246,11 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 	}
 	defer cancel()
 
-	type attemptDone struct {
-		result T
-		err    error
-		pan    any
-	}
-	ch := make(chan attemptDone, 1)
-	go func() {
-		returned := false
-		defer func() {
-			if !returned {
-				// A panic, or runtime.Goexit, which leaves nothing to
-				// recover: the attempt reports either way.
-				p := recover()
-				if p == nil {
-					p = errGoexit
-				}
-				ch <- attemptDone{pan: p}
-			}
-		}()
-		r, err := run(attemptCtx, t)
-		returned = true
-		ch <- attemptDone{result: r, err: err}
-	}()
-
-	var d attemptDone
+	a := as.get()
+	a.ctx, a.t = attemptCtx, t
+	a.start(a.do)
 	select {
-	case d = <-ch:
+	case pan = <-a.done:
 	case <-attemptCtx.Done():
 		// Watchdog or sweep cancellation fired. A backend honoring the
 		// Context contract acknowledges at its next operation boundary —
@@ -236,23 +259,29 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 		timer := time.NewTimer(rz.grace())
 		defer timer.Stop()
 		select {
-		case d = <-ch:
+		case pan = <-a.done:
 		case <-timer.C:
+			a.stop()
 			return result, fmt.Errorf("%w (unresponsive to cancellation for %v; goroutine abandoned)", context.Cause(attemptCtx), rz.grace()), nil, true
 		}
 	}
-	return d.result, d.err, d.pan, false
+	if pan != nil {
+		return result, nil, pan, false // the runner has exited
+	}
+	result, err = a.result, a.err
+	as.idle <- a
+	return result, err, nil, false
 }
 
 // runRobustTrial drives one trial to a classification: attempts, watchdog,
 // panic containment, bounded retry. dropped means the sweep was cancelled
 // mid-trial and the trial should not be counted at all.
-func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func(context.Context, Trial) (T, error)) (result T, rep TrialReport, dropped bool) {
+func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, as *attempts[T]) (result T, rep TrialReport, dropped bool) {
 	rep = TrialReport{Trial: t}
 	backoff := rz.backoff()
 	for attempt := 0; ; attempt++ {
 		rep.Attempts = attempt + 1
-		r, err, pan, abandoned := runAttempt(ctx, rz, t, run)
+		r, err, pan, abandoned := runAttempt(ctx, rz, t, as)
 		if pan != nil {
 			// A panic, or a call to runtime.Goexit, is a bug, hence
 			// deterministic: contain it, report it, never retry it.
@@ -328,8 +357,10 @@ func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context
 // consumed.
 func runRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, r T, rep TrialReport), pk parker[T]) (*SweepReport, error) {
 	report := &SweepReport{Counts: make(map[TrialOutcome]int)}
+	as := &attempts[T]{run: run, idle: make(chan *attempt[T], max(s.workers(), 0))}
+	defer as.stop()
 	err := dispatch(s, func(ctx context.Context, t Trial, fold func(outcome[T])) {
-		r, rep, dropped := runRobustTrial(ctx, rz, t, run)
+		r, rep, dropped := runRobustTrial(ctx, rz, t, as)
 		fold(outcome[T]{trial: t, result: r, report: rep, dropped: dropped, parked: pk != nil})
 	}, func(oc outcome[T], prog *tally) bool {
 		report.Trials++

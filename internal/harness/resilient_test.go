@@ -133,8 +133,10 @@ func TestRobustMixedOutcomesPartialAggregates(t *testing.T) {
 }
 
 // TestRobustPanicContainment: a panicking trial is contained and classified;
-// the rest of the sweep completes.
+// the rest of the sweep completes, and once it has returned its runners,
+// the panicked one included, have exited.
 func TestRobustPanicContainment(t *testing.T) {
+	base := settledGoroutines()
 	report, err := RunTrialsRobust(
 		Sweep{Trials: 5, Seed: 3},
 		Resilience{},
@@ -157,17 +159,20 @@ func TestRobustPanicContainment(t *testing.T) {
 	if rep.Attempts != 1 {
 		t.Fatalf("panicked trial retried: %d attempts", rep.Attempts)
 	}
+	checkGoroutinesBack(t, base, "a robust sweep with a panicking trial")
 }
 
 // TestRobustTrialGoexitIsPanicked: a robust trial that calls
 // runtime.Goexit never returns to its attempt, and without a Deadline
 // nothing cancels it. The attempt must still report: the trial is
-// classified panicked, never retried, and the sweep finishes.
+// classified panicked, never retried, and the sweep finishes, leaving no
+// runner behind.
 func TestRobustTrialGoexitIsPanicked(t *testing.T) {
 	type result struct {
 		report *SweepReport
 		err    error
 	}
+	base := settledGoroutines()
 	done := make(chan result, 1)
 	go func() {
 		report, err := RunTrialsRobust(Sweep{Trials: 50, Workers: 2, Seed: 1}, Resilience{Retries: 3},
@@ -198,6 +203,7 @@ func TestRobustTrialGoexitIsPanicked(t *testing.T) {
 	if rep.Attempts != 1 {
 		t.Fatalf("trial that called Goexit retried: %d attempts", rep.Attempts)
 	}
+	checkGoroutinesBack(t, base, "a robust sweep with a trial that called runtime.Goexit")
 }
 
 // fakeViolator drives the safetyReporter classification path without

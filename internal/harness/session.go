@@ -26,7 +26,9 @@
 // different OS-thread lock state than the one it was created in. Sessions
 // that outlive one call are therefore created, run and closed only on
 // goroutines the harness starts, which never lock their thread: a caller
-// that has called runtime.LockOSThread never touches them.
+// that has called runtime.LockOSThread never touches them. A
+// ProtocolInstance runs its kept session on a runner, a goroutine it
+// starts with the session and keeps, so a warm execution starts none.
 //
 // The pool hands each worker a session for the duration of one trial and
 // its fold. Sessions return to the pool only on normal return: a trial that
@@ -36,7 +38,7 @@
 // put back.
 // The robust trial engine's abandoned attempts (deadline overruns that never
 // came back) keep their session checked out forever — leaking one session
-// is the price of never reusing state a runaway goroutine might still be
+// is the price of never reusing state a runaway runner might still be
 // touching.
 //
 // Determinism: a trial's outcome is a pure function of (cell, seed, inputs).
@@ -315,6 +317,66 @@ func onHarnessGoroutine(f func()) {
 	<-done
 }
 
+// runner is a goroutine the harness starts and keeps, so that calls which
+// must leave their caller's goroutine do not start one each: the
+// executions on a ProtocolInstance's kept session, and the attempts of a
+// robust sweep. It never locks its OS thread, so it may open, run and close
+// sessions (see the file comment). It runs one call at a time: start hands
+// it f, and done then delivers nil if f returned, or else f's panic value,
+// or errGoexit if f called runtime.Goexit. A runner whose call did not
+// return has exited. Its callers hand it method values bound once, so a
+// call allocates nothing.
+type runner struct {
+	calls chan func()
+	// done holds one report, so a runner whose caller stopped waiting (an
+	// abandoned robust attempt) still ends its call and exits.
+	done chan any
+}
+
+// newRunner starts a runner.
+func newRunner() *runner {
+	r := &runner{calls: make(chan func()), done: make(chan any, 1)}
+	go r.serve()
+	return r
+}
+
+func (r *runner) serve() {
+	for f := range r.calls {
+		if !r.exec(f) {
+			return
+		}
+	}
+}
+
+// exec runs f and reports how it ended; it returns whether f returned.
+func (r *runner) exec(f func()) (returned bool) {
+	defer func() {
+		if !returned {
+			p := recover()
+			if p == nil {
+				p = errGoexit // Goexit leaves nothing to recover
+			}
+			r.done <- p
+		}
+	}()
+	f()
+	r.done <- nil
+	return true
+}
+
+// start hands f to the idle runner; done reports how it ends.
+func (r *runner) start(f func()) { r.calls <- f }
+
+// call runs f on the idle runner and returns done's report.
+func (r *runner) call(f func()) any {
+	r.calls <- f
+	return <-r.done
+}
+
+// stop ends the runner: at once if it is idle, or else once its call
+// returns. Nothing waits for it to exit, since it holds nothing then.
+func (r *runner) stop() { close(r.calls) }
+
 // foldTrial runs trial t on a pooled session and hands the outcome to
 // fold while the session is still checked out, so the fold can consume the
 // session's own run in place (or park a copy of it); the session goes back
@@ -323,7 +385,7 @@ func onHarnessGoroutine(f func()) {
 // processes, and the panic goes on to the dispatcher's recover; a session
 // that reports itself poisoned is closed before the fold, and one whose
 // fold does not return (a callback's Goexit) after it. None is reused.
-// foldTrial runs on a harness worker or attempt goroutine, so the close
+// foldTrial runs on a harness worker or an attempt's runner, so the close
 // keeps the thread-lock rule of the file comment.
 func (p *Pool[R, S]) foldTrial(ctx context.Context, t Trial, fold func(outcome[R])) {
 	m, err := p.get()
@@ -681,13 +743,15 @@ func (cfg *ObjectConfig) shape() shape {
 // alternates shapes, holds no session. The fault list is compared by value,
 // so a plan edited in place between executions is recompiled.
 //
-// The kept session is opened, run and closed only on goroutines the
-// instance starts (see the file comment), so a thread-locked caller is
-// safe; the sessions of the RunProtocol path live within one call on the
-// caller's goroutine, as RunProtocol's do. An execution that panics closes
-// its session before the panic reaches the caller. An idle instance keeps
-// no reference to its last execution's scheduler, context or trace. An
-// instance is not safe for concurrent use.
+// The kept session is opened, run and closed only on the instance's
+// runner, a goroutine the instance starts with it and keeps (see the file
+// comment), so a thread-locked caller is safe and a warm execution starts
+// no goroutine; the sessions of the RunProtocol path live within one call
+// on the caller's goroutine, as RunProtocol's do. The runner stops on
+// Close, and on an execution that panics or calls runtime.Goexit, which
+// closes its session before the panic reaches the caller. An idle instance
+// keeps no reference to its last execution's scheduler, context or trace.
+// An instance is not safe for concurrent use.
 type ProtocolInstance struct {
 	file  *register.File
 	proto *core.Protocol
@@ -697,6 +761,14 @@ type ProtocolInstance struct {
 	shape  shape
 	faults []fault.Fault    // the last execution's merged fault list
 	sess   *protocolSession // the kept session, or nil
+
+	runner  *runner // the kept session's runner, or nil
+	serveFn func()  // in.serve, bound once per runner
+	// The execution the runner is running: its config, and its run and
+	// error once it returns. Run clears all three as it takes them back.
+	cfg ObjectConfig
+	run *ProtocolRun
+	err error
 }
 
 // NewProtocolInstance keeps proto, built in file, for repeated executions,
@@ -710,12 +782,15 @@ func NewProtocolInstance(file *register.File, proto *core.Protocol) *ProtocolIns
 func (in *ProtocolInstance) File() *register.File { return in.file }
 
 // Run executes the protocol once under cfg, like RunProtocol, whose
-// cfg.File must be the instance's file. A run on the kept session is the
-// session's own, valid until the instance's next Run or Close, except its
-// Trace, which is the caller's: the session records its next execution into
-// new storage. A panic inside a run on the kept session closes the session and
-// is raised again on the caller's goroutine with its original value; the
-// traceback then starts at Run, without the frames that panicked.
+// cfg.File must be the instance's file. An execution on the kept session
+// runs on the instance's runner, which Run starts when there is none, while
+// the caller waits. A run on the kept session is the session's own, valid
+// until the instance's next Run or Close, except its Trace, which is the
+// caller's: the session records its next execution into new storage. A
+// panic inside a run on the kept session closes the session, stops the
+// runner and is raised again on the caller's goroutine with its original
+// value; the traceback then starts at Run, without the frames that
+// panicked. A call to runtime.Goexit there ends the caller's goroutine too.
 func (in *ProtocolInstance) Run(cfg ObjectConfig) (*ProtocolRun, error) {
 	sh, faults := cfg.shape(), []fault.Fault(nil)
 	if p := cfg.faults(); p != nil {
@@ -729,35 +804,37 @@ func (in *ProtocolInstance) Run(cfg ObjectConfig) (*ProtocolRun, error) {
 		}
 		return RunProtocol(in.proto, cfg)
 	}
-	// One variable for everything the closure shares, so the hop costs one
-	// allocation for it rather than one per captured variable.
-	c := struct {
-		cfg ObjectConfig
-		run *ProtocolRun
-		err error
-		pan any
-		ok  bool // the execution returned
-	}{cfg: cfg}
-	onHarnessGoroutine(func() {
-		defer func() {
-			if !c.ok {
-				c.pan = recover()
-				in.close()
-			}
-		}()
-		c.run, c.err = in.replay(c.cfg)
-		c.ok = true
-	})
-	if !c.ok {
-		if c.pan == nil {
+	if in.runner == nil {
+		in.runner, in.serveFn = newRunner(), in.serve
+	}
+	in.cfg = cfg
+	pan := in.runner.call(in.serveFn)
+	run, err := in.run, in.err
+	in.cfg, in.run, in.err = ObjectConfig{}, nil, nil
+	if pan != nil {
+		in.runner = nil // it has exited, and closed the session
+		if pan == errGoexit {
 			runtime.Goexit() // the execution called Goexit; so does its caller
 		}
-		panic(c.pan)
+		panic(pan)
 	}
-	if c.run != nil {
-		c.run.Trace = c.run.Trace.Take()
+	if run != nil {
+		run.Trace = run.Trace.Take()
 	}
-	return c.run, c.err
+	return run, err
+}
+
+// serve is the runner's call: it replays in.cfg into in.run and in.err,
+// and closes the session if the execution does not return.
+func (in *ProtocolInstance) serve() {
+	returned := false
+	defer func() {
+		if !returned {
+			in.close()
+		}
+	}()
+	in.run, in.err = in.replay(in.cfg)
+	returned = true
 }
 
 // replay runs cfg on the kept session, opening it first if there is none.
@@ -779,14 +856,21 @@ func (in *ProtocolInstance) replay(cfg ObjectConfig) (*ProtocolRun, error) {
 	return run, err
 }
 
-// Open reports whether the instance keeps a session, which Close releases.
-func (in *ProtocolInstance) Open() bool { return in.sess != nil }
+// Open reports whether the instance keeps a runner, which holds its kept
+// session unless the last run's session was poisoned; Close releases both.
+func (in *ProtocolInstance) Open() bool { return in.runner != nil }
 
-// Close closes the kept session, if any, on a goroutine the instance
-// starts. The instance stays usable: its next Run opens a new session.
+// Close closes the kept session, if any, on the instance's runner, and
+// stops the runner. The instance stays usable: its next Run of a repeated
+// shape starts a runner and opens a session again.
 func (in *ProtocolInstance) Close() {
-	if in.sess != nil {
-		onHarnessGoroutine(in.close)
+	if r := in.runner; r != nil {
+		in.runner = nil
+		pan := r.call(in.close)
+		r.stop()
+		if pan != nil {
+			panic(pan)
+		}
 	}
 }
 

@@ -565,3 +565,49 @@ func TestPoolLatePutClosesSession(t *testing.T) {
 		t.Fatalf("late put: session closed %d times with %d free; want 1 and 0", late.sess.closes, len(p.free))
 	}
 }
+
+// seedRecorder is an adversary that records the goroutine it is seeded on:
+// the engine seeds it in its reset, on the goroutine that runs the session.
+type seedRecorder struct {
+	sched.Scheduler
+	ids []string
+}
+
+func (s *seedRecorder) Seed(src *xrand.Source) {
+	s.ids = append(s.ids, goroutineID())
+	s.Scheduler.Seed(src)
+}
+
+// TestInstanceRunsOnOneKeptGoroutine: the executions on a
+// ProtocolInstance's kept session run on the instance's runner, one
+// goroutine kept across them, never the caller's and not one per
+// execution.
+func TestInstanceRunsOnOneKeptGoroutine(t *testing.T) {
+	const n = 8
+	file := register.NewFile()
+	proto, err := recipe.Spec{N: n, M: 2, FastPath: true}.Build(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewProtocolInstance(file, proto)
+	defer in.Close()
+	rec := &seedRecorder{Scheduler: sched.NewFirstMoverAttack()}
+	cfg := ObjectConfig{N: n, File: file, Inputs: mixedRows(n)[0], Scheduler: rec}
+	for seed := uint64(1); seed <= 6; seed++ {
+		if seed == 2 {
+			rec.ids = nil // the first execution runs on the caller's goroutine
+		}
+		cfg.Seed = seed
+		if _, err := in.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make(map[string]bool)
+	for _, id := range rec.ids {
+		ids[id] = true
+	}
+	if len(rec.ids) != 5 || len(ids) != 1 || ids[goroutineID()] {
+		t.Errorf("5 warm runs seeded their adversary %d times on goroutines %v (the caller is %s), want 5 times on one goroutine not the caller's",
+			len(rec.ids), rec.ids, goroutineID())
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,15 +166,17 @@ func TestSolveConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestSolveAllocs: a warm Solve replays its instance's kept session, so it
-// pays for the outcome and the run's bookkeeping, not for building 512
-// stages (13 allocations at any n, but about 1,000 objects in them) or
-// opening an engine (n coroutines, the register image, buffers and a fault
-// compile: about 130 allocations). The run is the session's own, so the
-// outcome's four allocations (the Outcome, its outputs, one []bool and one
-// []int) are most of what is left. The first row is the solve-n8-attack
-// benchmark cell, the second the trials-n32-faults cell; each ceiling is
-// the count measured when the per-trial run struct went away.
+// TestSolveAllocs: a warm Solve replays its instance's kept session on the
+// instance's runner, so it pays for the outcome and the run's bookkeeping,
+// not for building 512 stages (13 allocations at any n, but about 1,000
+// objects in them), opening an engine (n coroutines, the register image,
+// buffers and a fault compile: about 130 allocations) or starting a
+// goroutine. The run is the session's own, so the outcome's four
+// allocations (the Outcome, its outputs, one []bool and one []int) are
+// most of what is left, with the test's own mixedInputs slice. The first
+// row is the solve-n8-attack benchmark cell, the second the
+// trials-n32-faults cell; each ceiling is the count measured when the hop
+// to a new goroutine per call went away.
 func TestSolveAllocs(t *testing.T) {
 	plan, err := ParseFaults("crash:pid=0,after=5;losecoin:p=0.1")
 	if err != nil {
@@ -186,8 +189,8 @@ func TestSolveAllocs(t *testing.T) {
 		rc       RunConfig
 		max      float64
 	}{
-		{"n8-first-mover", 8, func() Scheduler { return NewFirstMoverAttack() }, RunConfig{}, 12},
-		{"n32-regular-faults", 32, func() Scheduler { return NewUniformRandom() }, RunConfig{Registers: Regular, Faults: plan}, 10},
+		{"n8-first-mover", 8, func() Scheduler { return NewFirstMoverAttack() }, RunConfig{}, 8},
+		{"n32-regular-faults", 32, func() Scheduler { return NewUniformRandom() }, RunConfig{Registers: Regular, Faults: plan}, 6},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
@@ -484,4 +487,45 @@ func TestSolveReleasesSessions(t *testing.T) {
 	if got > base {
 		t.Errorf("%d goroutines after 20 panicking Solves and 50 dropped specs, want at most the %d before", got, base)
 	}
+}
+
+// ctxKey keys the value of TestIdleSpecKeepsNoCallerState's context.
+type ctxKey struct{}
+
+// TestIdleSpecKeepsNoCallerState: a warm Solve runs on its instance's kept
+// session, yet once it returns neither the instance nor its runner holds
+// the scheduler or the RunConfig.Context the caller passed, so both can be
+// collected while the spec lives on.
+func TestIdleSpecKeepsNoCallerState(t *testing.T) {
+	const n = 8
+	c, err := NewBinary(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 2; seed++ { // build the instance, then keep its session
+		if _, err := c.Solve(mixedInputs(n, 2, int(seed)), NewFirstMoverAttack(), seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var schedFreed, ctxFreed atomic.Bool
+	func() {
+		s := NewFirstMoverAttack()
+		ctx := context.WithValue(context.Background(), ctxKey{}, "warm")
+		runtime.SetFinalizer(s, func(*sched.FirstMoverAttack) { schedFreed.Store(true) })
+		runtime.SetFinalizer(ctx, func(context.Context) { ctxFreed.Store(true) })
+		if _, err := c.Solve(mixedInputs(n, 2, 3), s, 3, RunConfig{Context: ctx}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if len(c.free) != 1 || !c.free[0].Open() {
+		t.Fatal("the warm Solve's instance keeps no session")
+	}
+	for deadline := time.Now().Add(10 * time.Second); !(schedFreed.Load() && ctxFreed.Load()) && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !schedFreed.Load() || !ctxFreed.Load() {
+		t.Errorf("after a warm Solve: scheduler collected %v, context collected %v; want both", schedFreed.Load(), ctxFreed.Load())
+	}
+	runtime.KeepAlive(c)
 }
