@@ -109,12 +109,12 @@ func race(name string, impatient, withFallback bool) error {
 	if err != nil {
 		return err
 	}
-	// The unified engine classifies trial errors instead of aborting; surface
-	// the first one (e.g. a CheckConsensus violation) as this race's error.
-	for _, rep := range report.Reports {
-		if rep.Err != nil {
-			return rep.Err
-		}
+	// The unified engine classifies trial errors instead of aborting, and
+	// its report lists only the trials that were not ok, in trial order;
+	// surface the first one (e.g. a CheckConsensus violation) as this race's
+	// error.
+	if len(report.Reports) > 0 {
+		return report.Reports[0].Err
 	}
 	fmt.Printf("%-34s  mean total %6.1f ops   worst individual %3d ops   undecided %d/%d\n",
 		name, float64(totalWork)/trials, maxWork, undecided, trials*n)

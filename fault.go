@@ -76,8 +76,10 @@ type (
 	TrialOutcome = harness.TrialOutcome
 	// TrialReport is the per-trial record of a robust sweep.
 	TrialReport = harness.TrialReport
-	// SweepReport aggregates a robust sweep: per-outcome counts and
-	// per-trial reports, partial but correct when the sweep stops early.
+	// SweepReport aggregates a robust sweep: per-outcome counts over every
+	// trial and the reports of the trials not classified TrialOK, in trial
+	// order, partial but correct when the sweep stops early. An ok trial's
+	// report reaches only the sweep's merge callback.
 	SweepReport = harness.SweepReport
 )
 

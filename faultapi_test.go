@@ -94,9 +94,9 @@ func TestTrialsWatchdog(t *testing.T) {
 			if report.Trials != 2 || report.Count(TrialTimeout) != 2 {
 				t.Fatalf("report %s, want timeout=2", report)
 			}
-			for _, rep := range report.Reports {
-				if !errors.Is(rep.Err, ErrTrialDeadline) {
-					t.Fatalf("trial %d err = %v, want ErrTrialDeadline", rep.Trial.Index, rep.Err)
+			for i := range 2 {
+				if rep := reportOf(t, report, i); !errors.Is(rep.Err, ErrTrialDeadline) {
+					t.Fatalf("trial %d err = %v, want ErrTrialDeadline", i, rep.Err)
 				}
 			}
 		})

@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/obs"
 	"github.com/modular-consensus/modcon/internal/sched"
+	"github.com/modular-consensus/modcon/internal/value"
 )
 
 // sweepRecord is what one sweep merged: each run's fields, in merge order,
@@ -117,7 +120,10 @@ func checkKeptPool[R snapshot[R], S cell[R]](t *testing.T, kept *Pool[R, S], ope
 // that follows one whose trials ran out of steps, leaving their processes
 // parked mid-execution: the step-limit cells set a budget that every
 // round-robin trial exhausts and no priority trial reaches. Build runs at
-// most once per worker across all the sweeps of a kept pool.
+// most once per worker across all the sweeps of a kept pool. The kept
+// reorder ring starts each sweep empty too: after a sweep that stops at a
+// failing trial while later runs are parked, a full sweep on the same
+// pool merges what a fresh pool's does.
 func TestPoolSweepsMatchFreshPools(t *testing.T) {
 	const n = 4
 	// At n=4 with these inputs, a protocol execution takes 60 to 76 steps
@@ -168,6 +174,47 @@ func TestPoolSweepsMatchFreshPools(t *testing.T) {
 			})
 		}
 	}
+	t.Run("after-a-cut-sweep", func(t *testing.T) {
+		// In the cut sweep, trial 5 fails (its inputs are nil and the
+		// config has none) once the other workers have run and parked the
+		// trials after it.
+		var cut atomic.Bool
+		rows := mixedRows(n)
+		spec := cellProtocolSpec(t, n, func(cfg *ObjectConfig) { cfg.Inputs = nil })
+		spec.Inputs = func(tr Trial) []value.Value {
+			if cut.Load() && tr.Index == 5 {
+				time.Sleep(20 * time.Millisecond)
+				return nil
+			}
+			return rows[tr.Index%2]
+		}
+		kept := NewProtocolPool(spec)
+		defer kept.Close()
+		cut.Store(true)
+		s := Sweep{Trials: 40, Workers: 4, Seed: 21}
+		if rec := recordSweep(t, kept, s, uniformRandom, showProtocolRun); rec.err == nil || len(rec.runs) != 5 {
+			t.Fatalf("cut sweep merged %d runs, error %v; want 5 and the failure of trial 5", len(rec.runs), rec.err)
+		}
+		if len(kept.snaps) == 0 {
+			t.Fatal("the cut sweep parked no run")
+		}
+		for _, oc := range kept.reorder {
+			if oc.held {
+				t.Fatalf("the cut sweep left trial %d held in the pool's ring", oc.trial.Index)
+			}
+		}
+		cut.Store(false)
+		s = Sweep{Trials: 150, Workers: 3, Seed: 22}
+		got := recordSweep(t, kept, s, uniformRandom, showProtocolRun)
+		fresh := NewProtocolPool(spec)
+		defer fresh.Close()
+		want := recordSweep(t, fresh, s, uniformRandom, showProtocolRun)
+		if got.err != nil || want.err != nil || len(got.runs) != s.Trials || !slices.Equal(got.runs, want.runs) ||
+			got.steps != want.steps || got.work != want.work {
+			t.Fatalf("after a cut sweep, the kept pool merged %d runs (error %v), a fresh pool %d (error %v): they differ",
+				len(got.runs), got.err, len(want.runs), want.err)
+		}
+	})
 }
 
 // TestPoolSweepRules pins the sweeps a pool refuses, each with an error

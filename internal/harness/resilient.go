@@ -14,13 +14,17 @@
 //
 // RunTrialsRobust runs on the same dispatcher as RunTrials (trials.go), so
 // its determinism story carries over: trial seeds come from the same
-// TrialSeed derivation, and reports are folded in trial-index order through
-// the same reorder buffer, so per-outcome counts are reproducible at any
-// worker count (wall-clock-dependent classifications — timeouts on a loaded
-// machine — are the one unavoidable exception, and exactly what the
-// deadline exists to bound). Only this policy wraps a trial in the
-// watchdog/panic/retry attempt below; strict trials run inline on the
-// worker, a panic failing the trial like any other error.
+// TrialSeed derivation, and classifications are folded in trial-index
+// order through the same bounded reorder ring, so per-outcome counts are
+// reproducible at any worker count (wall-clock-dependent classifications —
+// timeouts on a loaded machine — are the one unavoidable exception, and
+// exactly what the deadline exists to bound). A trial that runs to its
+// deadline holds the other workers at the ring's window, as any slow trial
+// does. The sweep counts every outcome but keeps a report only for the
+// non-ok trials, so its memory does not grow with the trial count. Only
+// this policy wraps a trial in the watchdog/panic/retry attempt below;
+// strict trials run inline on the worker, a panic failing the trial like
+// any other error.
 package harness
 
 import (
@@ -114,16 +118,19 @@ type TrialReport struct {
 	Attempts int
 }
 
-// SweepReport aggregates a robust sweep: per-outcome counts plus the
-// per-trial reports, in trial order. When the sweep is cut short (FailFast
-// or external cancellation) the aggregates cover exactly the classified
-// trials — partial but correct.
+// SweepReport aggregates a robust sweep: per-outcome counts over every
+// classified trial, plus the reports of the trials not classified
+// OutcomeOK, in trial order. An ok trial's report reaches only the sweep's
+// merge callback, so a sweep of a million ok trials keeps no report. When
+// the sweep is cut short (FailFast or external cancellation) the
+// aggregates cover exactly the classified trials — partial but correct.
 type SweepReport struct {
-	// Trials counts classified trials (== len(Reports)).
+	// Trials counts classified trials, ok or not (the sum of Counts).
 	Trials int
 	// Counts maps each observed outcome to its frequency.
 	Counts map[TrialOutcome]int
-	// Reports holds the per-trial records in trial-index order.
+	// Reports holds the records of the non-ok trials in trial-index order;
+	// it is empty when every trial was ok.
 	Reports []TrialReport
 	// StoppedEarly reports that the sweep ended before classifying every
 	// trial (FailFast tripped, or the sweep context was cancelled).
@@ -343,8 +350,9 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, as *atte
 // classified trial in trial-index order together with its report, one at a
 // time on the workers, as under RunTrials; for non-ok outcomes the result
 // may be partial or the zero value — consult rep.Outcome before trusting
-// it. A sweep cut short (FailFast, or cancellation) has classified a
-// gap-free prefix of its trials.
+// it. The SweepReport keeps only the non-ok reports; a caller that wants an
+// ok trial's report takes it in merge. A sweep cut short (FailFast, or
+// cancellation) has classified a gap-free prefix of its trials.
 //
 // The returned error is nil unless the sweep's own context was cancelled
 // externally; violations and timeouts are reported, not returned.
@@ -365,7 +373,9 @@ func runRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context, t Tr
 	}, func(oc outcome[T], prog *tally) bool {
 		report.Trials++
 		report.Counts[oc.report.Outcome]++
-		report.Reports = append(report.Reports, oc.report)
+		if oc.report.Outcome != OutcomeOK {
+			report.Reports = append(report.Reports, oc.report)
+		}
 		if merge != nil {
 			merge(oc.trial, oc.result, oc.report)
 		}

@@ -55,6 +55,19 @@ func robustBackends() []struct {
 	}
 }
 
+// reportOf returns the report r lists for trial index, failing t if it
+// lists none: a robust sweep keeps the reports of its non-ok trials only.
+func reportOf(t *testing.T, r *SweepReport, index int) TrialReport {
+	t.Helper()
+	for _, rep := range r.Reports {
+		if rep.Trial.Index == index {
+			return rep
+		}
+	}
+	t.Fatalf("no report for trial %d among %d reports (%s)", index, len(r.Reports), r)
+	return TrialReport{}
+}
+
 // TestRobustWatchdogKillsStalledTrials is the PR's acceptance scenario: a
 // fault plan stalling every process livelocks each trial; the deadline
 // watchdog must kill the trial, classify it timeout, and the sweep must
@@ -152,7 +165,7 @@ func TestRobustPanicContainment(t *testing.T) {
 	if report.Count(OutcomeOK) != 4 || report.Count(OutcomePanicked) != 1 {
 		t.Fatalf("outcomes %s, want ok=4 panicked=1", report)
 	}
-	rep := report.Reports[2]
+	rep := reportOf(t, report, 2)
 	if rep.Outcome != OutcomePanicked || !strings.Contains(rep.Err.Error(), "boom in trial 2") {
 		t.Fatalf("trial 2 report: outcome=%s err=%v", rep.Outcome, rep.Err)
 	}
@@ -196,7 +209,7 @@ func TestRobustTrialGoexitIsPanicked(t *testing.T) {
 	if got.report.Trials != 50 || got.report.Count(OutcomeOK) != 49 || got.report.Count(OutcomePanicked) != 1 {
 		t.Fatalf("outcomes %s over %d trials, want ok=49 panicked=1 over 50", got.report, got.report.Trials)
 	}
-	rep := got.report.Reports[5]
+	rep := reportOf(t, got.report, 5)
 	if rep.Outcome != OutcomePanicked || rep.Err == nil || !strings.Contains(rep.Err.Error(), "trial called runtime.Goexit") {
 		t.Fatalf("trial 5 report: outcome=%s err=%v", rep.Outcome, rep.Err)
 	}
@@ -229,8 +242,8 @@ func TestRobustViolationClassification(t *testing.T) {
 	if report.Violations() != 1 || report.Count(OutcomeOK) != 3 {
 		t.Fatalf("outcomes %s, want ok=3 violated=1", report)
 	}
-	if !errors.Is(report.Reports[1].Err, violation) {
-		t.Fatalf("violated trial err = %v", report.Reports[1].Err)
+	if rep := reportOf(t, report, 1); !errors.Is(rep.Err, violation) {
+		t.Fatalf("violated trial err = %v", rep.Err)
 	}
 }
 
@@ -267,6 +280,7 @@ func TestRobustFailFastStopsSweep(t *testing.T) {
 // TestRobustRetryThenSuccess: unknown (infrastructure) errors are retried
 // with backoff; a later clean attempt yields OutcomeOK.
 func TestRobustRetryThenSuccess(t *testing.T) {
+	var rep TrialReport
 	report, err := RunTrialsRobust(
 		Sweep{Trials: 1, Seed: 9, Workers: 1},
 		Resilience{Retries: 2, Backoff: time.Millisecond},
@@ -279,13 +293,12 @@ func TestRobustRetryThenSuccess(t *testing.T) {
 				}
 				return 42, nil
 			}
-		}(), nil)
+		}(), func(_ Trial, _ int, got TrialReport) { rep = got })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := report.Reports[0]
-	if rep.Outcome != OutcomeOK || rep.Attempts != 3 {
-		t.Fatalf("outcome=%s attempts=%d, want ok after 3 attempts", rep.Outcome, rep.Attempts)
+	if rep.Outcome != OutcomeOK || rep.Attempts != 3 || len(report.Reports) != 0 {
+		t.Fatalf("outcome=%s attempts=%d with %d reports, want ok after 3 attempts and none", rep.Outcome, rep.Attempts, len(report.Reports))
 	}
 }
 
@@ -298,7 +311,7 @@ func TestRobustRetriesExhaustedFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := report.Reports[0]
+	rep := reportOf(t, report, 0)
 	if rep.Outcome != OutcomeFailed || rep.Attempts != 2 || !errors.Is(rep.Err, infra) {
 		t.Fatalf("outcome=%s attempts=%d err=%v, want failed after 2 attempts", rep.Outcome, rep.Attempts, rep.Err)
 	}
@@ -374,7 +387,7 @@ func TestRobustStepLimitClassifiedCrashedShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := report.Reports[0]
+	rep := reportOf(t, report, 0)
 	if rep.Outcome != OutcomeCrashedShort || !errors.Is(rep.Err, exec.ErrStepLimit) {
 		t.Fatalf("outcome=%s err=%v, want crashed-short wrapping ErrStepLimit", rep.Outcome, rep.Err)
 	}
@@ -452,16 +465,68 @@ func TestRobustCancelFoldsGapFreePrefix(t *testing.T) {
 	if !report.StoppedEarly || report.Trials == 0 || report.Trials > canceller+1 {
 		t.Fatalf("classified %d trials (stoppedEarly=%v), want 1 to %d", report.Trials, report.StoppedEarly, canceller+1)
 	}
-	if len(report.Reports) != report.Trials || len(merged) != report.Trials {
-		t.Fatalf("%d reports and %d merges for %d classified trials", len(report.Reports), len(merged), report.Trials)
+	if len(merged) != report.Trials {
+		t.Fatalf("%d merges for %d classified trials", len(merged), report.Trials)
 	}
-	for i, rep := range report.Reports {
-		if rep.Trial.Index != i || merged[i] != i {
-			t.Fatalf("position %d holds report %d, merge %d: not a gap-free prefix", i, rep.Trial.Index, merged[i])
+	for i, index := range merged {
+		if index != i {
+			t.Fatalf("merge %d is trial %d: not a gap-free prefix", i, index)
 		}
-		if rep.Outcome != OutcomeOK {
-			t.Errorf("trial %d classified %s, want ok (dropped trials are never classified)", i, rep.Outcome)
-		}
+	}
+	// Dropped trials are never classified, so every classified one is ok.
+	if report.Count(OutcomeOK) != report.Trials || len(report.Reports) != 0 {
+		t.Errorf("outcomes %s with %d reports, want every classified trial ok and no report", report, len(report.Reports))
+	}
+}
+
+// TestRobustReportsListNonOKTrials pins the reports contract: Counts
+// tallies every classified trial, and Reports lists the non-ok ones only,
+// in trial order. A sweep of 10⁵ ok trials keeps no report, and a mixed
+// sweep at 3 workers lists exactly its violated, panicked and failed
+// trials.
+func TestRobustReportsListNonOKTrials(t *testing.T) {
+	const ok = 100_000
+	report, err := RunTrialsRobust(Sweep{Trials: ok, Workers: 2, Seed: 1}, Resilience{},
+		func(ctx context.Context, tr Trial) (int, error) { return tr.Index, nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Trials != ok || report.Count(OutcomeOK) != ok || len(report.Reports) != 0 {
+		t.Fatalf("%d trials classified %s with %d reports, want %d ok and none", report.Trials, report, len(report.Reports), ok)
+	}
+
+	const trials = 300
+	violation := errors.New("agreement violated")
+	var want []string
+	report, err = RunTrialsRobust(Sweep{Trials: trials, Workers: 3, Seed: 2}, Resilience{},
+		func(ctx context.Context, tr Trial) (fakeViolator, error) {
+			switch {
+			case tr.Index%37 == 5:
+				return fakeViolator{v: violation}, nil
+			case tr.Index%53 == 7:
+				panic("resilient_test: injected trial panic")
+			case tr.Index%71 == 9:
+				return fakeViolator{}, errors.New("resilient_test: infrastructure")
+			}
+			return fakeViolator{}, nil
+		},
+		func(tr Trial, _ fakeViolator, rep TrialReport) {
+			if rep.Outcome != OutcomeOK {
+				want = append(want, fmt.Sprintf("%d %s", tr.Index, rep.Outcome))
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rep := range report.Reports {
+		got = append(got, fmt.Sprintf("%d %s", rep.Trial.Index, rep.Outcome))
+	}
+	if report.Trials != trials || report.Count(OutcomeOK) != trials-len(want) || len(want) != 19 {
+		t.Fatalf("%d trials classified %s, %d non-ok merged; want %d trials, 19 of them non-ok", report.Trials, report, len(want), trials)
+	}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("reports list\n%v\nwant the non-ok trials in order\n%v", got, want)
 	}
 }
 

@@ -133,10 +133,11 @@ type snapshot[R any] interface {
 // its fold, building one from the cell when the free list is empty, so it
 // holds at most as many sessions as its widest sweep had workers (plus
 // replacements for discarded ones). It also keeps the buffers that parked
-// runs are copied into (see park). Both free lists are plain slices, not
-// sync.Pools, for the reason the root package's Solve list is: a sync.Pool
-// is cleared at GC, so a sweep's allocation count would vary from run to
-// run.
+// runs are copied into (see park), one for each run parked at the same
+// time, and the reorder ring of its sweeps' fold (see dispatch), which
+// later sweeps reuse. Both free lists are plain slices, not sync.Pools,
+// for the reason the root package's Solve list is: a sync.Pool is cleared
+// at GC, so a sweep's allocation count would vary from run to run.
 //
 // The caller that opens a pool owns it: it runs one sweep at a time on it
 // and closes it with Close once its last sweep has returned.
@@ -149,6 +150,9 @@ type Pool[R snapshot[R], S cell[R]] struct {
 	free   []pooled[S]
 	snaps  []R // snapshot buffers no parked run holds
 	closed bool
+	// reorder is the fold's reorder ring, kept across sweeps; only the
+	// running sweep's fold touches it, under its own lock.
+	reorder []outcome[R]
 	// sweeps counts the sweeps begun; newSched is the running sweep's
 	// adversary, installs records that a sweep has brought one, and meter
 	// is the Meter of the pool's first sweep.
@@ -295,7 +299,7 @@ func (p *Pool[R, S]) put(m pooled[S]) {
 func (p *Pool[R, S]) Close() {
 	p.mu.Lock()
 	free := p.free
-	p.free, p.snaps, p.newSched = nil, nil, nil
+	p.free, p.snaps, p.reorder, p.newSched = nil, nil, nil, nil
 	p.closed = true
 	p.mu.Unlock()
 	onHarnessGoroutine(func() {
@@ -448,6 +452,9 @@ func (p *Pool[R, S]) unpark(snap R) {
 	p.snaps = append(p.snaps, snap)
 	p.mu.Unlock()
 }
+
+// ring implements parker: the pool keeps its sweeps' reorder ring.
+func (p *Pool[R, S]) ring() *[]outcome[R] { return &p.reorder }
 
 // copyResult copies a session-owned Result into dst's storage (allocating a
 // nil dst), attaching the trace copy tr. A nil src copies to nil.

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,6 +367,51 @@ func TestSweepParksLateRuns(t *testing.T) {
 			t.Errorf("robust sweep classified %d trials and parked %d, want %d of each: %s", report.Trials, pk.unparked, trials, report)
 		}
 	})
+}
+
+// TestSweepWaitsAtTheWindow: a worker runs no trial a reorder window
+// (workers × reorderDepth trials) or more ahead of the fold, so a sweep
+// parks at most a window of runs however its workers are scheduled. In a
+// 2-worker protocol sweep of 2,000 trials whose trial 0 blocks in its
+// Inputs hook until a timer releases it, the other worker starts no trial
+// at or past the window while trial 0 blocks, and the sweep makes fewer
+// mallocs than it has trials: it allocates a snapshot buffer for each run
+// parked at the same time, not one per run that waited.
+func TestSweepWaitsAtTheWindow(t *testing.T) {
+	const n, trials, workers = 4, 2000, 2
+	const window = workers * reorderDepth
+	rows := mixedRows(n)
+	var blocking atomic.Bool
+	var early atomic.Int64 // trials started at or past the window while trial 0 blocked
+	spec := cellProtocolSpec(t, n, nil)
+	spec.Inputs = func(tr Trial) []value.Value {
+		switch {
+		case tr.Index == 0:
+			blocking.Store(true)
+			<-time.After(200 * time.Millisecond)
+			blocking.Store(false)
+		case tr.Index >= window && blocking.Load():
+			early.Add(1)
+		}
+		return rows[tr.Index%2]
+	}
+	merged := 0
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := SweepProtocol(Sweep{Trials: trials, Workers: workers, Seed: 1}, spec, func(Trial, *ProtocolRun) { merged++ })
+	runtime.ReadMemStats(&m1)
+	if err != nil || merged != trials {
+		t.Fatalf("sweep merged %d of %d trials: %v", merged, trials, err)
+	}
+	mallocs := m1.Mallocs - m0.Mallocs
+	t.Logf("%d mallocs for %d trials; %d trials started past the window while trial 0 blocked", mallocs, trials, early.Load())
+	if early.Load() != 0 {
+		t.Errorf("%d trials at or past the window of %d started while trial 0 blocked, want none", early.Load(), window)
+	}
+	if mallocs >= trials {
+		t.Errorf("the sweep made %d mallocs, want fewer than its %d trials", mallocs, trials)
+	}
 }
 
 // TestRobustSweepAfterStepLimitMatchesFreshRuns: a pooled session whose

@@ -16,13 +16,18 @@
 //     counter, so which worker runs a trial never affects what the trial
 //     computes.
 //   - Results are folded in trial order: the worker that finishes a trial
-//     parks it in a reorder buffer and, under one lock, folds every trial
+//     holds it in a reorder ring and, under one lock, folds every trial
 //     that is now next by index. The callbacks (merge, the Reporter, the
 //     histograms) therefore run one at a time, in trial order, on the
 //     sweep's worker goroutines, and floating-point accumulation in the
 //     caller's merge callback happens in the same sequence regardless of
 //     scheduling. Same root seed ⇒ bit-identical aggregates at 1 worker or
 //     16. A panic in a callback is raised again in the caller.
+//   - The ring is bounded: a worker whose trial is a window (workers ×
+//     reorderDepth trials) or more beyond the next trial to fold waits
+//     for the fold before running it. So a sweep holds at most a window
+//     of finished trials, however its workers are scheduled, and a trial
+//     must not wait for a trial a window or more beyond it.
 //
 // Sweeps are cancellable: the sweep's context (plus any per-sweep error)
 // stops both the dispatch of new trials and — because the derived context is
@@ -180,16 +185,24 @@ type outcome[T any] struct {
 	// parked marks a result copied into a buffer of the sweep's parker,
 	// which gets the buffer back once the fold has consumed the result.
 	parked bool
+	// held marks an outcome waiting in the fold's reorder ring.
+	held bool
 }
 
 // parker keeps the session-owned results of a pooled sweep that must wait
 // for the fold: park copies one into a buffer of its own, and unpark takes
-// the buffer back after the fold has consumed the copy. *Pool implements
-// it.
+// the buffer back after the fold has consumed the copy. It also keeps the
+// fold's reorder ring across its sweeps: ring returns where the ring lives.
+// *Pool implements it.
 type parker[T any] interface {
 	park(T) T
 	unpark(T)
+	ring() *[]outcome[T]
 }
+
+// reorderDepth is how many trials per worker a sweep may run ahead of its
+// fold: the reorder window is workers × reorderDepth trials.
+const reorderDepth = 16
 
 // errGoexit is the error of a trial whose function called runtime.Goexit
 // instead of returning.
@@ -198,23 +211,32 @@ var errGoexit = errors.New("trial called runtime.Goexit")
 // dispatch is the one trial dispatcher behind every sweep in this package.
 // It starts no goroutine but the sweep's workers (a robust sweep keeps a
 // runner per worker for its attempts), and returns only after they have
-// all exited. Workers take
-// trial indices from a single claim counter and run each trial inline
-// through attempt, which hands its outcome to fold exactly once and does
-// nothing after that fold that could panic. Holding the fold's lock, fold
-// passes consume the outcome if it is next in trial-index order, and then
-// every parked outcome that is now next; an outcome that is not next is
-// parked in a reorder buffer. consume and the Reporter therefore run one
-// at a time and in trial order, so everything they accumulate is
-// bit-identical at any worker count. They run under that lock, so a
-// callback must not wait for another trial of its own sweep.
+// all exited. Workers take trial indices from a single claim counter and
+// run each trial inline through attempt, which hands its outcome to fold
+// exactly once and does nothing after that fold that could panic. Holding
+// the fold's lock, fold passes consume the outcome if it is next in
+// trial-index order, and then every held outcome that is now next; an
+// outcome that is not next is held in a reorder ring. consume and the
+// Reporter therefore run one at a time and in trial order, so everything
+// they accumulate is bit-identical at any worker count. They run under
+// that lock, so a callback must not wait for another trial of its own
+// sweep.
+//
+// The ring bounds how far the workers run ahead: it has one slot per trial
+// of the reorder window, workers × reorderDepth trials from the next trial
+// to fold, and a worker that claims a trial a window or more ahead waits,
+// before running it, until the fold comes within the window or stops. So a
+// trial must not wait for a trial a window or more beyond it. The ring is
+// allocated, in one piece, when an outcome first has to wait; a parker
+// keeps it across its sweeps, and a sweep leaves it empty, however it
+// ends.
 //
 // A pooled sweep's attempt calls fold while its session is still checked
 // out, so the run that is next is consumed in place, in the session's own
 // buffers. A run that has to wait is parked as a copy: pk, when non-nil,
 // copies it into a buffer and takes the buffer back once the run is
-// consumed. Results that arrive already parked (the robust pooled sweep's)
-// are kept as they are.
+// consumed or discarded. Results that arrive already parked (the robust
+// pooled sweep's) are kept as they are.
 //
 // The fold stops at the first outcome that failed (err) or was dropped, or
 // when consume returns false. Stopping cancels the in-flight trials, whose
@@ -243,113 +265,179 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial, fold fu
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-
-	start := time.Now()
 	workers := s.workers()
-	var (
-		next atomic.Int64 // sweep-local index of the next trial to claim
-		wg   sync.WaitGroup
-
-		mu       sync.Mutex // the fold's lock, over everything below
-		pending  = make(map[int]outcome[T], workers)
-		nextFold = s.Offset // trial indices are global (shard offset applied)
-		prog     tally
-		stopped  bool
-		failed   error
-		raised   bool // a callback panicked or called Goexit
-		pan      any  // the panic's value; nil for Goexit
-	)
-	// fold consumes oc if it is next, then every parked outcome now next in
-	// trial order; an oc that is not next is parked. A callback that does
-	// not return stops the fold before the lock is released, so no later
-	// trial reaches consume.
-	fold := func(oc outcome[T]) {
-		if oc.err != nil {
-			next.Store(int64(s.Trials)) // claim nothing more
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return
-		}
-		if oc.trial.Index != nextFold {
-			if pk != nil && !oc.parked {
-				oc.result, oc.parked = pk.park(oc.result), true
-			}
-			pending[oc.trial.Index] = oc
-			return
-		}
-		returned := false
-		defer func() {
-			if !returned {
-				stopped, raised, pan = true, true, recover()
-			}
-			if stopped {
-				cancel() // stop dispatch and in-flight executions
-			}
-		}()
-		for ok := true; ok && !stopped; oc, ok = pending[nextFold] {
-			delete(pending, nextFold)
-			nextFold++
-			switch {
-			case oc.err != nil:
-				failed = fmt.Errorf("harness: trial %d: %w", oc.trial.Index, oc.err)
-				stopped = true
-			case oc.dropped:
-				stopped = true
-			default:
-				prog.done++
-				stopped = !consume(oc, &prog)
-				s.observe(&prog, start, false)
-			}
-			if oc.parked {
-				pk.unpark(oc.result)
-			}
-		}
-		returned = true
+	d := &sweepFold[T]{s: s, consume: consume, pk: pk, cancel: cancel, start: time.Now(),
+		window: workers * reorderDepth, nextFold: s.Offset}
+	d.moved.L, d.kept = &d.mu, &d.ring
+	if pk != nil {
+		d.kept = pk.ring()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var t Trial
-			attempting := false
-			// An attempt that panics or calls Goexit is folded here as
-			// failed. One that ends that way after its fold did so
-			// because a callback under the fold called Goexit, which
-			// stopped the fold: folding the trial again does nothing.
-			defer func() {
-				if attempting {
-					err := errGoexit
-					if p := recover(); p != nil {
-						err = fmt.Errorf("panic: %v", p)
-					}
-					fold(outcome[T]{trial: t, err: err})
-				}
-			}()
-			for ctx.Err() == nil {
-				i := int(next.Add(1) - 1)
-				if i >= s.Trials {
-					return
-				}
-				t, attempting = s.trial(i), true
-				attempt(ctx, t, fold)
-				attempting = false
-			}
-		}()
+	fold := d.fold
+	d.wg.Add(workers)
+	for range workers {
+		go d.work(ctx, attempt, fold)
 	}
-	wg.Wait()
-	if raised {
-		if pan == nil {
+	d.wg.Wait()
+	for _, oc := range d.ring {
+		d.unpark(oc) // the outcomes a sweep cut short left held
+	}
+	clear(d.ring)
+	if d.raised {
+		if d.pan == nil {
 			runtime.Goexit() // the callback called Goexit; so does the caller
 		}
-		panic(pan)
+		panic(d.pan)
 	}
-	s.observe(&prog, start, true)
-	if failed != nil {
-		return failed
+	s.observe(&d.prog, d.start, true)
+	if d.failed != nil {
+		return d.failed
 	}
 	return parent.Err()
+}
+
+// sweepFold is one dispatch's claim counter, workers and fold.
+type sweepFold[T any] struct {
+	s       Sweep
+	consume func(oc outcome[T], prog *tally) bool
+	pk      parker[T]
+	cancel  context.CancelFunc
+	start   time.Time
+	window  int            // the reorder window, in trials
+	next    atomic.Int64   // sweep-local index of the next trial to claim
+	wg      sync.WaitGroup // the workers
+
+	mu       sync.Mutex    // the fold's lock, over everything below
+	moved    sync.Cond     // on mu; broadcast when the fold advances or stops
+	kept     *[]outcome[T] // where the ring is kept: the parker's, or ring
+	ring     []outcome[T]  // nil until an outcome first has to wait
+	nextFold int           // trial indices are global (shard offset applied)
+	prog     tally
+	stopped  bool
+	failed   error
+	raised   bool // a callback panicked or called Goexit
+	pan      any  // the panic's value; nil for Goexit
+}
+
+// work is one worker. It claims trials until none is left or the sweep
+// stops, and runs each once the fold is within the window of it. An
+// attempt that panics or calls Goexit is folded here as failed. One that
+// ends that way after its fold did so because a callback under the fold
+// called Goexit, which stopped the fold: folding the trial again does
+// nothing.
+func (d *sweepFold[T]) work(ctx context.Context, attempt func(ctx context.Context, t Trial, fold func(outcome[T])), fold func(outcome[T])) {
+	defer d.wg.Done()
+	var t Trial
+	attempting := false
+	defer func() {
+		if attempting {
+			err := errGoexit
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+			d.fold(outcome[T]{trial: t, err: err})
+		}
+	}()
+	for ctx.Err() == nil {
+		i := int(d.next.Add(1) - 1)
+		if i >= d.s.Trials || !d.await(d.s.Offset+i) {
+			return
+		}
+		t, attempting = d.s.trial(i), true
+		attempt(ctx, t, fold)
+		attempting = false
+	}
+}
+
+// await waits while trial index is a window or more beyond the fold, and
+// reports whether to run it: not once the fold has stopped.
+func (d *sweepFold[T]) await(index int) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for !d.stopped && index >= d.nextFold+d.window {
+		d.moved.Wait()
+	}
+	return !d.stopped
+}
+
+// fold consumes oc if it is next, then every held outcome now next in
+// trial order; an oc that is not next is held. A callback that does not
+// return stops the fold before the lock is released, so no later trial
+// reaches consume.
+func (d *sweepFold[T]) fold(oc outcome[T]) {
+	if oc.err != nil {
+		d.next.Store(int64(d.s.Trials)) // claim nothing more
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
+		d.unpark(oc)
+		return
+	}
+	if oc.trial.Index != d.nextFold {
+		d.hold(oc)
+		return
+	}
+	returned := false
+	defer func() {
+		if !returned {
+			d.stopped, d.raised, d.pan = true, true, recover()
+		}
+		if d.stopped {
+			d.cancel() // stop dispatch and in-flight executions
+		}
+		d.moved.Broadcast()
+	}()
+	for ok := true; ok && !d.stopped; oc, ok = d.take() {
+		d.nextFold++
+		switch {
+		case oc.err != nil:
+			d.failed = fmt.Errorf("harness: trial %d: %w", oc.trial.Index, oc.err)
+			d.stopped = true
+		case oc.dropped:
+			d.stopped = true
+		default:
+			d.prog.done++
+			d.stopped = !d.consume(oc, &d.prog)
+			d.s.observe(&d.prog, d.start, false)
+		}
+		d.unpark(oc)
+	}
+	returned = true
+}
+
+// hold keeps oc in the ring until the fold reaches it, parking a pooled
+// run first, and allocates the ring (or takes the one the parker keeps)
+// when an outcome first has to wait.
+func (d *sweepFold[T]) hold(oc outcome[T]) {
+	if d.pk != nil && !oc.parked {
+		oc.result, oc.parked = d.pk.park(oc.result), true
+	}
+	if d.ring == nil {
+		if len(*d.kept) < d.window {
+			*d.kept = make([]outcome[T], d.window)
+		}
+		d.ring = *d.kept
+	}
+	oc.held = true
+	d.ring[(oc.trial.Index-d.s.Offset)%d.window] = oc
+}
+
+// take empties the ring's slot of the trial next to fold, returning the
+// outcome it held, if any.
+func (d *sweepFold[T]) take() (oc outcome[T], ok bool) {
+	if d.ring == nil {
+		return oc, false
+	}
+	slot := &d.ring[(d.nextFold-d.s.Offset)%d.window]
+	oc, *slot = *slot, outcome[T]{}
+	return oc, oc.held
+}
+
+// unpark hands a parked result's buffer back to the parker.
+func (d *sweepFold[T]) unpark(oc outcome[T]) {
+	if oc.parked {
+		d.pk.unpark(oc.result)
+	}
 }
 
 // RunTrials executes run for every trial of s on a worker pool and folds the

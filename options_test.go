@@ -75,18 +75,19 @@ func TestWithRetries(t *testing.T) {
 		{[]RunOption{WithRetries(1)}, TrialOK, 2},
 	} {
 		attempts := 0
-		report, err := Trials(1,
+		var rep TrialReport
+		_, err := Trials(1,
 			func(context.Context, Trial) (int, error) {
 				if attempts++; attempts == 1 {
 					return 0, errors.New("transient")
 				}
 				return 0, nil
 			},
-			nil, tc.opts...)
+			func(_ Trial, _ int, got TrialReport) { rep = got }, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep := report.Reports[0]; rep.Outcome != tc.outcome || rep.Attempts != tc.attempts {
+		if rep.Outcome != tc.outcome || rep.Attempts != tc.attempts {
 			t.Fatalf("options %d: trial %s after %d attempts, want %s after %d",
 				len(tc.opts), rep.Outcome, rep.Attempts, tc.outcome, tc.attempts)
 		}

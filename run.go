@@ -428,7 +428,11 @@ func RunProtocol(p *Protocol, opts ...RunOption) (*ProtocolRun, error) {
 }
 
 // Trials runs trials independent executions on a worker pool, folds their
-// results in trial order, and returns a SweepReport classifying every trial.
+// results in trial order, and returns a SweepReport that counts every
+// trial's classification and keeps the reports of the trials not
+// classified TrialOK. Its Trials field counts the classified trials, ok or
+// not; an ok trial's report reaches only merge, so a sweep's memory does
+// not grow with its trial count.
 //
 // run is called concurrently, once per trial; it must create all per-trial
 // state (register files, objects, schedulers) fresh — or replay a reusable
@@ -440,7 +444,9 @@ func RunProtocol(p *Protocol, opts ...RunOption) (*ProtocolRun, error) {
 // the same root seed (see WithSeed, WithWorkers), and a panic in merge is
 // raised again in the caller once the workers have exited. It also
 // receives each trial's TrialReport; for non-ok outcomes the result may be
-// partial or zero.
+// partial or zero. A worker runs no trial a window (16 trials per worker)
+// or more beyond the next trial to merge, so a trial must not wait for a
+// trial that far beyond it.
 //
 // Trials degrades gracefully instead of aborting: every trial is classified
 // (TrialOK, TrialViolated on an online safety violation, TrialTimeout when

@@ -166,6 +166,19 @@ func TestTrialsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// reportOf returns the report r lists for trial index, failing t if it
+// lists none: a Trials sweep keeps the reports of its non-ok trials only.
+func reportOf(t *testing.T, r *SweepReport, index int) TrialReport {
+	t.Helper()
+	for _, rep := range r.Reports {
+		if rep.Trial.Index == index {
+			return rep
+		}
+	}
+	t.Fatalf("no report for trial %d among %d reports (%s)", index, len(r.Reports), r)
+	return TrialReport{}
+}
+
 func TestTrialsClassifiesError(t *testing.T) {
 	boom := errors.New("boom")
 	report, err := Trials(10, func(ctx context.Context, tr Trial) (int, error) {
@@ -180,10 +193,8 @@ func TestTrialsClassifiesError(t *testing.T) {
 	if got := report.Count(TrialFailed); got != 1 {
 		t.Fatalf("report counted %d failed trials, want 1: %s", got, report)
 	}
-	for _, rep := range report.Reports {
-		if rep.Trial.Index == 4 && !errors.Is(rep.Err, boom) {
-			t.Fatalf("trial 4 err = %v, want boom", rep.Err)
-		}
+	if rep := reportOf(t, report, 4); !errors.Is(rep.Err, boom) {
+		t.Fatalf("trial 4 err = %v, want boom", rep.Err)
 	}
 }
 
