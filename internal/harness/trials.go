@@ -183,7 +183,8 @@ type outcome[T any] struct {
 	// reached a verdict (the robust policy).
 	dropped bool
 	// parked marks a result copied into a buffer of the sweep's parker,
-	// which gets the buffer back once the fold has consumed the result.
+	// which gets the buffer back once the fold has consumed or discarded
+	// the result.
 	parked bool
 	// held marks an outcome waiting in the fold's reorder ring.
 	held bool
