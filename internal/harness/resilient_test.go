@@ -134,13 +134,9 @@ func TestRobustMixedOutcomesPartialAggregates(t *testing.T) {
 	if report.Count(OutcomeOK) != 3 || report.Count(OutcomeTimeout) != 3 {
 		t.Fatalf("outcomes %s, want ok=3 timeout=3", report)
 	}
-	for _, rep := range report.Reports {
-		want := OutcomeOK
-		if rep.Trial.Index%2 == 1 {
-			want = OutcomeTimeout
-		}
-		if rep.Outcome != want {
-			t.Fatalf("trial %d classified %s, want %s", rep.Trial.Index, rep.Outcome, want)
+	for i, rep := range report.Reports {
+		if rep.Trial.Index != 2*i+1 || rep.Outcome != OutcomeTimeout {
+			t.Fatalf("report %d: trial %d classified %s, want trial %d timed out", i, rep.Trial.Index, rep.Outcome, 2*i+1)
 		}
 	}
 }
@@ -608,22 +604,15 @@ func TestRobustAbandonsUnresponsiveTrial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Trials != 4 {
-		t.Fatalf("classified %d trials, want 4: %s", report.Trials, report)
+	if report.Trials != 4 || report.Count(OutcomeOK) != 3 || report.Count(OutcomeTimeout) != 1 {
+		t.Fatalf("%d trials classified %s, want 4: ok=3 timeout=1", report.Trials, report)
 	}
-	for _, rep := range report.Reports {
-		if rep.Trial.Index != 1 {
-			if rep.Outcome != OutcomeOK {
-				t.Errorf("trial %d classified %s, want ok", rep.Trial.Index, rep.Outcome)
-			}
-			continue
-		}
-		if rep.Outcome != OutcomeTimeout || rep.Attempts != 1 {
-			t.Errorf("unresponsive trial: outcome %s after %d attempts, want timeout after 1", rep.Outcome, rep.Attempts)
-		}
-		if !errors.Is(rep.Err, ErrTrialDeadline) || !strings.Contains(fmt.Sprint(rep.Err), "goroutine abandoned") {
-			t.Errorf("unresponsive trial error %v, want ErrTrialDeadline and \"goroutine abandoned\"", rep.Err)
-		}
+	rep := reportOf(t, report, 1)
+	if rep.Outcome != OutcomeTimeout || rep.Attempts != 1 {
+		t.Errorf("unresponsive trial: outcome %s after %d attempts, want timeout after 1", rep.Outcome, rep.Attempts)
+	}
+	if !errors.Is(rep.Err, ErrTrialDeadline) || !strings.Contains(fmt.Sprint(rep.Err), "goroutine abandoned") {
+		t.Errorf("unresponsive trial error %v, want ErrTrialDeadline and \"goroutine abandoned\"", rep.Err)
 	}
 }
 

@@ -227,10 +227,12 @@ var errGoexit = errors.New("trial called runtime.Goexit")
 // of the reorder window, workers × reorderDepth trials from the next trial
 // to fold, and a worker that claims a trial a window or more ahead waits,
 // before running it, until the fold comes within the window or stops. So a
-// trial must not wait for a trial a window or more beyond it. The ring is
-// allocated, in one piece, when an outcome first has to wait; a parker
-// keeps it across its sweeps, and a sweep leaves it empty, however it
-// ends.
+// trial must not wait for a trial a window or more beyond it. A trial
+// that waited does not start if the sweep was cancelled meanwhile: its
+// worker folds it as dropped, which stops the fold there rather than leave
+// a gap that a worker further ahead would wait on. The ring is allocated,
+// in one piece, when an outcome first has to wait; a parker keeps it
+// across its sweeps, and a sweep leaves it empty, however it ends.
 //
 // A pooled sweep's attempt calls fold while its session is still checked
 // out, so the run that is next is consumed in place, in the session's own
@@ -266,179 +268,163 @@ func dispatch[T any](s Sweep, attempt func(ctx context.Context, t Trial, fold fu
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
+
+	start := time.Now()
 	workers := s.workers()
-	d := &sweepFold[T]{s: s, consume: consume, pk: pk, cancel: cancel, start: time.Now(),
-		window: workers * reorderDepth, nextFold: s.Offset}
-	d.moved.L, d.kept = &d.mu, &d.ring
-	if pk != nil {
-		d.kept = pk.ring()
+	window := workers * reorderDepth // the reorder window, in trials
+	var (
+		next atomic.Int64 // sweep-local index of the next trial to claim
+		wg   sync.WaitGroup
+
+		mu       sync.Mutex          // the fold's lock, over everything below
+		moved    = sync.Cond{L: &mu} // broadcast when the fold advances or stops
+		ring     []outcome[T]        // window slots; nil until an outcome first has to wait
+		nextFold = s.Offset          // trial indices are global (shard offset applied)
+		prog     tally
+		stopped  bool
+		failed   error
+		raised   bool // a callback panicked or called Goexit
+		pan      any  // the panic's value; nil for Goexit
+	)
+	// await waits while trial index is a window or more beyond the fold,
+	// and reports whether to run it: not once the fold has stopped, nor
+	// when the sweep was cancelled while it waited.
+	await := func(index int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		waited := false
+		for ; !stopped && index >= nextFold+window; waited = true {
+			moved.Wait()
+		}
+		return !stopped && !(waited && ctx.Err() != nil)
 	}
-	fold := d.fold
-	d.wg.Add(workers)
-	for range workers {
-		go d.work(ctx, attempt, fold)
+	// fold consumes oc if it is next, then every held outcome now next in
+	// trial order; an oc that is not next is held in the ring. A callback
+	// that does not return stops the fold before the lock is released, so
+	// no later trial reaches consume.
+	fold := func(oc outcome[T]) {
+		if oc.err != nil {
+			next.Store(int64(s.Trials)) // claim nothing more
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			if oc.parked {
+				pk.unpark(oc.result)
+			}
+			return
+		}
+		if oc.trial.Index != nextFold {
+			if pk != nil && !oc.parked {
+				oc.result, oc.parked = pk.park(oc.result), true
+			}
+			if ring == nil { // the first outcome to wait: take the kept ring
+				kept := &ring
+				if pk != nil {
+					kept = pk.ring()
+				}
+				if len(*kept) < window {
+					*kept = make([]outcome[T], window)
+				}
+				ring = (*kept)[:window]
+			}
+			oc.held = true
+			ring[(oc.trial.Index-s.Offset)%window] = oc
+			return
+		}
+		returned := false
+		defer func() {
+			if !returned {
+				stopped, raised, pan = true, true, recover()
+			}
+			if stopped {
+				cancel() // stop dispatch and in-flight executions
+			}
+			moved.Broadcast()
+		}()
+		for ok := true; ok && !stopped; oc, ok = take(ring, nextFold-s.Offset) {
+			nextFold++
+			switch {
+			case oc.err != nil:
+				failed = fmt.Errorf("harness: trial %d: %w", oc.trial.Index, oc.err)
+				stopped = true
+			case oc.dropped:
+				stopped = true
+			default:
+				prog.done++
+				stopped = !consume(oc, &prog)
+				s.observe(&prog, start, false)
+			}
+			if oc.parked {
+				pk.unpark(oc.result)
+			}
+		}
+		returned = true
 	}
-	d.wg.Wait()
-	for _, oc := range d.ring {
-		d.unpark(oc) // the outcomes a sweep cut short left held
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var t Trial
+			attempting := false
+			// An attempt that panics or calls Goexit is folded here as
+			// failed. One that ends that way after its fold did so
+			// because a callback under the fold called Goexit, which
+			// stopped the fold: folding the trial again does nothing.
+			defer func() {
+				if attempting {
+					err := errGoexit
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+					fold(outcome[T]{trial: t, err: err})
+				}
+			}()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= s.Trials {
+					return
+				}
+				if t = s.trial(i); !await(t.Index) {
+					// The trial does not start; folded as dropped, it
+					// stops the fold, so no worker waits for it.
+					fold(outcome[T]{trial: t, dropped: true})
+					return
+				}
+				attempting = true
+				attempt(ctx, t, fold)
+				attempting = false
+			}
+		}()
 	}
-	clear(d.ring)
-	if d.raised {
-		if d.pan == nil {
+	wg.Wait()
+	for _, oc := range ring {
+		if oc.parked {
+			pk.unpark(oc.result) // the outcomes a sweep cut short left held
+		}
+	}
+	clear(ring)
+	if raised {
+		if pan == nil {
 			runtime.Goexit() // the callback called Goexit; so does the caller
 		}
-		panic(d.pan)
+		panic(pan)
 	}
-	s.observe(&d.prog, d.start, true)
-	if d.failed != nil {
-		return d.failed
+	s.observe(&prog, start, true)
+	if failed != nil {
+		return failed
 	}
 	return parent.Err()
 }
 
-// sweepFold is one dispatch's claim counter, workers and fold.
-type sweepFold[T any] struct {
-	s       Sweep
-	consume func(oc outcome[T], prog *tally) bool
-	pk      parker[T]
-	cancel  context.CancelFunc
-	start   time.Time
-	window  int            // the reorder window, in trials
-	next    atomic.Int64   // sweep-local index of the next trial to claim
-	wg      sync.WaitGroup // the workers
-
-	mu       sync.Mutex    // the fold's lock, over everything below
-	moved    sync.Cond     // on mu; broadcast when the fold advances or stops
-	kept     *[]outcome[T] // where the ring is kept: the parker's, or ring
-	ring     []outcome[T]  // nil until an outcome first has to wait
-	nextFold int           // trial indices are global (shard offset applied)
-	prog     tally
-	stopped  bool
-	failed   error
-	raised   bool // a callback panicked or called Goexit
-	pan      any  // the panic's value; nil for Goexit
-}
-
-// work is one worker. It claims trials until none is left or the sweep
-// stops, and runs each once the fold is within the window of it. An
-// attempt that panics or calls Goexit is folded here as failed. One that
-// ends that way after its fold did so because a callback under the fold
-// called Goexit, which stopped the fold: folding the trial again does
-// nothing.
-func (d *sweepFold[T]) work(ctx context.Context, attempt func(ctx context.Context, t Trial, fold func(outcome[T])), fold func(outcome[T])) {
-	defer d.wg.Done()
-	var t Trial
-	attempting := false
-	defer func() {
-		if attempting {
-			err := errGoexit
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-			}
-			d.fold(outcome[T]{trial: t, err: err})
-		}
-	}()
-	for ctx.Err() == nil {
-		i := int(d.next.Add(1) - 1)
-		if i >= d.s.Trials || !d.await(d.s.Offset+i) {
-			return
-		}
-		t, attempting = d.s.trial(i), true
-		attempt(ctx, t, fold)
-		attempting = false
+// take empties the slot of ring that trial offset i maps to, returning the
+// outcome it held, if any. A nil ring holds none.
+func take[T any](ring []outcome[T], i int) (oc outcome[T], ok bool) {
+	if ring != nil {
+		slot := &ring[i%len(ring)]
+		oc, *slot = *slot, outcome[T]{}
 	}
-}
-
-// await waits while trial index is a window or more beyond the fold, and
-// reports whether to run it: not once the fold has stopped.
-func (d *sweepFold[T]) await(index int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for !d.stopped && index >= d.nextFold+d.window {
-		d.moved.Wait()
-	}
-	return !d.stopped
-}
-
-// fold consumes oc if it is next, then every held outcome now next in
-// trial order; an oc that is not next is held. A callback that does not
-// return stops the fold before the lock is released, so no later trial
-// reaches consume.
-func (d *sweepFold[T]) fold(oc outcome[T]) {
-	if oc.err != nil {
-		d.next.Store(int64(d.s.Trials)) // claim nothing more
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		d.unpark(oc)
-		return
-	}
-	if oc.trial.Index != d.nextFold {
-		d.hold(oc)
-		return
-	}
-	returned := false
-	defer func() {
-		if !returned {
-			d.stopped, d.raised, d.pan = true, true, recover()
-		}
-		if d.stopped {
-			d.cancel() // stop dispatch and in-flight executions
-		}
-		d.moved.Broadcast()
-	}()
-	for ok := true; ok && !d.stopped; oc, ok = d.take() {
-		d.nextFold++
-		switch {
-		case oc.err != nil:
-			d.failed = fmt.Errorf("harness: trial %d: %w", oc.trial.Index, oc.err)
-			d.stopped = true
-		case oc.dropped:
-			d.stopped = true
-		default:
-			d.prog.done++
-			d.stopped = !d.consume(oc, &d.prog)
-			d.s.observe(&d.prog, d.start, false)
-		}
-		d.unpark(oc)
-	}
-	returned = true
-}
-
-// hold keeps oc in the ring until the fold reaches it, parking a pooled
-// run first, and allocates the ring (or takes the one the parker keeps)
-// when an outcome first has to wait.
-func (d *sweepFold[T]) hold(oc outcome[T]) {
-	if d.pk != nil && !oc.parked {
-		oc.result, oc.parked = d.pk.park(oc.result), true
-	}
-	if d.ring == nil {
-		if len(*d.kept) < d.window {
-			*d.kept = make([]outcome[T], d.window)
-		}
-		d.ring = *d.kept
-	}
-	oc.held = true
-	d.ring[(oc.trial.Index-d.s.Offset)%d.window] = oc
-}
-
-// take empties the ring's slot of the trial next to fold, returning the
-// outcome it held, if any.
-func (d *sweepFold[T]) take() (oc outcome[T], ok bool) {
-	if d.ring == nil {
-		return oc, false
-	}
-	slot := &d.ring[(d.nextFold-d.s.Offset)%d.window]
-	oc, *slot = *slot, outcome[T]{}
 	return oc, oc.held
-}
-
-// unpark hands a parked result's buffer back to the parker.
-func (d *sweepFold[T]) unpark(oc outcome[T]) {
-	if oc.parked {
-		d.pk.unpark(oc.result)
-	}
 }
 
 // RunTrials executes run for every trial of s on a worker pool and folds the

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,6 +387,58 @@ func TestSweepCancelFoldsGapFreePrefix(t *testing.T) {
 	}
 	if len(merged) <= canceller || len(merged) > canceller+workers {
 		t.Fatalf("merged %d trials, want %d to %d", len(merged), canceller+1, canceller+workers)
+	}
+	for i, r := range merged {
+		if r != i {
+			t.Fatalf("merged trial %d at position %d: the folded trials are not a gap-free prefix", r, i)
+		}
+	}
+}
+
+// TestSweepCancelledAtTheWindowStartsNothing: a worker that waits at the
+// reorder window starts no trial once the sweep is cancelled. Trial 0 of a
+// 2-worker sweep ignores the cancellation until it is released, so the
+// other worker runs trials 1 to window-1 and waits with the trial at the
+// window claimed; the sweep is cancelled, then trial 0 released. The
+// waiting trial must not start, and the sweep must return having folded
+// exactly the trials below it.
+func TestSweepCancelledAtTheWindowStartsNothing(t *testing.T) {
+	const trials, workers = 1000, 2
+	const window = workers * reorderDepth
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	var started, late atomic.Int64
+	go func() {
+		for started.Load() < window-1 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // the other worker claims the trial at the window
+		cancel()
+		close(release)
+	}()
+	var merged []int
+	err := RunTrials(Sweep{Trials: trials, Workers: workers, Seed: 3, Context: ctx},
+		func(_ context.Context, tr Trial) (int, error) {
+			switch {
+			case tr.Index == 0:
+				<-release // deaf to the cancellation
+			case ctx.Err() != nil:
+				late.Add(1)
+			default:
+				started.Add(1)
+			}
+			return tr.Index, nil
+		},
+		func(tr Trial, r int) { merged = append(merged, r) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if late.Load() != 0 {
+		t.Errorf("%d trials started after the sweep was cancelled, want none", late.Load())
+	}
+	if len(merged) != window {
+		t.Errorf("merged %d trials, want the %d below the window", len(merged), window)
 	}
 	for i, r := range merged {
 		if r != i {
